@@ -24,28 +24,28 @@ from .gmm import (GmmSolution, MomentSpec, gmm_efficient_influence,
                   gmm_influence, gmm_out_direction, gmm_project_tangent,
                   gmm_solve, moment_spec)
 from .model_space import (CutTerm, Grid, GridDensity, LikelihoodRatio,
-                          Sample, density_at, grid_quad, integrate, kde_fit,
-                          likelihood_ratio, quantile)
+                          PiecewiseField, Sample, density_at, grid_quad,
+                          integrate, kde_fit, likelihood_ratio, quantile)
 from .surfaces import (Chart, CoordFunctional, build_chart, coord_functional,
                        coordinate_gradient, custom_chart, flat_normal_chart,
                        hyperbolic_normal_chart, information_matrix,
                        numerical_information_matrix, sphere_chart,
                        surface_sensitivity)
-from .tangent import (PolicyMetric, TangentVector, center, grad_op_apply,
+from .tangent import (PolicyMetric, TangentVector, grad_op_apply,
                       grad_op_inverse, information_metric, inner, inner_p,
-                      policy_gradient, policy_metric)
+                      policy_metric)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     "SensanError", "ConfigError",
-    "Grid", "GridDensity", "CutTerm", "Sample", "LikelihoodRatio",
+    "Grid", "GridDensity", "CutTerm", "PiecewiseField", "Sample",
+    "LikelihoodRatio",
     "grid_quad", "integrate", "density_at", "quantile", "likelihood_ratio",
     "kde_fit", "build_family",
     "TangentVector", "PolicyMetric", "information_metric", "policy_metric",
-    "center", "inner", "inner_p", "grad_op_apply", "grad_op_inverse",
-    "policy_gradient",
+    "inner", "inner_p", "grad_op_apply", "grad_op_inverse",
     "Functional", "moment", "variance", "quantile_functional", "composite",
     "evaluate", "influence", "influence_analytic", "influence_numerical",
     "MollifierSchedule", "parse_functional",

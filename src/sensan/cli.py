@@ -29,7 +29,8 @@ from .estimation import (Multinomial, PluginConfig, RatioInformation,
 from .families import build_family
 from .functionals import influence, parse_functional
 from .gmm import gmm_efficient_influence, gmm_influence, gmm_solve, moment_spec
-from .model_space import Grid, GridDensity, Sample, likelihood_ratio
+from .model_space import (Grid, GridDensity, Sample, likelihood_ratio,
+                          write_node_table)
 from .surfaces import build_chart, coord_functional, surface_sensitivity
 from .svg import line_plot
 from .tangent import (grad_op_apply, information_metric, inner_p,
@@ -57,6 +58,13 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _number(value, key: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(key, f"expected a number, got {value!r}")
+
+
 def _build_grid(cfg: dict, override_n: int | None) -> Grid:
     spec = cfg.get("grid", {})
     if isinstance(spec, int):
@@ -72,11 +80,13 @@ def _build_grid(cfg: dict, override_n: int | None) -> Grid:
                               "'y' as [lo, hi, n] triples")
         if override_n is not None:
             xn = yn = override_n
-        return Grid.box((float(xlo), float(xhi)), (float(ylo), float(yhi)),
-                        (int(xn), int(yn)))
-    lo = float(spec.get("lo", 0.0))
-    hi = float(spec.get("hi", 1.0))
-    n = int(override_n if override_n is not None else spec.get("n", 801))
+        return Grid.box((_number(xlo, "grid"), _number(xhi, "grid")),
+                        (_number(ylo, "grid"), _number(yhi, "grid")),
+                        (_number(xn, "grid", int), _number(yn, "grid", int)))
+    lo = _number(spec.get("lo", 0.0), "grid")
+    hi = _number(spec.get("hi", 1.0), "grid")
+    n = _number(override_n if override_n is not None else spec.get("n", 801),
+                "grid", int)
     if hi <= lo:
         raise ConfigError("grid", f"needs lo < hi, got [{lo}, {hi}]")
     return Grid.line(lo, hi, n)
@@ -159,14 +169,6 @@ def _plot_1d(out: str, name: str, curves, title: str, ylabel: str) -> None:
               title=title, xlabel="x", ylabel=ylabel)
 
 
-def _curve_csv(out: str, name: str, header, columns) -> None:
-    path = os.path.join(out, "curves", name + ".csv")
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 # --- subcommands --------------------------------------------------------------------
 
 def _cmd_sensitivity(args) -> int:
@@ -187,8 +189,9 @@ def _cmd_sensitivity(args) -> int:
         grad = grad_op_apply(nu_t, metric)
         if P.grid.ndim == 1:
             x = P.grid.axes[0].nodes
-            _curve_csv(out, "influence", ["x", "psi", "nu", "grad_nu"],
-                       [x, psi_t.values, nu_t.values, grad.values])
+            write_node_table(os.path.join(out, "curves", "influence.csv"),
+                             ["x", "psi", "nu", "grad_nu"],
+                             [x, psi_t.values, nu_t.values, grad.values])
             _plot_1d(out, "influence",
                      [("psi", x, psi_t.values), ("nu", x, nu_t.values),
                       ("grad nu", x, grad.values)],
@@ -222,8 +225,9 @@ def _cmd_counterfactual(args) -> int:
             os.path.join(out, "curves", "counterfactual.csv"))
         if P.grid.ndim == 1:
             x = P.grid.axes[0].nodes
-            _curve_csv(out, "densities", ["x", "baseline", "counterfactual"],
-                       [x, P.values, rep.counterfactual.values])
+            write_node_table(os.path.join(out, "curves", "densities.csv"),
+                             ["x", "baseline", "counterfactual"],
+                             [x, P.values, rep.counterfactual.values])
             _plot_1d(out, "densities",
                      [("baseline", x, P.values),
                       ("counterfactual", x, rep.counterfactual.values)],
@@ -284,7 +288,8 @@ def _cmd_gmm(args) -> int:
             cols = [x] + [t.values for t in infl] + [t.values for t in eff]
             head = (["x"] + [f"influence_{a}" for a in range(len(infl))]
                     + [f"efficient_{a}" for a in range(len(eff))])
-            _curve_csv(out, "influences", head, cols)
+            write_node_table(os.path.join(out, "curves", "influences.csv"),
+                             head, cols)
             _plot_1d(out, "influences",
                      [(h, x, c) for h, c in zip(head[1:], cols[1:])],
                      "Parameter influence functions", "value")
@@ -295,7 +300,7 @@ def _cmd_surface(args) -> int:
     chart = build_chart(args.chart)
     psi = _coord_functional(args, "psi")
     nu = _coord_functional(args, "nu")
-    at = (float(args.point[0]), float(args.point[1]))
+    at = tuple(_number(c, "point") for c in args.point)
     val = surface_sensitivity(chart, psi, nu, at, mode=args.mode)
     print(f"{val:.8f}")
     if args.out:

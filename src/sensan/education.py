@@ -38,7 +38,7 @@ from .engine import counterfactual_report, sensitivity
 from .errors import ConfigError
 from .families import build_family
 from .functionals import evaluate, influence, moment, quantile_functional
-from .model_space import Grid, GridDensity
+from .model_space import Grid, GridDensity, write_node_table
 from .svg import line_plot
 from .tangent import grad_op_apply, information_metric, policy_metric
 
@@ -92,14 +92,6 @@ class EducationResult:
     rows: tuple[EducationRow, ...]
     out_dir: str
     files: tuple[str, ...]
-
-
-def _write_csv(path: str, header: list[str], columns) -> None:
-    data = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in data:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _joint_artifact(P: GridDensity, curves_dir: str) -> str:
@@ -171,7 +163,7 @@ def replicate_education(out_dir: str, *, grid_n: int = 801,
 
     def emit(name, header, cols, title, ylabel):
         cpath = os.path.join(curves_dir, name + ".csv")
-        _write_csv(cpath, header, cols)
+        write_node_table(cpath, header, cols)
         spath = os.path.join(plots_dir, name + ".svg")
         line_plot(spath, [(h, x, c) for h, c in zip(header[1:], cols[1:])],
                   title=title, xlabel="x", ylabel=ylabel)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import SensanError
 from .functionals import Functional, MollifierSchedule, evaluate, influence
-from .model_space import CutTerm, Grid, GridDensity
+from .model_space import CutTerm, Grid, GridDensity, PiecewiseField, locate
 from .tangent import (PolicyMetric, TangentVector, grad_op_apply, inner,
                       inner_p)
 
@@ -121,9 +121,14 @@ def sensitivity_from_influences(psi_t: TangentVector, nu_t: TangentVector,
     for name, primal, u in (("nu", gn2_nu, Anu), ("psi", gn2_psi, Apsi)):
         dual = inner(u, u, metric)
         if not _close(primal, dual, 1e-8):
+            cause = ""
+            if metric.ratio is not None and metric.ratio.clamped:
+                m, M = metric.ratio.clamp_bounds
+                cause = (f"; the likelihood ratio dP/dQ was clamped into "
+                         f"[{m:g}, {M:g}]")
             raise SensanError(
                 f"gradient norm of {name} disagrees between code paths: "
-                f"{primal:.12g} vs {dual:.12g}")
+                f"{primal:.12g} vs {dual:.12g}{cause}")
     ip_pn = inner_p(psi_t, nu_t)
     ip_nn = inner_p(nu_t, nu_t)
     ip_pp = inner_p(psi_t, psi_t)
@@ -159,25 +164,20 @@ def sensitivity(psi: Functional, nu: Functional, P: GridDensity,
 
 def _slice_at(grid: Grid, samples: np.ndarray, axis: int, loc: float) -> np.ndarray:
     """Linear interpolation of node samples at position loc along one axis."""
-    nodes = grid.axes[axis].nodes
-    loc = min(max(loc, nodes[0]), nodes[-1])
-    i = min(int(np.searchsorted(nodes, loc, side="right")) - 1, len(nodes) - 2)
-    i = max(i, 0)
-    w = (loc - nodes[i]) / (nodes[i + 1] - nodes[i])
+    i, w = locate(grid.axes[axis], loc)
     lo = np.take(samples, i, axis=axis)
-    hi = np.take(samples, i + 1, axis=axis)
-    return (1.0 - w) * lo + w * hi
+    return lo + w * (np.take(samples, i + 1, axis=axis) - lo)
 
 
 def _direction_extremes(grid: Grid, d: TangentVector) -> tuple[float, float]:
     """Min and max of the piecewise direction, probing grid nodes and both
     sides of every cut hyperplane."""
     vals = [float(np.min(d.values)), float(np.max(d.values))]
-    cut_list = sorted({(axis, loc) for t in d.steps for axis, loc in t.cuts})
+    cut_list = sorted({(axis, loc) for t in d.terms for axis, loc in t.cuts})
     for axis, loc in cut_list:
         for side in ("below", "above"):
             probe = _slice_at(grid, d.smooth, axis, loc)
-            for t in d.steps:
+            for t in d.terms:
                 ok = True
                 for caxis, cloc in t.cuts:
                     if caxis == axis:
@@ -223,51 +223,28 @@ def counterfactual_density(P: GridDensity, direction: TangentVector, h: float,
             raise SensanError(
                 "step too large for multiplicative path: "
                 f"|h| = {abs(h):.6g} exceeds max admissible h = {hmax:.6g}")
-        smooth = P.smooth * (1.0 + h * direction.smooth)
-        terms = [CutTerm(t.cuts, t.samples * (1.0 + h * direction.smooth))
-                 for t in P.terms]
-        terms += [CutTerm(s.cuts, h * s.samples * P.smooth)
-                  for s in direction.steps]
-        terms += [CutTerm(_merge_cut_sets(t.cuts, s.cuts),
-                          h * t.samples * s.samples)
-                  for t in P.terms for s in direction.steps]
-        return GridDensity(P.grid, smooth, _terms=tuple(terms))
+        # the factor 1 + h direction is a plain field, not a direction
+        factor = PiecewiseField.scale(direction, h).shift(1.0)
+        moved = P.times(factor)
+        return GridDensity(P.grid, moved.smooth, _terms=moved.terms)
     if path == "exponential":
         return _exponential_tilt(P, direction, h)
     raise SensanError(f"unknown counterfactual path '{path}'")
 
 
-def _merge_cut_sets(a, b):
-    bound: dict[int, float] = {}
-    for axis, q in (*a, *b):
-        bound[axis] = min(q, bound.get(axis, math.inf))
-    return tuple(sorted(bound.items()))
-
-
 def _exponential_tilt(P: GridDensity, direction: TangentVector,
                       h: float) -> GridDensity:
-    if len(direction.steps) > 8:
+    if len(direction.terms) > 8:
         raise SensanError("exponential path supports at most 8 jump terms")
-    base = np.exp(h * direction.smooth)
     # exp(h(s + sum t_j 1_j)) = exp(h s) * prod_j (1 + (exp(h t_j) - 1) 1_j)
-    factor_terms: list[CutTerm] = []
-    from itertools import combinations
-
-    gains = [np.exp(h * t.samples) - 1.0 for t in direction.steps]
-    for k in range(1, len(direction.steps) + 1):
-        for subset in combinations(range(len(direction.steps)), k):
-            cuts = ()
-            samp = np.array(base)
-            for j in subset:
-                cuts = _merge_cut_sets(cuts, direction.steps[j].cuts)
-                samp = samp * gains[j]
-            factor_terms.append(CutTerm(cuts, samp))
-    smooth = P.smooth * base
-    terms = [CutTerm(t.cuts, t.samples * base) for t in P.terms]
-    terms += [CutTerm(f.cuts, f.samples * P.smooth) for f in factor_terms]
-    terms += [CutTerm(_merge_cut_sets(t.cuts, f.cuts), t.samples * f.samples)
-              for t in P.terms for f in factor_terms]
-    return GridDensity(P.grid, smooth, _terms=tuple(terms), _normalize="force")
+    factor = PiecewiseField(P.grid, np.exp(h * direction.smooth))
+    ones = np.ones(P.grid.shape)
+    for t in direction.terms:
+        gain = CutTerm(t.cuts, np.exp(h * t.samples) - 1.0)
+        factor = factor.times(PiecewiseField(P.grid, ones, (gain,)))
+    tilted = P.times(factor)
+    return GridDensity(P.grid, tilted.smooth, _terms=tilted.terms,
+                       _normalize="force")
 
 
 # --- counterfactual reports ---------------------------------------------------------

@@ -30,7 +30,8 @@ import numpy as np
 from .errors import SensanError
 from .functionals import Functional, evaluate
 from .model_space import (Grid, GridDensity, LikelihoodRatio, Sample,
-                          _cumtrapz, _simpson_reduce, density_at, kde_fit)
+                          _cumtrapz, _simpson_reduce, density_at,
+                          interpolate, kde_fit, locate)
 
 __all__ = [
     "RatioInformation",
@@ -78,50 +79,17 @@ class RatioKde:
             raise SensanError("ratio clamp bounds must be positive and ordered")
 
 
-def _interp_values(grid: Grid, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of node values at sample points."""
-    if grid.ndim == 1:
-        return np.interp(pts[:, 0], grid.axes[0].nodes, values)
-    out = np.empty(len(pts))
-    for k, p in enumerate(pts):
-        out[k] = _interp_one(grid, values, p)
-    return out
-
-
-def _interp_one(grid: Grid, values: np.ndarray, p) -> float:
-    idx = []
-    wts = []
-    for a, ax in enumerate(grid.axes):
-        t = min(max(float(p[a]), ax.lo), ax.hi)
-        i = min(int((t - ax.lo) / ax.spacing), ax.n - 2)
-        idx.append(i)
-        wts.append((t - ax.nodes[i]) / ax.spacing)
-    acc = 0.0
-    for corner in range(1 << grid.ndim):
-        w = 1.0
-        pos = []
-        for a in range(grid.ndim):
-            if corner >> a & 1:
-                w *= wts[a]
-                pos.append(idx[a] + 1)
-            else:
-                w *= 1.0 - wts[a]
-                pos.append(idx[a])
-        acc += w * float(values[tuple(pos)])
-    return acc
-
-
 def _ratio_at_points(estimator, sample: Sample) -> np.ndarray:
     if isinstance(estimator, RatioInformation):
         return np.ones(sample.n)
     if isinstance(estimator, RatioKnown):
         lr = estimator.ratio
-        return _interp_values(lr.grid, lr.ratio_values, sample.points)
+        return interpolate(lr.grid, lr.ratio_values, sample.points)
     if isinstance(estimator, RatioKde):
         grid = estimator.Q.grid
         phat = kde_fit(sample, grid, estimator.bandwidth)
-        num = _interp_values(grid, phat.values, sample.points)
-        den = _interp_values(grid, estimator.Q.values, sample.points)
+        num = interpolate(grid, phat.values, sample.points)
+        den = interpolate(grid, estimator.Q.values, sample.points)
         lo, hi = estimator.clamp
         return np.clip(num / np.maximum(den, 1e-300), lo, hi)
     raise SensanError(f"unknown ratio estimator {type(estimator).__name__}")
@@ -241,9 +209,8 @@ def sample_from(P: GridDensity, n: int, rng: np.random.Generator) -> Sample:
     Fx = Fx / Fx[-1]
     x = np.interp(rng.random(n), Fx, xnodes)
     # conditional rows by linear interpolation of the joint in x
-    i = np.minimum(((x - grid.axes[0].lo) / grid.axes[0].spacing).astype(int),
-                   grid.axes[0].n - 2)
-    w = ((x - xnodes[i]) / grid.axes[0].spacing)[:, None]
+    i, w = locate(grid.axes[0], x)
+    w = w[:, None]
     rows = (1.0 - w) * P.values[i, :] + w * P.values[i + 1, :]
     dy = grid.axes[1].spacing
     Fy = np.concatenate(

@@ -98,7 +98,11 @@ def build_family(spec: dict, grid: Grid) -> GridDensity:
     for key in FAMILY_KEYS[name]:
         if key not in spec:
             raise ConfigError(key, f"family '{name}' requires '{key}'")
-        kwargs[key] = float(spec[key])
+        try:
+            kwargs[key] = float(spec[key])
+        except (TypeError, ValueError):
+            raise ConfigError(key, f"family '{name}' needs a number for "
+                              f"'{key}', got {spec[key]!r}")
     if name == "uniform":
         return uniform(grid)
     if name == "beta":

@@ -19,8 +19,8 @@ the Gateaux derivative along mixtures toward a near-point mass,
 
 computed by central differences for a Gaussian bump G_z of shrinking
 width sigma_j = sigma0 * 2^-j and extrapolated in the bump width. The
-mixtures are signed measures for t < 0, so evaluation runs on raw density
-structures rather than through GridDensity validation.
+mixtures are signed measures for t < 0, so evaluation runs on raw
+PiecewiseFields rather than through GridDensity validation.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import ConfigError, SensanError
 from .expressions import as_array_function, parse_whitelisted
-from .model_space import (CutTerm, Grid, GridDensity, _invert_marginal_cdf,
-                          _marginal_structure, grid_quad, quantile)
+from .model_space import (CutTerm, Grid, GridDensity, PiecewiseField,
+                          grid_quad, invert_cdf, quantile)
 from .tangent import TangentVector
 
 __all__ = [
@@ -57,7 +57,9 @@ class Functional:
     kind: "moment" | "variance" | "quantile" | "composite"
     rho: callable on coordinate arrays (moment only)
     tau, axis: level and axis for quantile / variance
-    evaluator: callable GridDensity -> float (composite only)
+    evaluator: callable PiecewiseField -> float (composite only); it sees
+        GridDensity inputs and, during numerical differentiation, signed
+        mixtures
     label: short name used in reports
     """
 
@@ -98,41 +100,32 @@ def composite(evaluator, label: str = "composite") -> Functional:
     return Functional("composite", evaluator=evaluator, label=label)
 
 
-# --- evaluation on (possibly signed) density structures -----------------------------
+# --- evaluation on (possibly signed) fields ----------------------------------------
 
-def _eval_structure(F: Functional, grid: Grid, smooth: np.ndarray,
-                    terms: tuple[CutTerm, ...]) -> float:
-    def integ(samples: np.ndarray) -> float:
-        total = grid_quad(grid, smooth * samples)
-        for t in terms:
-            total += grid_quad(grid, t.samples * samples, t.cuts)
-        return total
-
+def _evaluate_field(F: Functional, f: PiecewiseField) -> float:
+    grid = f.grid
     if F.kind == "moment":
         vals = np.broadcast_to(np.asarray(F.rho(*grid.mesh()), dtype=float),
                                grid.shape)
         if not np.all(np.isfinite(vals)):
             raise SensanError("non-finite integrand")
-        return integ(vals)
+        return f.quad(vals)
     if F.kind == "variance":
         x = grid.mesh()[F.axis]
-        z = integ(np.ones(grid.shape))
-        m1 = integ(x) / z
-        m2 = integ(x * x) / z
+        z = f.quad(np.ones(grid.shape))
+        m1 = f.quad(x) / z
+        m2 = f.quad(x * x) / z
         return m2 - m1 * m1
     if F.kind == "quantile":
-        marg = _marginal_structure(grid, smooth, terms, F.axis)
-        return _invert_marginal_cdf(marg, F.tau, strict=False)
-    raise SensanError("composite functionals evaluate through their own map")
+        return invert_cdf(f.marginal(F.axis), F.tau, strict=False)
+    return float(F.evaluator(f))
 
 
 def evaluate(F: Functional, P: GridDensity) -> float:
     """Value of the functional at P."""
-    if F.kind == "composite":
-        return float(F.evaluator(P))
     if F.kind == "quantile":
         return quantile(P, F.tau, F.axis)
-    return _eval_structure(F, P.grid, P.smooth, P.terms)
+    return _evaluate_field(F, P)
 
 
 # --- analytic influence functions ---------------------------------------------------
@@ -146,34 +139,26 @@ def influence_analytic(F: Functional, P: GridDensity) -> TangentVector:
         return TangentVector(P, vals)
     if F.kind == "variance":
         x = mesh[F.axis]
-        m1 = _eval_structure(moment(lambda *c: c[F.axis]), grid, P.smooth, P.terms)
-        return TangentVector(P, (x - m1) ** 2)
+        return TangentVector(P, (x - P.quad(x)) ** 2)
     if F.kind == "quantile":
         q = quantile(P, F.tau, F.axis)
-        marg = _marginal_structure(grid, P.smooth, P.terms, F.axis)
-        dens = float(np.interp(q, marg.nodes, marg.smooth))
-        for loc, s in marg.cut_terms:
-            if q <= loc:
-                dens += float(np.interp(q, marg.nodes, s))
+        dens = float(P.marginal(F.axis).at(q)[0])
         if dens <= 1e-6:
             raise SensanError(
                 "quantile influence unstable: marginal density at the "
                 f"quantile is {dens:.3g}")
         step = CutTerm(((F.axis, q),), np.full(grid.shape, -1.0 / dens))
         smooth = np.full(grid.shape, F.tau / dens)
-        return TangentVector(P, smooth, steps=(step,))
+        return TangentVector(P, smooth, terms=(step,))
     raise SensanError(f"no analytic influence for kind '{F.kind}'")
 
 
 def influence(F: Functional, P: GridDensity,
               schedule: "MollifierSchedule | None" = None) -> TangentVector:
     """Influence function at P, analytic when available, numerical otherwise."""
-    try:
-        return influence_analytic(F, P)
-    except SensanError as exc:
-        if "no analytic influence" not in str(exc):
-            raise
-    return influence_numerical(F, P, schedule)
+    if F.kind == "composite":
+        return influence_numerical(F, P, schedule)
+    return influence_analytic(F, P)
 
 
 # --- numerical influence via shrinking mixtures -------------------------------------
@@ -249,8 +234,8 @@ def influence_numerical(F: Functional, P: GridDensity,
         for idx in nodes:
             z = tuple(float(mesh[a][idx]) for a in range(grid.ndim))
             bump = _bump(grid, z, sigma)
-            up = _mixture_eval(F, grid, P, bump, t)
-            dn = _mixture_eval(F, grid, P, bump, -t)
+            up = _mixture_eval(F, P, bump, t)
+            dn = _mixture_eval(F, P, bump, -t)
             est[idx] = (up - dn) / (2.0 * t)
         levels.append(est)
     changes = [float(np.max(np.abs(levels[j] - levels[j - 1])))
@@ -264,31 +249,12 @@ def influence_numerical(F: Functional, P: GridDensity,
     return TangentVector(P, extrap)
 
 
-def _mixture_eval(F: Functional, grid: Grid, P: GridDensity,
-                  bump: np.ndarray, t: float) -> float:
-    smooth = (1.0 - t) * P.smooth + t * bump
-    terms = tuple(CutTerm(c.cuts, (1.0 - t) * c.samples) for c in P.terms)
-    if F.kind == "composite":
-        return float(F.evaluator(_RawMixture(grid, smooth, terms)))
-    return _eval_structure(F, grid, smooth, terms)
-
-
-@dataclass(frozen=True)
-class _RawMixture:
-    """Signed density structure handed to composite evaluators during
-    numerical differentiation. Mimics the GridDensity reading surface."""
-
-    grid: Grid
-    smooth: np.ndarray
-    terms: tuple[CutTerm, ...]
-
-    @property
-    def values(self) -> np.ndarray:
-        v = np.array(self.smooth)
-        for t in self.terms:
-            m = t.mask(self.grid)
-            v[m] += t.samples[m]
-        return v
+def _mixture_eval(F: Functional, P: GridDensity, bump: np.ndarray,
+                  t: float) -> float:
+    """F at the signed mixture (1 - t) P + t bump."""
+    mix = P.scale(1.0 - t)
+    return _evaluate_field(
+        F, PiecewiseField(P.grid, mix.smooth + t * bump, mix.terms))
 
 
 # --- config parsing -----------------------------------------------------------------

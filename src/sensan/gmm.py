@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, SensanError
 from .expressions import as_array_function, parse_whitelisted
-from .model_space import CutTerm, GridDensity, integrate
+from .model_space import GridDensity, integrate
 from .tangent import TangentVector, inner_p
 
 __all__ = [
@@ -345,7 +345,7 @@ def gmm_project_tangent(P: GridDensity, spec: MomentSpec, sol: GmmSolution,
     coef = cov @ S.T @ proj @ S
     out_smooth = xi.smooth - sum(coef[i] * g_arrays[i]
                                  for i in range(spec.moment_dim))
-    return TangentVector(P, out_smooth, steps=xi.steps)
+    return TangentVector(P, out_smooth, terms=xi.terms)
 
 
 def gmm_out_direction(P: GridDensity, spec: MomentSpec, sol: GmmSolution,

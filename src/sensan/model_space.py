@@ -12,13 +12,18 @@ on half-open boxes {x_axis <= location}) and every quadrature routine here
 splits cells at the cut locations instead of integrating through the jump.
 That keeps indicator integrands at Simpson-level accuracy, which several
 downstream tolerances rely on.
+
+`PiecewiseField` is that decomposition and owns its algebra: quadrature,
+scaling, products, marginals and point values. Densities, tangent vectors
+and the signed mixtures of numerical differentiation are all fields.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +33,7 @@ __all__ = [
     "Grid",
     "GridAxis",
     "CutTerm",
+    "PiecewiseField",
     "GridDensity",
     "Sample",
     "LikelihoodRatio",
@@ -136,9 +142,24 @@ class Grid:
 
 # --- raw quadrature on node samples -------------------------------------------------
 
+Cuts = tuple[tuple[int, float], ...]
+
+
+def merge_cuts(*cut_sets: Cuts) -> Cuts:
+    """Intersection of half-open boxes: the tightest bound on each axis."""
+    bound: dict[int, float] = {}
+    for cuts in cut_sets:
+        for axis, q in cuts:
+            bound[axis] = min(q, bound.get(axis, math.inf))
+    return tuple(sorted(bound.items()))
+
+
 def _simpson_reduce(grid: Grid, samples: np.ndarray, axis: int) -> np.ndarray:
+    # the 2-d layout and np.dot call of np.tensordot (same result, bit for
+    # bit) without its Python overhead, which dominates 1-d quadrature
     w = grid.axes[axis].weights
-    return np.tensordot(samples, w, axes=([axis], [0]))
+    F = np.swapaxes(samples, axis, -1)
+    return np.dot(F.reshape(-1, w.size), w[:, None]).reshape(F.shape[:-1])
 
 
 def _below_reduce(grid: Grid, samples: np.ndarray, axis: int, q: float) -> np.ndarray:
@@ -170,23 +191,60 @@ def _below_reduce(grid: Grid, samples: np.ndarray, axis: int, q: float) -> np.nd
     return out
 
 
-def grid_quad(grid: Grid, samples: np.ndarray,
-              cuts: tuple[tuple[int, float], ...] = ()) -> float:
-    """Integrate node samples over the grid, restricted to the half-open
-    box {x_axis <= location} for every (axis, location) in `cuts`."""
-    bound: dict[int, float] = {}
-    for axis, q in cuts:
-        bound[axis] = min(q, bound.get(axis, np.inf))
-    out = np.asarray(samples, dtype=float)
+def _reduce(grid: Grid, samples: np.ndarray, cuts: Cuts,
+            keep: int | None = None) -> np.ndarray:
+    """Integrate samples over every axis except `keep`, each restricted to
+    {x_axis <= location} where `cuts` bounds that axis."""
+    bound = dict(merge_cuts(cuts)) if cuts else {}
+    out = samples
     for axis in reversed(range(grid.ndim)):
+        if axis == keep:
+            continue
         if axis in bound:
             out = _below_reduce(grid, out, axis, bound[axis])
         else:
             out = _simpson_reduce(grid, out, axis)
-    return float(out)
+    return out
 
 
-# --- density with optional cut structure --------------------------------------------
+def grid_quad(grid: Grid, samples: np.ndarray, cuts: Cuts = ()) -> float:
+    """Integrate node samples over the grid, restricted to the half-open
+    box {x_axis <= location} for every (axis, location) in `cuts`."""
+    return float(_reduce(grid, np.asarray(samples, dtype=float), cuts))
+
+
+def locate(ax: GridAxis, coords) -> tuple[np.ndarray, np.ndarray]:
+    """Cell index i and in-cell weight w of coordinates along one axis,
+    clamped into [lo, hi], so that c = nodes[i] + w * spacing."""
+    c = np.minimum(np.maximum(coords, ax.lo), ax.hi)
+    h = ax.spacing
+    i = np.minimum(((c - ax.lo) / h).astype(int), ax.n - 2)
+    return i, (c - ax.nodes[i]) / h
+
+
+def interpolate(grid: Grid, samples: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of node samples at points of shape
+    (m, ndim), coordinates clamped into the grid."""
+    cells = [locate(ax, points[:, a]) for a, ax in enumerate(grid.axes)]
+    corners = [()]
+    for i, _ in cells:
+        corners = [c + (j,) for c in corners for j in (i, i + 1)]
+    vals = [samples[c] for c in corners]
+    for _, w in reversed(cells):
+        vals = [lo + w * (hi - lo) for lo, hi in zip(vals[::2], vals[1::2])]
+    return vals[0]
+
+
+def write_node_table(path: str, header, columns, eol: str = "\n") -> None:
+    """CSV with a header row and one row per node, each value written as
+    repr(float)."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + eol)
+        for row in zip(*columns):
+            fh.write(",".join(repr(float(v)) for v in row) + eol)
+
+
+# --- piecewise smooth fields --------------------------------------------------------
 
 @dataclass(frozen=True)
 class CutTerm:
@@ -194,7 +252,7 @@ class CutTerm:
 
     `samples` holds the smooth factor on the full grid, without the mask."""
 
-    cuts: tuple[tuple[int, float], ...]
+    cuts: Cuts
     samples: np.ndarray
 
     def mask(self, grid: Grid) -> np.ndarray:
@@ -205,25 +263,95 @@ class CutTerm:
         return m
 
 
-def _structure_values(grid: Grid, smooth: np.ndarray,
-                      terms: tuple[CutTerm, ...]) -> np.ndarray:
-    v = np.array(smooth, dtype=float)
-    for t in terms:
-        m = t.mask(grid)
-        v[m] += t.samples[m]
-    return v
+@dataclass(frozen=True, eq=False)
+class PiecewiseField:
+    """smooth(x) + sum_k terms[k].samples(x) on the box of terms[k].
+
+    Construction neither validates nor copies, and the masked node values
+    are built on first use only: numerical differentiation builds
+    thousands of these and reads most of them through `quad` alone."""
+
+    grid: Grid
+    smooth: np.ndarray
+    terms: tuple[CutTerm, ...] = ()
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        v = np.array(self.smooth, dtype=float)
+        for t in self.terms:
+            m = t.mask(self.grid)
+            v[m] += t.samples[m]
+        v.setflags(write=False)
+        return v
+
+    def quad(self, factor: np.ndarray | float | None = None) -> float:
+        """Integral of the field, times `factor` (a scalar or node array)
+        when one is given, cells split at every cut."""
+        parts = [(self.smooth, ())] + [(t.samples, t.cuts) for t in self.terms]
+        if factor is not None:
+            parts = [(s * factor, c) for s, c in parts]
+        return sum(grid_quad(self.grid, s, c) for s, c in parts)
+
+    def scale(self, a: np.ndarray | float) -> "PiecewiseField":
+        """Pointwise product with a scalar or a smooth node array."""
+        return PiecewiseField(self.grid, self.smooth * a, tuple(
+            CutTerm(t.cuts, t.samples * a) for t in self.terms))
+
+    def shift(self, c: float) -> "PiecewiseField":
+        return PiecewiseField(self.grid, self.smooth + c, self.terms)
+
+    def add(self, other: "PiecewiseField") -> "PiecewiseField":
+        return PiecewiseField(self.grid, self.smooth + other.smooth,
+                              self.terms + other.terms)
+
+    def times(self, other: "PiecewiseField") -> "PiecewiseField":
+        """Pointwise product, a plain field whatever the operand types:
+        each pair of parts lives on the intersection of their boxes."""
+        if not other.terms:
+            return PiecewiseField.scale(self, other.smooth)
+        if not self.terms:
+            return PiecewiseField.scale(other, self.smooth)
+        mine = [((), self.smooth)] + [(t.cuts, t.samples) for t in self.terms]
+        theirs = [((), other.smooth)] + [(t.cuts, t.samples) for t in other.terms]
+        # a box intersected with the whole grid is that box
+        parts = [CutTerm(merge_cuts(ca, cb) if ca and cb else ca or cb, sa * sb)
+                 for ca, sa in mine for cb, sb in theirs]
+        return PiecewiseField(self.grid, parts[0].samples, tuple(parts[1:]))
+
+    def marginal(self, axis: int) -> "PiecewiseField":
+        """The 1-d field along `axis`, every other axis integrated out
+        below the cuts that bound it."""
+        smooth = _reduce(self.grid, self.smooth, (), keep=axis)
+        terms = []
+        for t in self.terms:
+            reduced = _reduce(self.grid, t.samples, t.cuts, keep=axis)
+            kept = [q for a, q in t.cuts if a == axis]
+            if kept:
+                terms.append(CutTerm(((0, min(kept)),), reduced))
+            else:
+                smooth = smooth + reduced
+        return PiecewiseField(Grid((self.grid.axes[axis],)), smooth, tuple(terms))
+
+    def at(self, points) -> np.ndarray:
+        """Values at points of shape (m, ndim) by multilinear interpolation,
+        coordinates clamped into the grid; a term counts at the points
+        inside its box."""
+        pts = np.asarray(points, dtype=float).reshape(-1, self.grid.ndim)
+        out = interpolate(self.grid, self.smooth, pts)
+        for t in self.terms:
+            inside = np.all([pts[:, a] <= q for a, q in t.cuts], axis=0)
+            out = out + np.where(inside, interpolate(self.grid, t.samples, pts), 0.0)
+        return out
+
+    def to_csv(self, path: str, label: str = "value") -> None:
+        """Node table "x,<label>" or "x,y,<label>", x-major."""
+        coords = [c.ravel() for c in self.grid.mesh()]
+        write_node_table(path, ["x", "y"][:self.grid.ndim] + [label],
+                         coords + [self.values.ravel()], eol="\r\n")
 
 
-def _structure_quad(grid: Grid, smooth: np.ndarray, terms: tuple[CutTerm, ...],
-                    factor: np.ndarray | float = 1.0) -> float:
-    total = grid_quad(grid, smooth * factor)
-    for t in terms:
-        total += grid_quad(grid, t.samples * factor, t.cuts)
-    return total
-
-
-class GridDensity:
-    """Probability density sampled on a grid.
+class GridDensity(PiecewiseField):
+    """Probability density sampled on a grid: a validated, normalized field.
 
     Construction renormalizes silently when the raw quadrature integral is
     inside [0.99, 1.01] and rejects the input otherwise, so discretization
@@ -234,38 +362,28 @@ class GridDensity:
 
     def __init__(self, grid: Grid, values: np.ndarray, *,
                  _terms: tuple[CutTerm, ...] = (), _normalize: str = "strict"):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
+        raw = PiecewiseField(grid, np.asarray(values, dtype=float), tuple(_terms))
+        if raw.smooth.shape != grid.shape:
             raise SensanError("density values do not match the grid shape")
-        if not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(raw.smooth)):
             raise SensanError("density values must be finite")
-        full = _structure_values(grid, values, _terms) if _terms else values
-        if np.any(full < 0.0):
+        if np.any(raw.values < 0.0):
             raise SensanError("density values must be nonnegative")
-        raw = _structure_quad(grid, values, _terms)
+        total = raw.quad()
         if _normalize == "strict":
-            if not (0.99 <= raw <= 1.01):
+            if not (0.99 <= total <= 1.01):
                 raise SensanError(
-                    f"density integral {raw:.6g} outside [0.99, 1.01], "
+                    f"density integral {total:.6g} outside [0.99, 1.01], "
                     "refusing to renormalize")
         elif _normalize == "force":
-            if raw <= 0.0:
+            if total <= 0.0:
                 raise SensanError("density integrates to zero")
         else:
             raise SensanError(f"unknown normalization mode '{_normalize}'")
-        self.grid = grid
-        self.smooth = _readonly(values / raw)
-        self.terms = tuple(
-            CutTerm(t.cuts, _readonly(t.samples / raw)) for t in _terms)
-        self._values = _readonly(_structure_values(grid, self.smooth, self.terms))
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
-
-    @classmethod
-    def from_values(cls, grid: Grid, values: np.ndarray) -> "GridDensity":
-        return cls(grid, values)
+        # divide rather than scale by 1 / total: the quotient is correctly
+        # rounded, a product with the rounded reciprocal is not
+        super().__init__(grid, _readonly(raw.smooth / total), tuple(
+            CutTerm(t.cuts, _readonly(t.samples / total)) for t in raw.terms))
 
     @classmethod
     def from_callable(cls, grid: Grid, fn) -> "GridDensity":
@@ -276,39 +394,35 @@ class GridDensity:
             raise SensanError("density shape does not integrate to a positive value")
         return cls(grid, raw / total)
 
-    # spec serialization: "x,density" or "x,y,density", row-major
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            if self.grid.ndim == 1:
-                w.writerow(["x", "density"])
-                for x, p in zip(self.grid.axes[0].nodes, self.values):
-                    w.writerow([repr(float(x)), repr(float(p))])
-            else:
-                w.writerow(["x", "y", "density"])
-                X, Y = self.grid.mesh()
-                for x, y, p in zip(X.ravel(), Y.ravel(), self.values.ravel()):
-                    w.writerow([repr(float(x)), repr(float(y)), repr(float(p))])
+        super().to_csv(path, "density")
 
     @classmethod
     def from_csv(cls, path: str) -> "GridDensity":
+        """Read "x,density" or "x,y,density" rows. The node columns must
+        be complete, regular and x-major, as `to_csv` writes them."""
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        header, body = rows[0], rows[1:]
-        data = np.array([[float(c) for c in r] for r in body])
-        if header[:2] == ["x", "density"]:
-            x = data[:, 0]
-            grid = Grid.line(x[0], x[-1], len(x))
-            if not np.allclose(grid.axes[0].nodes, x, rtol=0, atol=1e-9 * (x[-1] - x[0])):
-                raise SensanError("density csv nodes are not a regular grid")
-            return cls(grid, data[:, 1])
-        if header[:3] == ["x", "y", "density"]:
-            xs = np.unique(data[:, 0])
-            ys = np.unique(data[:, 1])
-            grid = Grid.box((xs[0], xs[-1]), (ys[0], ys[-1]), (len(xs), len(ys)))
-            vals = data[:, 2].reshape(len(xs), len(ys))
-            return cls(grid, vals)
-        raise SensanError(f"unrecognized density csv header {header!r}")
+        header = rows[0] if rows else []
+        if header not in (["x", "density"], ["x", "y", "density"]):
+            raise SensanError(f"unrecognized density csv header {header!r}")
+        ndim = len(header) - 1
+        body = rows[1:]
+        if not body or any(len(r) != ndim + 1 for r in body):
+            raise SensanError(f"density csv rows must hold {ndim + 1} values")
+        try:
+            data = np.array([[float(c) for c in r] for r in body])
+        except ValueError as exc:
+            raise SensanError(f"density csv value is not a number: {exc}")
+        nodes = data[:, :ndim]
+        axes = [Grid._axis(c.min(), c.max(), len(np.unique(c))) for c in nodes.T]
+        grid = Grid(tuple(axes))
+        want = np.column_stack([m.ravel() for m in grid.mesh()])
+        tol = [1e-9 * (ax.hi - ax.lo) for ax in axes]
+        if want.shape != nodes.shape or not np.all(np.abs(nodes - want) <= tol):
+            raise SensanError("density csv nodes are not a complete regular "
+                              "grid in x-major order")
+        return cls(grid, data[:, ndim].reshape(grid.shape))
 
 
 @dataclass(frozen=True)
@@ -405,45 +519,7 @@ def integrate(f, P: GridDensity) -> float:
             raise SensanError("integrand values do not match the grid shape")
     if not np.all(np.isfinite(vals)):
         raise SensanError("non-finite integrand")
-    return _structure_quad(P.grid, P.smooth, P.terms, factor=vals)
-
-
-@dataclass(frozen=True)
-class _Marginal:
-    """1-d marginal density structure along one axis."""
-    nodes: np.ndarray
-    smooth: np.ndarray
-    cut_terms: tuple[tuple[float, np.ndarray], ...]  # (location, samples)
-
-
-def _marginal_structure(grid: Grid, dens_smooth: np.ndarray,
-                        dens_terms: tuple[CutTerm, ...], axis: int) -> _Marginal:
-    if grid.ndim == 1:
-        smooth = np.array(dens_smooth, dtype=float)
-        terms = []
-        for t in dens_terms:
-            q = min(loc for _, loc in t.cuts)
-            terms.append((q, np.array(t.samples, dtype=float)))
-        return _Marginal(grid.axes[0].nodes, smooth, tuple(terms))
-    other = 1 - axis
-    smooth = _simpson_reduce(grid, dens_smooth, other)
-    terms: list[tuple[float, np.ndarray]] = []
-    for t in dens_terms:
-        kept = [c for c in t.cuts if c[0] == axis]
-        dropped = [c for c in t.cuts if c[0] == other]
-        if dropped:
-            reduced = _below_reduce(grid, t.samples, other, min(q for _, q in dropped))
-        else:
-            reduced = _simpson_reduce(grid, t.samples, other)
-        if kept:
-            terms.append((min(q for _, q in kept), reduced))
-        else:
-            smooth = smooth + reduced
-    return _Marginal(grid.axes[axis].nodes, smooth, tuple(terms))
-
-
-def _marginal(P: GridDensity, axis: int) -> _Marginal:
-    return _marginal_structure(P.grid, P.smooth, P.terms, axis)
+    return P.quad(vals)
 
 
 def _cumtrapz(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -452,77 +528,50 @@ def _cumtrapz(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _marginal_cdf_at(m: _Marginal, t: float, base: dict) -> float:
-    """CDF value at an arbitrary point, consistent with the node-level
-    cumulative trapezoid tables in `base`."""
-    x = m.nodes
+def _cum_at(x: np.ndarray, s: np.ndarray, cum: np.ndarray, t: float) -> float:
+    """Trapezoid integral of node samples s over [x[0], t], consistent with
+    their node-level cumulative table `cum`."""
     if t <= x[0]:
         return 0.0
-    if t >= x[-1]:
-        t = x[-1]
+    t = min(t, x[-1])
     k = min(int(np.searchsorted(x, t, side="right")) - 1, len(x) - 2)
-    h = x[k + 1] - x[k]
     d = t - x[k]
-    val = base["smooth_cum"][k]
-    st = m.smooth[k] + (m.smooth[k + 1] - m.smooth[k]) * (d / h)
-    val += 0.5 * d * (m.smooth[k] + st)
-    for (q, s), cum in zip(m.cut_terms, base["term_cums"]):
-        tt = min(t, q)
-        if tt <= x[0]:
-            continue
-        kk = min(int(np.searchsorted(x, tt, side="right")) - 1, len(x) - 2)
-        dd = tt - x[kk]
-        sv = s[kk] + (s[kk + 1] - s[kk]) * (dd / (x[kk + 1] - x[kk]))
-        val += cum[kk] + 0.5 * dd * (s[kk] + sv)
-    return val
+    st = s[k] + (s[k + 1] - s[k]) * (d / (x[k + 1] - x[k]))
+    return cum[k] + 0.5 * d * (s[k] + st)
 
 
-def _marginal_cdf_tables(m: _Marginal) -> dict:
-    return {
-        "smooth_cum": _cumtrapz(m.nodes, m.smooth),
-        "term_cums": [_cumtrapz(m.nodes, s) for _, s in m.cut_terms],
-    }
-
-
-def _cdf_nodes(m: _Marginal, base: dict) -> np.ndarray:
-    x = m.nodes
-    F = np.array(base["smooth_cum"])
-    for (q, s), cum in zip(m.cut_terms, base["term_cums"]):
-        if q >= x[-1]:
-            F += cum
-            continue
-        capped = _marginal_cdf_at(
-            _Marginal(x, s, ()), q, {"smooth_cum": cum, "term_cums": []})
-        F += np.where(x <= q, cum, capped)
-    return F
-
-
-def _invert_marginal_cdf(m: _Marginal, tau: float, *, strict: bool = True) -> float:
-    """Invert the cumulative-trapezoid CDF of a 1-d marginal structure.
+def invert_cdf(m: PiecewiseField, tau: float, *, strict: bool = True) -> float:
+    """Invert the cumulative-trapezoid CDF of a 1-d field (a marginal),
+    splitting cells at its cuts.
 
     Strict mode rejects a flat crossing (zero density on an interval at
     the level). Non-strict mode takes the first crossing, which tolerates
     the tiny negative dips a signed mixture density can produce."""
-    base = _marginal_cdf_tables(m)
-    F = _cdf_nodes(m, base)
-    target = tau * 1.0
-    if F[-1] < target:
+    x = m.grid.axes[0].nodes
+    parts = [(math.inf, m.smooth)] + [(t.cuts[0][1], t.samples) for t in m.terms]
+    parts = [(q, s, _cumtrapz(x, s)) for q, s in parts]
+
+    def cdf(t: float) -> float:
+        return sum(_cum_at(x, s, cum, min(t, q)) for q, s, cum in parts)
+
+    F = sum(cum if q >= x[-1] else np.where(x <= q, cum, _cum_at(x, s, cum, q))
+            for q, s, cum in parts)
+    if F[-1] < tau:
         raise SensanError("quantile level beyond the grid support")
-    hit = F >= target
-    i = int(np.argmax(hit))
+    i = int(np.argmax(F >= tau))
     i = min(max(i, 1), len(F) - 1)
-    x0, x1 = m.nodes[i - 1], m.nodes[i]
-    pts = [x0] + sorted(q for q, _ in m.cut_terms if x0 < q < x1) + [x1]
-    Fv = [F[i - 1]] + [_marginal_cdf_at(m, b, base) for b in pts[1:-1]] + [F[i]]
+    x0, x1 = x[i - 1], x[i]
+    pts = [x0] + sorted(q for q, _, _ in parts if x0 < q < x1) + [x1]
+    Fv = [F[i - 1]] + [cdf(b) for b in pts[1:-1]] + [F[i]]
     for j in range(len(pts) - 1):
         lo_f, hi_f = Fv[j], Fv[j + 1]
-        if hi_f >= target:
+        if hi_f >= tau:
             dF = hi_f - lo_f
             if dF <= 1e-13:
                 if strict:
                     raise SensanError("non-unique quantile: flat CDF at the level")
                 return float(pts[j])
-            return float(pts[j] + (target - lo_f) / dF * (pts[j + 1] - pts[j]))
+            return float(pts[j] + (tau - lo_f) / dF * (pts[j + 1] - pts[j]))
     return float(x1)
 
 
@@ -542,7 +591,7 @@ def quantile(P, tau: float, axis: int = 0) -> float:
         raise SensanError("quantile expects a GridDensity or a Sample")
     if axis >= P.grid.ndim:
         raise SensanError("quantile axis out of range")
-    return _invert_marginal_cdf(_marginal(P, axis), tau, strict=True)
+    return invert_cdf(P.marginal(axis), tau, strict=True)
 
 
 def density_at(P: GridDensity, x) -> float:
@@ -553,24 +602,7 @@ def density_at(P: GridDensity, x) -> float:
     for ax, c in zip(P.grid.axes, pt):
         if not (ax.lo <= c <= ax.hi):
             raise SensanError("point outside the grid domain")
-
-    def interp(samples: np.ndarray) -> float:
-        out = samples
-        for axis in reversed(range(P.grid.ndim)):
-            nodes = P.grid.axes[axis].nodes
-            c = pt[axis]
-            k = min(int(np.searchsorted(nodes, c, side="right")) - 1, len(nodes) - 2)
-            k = max(k, 0)
-            t = (c - nodes[k]) / (nodes[k + 1] - nodes[k])
-            out = np.moveaxis(out, axis, -1)
-            out = (1.0 - t) * out[..., k] + t * out[..., k + 1]
-        return float(out)
-
-    val = interp(P.smooth)
-    for term in P.terms:
-        if all(pt[axis] <= q for axis, q in term.cuts):
-            val += interp(term.samples)
-    return val
+    return float(P.at(pt)[0])
 
 
 def likelihood_ratio(P: GridDensity, Q: GridDensity,

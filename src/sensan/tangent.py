@@ -2,9 +2,9 @@
 
 A tangent vector at P is a mean-zero, square-integrable function of the
 data, represented by node samples. Quantile influence functions carry a
-jump at the quantile, so a TangentVector, like a GridDensity, keeps a
-smooth part plus explicit cut terms and every inner product here splits
-the quadrature at the jump locations.
+jump at the quantile, so a TangentVector, like a GridDensity, is a
+PiecewiseField (a smooth part plus explicit cut terms) and every inner
+product here splits the quadrature at the jump locations.
 
 Two metrics are supported on the tangent space. The information metric is
 the plain L2(P) inner product and its gradient operator is the literal
@@ -27,130 +27,60 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SensanError
-from .model_space import (CutTerm, Grid, GridDensity, LikelihoodRatio,
-                          grid_quad, likelihood_ratio)
+from .model_space import (CutTerm, GridDensity, LikelihoodRatio,
+                          PiecewiseField, likelihood_ratio)
 
 __all__ = [
     "TangentVector",
     "PolicyMetric",
     "information_metric",
     "policy_metric",
-    "center",
     "inner",
     "grad_op_apply",
     "grad_op_inverse",
-    "policy_gradient",
 ]
 
 
-def _merge_cuts(a: tuple[tuple[int, float], ...],
-                b: tuple[tuple[int, float], ...]) -> tuple[tuple[int, float], ...]:
-    bound: dict[int, float] = {}
-    for axis, q in (*a, *b):
-        bound[axis] = min(q, bound.get(axis, np.inf))
-    return tuple(sorted(bound.items()))
-
-
-def _weighted_quad(grid: Grid, weight: GridDensity,
-                   u_smooth, u_terms, v_smooth=None, v_terms=()) -> float:
-    """Integral of u * v against the weight density, splitting cells at
-    every cut carried by u, v, or the weight itself."""
-    parts_u = [((), u_smooth)] + [(t.cuts, t.samples) for t in u_terms]
-    if v_smooth is None:
-        parts_v = [((), 1.0)]
-    else:
-        parts_v = [((), v_smooth)] + [(t.cuts, t.samples) for t in v_terms]
-    parts_w = [((), weight.smooth)] + [(t.cuts, t.samples) for t in weight.terms]
-    total = 0.0
-    for cu, su in parts_u:
-        for cv, sv in parts_v:
-            for cw, sw in parts_w:
-                cuts = _merge_cuts(_merge_cuts(cu, cv), cw)
-                total += grid_quad(grid, su * sv * sw, cuts)
-    return total
-
-
-class TangentVector:
-    """Mean-zero direction at a base density, with optional cut terms.
+class TangentVector(PiecewiseField):
+    """Mean-zero direction at a base density: a field centered under it.
 
     Construction centers the values under the base unless the caller
-    certifies them centered already (internal use). The full node values
-    are exposed through `.values`; `smooth` and `steps` expose the
-    decomposition for quadrature-aware consumers.
+    certifies them centered already (internal use). The arithmetic below
+    keeps the base and does not re-center.
     """
 
     def __init__(self, base: GridDensity, values: np.ndarray, *,
-                 steps: tuple[CutTerm, ...] = (), _centered: bool = False):
+                 terms: tuple[CutTerm, ...] = (), _centered: bool = False):
         smooth = np.asarray(values, dtype=float)
+        terms = tuple(terms)
         if smooth.shape != base.grid.shape:
             raise SensanError("tangent values do not match the grid shape")
         if not np.all(np.isfinite(smooth)) or not all(
-                np.all(np.isfinite(t.samples)) for t in steps):
+                np.all(np.isfinite(t.samples)) for t in terms):
             raise SensanError("tangent values must be finite")
-        self.base = base
-        if _centered:
-            self.smooth = smooth
-            self.steps = tuple(steps)
-        else:
-            m = _weighted_quad(base.grid, base, smooth, steps)
-            self.smooth = smooth - m
-            self.steps = tuple(steps)
-        self._values = None
-
-    @property
-    def grid(self) -> Grid:
-        return self.base.grid
-
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            v = np.array(self.smooth)
-            for t in self.steps:
-                m = t.mask(self.grid)
-                v[m] += t.samples[m]
-            v.setflags(write=False)
-            self._values = v
-        return self._values
+        if not _centered:
+            smooth = smooth - PiecewiseField(
+                base.grid, smooth, terms).times(base).quad()
+        super().__init__(base.grid, smooth, terms)
+        object.__setattr__(self, "base", base)
 
     def mean_under_base(self) -> float:
-        return _weighted_quad(self.grid, self.base, self.smooth, self.steps)
+        return self.times(self.base).quad()
 
-    def _replace(self, smooth, steps) -> "TangentVector":
-        return TangentVector(self.base, smooth, steps=steps, _centered=True)
-
-    def multiply_smooth(self, factor: np.ndarray) -> "TangentVector":
-        """Pointwise product with a smooth node-sampled function. Not
-        re-centered; callers that need mean zero recenter explicitly."""
-        return self._replace(
-            self.smooth * factor,
-            tuple(CutTerm(t.cuts, t.samples * factor) for t in self.steps))
+    def _tangent(self, f: PiecewiseField) -> "TangentVector":
+        return TangentVector(self.base, f.smooth, terms=f.terms, _centered=True)
 
     def shift(self, c: float) -> "TangentVector":
-        return self._replace(self.smooth + c, self.steps)
+        return TangentVector(self.base, self.smooth + c, terms=self.terms,
+                             _centered=True)
 
-    def scale(self, a: float) -> "TangentVector":
-        return self._replace(
-            self.smooth * a,
-            tuple(CutTerm(t.cuts, t.samples * a) for t in self.steps))
+    def scale(self, a: np.ndarray | float) -> "TangentVector":
+        """Pointwise product with a scalar or a smooth node array."""
+        return self._tangent(super().scale(a))
 
     def add(self, other: "TangentVector") -> "TangentVector":
         _check_same_base(self, other)
-        return self._replace(self.smooth + other.smooth, self.steps + other.steps)
-
-    def to_csv(self, path: str) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            if self.grid.ndim == 1:
-                w.writerow(["x", "value"])
-                for x, v in zip(self.grid.axes[0].nodes, self.values):
-                    w.writerow([repr(float(x)), repr(float(v))])
-            else:
-                w.writerow(["x", "y", "value"])
-                X, Y = self.grid.mesh()
-                for x, y, v in zip(X.ravel(), Y.ravel(), self.values.ravel()):
-                    w.writerow([repr(float(x)), repr(float(y)), repr(float(v))])
+        return self._tangent(super().add(other))
 
 
 def _check_same_base(u: TangentVector, v: TangentVector) -> None:
@@ -183,12 +113,6 @@ def policy_metric(P: GridDensity, Q: GridDensity,
                         label=label or "L2(Q)")
 
 
-def center(values: np.ndarray, P: GridDensity) -> TangentVector:
-    """Project node samples onto the tangent space by subtracting the
-    quadrature mean under P."""
-    return TangentVector(P, values)
-
-
 def inner(u: TangentVector, v: TangentVector, metric: PolicyMetric) -> float:
     """Metric inner product: L2(P) under information, L2(Q) under policy."""
     _check_same_base(u, v)
@@ -200,17 +124,18 @@ def inner(u: TangentVector, v: TangentVector, metric: PolicyMetric) -> float:
         weight = metric.Q
     else:
         raise SensanError(f"unknown metric kind '{metric.kind}'")
-    return _weighted_quad(u.grid, weight, u.smooth, u.steps, v.smooth, v.steps)
+    return u.times(v).times(weight).quad()
 
 
 def inner_p(u: TangentVector, v: TangentVector) -> float:
     """Plain L2(P) pairing, the information inner product."""
     _check_same_base(u, v)
-    return _weighted_quad(u.grid, u.base, u.smooth, u.steps, v.smooth, v.steps)
+    return u.times(v).times(u.base).quad()
 
 
 def grad_op_apply(v: TangentVector, metric: PolicyMetric) -> TangentVector:
-    """Adjoint gradient operator for the metric.
+    """Adjoint gradient operator for the metric. Applied to an influence
+    function it gives the metric gradient of the functional.
 
     Information: the literal identity. Policy: multiply by r = dP/dQ after
     subtracting the constant P(v r) / P(r), then re-center under P.
@@ -220,13 +145,11 @@ def grad_op_apply(v: TangentVector, metric: PolicyMetric) -> TangentVector:
     if metric.ratio is None:
         raise SensanError("policy metric without a likelihood ratio")
     r = metric.ratio.ratio_values
-    P = v.base
-    pvr = _weighted_quad(v.grid, P, v.smooth * r,
-                         tuple(CutTerm(t.cuts, t.samples * r) for t in v.steps))
-    pr = _weighted_quad(v.grid, P, r, ())
-    out = v.shift(-pvr / pr).multiply_smooth(r)
-    resid = out.mean_under_base()
-    return out.shift(-resid)
+    # v r is an intermediate, not a direction: plain field arithmetic
+    pvr = PiecewiseField.scale(v, r).times(v.base).quad()
+    pr = v.base.quad(r)
+    out = v.shift(-pvr / pr).scale(r)
+    return out.shift(-out.mean_under_base())
 
 
 def grad_op_inverse(u: TangentVector, metric: PolicyMetric) -> TangentVector:
@@ -235,16 +158,6 @@ def grad_op_inverse(u: TangentVector, metric: PolicyMetric) -> TangentVector:
         return u
     if metric.ratio is None or metric.Q is None:
         raise SensanError("policy metric without a likelihood ratio")
-    rinv = metric.ratio.reciprocal_values()
-    qu = _weighted_quad(u.grid, metric.Q, u.smooth, u.steps)
-    out = u.multiply_smooth(rinv).shift(-qu)
-    resid = out.mean_under_base()
-    return out.shift(-resid)
-
-
-def policy_gradient(influence: TangentVector, metric: PolicyMetric) -> TangentVector:
-    """Metric gradient of the functional whose influence function is given.
-
-    This is the same map as `grad_op_apply`; the alias exists because the
-    operator applied to an influence function is the policy gradient."""
-    return grad_op_apply(influence, metric)
+    qu = u.times(metric.Q).quad()
+    out = u.scale(metric.ratio.reciprocal_values()).shift(-qu)
+    return out.shift(-out.mean_under_base())

@@ -135,6 +135,35 @@ def test_computation_failure_exits_one(tmp_path, capsys):
     assert "step too large" in capsys.readouterr().err
 
 
+def test_non_numeric_grid_size_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "grid.json", {**MEAN_MEDIAN, "grid": {"n": "abc"}})
+    assert main(["sensitivity", "--config", cfg]) == 2
+    assert "config key 'grid'" in capsys.readouterr().err
+
+
+def test_non_numeric_family_parameter_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "fam.json", {**MEAN_MEDIAN, "distribution": {
+        "family": "linear", "intercept": "x", "slope": 1.0}})
+    assert main(["sensitivity", "--config", cfg]) == 2
+    assert "config key 'intercept'" in capsys.readouterr().err
+
+
+def test_non_numeric_surface_point_is_a_config_error(capsys):
+    assert main(["surface", "--chart", "sphere", "--point", "abc", "0.3",
+                 "--psi", "u", "--nu", "v"]) == 2
+    assert "config key 'point'" in capsys.readouterr().err
+
+
+def test_dual_path_failure_names_the_ratio_clamp(tmp_path, capsys):
+    cfg = _write(tmp_path, "clamp.json", {**MEAN_MEDIAN, "metric": {
+        "kind": "policy", "density": {"family": "linear",
+                                      "intercept": 0.0001, "slope": 5.0}}})
+    assert main(["sensitivity", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "disagrees between code paths" in err
+    assert "likelihood ratio dP/dQ was clamped into [0.001, 1000]" in err
+
+
 def test_counterfactual_artifacts(tmp_path, capsys):
     cfg_dict = dict(MEAN_MEDIAN)
     cfg_dict.update(target_increment=0.025, refine=True)

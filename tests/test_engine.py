@@ -155,9 +155,9 @@ def test_exponential_path():
 
 
 def test_exponential_path_jump_budget():
-    steps = tuple(CutTerm(((0, 0.1 * k),), np.full(G.shape, 0.01))
+    terms = tuple(CutTerm(((0, 0.1 * k),), np.full(G.shape, 0.01))
                   for k in range(1, 10))
-    d = TangentVector(U, np.zeros(G.shape), steps=steps)
+    d = TangentVector(U, np.zeros(G.shape), terms=terms)
     with pytest.raises(SensanError, match="at most 8 jump terms"):
         counterfactual_density(U, d, 0.01, path="exponential")
 

@@ -67,7 +67,7 @@ def test_quantile_influence_structure():
     assert abs(v.values[700] - 0.5) < 1e-9
     assert abs(v.mean_under_base()) < 1e-12
     assert abs(inner_p(v, v) - 0.25) < 1e-9
-    assert len(v.steps) == 1
+    assert len(v.terms) == 1
 
 
 def test_quantile_influence_unstable_at_vanishing_density():

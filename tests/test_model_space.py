@@ -80,27 +80,27 @@ def test_cut_term_mask():
 def test_density_strict_gate_rejects_unnormalized_input():
     g = Grid.line(0.0, 1.0, 801)
     with pytest.raises(SensanError, match="refusing to renormalize"):
-        GridDensity.from_values(g, 2.0 * np.ones(g.shape))
+        GridDensity(g, 2.0 * np.ones(g.shape))
 
 
 def test_density_silently_absorbs_discretization_leak():
     g = Grid.line(0.0, 1.0, 801)
-    P = GridDensity.from_values(g, 1.005 * np.ones(g.shape))
+    P = GridDensity(g, 1.005 * np.ones(g.shape))
     assert abs(integrate(np.ones(g.shape), P) - 1.0) < 1e-12
 
 
 def test_density_input_validation():
     g = Grid.line(0.0, 1.0, 801)
     with pytest.raises(SensanError, match="match the grid shape"):
-        GridDensity.from_values(g, np.ones(7))
+        GridDensity(g, np.ones(7))
     bad = np.ones(g.shape)
     bad[3] = -0.5
     with pytest.raises(SensanError, match="nonnegative"):
-        GridDensity.from_values(g, bad)
+        GridDensity(g, bad)
     bad = np.ones(g.shape)
     bad[3] = np.nan
     with pytest.raises(SensanError, match="finite"):
-        GridDensity.from_values(g, bad)
+        GridDensity(g, bad)
 
 
 def test_from_callable_normalizes_arbitrary_shape():
@@ -128,6 +128,43 @@ def test_density_csv_roundtrip_2d(tmp_path):
     assert Q.grid.same_as(P.grid)
     # reload renormalizes against its own quadrature, so equality holds to rounding
     np.testing.assert_allclose(Q.values, P.values, rtol=0, atol=1e-14)
+
+
+def _density_rows(P):
+    X, Y = P.grid.mesh()
+    return [",".join(repr(float(c)) for c in row) for row in
+            zip(X.ravel(), Y.ravel(), P.values.ravel())]
+
+
+def test_density_csv_2d_rejects_y_major_rows(tmp_path):
+    g = Grid.box((0.0, 1.0), (0.0, 2.0), (5, 7))
+    P = GridDensity.from_callable(g, lambda x, y: 1.0 + x * y)
+    rows = np.array(_density_rows(P)).reshape(5, 7).T.ravel()
+    path = tmp_path / "ymajor.csv"
+    path.write_text("\n".join(["x,y,density", *rows]) + "\n")
+    with pytest.raises(SensanError, match="x-major"):
+        GridDensity.from_csv(str(path))
+
+
+def test_density_csv_2d_rejects_a_missing_row(tmp_path):
+    g = Grid.box((0.0, 1.0), (0.0, 2.0), (5, 7))
+    P = GridDensity.from_callable(g, lambda x, y: 1.0 + x * y)
+    rows = _density_rows(P)
+    del rows[11]
+    path = tmp_path / "short.csv"
+    path.write_text("\n".join(["x,y,density", *rows]) + "\n")
+    with pytest.raises(SensanError, match="complete regular grid"):
+        GridDensity.from_csv(str(path))
+
+
+def test_density_csv_rejects_malformed_rows(tmp_path):
+    path = tmp_path / "bad.csv"
+    for body, match in (("0.0,1.0\n0.5\n1.0,1.0\n", "hold 2 values"),
+                        ("0.0,1.0\n0.5,abc\n1.0,1.0\n", "not a number"),
+                        ("", "must hold")):
+        path.write_text("x,density\n" + body)
+        with pytest.raises(SensanError, match=match):
+            GridDensity.from_csv(str(path))
 
 
 def test_sample_validation():
@@ -190,7 +227,7 @@ def test_quantile_flat_cdf_is_rejected():
     x = g.axes[0].nodes
     v = np.interp(x, [0.0, 0.3475, 0.35, 0.65, 0.6525, 1.0],
                   [1.43369, 1.43369, 1e-11, 1e-11, 1.43369, 1.43369])
-    P = GridDensity.from_values(g, v)
+    P = GridDensity(g, v)
     with pytest.raises(SensanError, match="non-unique quantile"):
         quantile(P, 0.5)
     # off the flat stretch the quantile is still well defined
