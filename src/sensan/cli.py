@@ -80,16 +80,18 @@ def _build_grid(cfg: dict, override_n: int | None) -> Grid:
                               "'y' as [lo, hi, n] triples")
         if override_n is not None:
             xn = yn = override_n
-        return Grid.box((_number(xlo, "grid"), _number(xhi, "grid")),
-                        (_number(ylo, "grid"), _number(yhi, "grid")),
-                        (_number(xn, "grid", int), _number(yn, "grid", int)))
-    lo = _number(spec.get("lo", 0.0), "grid")
-    hi = _number(spec.get("hi", 1.0), "grid")
-    n = _number(override_n if override_n is not None else spec.get("n", 801),
-                "grid", int)
-    if hi <= lo:
-        raise ConfigError("grid", f"needs lo < hi, got [{lo}, {hi}]")
-    return Grid.line(lo, hi, n)
+        axes = ((xlo, xhi, xn), (ylo, yhi, yn))
+    else:
+        axes = ((spec.get("lo", 0.0), spec.get("hi", 1.0),
+                 override_n if override_n is not None else spec.get("n", 801)),)
+    limits = [(_number(lo, "grid"), _number(hi, "grid")) for lo, hi, _ in axes]
+    sizes = [_number(n, "grid", int) for _, _, n in axes]
+    try:
+        if len(axes) == 1:
+            return Grid.line(*limits[0], sizes[0])
+        return Grid.box(*limits, tuple(sizes))
+    except SensanError as exc:
+        raise ConfigError("grid", str(exc))
 
 
 def _build_density(cfg: dict, key: str, grid: Grid) -> GridDensity:
@@ -311,10 +313,15 @@ def _cmd_surface(args) -> int:
     return 0
 
 
-def _ratio_estimator(cfg: dict, P: GridDensity, grid: Grid):
+def _ratio_spec(cfg: dict) -> dict:
     spec = cfg.get("ratio", {"kind": "information"})
     if not isinstance(spec, dict):
         raise ConfigError("ratio", "expected an object with 'kind'")
+    return spec
+
+
+def _ratio_estimator(cfg: dict, P: GridDensity, grid: Grid):
+    spec = _ratio_spec(cfg)
     kind = spec.get("kind", "information")
     if kind == "information":
         return RatioInformation(), information_metric()
@@ -383,7 +390,7 @@ def _cmd_mc(args) -> int:
         psi = _functional(cfg, "psi", sample.ndim)
         nu = _functional(cfg, "nu", sample.ndim)
         P = None
-        ratio_spec = cfg.get("ratio", {"kind": "information"})
+        ratio_spec = _ratio_spec(cfg)
         if ratio_spec.get("kind", "information") != "information":
             P = _build_density(cfg, "distribution", grid)
         ratio, _ = (_ratio_estimator(cfg, P, grid)

@@ -323,3 +323,43 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert "sensitivity" in proc.stdout
     assert "replicate-education" in proc.stdout
+
+
+def test_grids_the_grid_type_rejects_are_config_errors(tmp_path, capsys):
+    """Too few nodes or an empty axis exit 2 naming the grid, in 1-d and
+    2-d; they are configuration problems, not failed computations."""
+    two_d = {"distribution": {"family": "uniform"},
+             "psi": {"kind": "moment", "rho": "x"},
+             "nu": {"kind": "moment", "rho": "y"},
+             "metric": {"kind": "information"}}
+    cases = [
+        {**MEAN_MEDIAN, "grid": {"n": 2}},
+        {**MEAN_MEDIAN, "grid": 2},
+        {**two_d, "grid": {"x": [0.0, 1.0, 2], "y": [0.0, 1.0, 21]}},
+        {**two_d, "grid": {"x": [0.0, 1.0, 21], "y": [1.0, 1.0, 21]}},
+        {**two_d, "grid": {"x": [1.0, 0.0, 21], "y": [0.0, 1.0, 21]}},
+    ]
+    for k, payload in enumerate(cases):
+        cfg = _write(tmp_path, f"grid{k}.json", payload)
+        assert main(["sensitivity", "--config", cfg]) == 2, payload["grid"]
+        err = capsys.readouterr().err
+        assert "config key 'grid'" in err, err
+        assert "Traceback" not in err
+
+
+def test_mc_plugin_ratio_must_be_an_object(tmp_path, capsys):
+    rng = np.random.default_rng(21)
+    s = sample_from(uniform(Grid.line(0.0, 1.0, 801)), 200, rng)
+    csv_path = tmp_path / "sample.csv"
+    s.to_csv(str(csv_path))
+    cfg = _write(tmp_path, "mc.json", {
+        "mode": "plugin",
+        "sample_csv": str(csv_path),
+        "psi": {"kind": "moment", "rho": "x"},
+        "nu": {"kind": "quantile", "tau": 0.5},
+        "ratio": "kde",
+    })
+    assert main(["mc", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config key 'ratio'" in err
+    assert "Traceback" not in err

@@ -11,7 +11,8 @@ from sensan import (Grid, GridDensity, Multinomial, PluginConfig,
                     quantile_functional, sample_from, sensitivity, variance)
 from sensan.errors import SensanError
 from sensan.families import linear, uniform
-from sensan.model_space import likelihood_ratio
+from sensan.model_space import (_cumtrapz, _simpson_reduce, likelihood_ratio,
+                                 locate)
 
 G = Grid.line(0.0, 1.0, 801)
 U = uniform(G)
@@ -53,8 +54,10 @@ def test_estimated_quantile_influence_levels():
 
 def test_estimated_quantile_influence_density_gate(monkeypatch):
     """The density estimate at the quantile is bounded below by the point's
-    own kernel, phi(0) / (n b), so honest inputs cannot reach the guard;
-    substitute a degenerate density estimate to see it fire."""
+    own kernel. The binned fit splits that point between its two lattice
+    neighbours, each within one spacing h of it, so the bound is roughly
+    phi(h/b) / (n b) and honest inputs cannot reach the guard; substitute
+    a degenerate density estimate to see it fire."""
     valley = GridDensity.from_callable(
         G, lambda x: np.where(np.abs(x - 0.5) < 0.05, 1e-9, 1.0))
     monkeypatch.setattr("sensan.estimation.kde_fit", lambda *a, **k: valley)
@@ -141,6 +144,55 @@ def test_sample_from_2d_conditionals():
     # E[Y] = int y (0.5 + x y + 0.5 y) = 7/12, the weight already integrating
     # to one
     assert abs(np.mean(s.coord(1)) - 7.0 / 12.0) < 0.01
+
+
+def _sample_2d_by_loop(P, n, rng):
+    """2-d inverse-CDF sampling with one np.interp call per draw."""
+    grid = P.grid
+    xnodes, ynodes = grid.axes[0].nodes, grid.axes[1].nodes
+    Fx = _cumtrapz(xnodes, _simpson_reduce(grid, P.values, 1))
+    x = np.interp(rng.random(n), Fx / Fx[-1], xnodes)
+    i, w = locate(grid.axes[0], x)
+    rows = (1.0 - w[:, None]) * P.values[i, :] + w[:, None] * P.values[i + 1, :]
+    Fy = np.concatenate(
+        [np.zeros((n, 1)), np.cumsum(0.5 * grid.axes[1].spacing
+                                     * (rows[:, 1:] + rows[:, :-1]), axis=1)],
+        axis=1)
+    Fy = Fy / Fy[:, -1:]
+    u = rng.random(n)
+    y = np.array([np.interp(u[k], Fy[k], ynodes) for k in range(n)])
+    return np.column_stack([x, y])
+
+
+class _DrawsWithZeros:
+    """Seeded uniform draws with exact zeros planted, so that some draws
+    sit on a flat stretch of the CDF at its start."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, n):
+        u = self.rng.random(n)
+        u[::97] = 0.0
+        return u
+
+
+def test_sample_from_2d_is_bit_identical_to_the_per_draw_loop():
+    """The vectorised row search reproduces np.interp draw for draw, also
+    where zero rows and columns of the density leave flat CDF segments."""
+    g2 = Grid.box((0.0, 1.0), (0.0, 1.0), (101, 101))
+    holes = GridDensity.from_callable(g2, lambda x, y: np.where(
+        (np.abs(x - 0.3) < 0.1) | (np.abs(y - 0.5) < 0.1) | (y < 0.1)
+        | (y > 0.9), 0.0, 1.0 + x * y))
+    bump = GridDensity.from_callable(
+        g2, lambda x, y: np.exp(-((x - 0.4) ** 2 + (y - 0.6) ** 2) / 0.01))
+    assert np.any(np.all(holes.values == 0.0, axis=1))
+    assert np.any(np.all(holes.values == 0.0, axis=0))
+    for P, seed in ((holes, 3), (bump, 4)):
+        for draws in (np.random.default_rng, _DrawsWithZeros):
+            got = sample_from(P, 5000, draws(seed)).points
+            want = _sample_2d_by_loop(P, 5000, draws(seed))
+            assert np.array_equal(got, want)
 
 
 def test_replication_is_deterministic():

@@ -4,6 +4,7 @@ from scipy import stats
 
 from sensan import Grid, GridDensity, Sample, integrate, quantile, density_at
 from sensan.errors import SensanError
+import sensan.model_space as model_space
 from sensan.model_space import CutTerm, grid_quad, kde_fit, likelihood_ratio
 
 
@@ -282,6 +283,88 @@ def test_kde_fit_degenerate_sample():
     g = Grid.line(0.0, 1.0, 801)
     with pytest.raises(SensanError, match="zero variance"):
         kde_fit(s, g)
+
+
+def _direct_kde(sample, grid, bands):
+    """The n x G reflection kernel sum, computed without binning. Returns
+    the renormalized node values and the raw mass they were divided by."""
+    def axis_kernel(a):
+        ax, x, b = grid.axes[a], sample.coord(a), bands[a]
+        out = np.zeros((sample.n, ax.n))
+        for images in (x, 2.0 * ax.lo - x, 2.0 * ax.hi - x):
+            z = (ax.nodes[None, :] - images[:, None]) / b
+            out += np.exp(-0.5 * z * z)
+        return out / (b * np.sqrt(2.0 * np.pi))
+
+    if grid.ndim == 1:
+        raw = axis_kernel(0).sum(axis=0) / sample.n
+    else:
+        raw = axis_kernel(0).T @ axis_kernel(1) / sample.n
+    mass = grid_quad(grid, raw)
+    return raw / mass, mass
+
+
+def _silverman(sample):
+    return [1.06 * np.std(sample.coord(a), ddof=1) * sample.n ** -0.2
+            for a in range(sample.ndim)]
+
+
+def _kde_cases():
+    rng = np.random.default_rng(5)
+    edges = [0.0, 1.0]
+    uniform_pts = np.concatenate([rng.random(3000), edges])
+    bump = np.concatenate([np.clip(rng.normal(0.3, 0.02, 3000), 0.0, 1.0), edges])
+    cases = []
+    for n_nodes in (401, 801):
+        g = Grid.line(0.0, 1.0, n_nodes)
+        for name, pts in (("uniform", uniform_pts), ("bump", bump)):
+            cases.append(pytest.param(Sample(pts, (0.0,), (1.0,)), g, None,
+                                      id=f"{name}-{n_nodes}"))
+    cases.append(pytest.param(Sample(bump, (0.0,), (1.0,)), Grid.line(0.0, 1.0, 401),
+                              0.01, id="bandwidth"))
+    box = Grid.box((0.0, 1.0), (0.0, 1.0), (101, 101))
+    pts2 = np.column_stack([rng.beta(2.0, 3.0, 2000), rng.beta(3.0, 2.0, 2000)])
+    pts2 = np.vstack([pts2, [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])
+    cases.append(pytest.param(Sample(pts2, (0.0, 0.0), (1.0, 1.0)), box, None, id="2d"))
+    # a sample rectangle wider than the grid: points beyond the grid, beyond
+    # its mirror images (within reach of a wide kernel), and far outliers
+    wide = np.concatenate([rng.uniform(-0.5, 1.5, 500), [-1.2, 2.3, -3.0, 4.0, 1e6]])
+    for bw in (None, 0.05, 0.5):
+        cases.append(pytest.param(Sample(wide, (-1e6,), (1e6,)),
+                                  Grid.line(0.0, 1.0, 401), bw, id=f"wide-{bw}"))
+    wide2 = np.vstack([rng.uniform(-0.5, 1.5, (500, 2)),
+                       [[-1.2, 0.5], [0.5, 2.3], [-3.0, 0.5], [4.0, 4.0], [0.5, 1e6]]])
+    cases.append(pytest.param(Sample(wide2, (-1e6, -1e6), (1e6, 1e6)), box, 0.5,
+                              id="wide-2d"))
+    return cases
+
+
+@pytest.mark.parametrize("sample,grid,bandwidth", _kde_cases())
+def test_kde_fit_matches_the_direct_kernel_sum(sample, grid, bandwidth, monkeypatch):
+    """Linear binning moves a raw node value by at most (h/b)^2 / 8 of the
+    peak kernel height per axis (Wand 1994), so after both fits are divided
+    by their raw mass m the difference stays below that bound over m, plus
+    a rounding allowance. The lattice stays within the grid and its two
+    mirror images whatever the sample's range."""
+    sizes = []
+    build = model_space._reflection_operator
+
+    def recording(ax, b, first, size):
+        sizes.append((ax.n, size))
+        return build(ax, b, first, size)
+
+    monkeypatch.setattr(model_space, "_reflection_operator", recording)
+    est = kde_fit(sample, grid, bandwidth)
+    bands = _silverman(sample) if bandwidth is None else [bandwidth] * grid.ndim
+    ref, mass = _direct_kde(sample, grid, bands)
+    peak = np.prod([1.0 / (b * np.sqrt(2.0 * np.pi)) for b in bands])
+    binning = sum((ax.spacing / b) ** 2 / 8.0 for ax, b in zip(grid.axes, bands))
+    err = np.max(np.abs(est.values - ref))
+    assert err <= binning * peak / mass + 1e-12 * np.max(ref)
+    assert np.all(est.values >= 0.0)
+    assert abs(integrate(np.ones(grid.shape), est) - 1.0) < 1e-10
+    assert len(sizes) == grid.ndim
+    assert all(size <= 3 * n_nodes for n_nodes, size in sizes), sizes
 
 
 def test_integrate_rejects_bad_integrands():
