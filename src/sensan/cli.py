@@ -21,7 +21,7 @@ import numpy as np
 
 from .education import replicate_education
 from .engine import counterfactual_report, sensitivity
-from .errors import ConfigError, SensanError
+from .errors import ConfigError, SensanError, nested, read
 from .estimation import (Multinomial, PluginConfig, RatioInformation,
                          RatioKde, RatioKnown, estimated_influence,
                          mc_consistency, mc_joint_asymptotics,
@@ -50,113 +50,78 @@ def _load_config(path: str | None) -> dict:
     except OSError as exc:
         raise ConfigError("config", f"cannot read config file {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"config file {path} is not valid JSON: "
-                          f"{exc}")
+        raise ConfigError("config", f"config file {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
-        raise ConfigError("config", f"config file {path} must hold a JSON "
-                          "object")
+        raise ConfigError("config", f"config file {path} must hold a JSON object")
     return cfg
 
 
-def _number(value, key: str, kind=float):
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(key, f"expected a number, got {value!r}")
-
-
 def _build_grid(cfg: dict, override_n: int | None) -> Grid:
-    spec = cfg.get("grid", {})
-    if isinstance(spec, int):
-        spec = {"n": spec}
+    spec = cfg.get("grid")
     if not isinstance(spec, dict):
-        raise ConfigError("grid", "expected an integer or an object")
-    if "x" in spec or "y" in spec:
-        try:
-            xlo, xhi, xn = spec["x"]
-            ylo, yhi, yn = spec["y"]
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError("grid", "two-dimensional grids need 'x' and "
-                              "'y' as [lo, hi, n] triples")
+        spec = {"n": read(cfg, "grid", int, 801)}
+    with nested("grid"):
+        if "x" in spec or "y" in spec:
+            axes = []
+            for name in ("x", "y"):
+                t = read(spec, name, list, lo=3, hi=3, of=float)
+                with nested(name):
+                    axes.append((t[0], t[1], read(t, 2, int)))
+        else:
+            axes = [(read(spec, "lo", float, 0.0), read(spec, "hi", float, 1.0),
+                     read(spec, "n", int, 801))]
         if override_n is not None:
-            xn = yn = override_n
-        axes = ((xlo, xhi, xn), (ylo, yhi, yn))
-    else:
-        axes = ((spec.get("lo", 0.0), spec.get("hi", 1.0),
-                 override_n if override_n is not None else spec.get("n", 801)),)
-    limits = [(_number(lo, "grid"), _number(hi, "grid")) for lo, hi, _ in axes]
-    sizes = [_number(n, "grid", int) for _, _, n in axes]
-    try:
+            axes = [(lo, hi, override_n) for lo, hi, _ in axes]
         if len(axes) == 1:
-            return Grid.line(*limits[0], sizes[0])
-        return Grid.box(*limits, tuple(sizes))
-    except SensanError as exc:
-        raise ConfigError("grid", str(exc))
+            return Grid.line(*axes[0])
+        return Grid.box(*(a[:2] for a in axes), tuple(a[2] for a in axes))
 
 
-def _build_density(cfg: dict, key: str, grid: Grid) -> GridDensity:
-    spec = cfg.get(key)
-    if spec is None:
-        raise ConfigError(key, "missing density specification")
-    return _density_from_spec(spec, key, grid)
-
-
-def _density_from_spec(spec, key: str, grid: Grid) -> GridDensity:
-    if not isinstance(spec, dict):
-        raise ConfigError(key, "expected an object with 'family' or 'csv'")
-    if "csv" in spec:
-        try:
-            return GridDensity.from_csv(str(spec["csv"]))
-        except OSError as exc:
-            raise ConfigError(key, f"cannot read density csv: {exc}")
-    return build_family(spec, grid)
+def _density(spec: dict, key: str, grid: Grid) -> GridDensity:
+    """The density at spec[key], a family or a stored table; any problem
+    with it, a family parameter the family rejects included, names key."""
+    spec = read(spec, key, dict)
+    with nested(key):
+        if "csv" in spec:
+            return GridDensity.from_csv(read(spec, "csv", str))
+        return build_family(spec, grid)
 
 
 def _build_metric(cfg: dict, P: GridDensity, grid: Grid):
-    spec = cfg.get("metric", {"kind": "information"})
-    if not isinstance(spec, dict):
-        raise ConfigError("metric", "expected an object with 'kind'")
-    kind = spec.get("kind", "information")
-    if kind == "information":
-        return information_metric()
-    if kind == "policy":
-        if "density" not in spec:
-            raise ConfigError("metric", "policy metric requires 'density'")
-        Q = _density_from_spec(spec["density"], "metric", grid)
-        return policy_metric(P, Q, label=str(spec.get("label", "L2(Q)")))
-    raise ConfigError("metric", f"unknown metric kind {kind!r}")
+    spec = read(cfg, "metric", dict, {})
+    with nested("metric"):
+        kind = read(spec, "kind", str, "information",
+                    choices=("information", "policy"))
+        if kind == "information":
+            return information_metric()
+        Q = _density(spec, "density", grid)
+        label = read(spec, "label", str, "L2(Q)")
+    return policy_metric(P, Q, label=label)
 
 
 def _functional(cfg: dict, key: str, ndim: int):
-    spec = cfg.get(key)
-    if spec is None:
-        raise ConfigError(key, "missing functional specification")
-    try:
+    spec = read(cfg, key, dict)
+    with nested(key):
         return parse_functional(spec, ndim)
-    except ConfigError:
-        raise
-    except SensanError as exc:
-        # a malformed expression is a config problem, name the key
-        raise ConfigError(key, str(exc))
 
 
-def _coord_functional(args, key: str):
-    try:
-        return coord_functional(getattr(args, key))
-    except SensanError as exc:
-        raise ConfigError(key, str(exc))
+def _rows(cfg: dict, key: str, width: int):
+    """cfg[key] as a list of lists of width numbers each."""
+    rows = read(cfg, key, list)
+    with nested(key):
+        return [read(rows, i, list, lo=width, hi=width, of=float)
+                for i in range(len(rows))]
 
 
 def _out_dir(args, cfg: dict, required: bool = False) -> str | None:
-    out = args.out or cfg.get("out")
-    if out is None:
+    out = args.out or read(cfg, "out", str, None)
+    if not out:
         if required:
-            raise ConfigError("out", "this command writes artifacts; pass "
-                              "--out or set 'out'")
+            raise ConfigError("out", "required: pass --out or set 'out'")
         return None
-    os.makedirs(out, exist_ok=True)
-    os.makedirs(os.path.join(out, "curves"), exist_ok=True)
-    os.makedirs(os.path.join(out, "plots"), exist_ok=True)
+    with nested("out"):
+        for sub in ("curves", "plots"):
+            os.makedirs(os.path.join(out, sub), exist_ok=True)
     return out
 
 
@@ -176,7 +141,7 @@ def _plot_1d(out: str, name: str, curves, title: str, ylabel: str) -> None:
 def _cmd_sensitivity(args) -> int:
     cfg = _load_config(args.config)
     grid = _build_grid(cfg, args.grid)
-    P = _build_density(cfg, "distribution", grid)
+    P = _density(cfg, "distribution", grid)
     psi = _functional(cfg, "psi", P.grid.ndim)
     nu = _functional(cfg, "nu", P.grid.ndim)
     metric = _build_metric(cfg, P, P.grid)
@@ -207,16 +172,17 @@ def _cmd_sensitivity(args) -> int:
 
 def _cmd_counterfactual(args) -> int:
     cfg = _load_config(args.config)
+    target = read(cfg, "target_increment", float, 0.1)
+    refine = read(cfg, "refine", bool, False)
+    path = read(cfg, "path", str, "multiplicative",
+                choices=("multiplicative", "exponential"))
     grid = _build_grid(cfg, args.grid)
-    P = _build_density(cfg, "distribution", grid)
+    P = _density(cfg, "distribution", grid)
     psi = _functional(cfg, "psi", P.grid.ndim)
     nu = _functional(cfg, "nu", P.grid.ndim)
     metric = _build_metric(cfg, P, P.grid)
-    target = float(cfg.get("target_increment", 0.1))
-    rep = counterfactual_report(
-        psi, nu, P, metric, target,
-        refine=bool(cfg.get("refine", False)),
-        path=str(cfg.get("path", "multiplicative")))
+    rep = counterfactual_report(psi, nu, P, metric, target, refine=refine,
+                                path=path)
     print(f"h = {rep.h:.8f}  nu: {rep.nu_before:.6f} -> {rep.nu_after:.6f}  "
           f"psi: {rep.psi_before:.6f} -> {rep.psi_after:.6f} "
           f"(predicted {rep.predicted_psi_after:.6f})")
@@ -239,28 +205,19 @@ def _cmd_counterfactual(args) -> int:
 
 def _cmd_gmm(args) -> int:
     cfg = _load_config(args.config)
+    spec = moment_spec(read(cfg, "moments", list, of=str),
+                       read(cfg, "theta_dim", int), _rows(cfg, "bounds", 2),
+                       data_vars=tuple(read(cfg, "data_vars", list, ["x"],
+                                            of=str)))
+    if isinstance(cfg.get("weight"), list):
+        weight = np.array(_rows(cfg, "weight", spec.moment_dim))
+    else:
+        weight = read(cfg, "weight", str, "optimal",
+                      choices=("optimal", "identity"))
+        if weight == "identity":
+            weight = np.eye(spec.moment_dim)
     grid = _build_grid(cfg, args.grid)
-    P = _build_density(cfg, "distribution", grid)
-    for key in ("moments", "theta_dim", "bounds"):
-        if key not in cfg:
-            raise ConfigError(key, "required for the gmm command")
-    try:
-        spec = moment_spec(tuple(str(t) for t in cfg["moments"]),
-                           int(cfg["theta_dim"]),
-                           tuple(tuple(float(b) for b in pair)
-                                 for pair in cfg["bounds"]),
-                           data_vars=tuple(cfg.get("data_vars", ("x",))))
-    except SensanError as exc:
-        # bad expressions, bounds, or counts are config problems
-        raise ConfigError("moments", str(exc))
-    weight = cfg.get("weight", "optimal")
-    if isinstance(weight, list):
-        weight = np.asarray(weight, dtype=float)
-    elif weight == "identity":
-        weight = np.eye(spec.moment_dim)
-    elif weight != "optimal":
-        raise ConfigError("weight", "expected 'identity', 'optimal', or a "
-                          "matrix")
+    P = _density(cfg, "distribution", grid)
     sol = gmm_solve(P, spec, weight)
     infl = gmm_influence(P, spec, sol)
     eff = gmm_efficient_influence(P, spec, sol)
@@ -300,64 +257,69 @@ def _cmd_gmm(args) -> int:
 
 def _cmd_surface(args) -> int:
     chart = build_chart(args.chart)
-    psi = _coord_functional(args, "psi")
-    nu = _coord_functional(args, "nu")
-    at = tuple(_number(c, "point") for c in args.point)
+    with nested("psi"):
+        psi = coord_functional(args.psi)
+    with nested("nu"):
+        nu = coord_functional(args.nu)
+    try:
+        at = tuple(float(c) for c in args.point)
+    except ValueError:
+        raise ConfigError("point", f"expected two numbers, got {args.point}")
     val = surface_sensitivity(chart, psi, nu, at, mode=args.mode)
     print(f"{val:.8f}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        with nested("out"):
+            os.makedirs(args.out, exist_ok=True)
         _write_json(args.out, "report.json", {
             "chart": args.chart, "point": list(at), "psi": args.psi,
             "nu": args.nu, "mode": args.mode, "sensitivity": val})
     return 0
 
 
-def _ratio_spec(cfg: dict) -> dict:
-    spec = cfg.get("ratio", {"kind": "information"})
-    if not isinstance(spec, dict):
-        raise ConfigError("ratio", "expected an object with 'kind'")
-    return spec
-
-
-def _ratio_estimator(cfg: dict, P: GridDensity, grid: Grid):
-    spec = _ratio_spec(cfg)
-    kind = spec.get("kind", "information")
-    if kind == "information":
-        return RatioInformation(), information_metric()
-    if kind not in ("known", "kde"):
-        raise ConfigError("ratio", f"unknown ratio kind {kind!r}")
-    if "density" not in spec:
-        raise ConfigError("ratio", f"{kind} ratio requires 'density'")
-    Q = _density_from_spec(spec["density"], "ratio", grid)
+def _ratio_estimator(cfg: dict, grid: Grid, P: GridDensity | None = None):
+    """The ratio estimator cfg asks for and its metric; the base density
+    is built from 'distribution' when the ratio needs it and P is None."""
+    spec = read(cfg, "ratio", dict, {})
+    with nested("ratio"):
+        kind = read(spec, "kind", str, "information",
+                    choices=("information", "known", "kde"))
+        if kind == "information":
+            return RatioInformation(), information_metric()
+        Q = _density(spec, "density", grid)
+        # built for both kinds, so a bad bandwidth is named under 'ratio'
+        kde = RatioKde(Q, read(spec, "bandwidth", float, None))
+    if P is None:
+        P = _density(cfg, "distribution", grid)
     metric = policy_metric(P, Q)
     if kind == "known":
         return RatioKnown(likelihood_ratio(P, Q)), metric
-    bw = spec.get("bandwidth")
-    return RatioKde(Q, None if bw is None else float(bw)), metric
+    return kde, metric
 
 
 def _cmd_mc(args) -> int:
     cfg = _load_config(args.config)
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-    mode = cfg.get("mode", "consistency")
+    seed = read(cfg if args.seed is None else vars(args), "seed", int, 0,
+                lo=0)
+    mode = read(cfg, "mode", str, "consistency",
+                choices=("joint", "consistency", "plugin"))
     grid = _build_grid(cfg, args.grid)
     out = _out_dir(args, cfg)
 
     if mode == "joint":
-        dist = cfg.get("distribution")
-        n = int(cfg.get("n", 5000))
-        reps = int(cfg.get("reps", 1000))
-        if isinstance(dist, dict) and dist.get("family") == "multinomial":
-            probs = tuple(float(p) for p in dist.get("probs", ()))
-            if not probs:
-                raise ConfigError("probs", "multinomial requires cell "
-                                  "probabilities")
-            cells = cfg.get("cells", [0, 1])
-            res = mc_joint_multinomial(Multinomial(probs), int(cells[0]),
-                                       int(cells[1]), n, reps, seed)
+        n = read(cfg, "n", int, 5000, lo=1)
+        reps = read(cfg, "reps", int, 1000, lo=2)
+        dist = read(cfg, "distribution", dict)
+        if dist.get("family") == "multinomial":
+            with nested("distribution"):
+                model = Multinomial(tuple(read(dist, "probs", list, lo=2,
+                                               of=float)))
+            cells = read(cfg, "cells", list, [0, 1], lo=2, hi=2)
+            with nested("cells"):
+                i, j = (read(cells, k, int, lo=0, hi=len(model.probs) - 1)
+                        for k in range(2))
+            res = mc_joint_multinomial(model, i, j, n, reps, seed)
         else:
-            P = _build_density(cfg, "distribution", grid)
+            P = _density(cfg, "distribution", grid)
             psi = _functional(cfg, "psi", P.grid.ndim)
             nu = _functional(cfg, "nu", P.grid.ndim)
             res = mc_joint_asymptotics(P, psi, nu, n, reps, seed)
@@ -367,46 +329,37 @@ def _cmd_mc(args) -> int:
               f"Lambda_hat = {res.lambda_hat:.6f}  "
               f"Delta_hat = {res.delta_hat:.6f}")
     elif mode == "consistency":
-        P = _build_density(cfg, "distribution", grid)
+        n_grid = read(cfg, "n_grid", list, [500, 2000, 8000], of=int)
+        reps = read(cfg, "reps", int, 200, lo=1)
+        P = _density(cfg, "distribution", grid)
         psi = _functional(cfg, "psi", P.grid.ndim)
         nu = _functional(cfg, "nu", P.grid.ndim)
-        ratio, metric = _ratio_estimator(cfg, P, grid)
+        ratio, metric = _ratio_estimator(cfg, grid, P)
         population = sensitivity(psi, nu, P, metric).dpsi_dnu
-        n_grid = cfg.get("n_grid", [500, 2000, 8000])
-        reps = int(cfg.get("reps", 200))
         res = mc_consistency(P, psi, nu, ratio, n_grid, reps, seed,
                              population)
         print(f"population = {population:.8f}")
         for n in res.n_grid:
             print(f"n = {n:6d}  rmse = {res.rmse[n]:.6f}")
-    elif mode == "plugin":
-        if "sample_csv" not in cfg:
-            raise ConfigError("sample_csv", "plugin mode runs on a stored "
-                              "sample")
-        try:
-            sample = Sample.from_csv(str(cfg["sample_csv"]))
-        except OSError as exc:
-            raise ConfigError("sample_csv", f"cannot read sample: {exc}")
+    else:
+        path = read(cfg, "sample_csv", str)
+        with nested("sample_csv"):
+            sample = Sample.from_csv(path)
         psi = _functional(cfg, "psi", sample.ndim)
         nu = _functional(cfg, "nu", sample.ndim)
-        P = None
-        ratio_spec = _ratio_spec(cfg)
-        if ratio_spec.get("kind", "information") != "information":
-            P = _build_density(cfg, "distribution", grid)
-        ratio, _ = (_ratio_estimator(cfg, P, grid)
-                    if P is not None else (RatioInformation(), None))
+        ratio, _ = _ratio_estimator(cfg, grid)
+        # without a grid the quantile KDE spans the sample's own range
+        kde_grid = grid if "grid" in cfg or args.grid is not None else None
         val = plugin_sensitivity(PluginConfig(
-            psi_influence=estimated_influence(psi, sample, grid),
-            nu_influence=estimated_influence(nu, sample, grid),
+            psi_influence=estimated_influence(psi, sample, kde_grid),
+            nu_influence=estimated_influence(nu, sample, kde_grid),
             ratio_estimator=ratio, sample=sample))
         print(f"plugin sensitivity = {val:.8f}")
         if out:
             _write_json(out, "report.json", {
                 "plugin_sensitivity": val, "n": sample.n,
-                "ratio": ratio_spec})
+                "ratio": read(cfg, "ratio", dict, {"kind": "information"})})
         return 0
-    else:
-        raise ConfigError("mode", f"unknown mc mode {mode!r}")
 
     if out:
         res.to_csv(os.path.join(out, "table.csv"))
@@ -419,11 +372,11 @@ def _cmd_replicate_education(args) -> int:
     out = _out_dir(args, cfg, required=True)
     res = replicate_education(
         out,
-        grid_n=int(args.grid if args.grid is not None
-                   else cfg.get("grid", 801)),
-        target_increment=float(cfg.get("target_increment", 0.1)),
-        marginal=cfg.get("marginal"),
-        policies=cfg.get("policies"))
+        grid_n=read(cfg if args.grid is None else vars(args), "grid", int,
+                    801),
+        target_increment=read(cfg, "target_increment", float, 0.1),
+        marginal=read(cfg, "marginal", dict, None),
+        policies=read(cfg, "policies", list, None, of=dict))
     print(f"psi = {res.psi_before:.6f}  median = {res.nu_before:.6f}  "
           f"target increment = {res.target_increment}")
     for r in res.rows:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import counterfactual_report, sensitivity
-from .errors import ConfigError
+from .errors import ConfigError, nested
 from .families import build_family
 from .functionals import evaluate, influence, moment, quantile_functional
 from .model_space import Grid, GridDensity, write_node_table
@@ -119,12 +119,14 @@ def replicate_education(out_dir: str, *, grid_n: int = 801,
     if grid_n < 5:
         raise ConfigError("grid", "grid size must be at least 5")
     grid = Grid.line(0.0, 1.0, grid_n)
-    P = build_family(marginal or DEFAULT_MARGINAL, grid)
+    with nested("marginal"):
+        P = build_family(marginal or DEFAULT_MARGINAL, grid)
     policy_specs = list(policies or DEFAULT_POLICIES)
     if len(policy_specs) != 3:
         raise ConfigError("policies", "expected exactly three policy "
                           "densities")
-    Qs = [build_family(spec, grid) for spec in policy_specs]
+    with nested("policies"):
+        Qs = [build_family(spec, grid) for spec in policy_specs]
 
     psi = moment(regression_fn, label="mean of Y")
     nu = quantile_functional(0.5)

@@ -27,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SensanError
+from .errors import ConfigError, SensanError
 from .functionals import Functional, evaluate
 from .model_space import (Grid, GridDensity, LikelihoodRatio, Sample,
                           _cumtrapz, _simpson_reduce, density_at,
-                          interpolate, kde_fit, locate)
+                          interpolate, kde_fit, locate, quantile)
 
 __all__ = [
     "RatioInformation",
@@ -77,6 +77,8 @@ class RatioKde:
         lo, hi = self.clamp
         if lo <= 0.0 or hi <= lo:
             raise SensanError("ratio clamp bounds must be positive and ordered")
+        if self.bandwidth is not None and not self.bandwidth > 0.0:
+            raise ConfigError("bandwidth", "bandwidth must be positive")
 
 
 def _ratio_at_points(estimator, sample: Sample) -> np.ndarray:
@@ -108,8 +110,7 @@ def efficient_estimate(F: Functional, sample: Sample) -> float:
     if F.kind == "variance":
         return float(np.mean((x - np.mean(x)) ** 2))
     if F.kind == "quantile":
-        k = max(int(math.ceil(F.tau * sample.n)), 1)
-        return float(np.partition(x, k - 1)[k - 1])
+        return quantile(sample, F.tau, F.axis)
     raise SensanError(f"no bundled efficient estimator for kind '{F.kind}'")
 
 
@@ -294,8 +295,9 @@ def mc_consistency(P: GridDensity, psi: Functional, nu: Functional,
     oracle) and passed in, so the harness never re-derives it per run.
     """
     n_grid = tuple(int(n) for n in n_grid)
-    if len(n_grid) < 3 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise SensanError("n_grid must be at least three increasing sizes")
+    if (len(n_grid) < 3 or n_grid[0] < 1
+            or any(b <= a for a, b in zip(n_grid, n_grid[1:]))):
+        raise ConfigError("n_grid", "n_grid must be at least three increasing sizes above 0")
     estimates: dict = {}
     rmse: dict = {}
     for n in n_grid:
@@ -355,8 +357,7 @@ class Multinomial:
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
         if np.any(p <= 0.0) or abs(float(np.sum(p)) - 1.0) > 1e-12:
-            raise SensanError("cell probabilities must be positive and sum "
-                              "to one")
+            raise ConfigError("probs", "cell probabilities must be positive and sum to one")
 
     def cell_influence(self, i: int) -> np.ndarray:
         e = np.full(len(self.probs), -float(self.probs[i]))

@@ -10,11 +10,9 @@ a normal), which is far below every tolerance used here.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import ConfigError, SensanError
+from .errors import ConfigError, SensanError, read
 from .model_space import Grid, GridDensity
 
 __all__ = ["uniform", "beta", "truncated_normal", "linear", "quadratic",
@@ -32,7 +30,8 @@ def beta(grid: Grid, alpha: float, beta_: float) -> GridDensity:
     endpoint, which a finite grid cannot represent, so we require >= 1.
     """
     if alpha < 1.0 or beta_ < 1.0:
-        raise SensanError("beta family needs alpha, beta >= 1 on a grid")
+        raise ConfigError("alpha" if alpha < 1.0 else "beta",
+                          "beta family needs alpha, beta >= 1 on a grid")
     ax = grid.axes[0]
     span = ax.hi - ax.lo
 
@@ -45,7 +44,7 @@ def beta(grid: Grid, alpha: float, beta_: float) -> GridDensity:
 
 def truncated_normal(grid: Grid, mean: float, sd: float) -> GridDensity:
     if sd <= 0.0:
-        raise SensanError("truncated normal needs sd > 0")
+        raise ConfigError("sd", "truncated normal needs sd > 0")
 
     def shape(x, *rest):
         z = (x - mean) / sd
@@ -87,28 +86,13 @@ FAMILY_KEYS = {
     "quadratic": ("offset", "curvature", "center"),
 }
 
+_BUILDERS = dict(uniform=uniform, beta=beta, truncated_normal=truncated_normal,
+                 linear=linear, quadratic=quadratic)
+
 
 def build_family(spec: dict, grid: Grid) -> GridDensity:
-    """Build a family density from a config mapping with a 'family' key."""
-    name = spec.get("family")
-    if name not in FAMILY_KEYS:
-        raise ConfigError("family", f"unknown family {name!r}, "
-                          f"expected one of {sorted(FAMILY_KEYS)}")
-    kwargs = {}
-    for key in FAMILY_KEYS[name]:
-        if key not in spec:
-            raise ConfigError(key, f"family '{name}' requires '{key}'")
-        try:
-            kwargs[key] = float(spec[key])
-        except (TypeError, ValueError):
-            raise ConfigError(key, f"family '{name}' needs a number for "
-                              f"'{key}', got {spec[key]!r}")
-    if name == "uniform":
-        return uniform(grid)
-    if name == "beta":
-        return beta(grid, kwargs["alpha"], kwargs["beta"])
-    if name == "truncated_normal":
-        return truncated_normal(grid, kwargs["mean"], kwargs["sd"])
-    if name == "linear":
-        return linear(grid, kwargs["intercept"], kwargs["slope"])
-    return quadratic(grid, kwargs["offset"], kwargs["curvature"], kwargs["center"])
+    """Build a family density from a config mapping with a 'family' key;
+    the parameters are passed in FAMILY_KEYS order."""
+    name = read(spec, "family", str, choices=tuple(FAMILY_KEYS))
+    return _BUILDERS[name](grid, *(read(spec, key, float)
+                                   for key in FAMILY_KEYS[name]))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SensanError
+from .errors import SensanError, nested, read
 from .expressions import as_array_function, parse_whitelisted
 from .model_space import (CutTerm, Grid, GridDensity, PiecewiseField,
                           grid_quad, invert_cdf, quantile)
@@ -266,18 +266,16 @@ def parse_functional(spec: dict, ndim: int) -> Functional:
     {"kind": "variance", "axis": 0}
     {"kind": "quantile", "tau": 0.5, "axis": 0}
     """
-    kind = spec.get("kind")
-    variables = ("x",) if ndim == 1 else ("x", "y")
+    kind = read(spec, "kind", str, choices=("moment", "variance", "quantile"))
     if kind == "moment":
-        if "rho" not in spec:
-            raise ConfigError("rho", "moment functional requires 'rho'")
-        expr = parse_whitelisted(str(spec["rho"]), variables)
-        fn = as_array_function(expr, variables)
-        return moment(fn, label=f"moment[{spec['rho']}]")
+        variables = ("x",) if ndim == 1 else ("x", "y")
+        text = read(spec, "rho", str)
+        with nested("rho"):
+            fn = as_array_function(parse_whitelisted(text, variables), variables)
+        return moment(fn, label=f"moment[{text}]")
+    axis = read(spec, "axis", int, 0, lo=0, hi=ndim - 1)
     if kind == "variance":
-        return variance(axis=int(spec.get("axis", 0)))
-    if kind == "quantile":
-        if "tau" not in spec:
-            raise ConfigError("tau", "quantile functional requires 'tau'")
-        return quantile_functional(float(spec["tau"]), axis=int(spec.get("axis", 0)))
-    raise ConfigError("kind", f"unknown functional kind {kind!r}")
+        return variance(axis=axis)
+    tau = read(spec, "tau", float)
+    with nested("tau"):
+        return quantile_functional(tau, axis=axis)

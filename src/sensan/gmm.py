@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SensanError
+from .errors import ConfigError, SensanError, nested
 from .expressions import as_array_function, parse_whitelisted
 from .model_space import GridDensity, integrate
 from .tangent import TangentVector, inner_p
@@ -68,39 +68,27 @@ class MomentSpec:
     def moment_dim(self) -> int:
         return len(self.texts)
 
-    @classmethod
-    def from_json(cls, spec: dict) -> "MomentSpec":
-        if "g" not in spec or not isinstance(spec["g"], (list, tuple)):
-            raise ConfigError("g", "moment spec requires a list of expressions")
-        if "theta_dim" not in spec:
-            raise ConfigError("theta_dim", "moment spec requires theta_dim")
-        if "bounds" not in spec:
-            raise ConfigError("bounds", "moment spec requires a bounds box")
-        return moment_spec(
-            tuple(str(t) for t in spec["g"]),
-            int(spec["theta_dim"]),
-            tuple((float(lo), float(hi)) for lo, hi in spec["bounds"]),
-            data_vars=tuple(spec.get("data_vars", ("x",))),
-        )
-
 
 def moment_spec(g_texts, theta_dim: int, bounds,
                 data_vars: tuple[str, ...] = ("x",)) -> MomentSpec:
+    """Compile moment conditions; a problem names the config key that
+    carries it: theta_dim, bounds or moments."""
     g_texts = tuple(g_texts)
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
     if theta_dim < 1:
-        raise SensanError("theta_dim must be at least 1")
+        raise ConfigError("theta_dim", "theta_dim must be at least 1")
     if len(bounds) != theta_dim:
-        raise SensanError("bounds box must have one interval per parameter")
+        raise ConfigError("bounds", "bounds box must have one interval per parameter")
     if any(hi <= lo for lo, hi in bounds):
-        raise SensanError("bounds intervals must be nonempty")
+        raise ConfigError("bounds", "bounds intervals must be nonempty")
     if len(g_texts) < theta_dim:
-        raise SensanError("need at least as many moments as parameters")
+        raise ConfigError("moments", "need at least as many moments as parameters")
     th_names = tuple(f"th{j}" for j in range(theta_dim))
     variables = data_vars + th_names
     g_fns, jac_fns, hess_fns = [], [], []
     for text in g_texts:
-        expr = parse_whitelisted(text, variables)
+        with nested("moments"):
+            expr = parse_whitelisted(text, variables)
         g_fns.append(as_array_function(expr, variables))
         jrow, hrow = [], []
         for tj in th_names:
@@ -176,11 +164,11 @@ def _criterion(P: GridDensity, spec: MomentSpec, W: np.ndarray, theta) -> float:
 def _check_weight(W, r: int) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     if W.shape != (r, r):
-        raise SensanError(f"weight matrix must be {r}x{r}")
+        raise ConfigError("weight", f"weight matrix must be {r}x{r}")
     if np.max(np.abs(W - W.T)) > 1e-12 * (1.0 + np.max(np.abs(W))):
-        raise SensanError("weight matrix must be symmetric")
+        raise ConfigError("weight", "weight matrix must be symmetric")
     if float(np.linalg.eigvalsh(W)[0]) <= 0.0:
-        raise SensanError("weight matrix must be positive-definite")
+        raise ConfigError("weight", "weight matrix must be positive-definite")
     return W
 
 

@@ -442,6 +442,8 @@ class Sample:
             raise SensanError("sample must be a nonempty array of points")
         if pts.shape[1] != len(self.lo) or len(self.lo) != len(self.hi):
             raise SensanError("sample dimension does not match declared bounds")
+        if not np.all(np.isfinite(pts)):
+            raise SensanError("sample points must be finite")
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
         if np.any(pts < lo) or np.any(pts > hi):
@@ -468,11 +470,12 @@ class Sample:
 
     @classmethod
     def from_csv(cls, path: str, lo=None, hi=None) -> "Sample":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if lo is None:
-            lo = tuple(data.min(axis=0))
-        if hi is None:
-            hi = tuple(data.max(axis=0))
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            lo = tuple(data.min(axis=0)) if lo is None else lo
+            hi = tuple(data.max(axis=0)) if hi is None else hi
+        except ValueError as exc:
+            raise SensanError(f"sample csv {path}: {exc}") from None
         return cls(data, tuple(float(v) for v in lo), tuple(float(v) for v in hi))
 
 
@@ -585,9 +588,8 @@ def quantile(P, tau: float, axis: int = 0) -> float:
     if isinstance(P, Sample):
         if axis >= P.ndim:
             raise SensanError("quantile axis out of range")
-        xs = np.sort(P.coord(axis))
-        k = int(math.ceil(P.n * tau))
-        return float(xs[max(k, 1) - 1])
+        k = max(int(math.ceil(P.n * tau)), 1)
+        return float(np.partition(P.coord(axis), k - 1)[k - 1])
     if not isinstance(P, GridDensity):
         raise SensanError("quantile expects a GridDensity or a Sample")
     if axis >= P.grid.ndim:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SensanError
+from .errors import SensanError, read
 from .expressions import as_array_function, parse_whitelisted
 
 __all__ = [
@@ -105,12 +105,8 @@ _BUILTIN = {
 
 
 def build_chart(name: str) -> Chart:
-    from .errors import ConfigError
-
-    if name not in _BUILTIN:
-        raise ConfigError("chart", f"unknown chart {name!r}; "
-                          f"choose from {sorted(_BUILTIN)}")
-    return _BUILTIN[name]()
+    return _BUILTIN[read({"chart": name}, "chart", str,
+                         choices=tuple(_BUILTIN))]()
 
 
 @dataclass(frozen=True)

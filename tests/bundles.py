@@ -1,6 +1,6 @@
 """Bundled densities, functional pairs, and model instances.
 
-These are the named cases the test battery and the CLI demos run on.
+These are the named cases the test battery runs on.
 Collecting them here keeps the choices in one place: grids wide enough
 that truncation error stays far below the tolerances in play, and
 functional pairs picked so the quantity each check probes is actually
@@ -10,11 +10,11 @@ closed form where values matter).
 
 from __future__ import annotations
 
-from .families import build_family
-from .gmm import MomentSpec, moment_spec
-from .functionals import moment, quantile_functional, variance
-from .model_space import Grid, GridDensity
-from .tangent import PolicyMetric, information_metric, policy_metric
+from sensan.families import build_family
+from sensan.functionals import moment, quantile_functional, variance
+from sensan.gmm import MomentSpec, moment_spec
+from sensan.model_space import Grid, GridDensity
+from sensan.tangent import PolicyMetric, information_metric, policy_metric
 
 __all__ = [
     "unit_grid",

@@ -10,6 +10,10 @@ import os
 import time
 
 import numpy as np
+from bundles import (first_order_cases, influence_densities,
+                     sensitivity_cases, trunc_std_normal,
+                     two_moment_misspecified, two_moment_population,
+                     two_moment_spec, uniform01, unit_grid)
 
 from sensan import (Multinomial, RatioKde, RatioKnown, TangentVector,
                     build_chart, coord_functional, coordinate_gradient,
@@ -22,10 +26,6 @@ from sensan import (Multinomial, RatioKde, RatioKnown, TangentVector,
                     mc_joint_multinomial, moment, policy_metric, quantile,
                     quantile_functional, sensitivity, surface_sensitivity,
                     variance, verify_first_order)
-from sensan.bundles import (first_order_cases, influence_densities,
-                            sensitivity_cases, trunc_std_normal,
-                            two_moment_misspecified, two_moment_population,
-                            two_moment_spec, uniform01, unit_grid)
 from sensan.education import replicate_education
 from sensan.families import linear, quadratic
 from sensan.functionals import default_schedule

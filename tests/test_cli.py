@@ -1,10 +1,18 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sensan import Grid, sample_from
+from sensan import (Grid, PluginConfig, RatioInformation, Sample,
+                    estimated_influence, parse_functional, plugin_sensitivity,
+                    sample_from)
 from sensan.cli import main
 from sensan.families import uniform
 
@@ -363,3 +371,239 @@ def test_mc_plugin_ratio_must_be_an_object(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config key 'ratio'" in err
     assert "Traceback" not in err
+
+
+def _plugin_config(tmp_path, body):
+    csv_path = tmp_path / "sample.csv"
+    csv_path.write_text(body)
+    return _write(tmp_path, "mc.json", {
+        "mode": "plugin", "sample_csv": str(csv_path),
+        "psi": {"kind": "moment", "rho": "x"},
+        "nu": {"kind": "quantile", "tau": 0.5}})
+
+
+def test_mc_plugin_sample_csv_problems_name_the_key(tmp_path, capsys):
+    for body in ("x\n0.1\nnan\n0.5\n", "x\n0.1\nabc\n0.5\n"):
+        assert main(["mc", "--config", _plugin_config(tmp_path, body)]) == 2
+        err = capsys.readouterr().err
+        assert "config key 'sample_csv'" in err, err
+
+
+def test_mc_plugin_without_grid_spans_the_sample_range(tmp_path, capsys):
+    """With no grid key the quantile KDE lives on the stored sample's own
+    range, so a sample on [5, 9] runs; the value is the one
+    estimated_influence(..., grid=None) gives."""
+    rng = np.random.default_rng(8)
+    pts = 5.0 + 4.0 * rng.uniform(size=400)
+    cfg = _plugin_config(
+        tmp_path, "x\n" + "".join(f"{v!r}\n" for v in pts.tolist()))
+    out_dir = tmp_path / "plug"
+    assert main(["mc", "--config", cfg, "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    sample = Sample.from_csv(str(tmp_path / "sample.csv"))
+    psi = parse_functional({"kind": "moment", "rho": "x"}, 1)
+    nu = parse_functional({"kind": "quantile", "tau": 0.5}, 1)
+    want = plugin_sensitivity(PluginConfig(
+        psi_influence=estimated_influence(psi, sample, None),
+        nu_influence=estimated_influence(nu, sample, None),
+        ratio_estimator=RatioInformation(), sample=sample))
+    rep = json.loads((out_dir / "report.json").read_text())
+    assert rep["plugin_sensitivity"] == want
+
+
+# --- the config contract: every problem exits 2 naming its key ----------------------
+
+SMALL = {**MEAN_MEDIAN, "grid": {"lo": 0.0, "hi": 1.0, "n": 201}}
+GMM = {"grid": {"lo": -7.0, "hi": 9.0, "n": 201},
+       "distribution": {"family": "truncated_normal", "mean": 1.0, "sd": 1.0},
+       "moments": ["x - th0", "x*x - th0*th0 - 1"], "theta_dim": 1,
+       "bounds": [[-3.0, 3.0]], "weight": "identity"}
+JOINT = {**SMALL, "mode": "joint", "n": 200, "reps": 20}
+MULTI = {"mode": "joint", "cells": [0, 1], "n": 200, "reps": 20,
+         "distribution": {"family": "multinomial", "probs": [0.5, 0.3, 0.2]}}
+CONSISTENCY = {**SMALL, "mode": "consistency", "n_grid": [50, 100, 200],
+               "reps": 5}
+PLUGIN = {"mode": "plugin", "psi": SMALL["psi"], "nu": SMALL["nu"]}
+NAN_ROW, ABC_ROW = "x\n0.1\nnan\n0.5\n", "x\n0.1\nabc\n0.5\n"
+
+PROBES = [
+    ("sensitivity", {**SMALL, "nu": {"kind": "quantile", "tau": "abc"}}, "tau"),
+    ("sensitivity", {**SMALL, "nu": {"kind": "variance", "axis": "x"}}, "axis"),
+    ("sensitivity", {**SMALL, "nu": {"kind": "variance", "axis": [1]}}, "axis"),
+    ("sensitivity", {**SMALL, "nu": {"kind": "variance", "axis": 3}}, "axis"),
+    ("sensitivity", {**SMALL, "psi": "mean"}, "psi"),
+    ("sensitivity", {**SMALL, "distribution": {"family": "beta", "alpha": -1,
+                                               "beta": 2}}, "alpha"),
+    ("sensitivity", {**SMALL, "metric": {"kind": "policy",
+                                         "density": "uniform"}}, "density"),
+    ("counterfactual", {**SMALL, "target_increment": "big"}, "target_increment"),
+    ("counterfactual", {**SMALL, "path": 3}, "path"),
+    ("counterfactual", {**SMALL, "refine": "no"}, "refine"),
+    ("gmm", {**GMM, "theta_dim": "one"}, "theta_dim"),
+    ("gmm", {**GMM, "bounds": [[0]]}, "bounds"),
+    ("gmm", {**GMM, "bounds": "wide"}, "bounds"),
+    ("gmm", {**GMM, "weight": [[1.0, 0.0]]}, "weight"),
+    ("gmm", {**GMM, "moments": "x - th0"}, "moments"),
+    ("gmm", {**GMM, "data_vars": 5}, "data_vars"),
+    ("mc", {**JOINT, "n": "many"}, "n"),
+    ("mc", {**JOINT, "reps": -5}, "reps"),
+    ("mc", {**JOINT, "seed": "s"}, "seed"),
+    ("mc", {**MULTI, "distribution": {"family": "multinomial",
+                                      "probs": "x"}}, "probs"),
+    ("mc", {**MULTI, "cells": [0]}, "cells"),
+    ("mc", {**MULTI, "cells": [0, 7]}, "cells"),
+    ("mc", {**CONSISTENCY, "n_grid": [0]}, "n_grid"),
+    ("mc", {**CONSISTENCY, "n_grid": "x"}, "n_grid"),
+    ("mc", {**PLUGIN, "sample_csv": NAN_ROW}, "sample_csv"),
+    ("mc", {**PLUGIN, "sample_csv": ABC_ROW}, "sample_csv"),
+    ("replicate-education", {"grid": "x"}, "grid"),
+    ("replicate-education", {"target_increment": "big"}, "target_increment"),
+    ("replicate-education", {"marginal": "x"}, "marginal"),
+]
+
+
+@pytest.mark.parametrize("command,payload,key", PROBES,
+                         ids=[f"{c}-{k}-{i}" for i, (c, _, k) in
+                              enumerate(PROBES)])
+def test_config_probe_exits_two_naming_the_key(tmp_path, capsys, command,
+                                                payload, key):
+    if "sample_csv" in payload:
+        body = payload["sample_csv"]
+        payload = {**payload, "sample_csv": str(tmp_path / "sample.csv")}
+        (tmp_path / "sample.csv").write_text(body)
+    argv = [command, "--config", _write(tmp_path, "probe.json", payload)]
+    if command == "replicate-education":
+        argv += ["--out", str(tmp_path / "edu")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config key '{key}'" in err, err
+
+
+# Configs built from the README's config schema, one per subcommand and
+# mode, on small grids so each run takes milliseconds. Every key, and
+# every list item, is a place to corrupt.
+_LINEAR = {"family": "linear", "intercept": 0.5, "slope": 1.0}
+_UNIT = {"lo": 0.0, "hi": 1.0, "n": 101}
+_PSI = {"kind": "moment", "rho": "x"}
+_NU = {"kind": "quantile", "tau": 0.5, "axis": 0}
+SCHEMA_CONFIGS = [
+    ("sensitivity", {"grid": _UNIT, "distribution": _LINEAR, "psi": _PSI,
+                     "nu": _NU, "metric": {"kind": "policy", "label": "Q",
+                                           "density": {"family": "uniform"}},
+                     "out": "OUT"}),
+    ("counterfactual", {"grid": _UNIT, "distribution": _LINEAR, "psi": _PSI,
+                        "nu": _NU, "target_increment": 0.02, "refine": True,
+                        "path": "multiplicative"}),
+    ("gmm", {"grid": {"lo": -7.0, "hi": 9.0, "n": 101},
+             "distribution": {"family": "truncated_normal", "mean": 1.0,
+                              "sd": 1.0},
+             "moments": ["x - th0", "x*x - th0*th0 - 1"], "theta_dim": 1,
+             "bounds": [[-3.0, 3.0]], "data_vars": ["x"],
+             "weight": [[1.0, 0.0], [0.0, 1.0]]}),
+    ("gmm", {"distribution": {"family": "beta", "alpha": 2.0, "beta": 3.0},
+             "grid": 101, "moments": ["x - th0"], "theta_dim": 1,
+             "bounds": [[0.0, 1.0]], "weight": "optimal"}),
+    ("mc", {"mode": "joint", "distribution": _LINEAR, "psi": _PSI, "nu": _NU,
+            "n": 50, "reps": 10, "seed": 1}),
+    ("mc", {"mode": "joint", "cells": [0, 1], "n": 50, "reps": 10,
+            "distribution": {"family": "multinomial",
+                             "probs": [0.5, 0.3, 0.2]}}),
+    ("mc", {"mode": "consistency", "grid": _UNIT,
+            "distribution": {"family": "uniform"}, "psi": _PSI, "nu": _NU,
+            "ratio": {"kind": "kde", "density": _LINEAR, "bandwidth": 0.1},
+            "n_grid": [20, 40, 80], "reps": 2}),
+    ("mc", {"mode": "plugin", "sample_csv": "SAMPLE", "grid": _UNIT,
+            "distribution": {"family": "uniform"}, "psi": _PSI, "nu": _NU,
+            "ratio": {"kind": "known", "density": _LINEAR}}),
+    ("replicate-education", {
+        "grid": 21, "target_increment": 0.05, "out": "OUT",
+        "marginal": {"family": "quadratic", "offset": 0.4, "curvature": 2.4,
+                     "center": 0.5},
+        "policies": [_LINEAR, {"family": "linear", "intercept": 1.6,
+                               "slope": -1.2}, {"family": "uniform"}]}),
+]
+
+
+def _places(value, key=None, path=()):
+    """(path, innermost named key, value) for every key and list item."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for k, v in items:
+        named = k if isinstance(k, str) else key
+        yield path + (k,), named, v
+        yield from _places(v, named, path + (k,))
+
+
+def _wrong_types(value, key):
+    """JSON values of another type than value: 2.5 stands in for a number
+    where an integer, a string, a list or an object belongs (an integer
+    is a legal float, so it is never offered in place of one). A grid is
+    an integer or an object."""
+    pool = {"number": 2.5, "string": "abc", "bool": True, "list": [1.0],
+            "object": {"k": 1.0}}
+    own = ("bool" if isinstance(value, bool) else
+           "number" if isinstance(value, (int, float)) else
+           "string" if isinstance(value, str) else
+           "list" if isinstance(value, list) else "object")
+    legal = {own, "object"} if key == "grid" else {own}
+    return [v for name, v in pool.items() if name not in legal]
+
+
+def _wrong_values(value):
+    """Values of the same JSON type that a key may still reject."""
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, int):
+        return [-5, 0, 1, 2, 3, value + 1]
+    if isinstance(value, float):
+        return [-1.0, 0.0, 0.5, 1.0, 1.5, 1e6, -value]
+    if isinstance(value, str):
+        return ["", "zzz", "x*y", "x**9"]
+    if isinstance(value, list):
+        return [[], value[:1], value[1:], value + value]
+    return [{}]
+
+
+def _set(config, path, value):
+    out = copy.deepcopy(config)
+    node = out
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_corrupted_config_keys_follow_the_exit_contract(tmp_path_factory,
+                                                        data):
+    """One key corrupted: a wrong JSON type exits 2 naming the key (and
+    every key on its path); a wrong value of the right type exits 0, 1 or
+    2; nothing raises."""
+    command, config = data.draw(st.sampled_from(SCHEMA_CONFIGS))
+    places = [p for p in _places(config) if p[0][-1] != "out"]
+    path, key, value = data.draw(st.sampled_from(places))
+    wrong_type = data.draw(st.booleans())
+    bad = data.draw(st.sampled_from(
+        _wrong_types(value, key) if wrong_type else
+        _wrong_values(value) if path[-1] not in ("sample_csv", "csv")
+        else ["no/such/file.csv"]))
+    tmp = tmp_path_factory.mktemp("fuzz")
+    sample = tmp / "sample.csv"
+    Sample(np.linspace(0.05, 0.95, 60), (0.0,), (1.0,)).to_csv(str(sample))
+    text = json.dumps(_set(config, path, bad)).replace(
+        '"SAMPLE"', json.dumps(str(sample))).replace(
+        '"OUT"', json.dumps(str(tmp / "out")))
+    cfg = tmp / "config.json"
+    cfg.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(cfg)])
+    if wrong_type:
+        assert code == 2, (path, bad, err.getvalue())
+        names = [k for k in path if isinstance(k, str)]
+        for k in names:
+            assert f"config key '{k}'" in err.getvalue(), (path, bad, err.getvalue())
+    else:
+        assert code in (0, 1, 2), (path, bad)

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sensan import Grid, GridDensity, Sample, integrate, quantile, density_at
 from sensan.errors import SensanError
 import sensan.model_space as model_space
+from sensan import (counterfactual_density, grad_op_apply, influence,
+                    information_metric, quantile_functional)
+from sensan.families import beta, linear, quadratic, truncated_normal, uniform
 from sensan.model_space import CutTerm, grid_quad, kde_fit, likelihood_ratio
 
 
@@ -176,6 +181,24 @@ def test_sample_validation():
     s = Sample(np.array([0.1, 0.9, 0.4]), (0.0,), (1.0,))
     assert s.n == 3 and s.ndim == 1
     np.testing.assert_array_equal(s.coord(0), [0.1, 0.9, 0.4])
+
+
+def test_sample_rejects_non_finite_points():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(SensanError, match="sample points must be finite"):
+            Sample(np.array([0.2, bad, 0.4]), (0.0,), (1.0,))
+    with pytest.raises(SensanError, match="sample points must be finite"):
+        Sample(np.array([[0.2, 0.3], [np.nan, 0.5]]), (0.0, 0.0), (1.0, 1.0))
+
+
+def test_sample_csv_rejects_rows_that_are_not_numbers(tmp_path):
+    bodies = {"abc": "x\n0.1\nabc\n0.5\n", "ragged": "x,y\n0.1,0.2\n0.3\n",
+              "empty": "x\n", "nan": "x\n0.1\nnan\n0.5\n"}
+    for name, body in bodies.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(body)
+        with pytest.raises(SensanError, match="sample"):
+            Sample.from_csv(str(path))
 
 
 def test_sample_csv_roundtrip(tmp_path):
@@ -382,3 +405,42 @@ def test_integrate_moments_of_uniform():
     U = GridDensity.from_callable(g, lambda x: np.ones_like(x))
     assert abs(integrate(lambda x: x, U) - 0.5) < 1e-12
     assert abs(integrate(lambda x: x**2, U) - 1.0 / 3.0) < 1e-12
+
+
+# --- property: the quantile is nondecreasing in its level ---------------------------
+
+@st.composite
+def quantile_sources(draw):
+    """A family density on a grid of random size (odd and even node
+    counts), the same density moved along the gradient of one of its
+    quantiles (a density with a jump at that quantile), or a sample."""
+    kind = draw(st.sampled_from(("family", "cut", "sample")))
+    if kind == "sample":
+        pts = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+        return Sample(np.array(pts), (0.0,), (1.0,))
+    g = Grid.line(0.0, 1.0, draw(st.integers(5, 401)))
+    family = draw(st.sampled_from(("uniform", "beta", "linear", "quadratic",
+                                   "truncated_normal")))
+    P = {"uniform": lambda: uniform(g),
+         "beta": lambda: beta(g, draw(st.floats(1.0, 5.0)),
+                              draw(st.floats(1.0, 5.0))),
+         "linear": lambda: linear(g, draw(st.floats(0.2, 2.0)),
+                                  draw(st.floats(-0.15, 2.0))),
+         "quadratic": lambda: quadratic(g, draw(st.floats(0.1, 2.0)),
+                                        draw(st.floats(0.0, 3.0)),
+                                        draw(st.floats(0.0, 1.0))),
+         "truncated_normal": lambda: truncated_normal(
+             g, draw(st.floats(0.2, 0.8)), draw(st.floats(0.1, 1.0)))}[family]()
+    if kind == "family":
+        return P
+    nu = quantile_functional(draw(st.floats(0.2, 0.8)))
+    direction = grad_op_apply(influence(nu, P), information_metric())
+    return counterfactual_density(P, direction, draw(st.floats(-0.01, 0.01)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(quantile_sources(), st.lists(st.floats(0.001, 0.999), min_size=2,
+                                    max_size=12))
+def test_quantile_is_nondecreasing_in_tau(P, taus):
+    values = [quantile(P, tau) for tau in sorted(taus)]
+    assert all(b >= a for a, b in zip(values, values[1:])), values
