@@ -205,9 +205,12 @@ def _cmd_counterfactual(args) -> int:
 
 def _cmd_gmm(args) -> int:
     cfg = _load_config(args.config)
+    grid = _build_grid(cfg, args.grid)
     spec = moment_spec(read(cfg, "moments", list, of=str),
                        read(cfg, "theta_dim", int), _rows(cfg, "bounds", 2),
-                       data_vars=tuple(read(cfg, "data_vars", list, ["x"],
+                       data_vars=tuple(read(cfg, "data_vars", list,
+                                            ["x", "y"][:grid.ndim],
+                                            lo=grid.ndim, hi=grid.ndim,
                                             of=str)))
     if isinstance(cfg.get("weight"), list):
         weight = np.array(_rows(cfg, "weight", spec.moment_dim))
@@ -216,7 +219,6 @@ def _cmd_gmm(args) -> int:
                       choices=("optimal", "identity"))
         if weight == "identity":
             weight = np.eye(spec.moment_dim)
-    grid = _build_grid(cfg, args.grid)
     P = _density(cfg, "distribution", grid)
     sol = gmm_solve(P, spec, weight)
     infl = gmm_influence(P, spec, sol)
@@ -350,6 +352,11 @@ def _cmd_mc(args) -> int:
         ratio, _ = _ratio_estimator(cfg, grid)
         # without a grid the quantile KDE spans the sample's own range
         kde_grid = grid if "grid" in cfg or args.grid is not None else None
+        if kde_grid is not None and not (kde_grid.ndim == sample.ndim and all(
+                ax.lo <= lo and hi <= ax.hi
+                for ax, lo, hi in zip(kde_grid.axes, sample.lo, sample.hi))):
+            raise ConfigError("grid", "does not cover the stored sample, which "
+                              f"spans {sample.lo} to {sample.hi}")
         val = plugin_sensitivity(PluginConfig(
             psi_influence=estimated_influence(psi, sample, kde_grid),
             nu_influence=estimated_influence(nu, sample, kde_grid),

@@ -11,9 +11,10 @@ closed form where values matter).
 from __future__ import annotations
 
 from sensan.families import build_family
-from sensan.functionals import moment, quantile_functional, variance
+from sensan.functionals import (Functional, composite, moment,
+                                quantile_functional, variance)
 from sensan.gmm import MomentSpec, moment_spec
-from sensan.model_space import Grid, GridDensity
+from sensan.model_space import Grid, GridDensity, invert_cdf
 from sensan.tangent import PolicyMetric, information_metric, policy_metric
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "beta25",
     "trunc_std_normal",
     "influence_densities",
+    "mean_over_median",
     "sensitivity_cases",
     "first_order_cases",
     "two_moment_spec",
@@ -58,6 +60,15 @@ def influence_densities() -> list[tuple[str, GridDensity]]:
     return [("uniform01", uniform01()),
             ("beta25", beta25()),
             ("trunc_normal", trunc_std_normal())]
+
+
+def mean_over_median() -> Functional:
+    """Mean over median as an opaque composite, so only the numerical
+    influence route applies to it."""
+    def value(Q):
+        x = Q.grid.axes[0].nodes
+        return Q.quad(x) / Q.quad() / invert_cdf(Q.marginal(0), 0.5, strict=False)
+    return composite(value, "mean/median")
 
 
 def _mean():

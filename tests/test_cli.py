@@ -459,6 +459,9 @@ PROBES = [
     ("replicate-education", {"grid": "x"}, "grid"),
     ("replicate-education", {"target_increment": "big"}, "target_increment"),
     ("replicate-education", {"marginal": "x"}, "marginal"),
+    ("gmm", {**GMM, "data_vars": ["x", "x"]}, "data_vars"),
+    ("mc", {**PLUGIN, "sample_csv": "x\n0.05\n0.5\n0.95\n",
+            "grid": {"lo": 0.6, "hi": 1.0, "n": 101}}, "grid"),
 ]
 
 

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from bundles import mean_over_median
 from sensan import (CounterfactualReport, Grid, GridDensity, SensitivityReport,
                     TangentVector, counterfactual_density, counterfactual_report,
                     evaluate, influence, information_metric, moment,
                     policy_metric, quantile_functional, sensitivity,
                     sensitivity_from_influences, variance, verify_first_order)
 from sensan.errors import SensanError
-from sensan.families import beta, linear, truncated_normal, uniform
+from sensan.families import beta, linear, quadratic, truncated_normal, uniform
 from sensan.model_space import CutTerm, integrate, quantile
 
 G = Grid.line(0.0, 1.0, 801)
@@ -81,6 +82,36 @@ def test_degenerate_control_is_rejected():
     with pytest.raises(SensanError, match="degenerate gradient"):
         sensitivity_from_influences(influence(MEAN, U), zero,
                                     information_metric())
+
+
+def _numerical_vs_chain_rule(P, nu, metric):
+    """S of mean/median through the numerical influence route, and S from
+    the chain rule d(m/q) = dm/q - m dq/q^2 of the analytic influences."""
+    S = sensitivity(mean_over_median(), nu, P, metric).S
+    m, q = evaluate(MEAN, P), evaluate(MEDIAN, P)
+    chain = influence(MEAN, P).scale(1.0 / q).add(
+        influence(MEDIAN, P).scale(-m / q ** 2))
+    ref = sensitivity_from_influences(chain, influence(nu, P), metric).S
+    return S, ref
+
+
+def test_numerical_sensitivity_near_the_median_information_metric():
+    """nu a quantile next to the median on a 201-node quadratic density:
+    the median's jump, smoothed over the bump width, must integrate to
+    within 2e-2 (1 + |S|) of the chain rule."""
+    g = Grid.line(0.0, 1.0, 201)
+    P = quadratic(g, 0.4113, 1.2739, 0.7484)
+    S, ref = _numerical_vs_chain_rule(P, quantile_functional(0.499),
+                                      information_metric())
+    assert abs(S - ref) <= 2e-2 * (1.0 + abs(ref))
+
+
+def test_numerical_sensitivity_near_the_median_policy_metric():
+    g = Grid.line(0.0, 1.0, 201)
+    P = linear(g, 0.4226, 0.8881)
+    metric = policy_metric(P, quadratic(g, 0.7154, 2.2979, 0.3446))
+    S, ref = _numerical_vs_chain_rule(P, quantile_functional(0.502), metric)
+    assert abs(S - ref) <= 2e-2 * (1.0 + abs(ref))
 
 
 def test_report_invariants_reject_inconsistent_fields():

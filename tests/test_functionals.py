@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from sensan import (Grid, GridDensity, MollifierSchedule, composite, evaluate,
-                    influence, influence_analytic, influence_numerical,
-                    inner_p, moment, parse_functional, quantile_functional,
-                    variance)
+from bundles import mean_over_median
+from sensan import (Grid, GridDensity, MollifierSchedule, TangentVector,
+                    composite, evaluate, influence, influence_analytic,
+                    influence_numerical, inner_p, moment, parse_functional,
+                    quantile_functional, variance)
 from sensan.errors import ConfigError, SensanError
-from sensan.families import beta, uniform
+from sensan.families import beta, linear, uniform
 from sensan.functionals import default_schedule
-from sensan.model_space import grid_quad
+from sensan.model_space import PiecewiseField, grid_quad
 
 G = Grid.line(0.0, 1.0, 801)
 U = uniform(G)
@@ -128,7 +129,7 @@ def test_mollifier_schedule_validation():
     with pytest.raises(SensanError, match="at least 3 levels"):
         MollifierSchedule(sigma0=0.1, levels=2)
     sched = MollifierSchedule(sigma0=0.01)
-    with pytest.raises(SensanError, match="below four grid spacings"):
+    with pytest.raises(SensanError, match="below two grid spacings"):
         sched.validate_for(Grid.line(0.0, 1.0, 201))
 
 
@@ -148,6 +149,68 @@ def test_mollifier_divergence_is_reported():
     F = composite(lambda Q: float(np.max(Q.values)))
     with pytest.raises(SensanError, match="mollifier not converged"):
         influence_numerical(F, P)
+
+
+def test_mollifier_divergence_is_reported_off_the_uniform():
+    # with a unique maximizer the node gradient is a spike there, and the
+    # level estimates are bumps whose height grows like 1/sigma
+    F = composite(lambda Q: float(np.max(Q.values)))
+    with pytest.raises(SensanError, match="mollifier not converged"):
+        influence_numerical(F, beta(Grid.line(0.0, 1.0, 201), 2.0, 5.0))
+
+
+def _mixture_route(F, P, schedule):
+    """Reference for the numerical influence of a composite F: at every
+    node z and width sigma the central difference of F along the signed
+    mixture (1 - t) P + t G_z, G_z the Gaussian bump at z divided by its
+    Simpson integral, then Richardson on the two finest widths."""
+    grid, t = P.grid, schedule.fd_step
+    mesh = grid.mesh()
+
+    def at_mixture(bump, s):
+        mix = P.scale(1.0 - s)
+        return F.evaluator(PiecewiseField(grid, mix.smooth + s * bump, mix.terms))
+
+    levels = []
+    for sigma in schedule.sigmas():
+        est = np.empty(grid.shape)
+        for idx in np.ndindex(grid.shape):
+            bump = np.ones(grid.shape)
+            for a in range(grid.ndim):
+                d = (mesh[a] - mesh[a][idx]) / sigma
+                bump = bump * np.exp(-0.5 * d * d)
+            bump = bump / grid_quad(grid, bump)
+            est[idx] = (at_mixture(bump, t) - at_mixture(bump, -t)) / (2.0 * t)
+        levels.append(est)
+    return TangentVector(P, (4.0 * levels[-1] - levels[-2]) / 3.0).values
+
+
+def test_node_gradient_matches_the_mixture_route_in_1d():
+    """Mean over median is not linear in the field, so the two routes
+    differ by their central-difference errors only."""
+    g = Grid.line(0.0, 1.0, 101)
+    P = linear(g, 0.5, 1.0)
+    F = mean_over_median()
+    ref = _mixture_route(F, P, default_schedule(g))
+    num = influence_numerical(F, P).values
+    assert np.max(np.abs(num - ref)) < 1e-5
+
+
+def test_node_gradient_matches_the_mixture_route_in_2d():
+    def covariance(Q):
+        X, Y = Q.grid.mesh()
+        z = Q.quad()
+        return Q.quad(X * Y) / z - Q.quad(X) * Q.quad(Y) / (z * z)
+
+    g = Grid.box((0.0, 1.0), (0.0, 1.0), (21, 21))
+    P = GridDensity.from_callable(
+        g, lambda x, y: np.exp(-((x - 0.5) ** 2 + (x - 0.5) * (y - 0.5)
+                                 + (y - 0.5) ** 2) / 0.15))
+    sched = MollifierSchedule(sigma0=8 * g.axes[0].spacing)
+    F = composite(covariance, "covariance")
+    ref = _mixture_route(F, P, sched)
+    num = influence_numerical(F, P, sched).values
+    assert np.max(np.abs(num - ref)) < 1e-8
 
 
 def test_parse_functional():
