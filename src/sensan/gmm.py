@@ -11,11 +11,15 @@ with G = P dg/dtheta and J(x) the pointwise Jacobian; B is half the
 Hessian of the criterion. When Pg = 0 the curvature terms drop and the
 familiar -(G'WG)^{-1} G'W g remains.
 
+Moment functions are whitelisted polynomials, so Pg, G and P[Hess g_i]
+are theta-polynomials in data moments P[x^alpha] integrated once per P.
+The solver takes Newton steps with the exact Hessian B (Gauss-Newton where
+B is not positive-definite) and no grid pass, then checks by quadrature.
+
 On the correctly specified model the tangent set restricts, and scores
 decompose through the whitened moment space: the projection onto the
 model tangent set, the efficient influence function, and the
-out-of-model directions zeta all live here. Moment functions are
-whitelisted expressions so every theta-derivative is exact.
+out-of-model directions zeta all live here.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SensanError, nested
-from .expressions import as_array_function, parse_whitelisted
+from .expressions import Poly, _floats, as_array_function, parse_whitelisted
 from .model_space import GridDensity, integrate
 from .tangent import TangentVector, inner_p
 
@@ -49,29 +53,30 @@ _SPECIFIED_TOL = 1e-8
 
 @dataclass(frozen=True)
 class MomentSpec:
-    """Moment conditions g: X x Theta -> R^r with exact theta-derivatives.
-
-    g_fns[i](x..., th...) evaluates moment i; jac_fns[i][j] its
-    d/dtheta_j; hess_fns[i][j][k] the second derivative. All compiled
-    from whitelisted polynomial expressions.
-    """
+    """Moment conditions g: X x Theta -> R^r: polys[i] is moment i, exact
+    over the data variables followed by th0, th1, ..."""
 
     texts: tuple[str, ...]
     data_vars: tuple[str, ...]
     theta_dim: int
     bounds: tuple[tuple[float, float], ...]
-    g_fns: tuple
-    jac_fns: tuple
-    hess_fns: tuple
+    polys: tuple[Poly, ...]
 
     @property
     def moment_dim(self) -> int:
         return len(self.texts)
 
+    def derivative(self, i: int, *js: int) -> Poly:
+        """Moment i differentiated once in th_j for every j in `js`."""
+        q = self.polys[i]
+        for j in js:
+            q = q.diff(f"th{j}")
+        return q
+
 
 def moment_spec(g_texts, theta_dim: int, bounds,
                 data_vars: tuple[str, ...] = ("x",)) -> MomentSpec:
-    """Compile moment conditions; a problem names the config key that
+    """Parse moment conditions; a problem names the config key that
     carries it: theta_dim, bounds or moments."""
     g_texts = tuple(g_texts)
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
@@ -83,24 +88,11 @@ def moment_spec(g_texts, theta_dim: int, bounds,
         raise ConfigError("bounds", "bounds intervals must be nonempty")
     if len(g_texts) < theta_dim:
         raise ConfigError("moments", "need at least as many moments as parameters")
-    th_names = tuple(f"th{j}" for j in range(theta_dim))
-    variables = data_vars + th_names
-    g_fns, jac_fns, hess_fns = [], [], []
-    for text in g_texts:
-        with nested("moments"):
-            expr = parse_whitelisted(text, variables)
-        g_fns.append(as_array_function(expr, variables))
-        jrow, hrow = [], []
-        for tj in th_names:
-            dj = expr.diff(tj)
-            jrow.append(as_array_function(dj, variables))
-            hrow.append(tuple(as_array_function(dj.diff(tk), variables)
-                              for tk in th_names))
-        jac_fns.append(tuple(jrow))
-        hess_fns.append(tuple(hrow))
+    variables = data_vars + tuple(f"th{j}" for j in range(theta_dim))
+    with nested("moments"):
+        polys = tuple(parse_whitelisted(text, variables) for text in g_texts)
     return MomentSpec(texts=g_texts, data_vars=data_vars, theta_dim=theta_dim,
-                      bounds=bounds, g_fns=tuple(g_fns), jac_fns=tuple(jac_fns),
-                      hess_fns=tuple(hess_fns))
+                      bounds=bounds, polys=polys)
 
 
 @dataclass(frozen=True)
@@ -138,27 +130,51 @@ def _node_args(P: GridDensity, spec: MomentSpec):
     return P.grid.mesh()
 
 
-def _moment_arrays(P: GridDensity, spec: MomentSpec, theta) -> list[np.ndarray]:
+def _node_arrays(P: GridDensity, spec: MomentSpec, theta,
+                 *js: int) -> list[np.ndarray]:
+    """Node values at theta of every moment differentiated in th_js."""
     args = _node_args(P, spec)
-    return [np.broadcast_to(np.asarray(fn(*args, *theta), dtype=float),
-                            P.grid.shape)
-            for fn in spec.g_fns]
+    polys = [spec.derivative(i, *js) for i in range(spec.moment_dim)]
+    return [as_array_function(q, q.variables)(*args, *theta) for q in polys]
 
 
 def _solution_matrices(P: GridDensity, spec: MomentSpec, theta):
-    args = _node_args(P, spec)
-    g_arrays = _moment_arrays(P, spec, theta)
+    """Pointwise moments at theta, with Pg and G by grid quadrature."""
+    g_arrays = _node_arrays(P, spec, theta)
+    jac = [_node_arrays(P, spec, theta, j) for j in range(spec.theta_dim)]
     Pg = np.array([integrate(a, P) for a in g_arrays])
-    G = np.array([[integrate(np.broadcast_to(
-        np.asarray(spec.jac_fns[i][j](*args, *theta), dtype=float),
-        P.grid.shape), P)
-        for j in range(spec.theta_dim)] for i in range(spec.moment_dim)])
+    G = np.array([[integrate(a, P) for a in row] for row in zip(*jac)])
     return g_arrays, Pg, G
 
 
-def _criterion(P: GridDensity, spec: MomentSpec, W: np.ndarray, theta) -> float:
-    _, Pg, _ = _solution_matrices(P, spec, theta)
-    return float(Pg @ W @ Pg)
+def _theta_polys(P: GridDensity, spec: MomentSpec):
+    """theta -> (Pg, G, H), H[i] = P[Hess g_i], as polynomials in theta with
+    each data moment P[x^alpha] integrated once, cut-aware."""
+    r, p = spec.moment_dim, spec.theta_dim
+    mesh = _node_args(P, spec)
+    nd = len(spec.data_vars)
+    orders = [()] + [(j,) for j in range(p)] + list(
+        itertools.product(range(p), repeat=2))
+    data_moments, rows = {}, []
+    for q in (spec.derivative(i, *js) for js in orders for i in range(r)):
+        row: dict = {}
+        for e, c in zip(q.terms, _floats(q, "moment derivative")):
+            alpha, beta = e[:nd], e[nd:]
+            if alpha not in data_moments:
+                data_moments[alpha] = P.quad(
+                    math.prod(x ** k for x, k in zip(mesh, alpha)))
+            row[beta] = row.get(beta, 0.0) + c * data_moments[alpha]
+        rows.append(row)
+    betas = sorted(set().union(*rows))
+    A = np.array([[row.get(b, 0.0) for b in betas] for row in rows])
+    E = np.array(betas, dtype=float).reshape(len(betas), p)
+
+    def at(theta):
+        v = A @ np.prod(theta ** E, axis=1)
+        return (v[:r], v[r:r + r * p].reshape(p, r).T,
+                v[r + r * p:].reshape(p, p, r).transpose(2, 0, 1))
+
+    return at
 
 
 def _check_weight(W, r: int) -> np.ndarray:
@@ -172,44 +188,44 @@ def _check_weight(W, r: int) -> np.ndarray:
     return W
 
 
-def _gauss_newton(P: GridDensity, spec: MomentSpec, W: np.ndarray, start):
+def _newton(at, spec: MomentSpec, W: np.ndarray, start):
     """One local solve. Returns (theta, criterion) or None."""
-    lo = np.array([b[0] for b in spec.bounds])
-    hi = np.array([b[1] for b in spec.bounds])
+    lo, hi = np.array(spec.bounds).T
     theta = np.clip(np.asarray(start, dtype=float), lo, hi)
-    _, Pg, G = _solution_matrices(P, spec, theta)
+    Pg, G, H = at(theta)
     crit = float(Pg @ W @ Pg)
-    def accept():
-        grad = 2.0 * G.T @ W @ Pg
-        if float(np.linalg.norm(grad)) < _FOC_TOL:
-            return theta, crit
-        return None
-
     for _ in range(200):
-        grad = 2.0 * G.T @ W @ Pg
-        if float(np.linalg.norm(grad)) < _FOC_TARGET:
+        if float(np.linalg.norm(2.0 * G.T @ W @ Pg)) < _FOC_TARGET:
             return theta, crit
-        H = G.T @ W @ G
+        B = G.T @ W @ G + np.tensordot(W @ Pg, H, 1)
+        if float(np.linalg.eigvalsh(B)[0]) <= 0.0:
+            B = G.T @ W @ G  # Gauss-Newton
         try:
-            step = -np.linalg.solve(H, G.T @ W @ Pg)
+            step = -np.linalg.solve(B, G.T @ W @ Pg)
         except np.linalg.LinAlgError:
-            return accept()
+            break
         t = 1.0
         while t > 1e-12:
             cand = np.clip(theta + t * step, lo, hi)
-            _, Pg_c, G_c = _solution_matrices(P, spec, cand)
+            Pg_c, G_c, H_c = at(cand)
             crit_c = float(Pg_c @ W @ Pg_c)
             if crit_c < crit:
-                theta, Pg, G, crit = cand, Pg_c, G_c, crit_c
+                theta, Pg, G, H, crit = cand, Pg_c, G_c, H_c, crit_c
                 break
             t *= 0.5
         else:
-            return accept()
-    return accept()
+            break
+    ok = float(np.linalg.norm(2.0 * G.T @ W @ Pg)) < _FOC_TOL
+    return (theta, crit) if ok else None
 
 
 def gmm_solve(P: GridDensity, spec: MomentSpec, W) -> GmmSolution:
-    """Minimize the GMM criterion by multi-start Gauss-Newton.
+    """Minimize the GMM criterion by multi-start Newton.
+
+    Data moments are integrated once per P; from each of 3^p starts,
+    Newton steps with the exact criterion Hessian (Gauss-Newton where it
+    is not positive-definite) run under a strict-decrease halving line
+    search. Pg, G and Omega at the accepted point come from quadrature.
 
     W is an r x r symmetric positive-definite matrix or the string
     "optimal" for the two-step recipe (identity solve, then W set to the
@@ -221,14 +237,12 @@ def gmm_solve(P: GridDensity, spec: MomentSpec, W) -> GmmSolution:
         first = gmm_solve(P, spec, np.eye(spec.moment_dim))
         return gmm_solve(P, spec, np.linalg.inv(first.Omega))
     W = _check_weight(W, spec.moment_dim)
+    at = _theta_polys(P, spec)
     starts = itertools.product(
         *([lo + f * (hi - lo) for f in (0.25, 0.5, 0.75)]
           for lo, hi in spec.bounds))
-    found: list[tuple[np.ndarray, float]] = []
-    for start in starts:
-        res = _gauss_newton(P, spec, W, start)
-        if res is not None:
-            found.append(res)
+    found = [res for res in (_newton(at, spec, W, s) for s in starts)
+             if res is not None]
     if not found:
         raise SensanError("gmm solve failed: no start satisfied the "
                           "first-order condition")
@@ -240,12 +254,9 @@ def gmm_solve(P: GridDensity, spec: MomentSpec, W) -> GmmSolution:
                 "non-unique minimizer: criterion ties at "
                 f"theta = {theta.tolist()} and {other.tolist()}")
     g_arrays, Pg, G = _solution_matrices(P, spec, theta)
-    Omega = np.empty((spec.moment_dim, spec.moment_dim))
-    for i in range(spec.moment_dim):
-        for j in range(i, spec.moment_dim):
-            Omega[i, j] = Omega[j, i] = integrate(g_arrays[i] * g_arrays[j], P)
+    Omega = np.array([[integrate(a * b, P) for b in g_arrays] for a in g_arrays])
     return GmmSolution(theta=theta, W=W, Pg=Pg, G=G, Omega=Omega,
-                       criterion=crit)
+                       criterion=float(Pg @ W @ Pg))
 
 
 # --- influence functions ------------------------------------------------------------
@@ -257,31 +268,19 @@ def gmm_influence(P: GridDensity, spec: MomentSpec,
     Includes the moment-curvature terms; they carry the weight c = W Pg
     and vanish on the correctly specified model.
     """
-    args = _node_args(P, spec)
-    theta = sol.theta
     p, r = spec.theta_dim, spec.moment_dim
     c = sol.W @ sol.Pg
-    B = sol.G.T @ sol.W @ sol.G
-    for i in range(r):
-        hess_means = np.array(
-            [[integrate(np.broadcast_to(np.asarray(
-                spec.hess_fns[i][j][k](*args, *theta), dtype=float),
-                P.grid.shape), P)
-              for k in range(p)] for j in range(p)])
-        B = B + c[i] * hess_means
+    B = sol.G.T @ sol.W @ sol.G + np.tensordot(
+        c, _theta_polys(P, spec)(sol.theta)[2], 1)
     if np.linalg.cond(B) >= 1e10:
         raise SensanError("local identification failure: singular "
                           "criterion curvature")
-    g_arrays = _moment_arrays(P, spec, theta)
-    rhs = []
-    for a in range(p):
-        acc = np.zeros(P.grid.shape)
-        for i in range(r):
-            jac_ia = np.broadcast_to(np.asarray(
-                spec.jac_fns[i][a](*args, *theta), dtype=float), P.grid.shape)
-            acc = acc + c[i] * jac_ia
-            acc = acc + (sol.G.T @ sol.W)[a, i] * g_arrays[i]
-        rhs.append(acc)
+    g_arrays = _node_arrays(P, spec, sol.theta)
+    GW = sol.G.T @ sol.W
+    jacs = [_node_arrays(P, spec, sol.theta, a) for a in range(p)]
+    rhs = [sum(t for i in range(r)
+               for t in (c[i] * jacs[a][i], GW[a, i] * g_arrays[i]))
+           for a in range(p)]
     Binv = np.linalg.inv(B)
     return [TangentVector(P, -sum(Binv[a, b] * rhs[b] for b in range(p)))
             for a in range(p)]
@@ -290,7 +289,7 @@ def gmm_influence(P: GridDensity, spec: MomentSpec,
 def gmm_efficient_influence(P: GridDensity, spec: MomentSpec,
                             sol: GmmSolution) -> list[TangentVector]:
     """Efficient influence functions -(G' O^-1 G)^-1 G' O^-1 g."""
-    g_arrays = _moment_arrays(P, spec, sol.theta)
+    g_arrays = _node_arrays(P, spec, sol.theta)
     A = np.linalg.solve(sol.G.T @ np.linalg.solve(sol.Omega, sol.G),
                         sol.G.T @ np.linalg.inv(sol.Omega))
     return [TangentVector(
@@ -327,7 +326,7 @@ def gmm_project_tangent(P: GridDensity, spec: MomentSpec, sol: GmmSolution,
     that is not explained by the moment Jacobian."""
     _require_specified(sol)
     S, proj = _perp_projector(sol)
-    g_arrays = _moment_arrays(P, spec, sol.theta)
+    g_arrays = _node_arrays(P, spec, sol.theta)
     g_t = [TangentVector(P, a) for a in g_arrays]
     cov = np.array([inner_p(xi, gt) for gt in g_t])  # P[xi g']
     coef = cov @ S.T @ proj @ S
@@ -350,6 +349,6 @@ def gmm_out_direction(P: GridDensity, spec: MomentSpec, sol: GmmSolution,
         raise SensanError("alpha must have one entry per moment")
     S, proj = _perp_projector(sol)
     coef = alpha @ proj @ S
-    g_arrays = _moment_arrays(P, spec, sol.theta)
+    g_arrays = _node_arrays(P, spec, sol.theta)
     return TangentVector(
         P, sum(coef[i] * g_arrays[i] for i in range(spec.moment_dim)))

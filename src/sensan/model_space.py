@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_ROW_BLOCK = 1024   # rows that write_node_table formats at a time
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -239,10 +240,16 @@ def interpolate(grid: Grid, samples: np.ndarray, points: np.ndarray) -> np.ndarr
 def write_node_table(path: str, header, columns, eol: str = "\n") -> None:
     """CSV with a header row and one row per node, each value written as
     repr(float)."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n = min(map(len, columns))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + eol)
-        for row in zip(*columns):
-            fh.write(",".join(repr(float(v)) for v in row) + eol)
+        # rows in bounded blocks: Python floats for whole columns would
+        # cost several megabytes on a 2-d grid
+        for start in range(0, n, _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, n)
+            rows = zip(*(c[start:stop].tolist() for c in columns))
+            fh.write("".join(",".join(map(repr, row)) + eol for row in rows))
 
 
 # --- piecewise smooth fields --------------------------------------------------------

@@ -57,10 +57,11 @@ def line_plot(path: str, curves, title: str = "", xlabel: str = "",
     pad = 0.05 * (yhi - ylo)
     ylo, yhi = ylo - pad, yhi + pad
 
-    def px(v: float) -> float:
+    # plain floats and float64 arrays alike
+    def px(v):
         return _ML + (v - xlo) / (xhi - xlo) * (_W - _ML - _MR)
 
-    def py(v: float) -> float:
+    def py(v):
         return _H - _MB - (v - ylo) / (yhi - ylo) * (_H - _MT - _MB)
 
     parts = [
@@ -96,8 +97,9 @@ def line_plot(path: str, curves, title: str = "", xlabel: str = "",
                      f'transform="rotate(-90 16 {_H / 2:.0f})">{ylabel}</text>')
     for k, (label, x, y) in enumerate(curves):
         color = _COLORS[k % len(_COLORS)]
-        pts = " ".join(f"{px(float(a)):.2f},{py(float(b)):.2f}"
-                       for a, b in zip(np.asarray(x), np.asarray(y)))
+        pts = " ".join(map("{:.2f},{:.2f}".format,
+                           px(np.asarray(x, dtype=float)).tolist(),
+                           py(np.asarray(y, dtype=float)).tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         if label:

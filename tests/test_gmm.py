@@ -1,18 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundles import (two_moment_misspecified, two_moment_population,
                      two_moment_spec)
-from sensan import (Grid, GmmSolution, gmm_efficient_influence, gmm_influence,
-                    gmm_out_direction, gmm_project_tangent, gmm_solve,
-                    inner_p, moment_spec)
+from sensan import (Grid, GmmSolution, GridDensity, counterfactual_density,
+                    gmm_efficient_influence, gmm_influence, gmm_out_direction,
+                    gmm_project_tangent, gmm_solve, grad_op_apply, influence,
+                    information_metric, inner_p, moment_spec,
+                    quantile_functional)
 from sensan.errors import SensanError
-from sensan.families import truncated_normal
-from sensan.gmm import _criterion, _solution_matrices
+from sensan.expressions import as_array_function
+from sensan.families import build_family, truncated_normal
+from sensan.gmm import _FOC_TOL, _solution_matrices, _theta_polys
 
 P0 = two_moment_population()
 SPEC = two_moment_spec()
 I2 = np.eye(2)
+
+
+def _criterion(P, spec, W, theta) -> float:
+    """The GMM criterion with Pg by grid quadrature of the pointwise
+    moments, the solver's reference."""
+    _, Pg, _ = _solution_matrices(P, spec, theta)
+    return float(Pg @ W @ Pg)
 
 
 def test_identity_weight_solve():
@@ -189,3 +201,119 @@ def test_data_vars_must_match_the_grid():
                        data_vars=("x", "y"))
     with pytest.raises(SensanError, match="data variables do not match"):
         gmm_solve(P0, spec, np.eye(1))
+
+
+# --- the near-flat misspecified population ------------------------------------------
+
+def _window_normal(n: int, mean: float, sd: float):
+    return build_family({"family": "truncated_normal", "mean": mean, "sd": sd},
+                        Grid.line(-7.0, 9.0, n))
+
+
+def _foc_norm(sol) -> float:
+    return float(np.linalg.norm(2.0 * sol.G.T @ sol.W @ sol.Pg))
+
+
+@pytest.mark.parametrize("n", [201, 401, 801])
+@pytest.mark.parametrize("weight", ["identity", "optimal"])
+def test_near_flat_misspecified_population_solves(n, weight):
+    """N(1.1609, 1.2549^2) on [-7, 9]: the criterion is about 0.045 near
+    its minimizer, where a linearly converging solver stalls from every
+    start with its gradient just above the acceptance threshold."""
+    P = _window_normal(n, 1.1609, 1.2549)
+    sol = gmm_solve(P, SPEC, I2 if weight == "identity" else "optimal")
+    assert _foc_norm(sol) < _FOC_TOL
+    assert not sol.correctly_specified
+    if weight == "identity":
+        # argmin of (mu - t)^2 + (m2 - t^2)^2 with m2 = mu^2 + sd^2 - 1
+        mu, m2 = 1.1609, 1.1609**2 + 1.2549**2 - 1.0
+        roots = np.roots([4.0, 0.0, 2.0 - 4.0 * m2, -2.0 * mu])
+        real = [r.real for r in roots if abs(r.imag) < 1e-9]
+        best = min(real, key=lambda t: (mu - t) ** 2 + (m2 - t * t) ** 2)
+        assert abs(sol.theta[0] - best) < 1e-6
+
+
+# --- theta-polynomials against quadrature of the pointwise moments -------------------
+
+def _quadrature_means(P, spec, theta):
+    """Pg, G and P[Hess g_i] by grid quadrature of the pointwise moment
+    derivatives, each with the integral of its absolute value."""
+    args = P.grid.mesh()
+
+    def mean(i, *js):
+        q = spec.derivative(i, *js)
+        vals = as_array_function(q, q.variables)(*args, *theta)
+        return P.quad(vals), P.quad(np.abs(vals))
+
+    r, p = spec.moment_dim, spec.theta_dim
+    Pg = [mean(i) for i in range(r)]
+    G = [[mean(i, j) for j in range(p)] for i in range(r)]
+    H = [[[mean(i, j, k) for k in range(p)] for j in range(p)] for i in range(r)]
+    return [np.array(m) for m in (Pg, G, H)]
+
+
+def _cut_density():
+    P = build_family({"family": "beta", "alpha": 2.0, "beta": 3.0},
+                     Grid.line(0.0, 1.0, 401))
+    direction = grad_op_apply(influence(quantile_functional(0.4), P),
+                              information_metric())
+    return counterfactual_density(P, direction, 0.02)
+
+
+@pytest.mark.parametrize("case", ["1-d", "2-d", "cut"])
+def test_theta_polynomials_match_pointwise_quadrature(case):
+    if case == "1-d":
+        P = _window_normal(801, 1.0, 1.2)
+        spec = moment_spec(("x - th0", "x*x - th0*th0 - th1",
+                            "x**4 - 3*th1*th1 - th0**4 + x*th0*th1"), 2,
+                           ((-3.0, 3.0), (0.0, 3.0)))
+    elif case == "2-d":
+        P = GridDensity.from_callable(Grid.box((0.0, 1.0), (-1.0, 2.0), (41, 40)),
+                                      lambda x, y: 1.0 + x * y + y * y)
+        spec = moment_spec(("x*y - th0", "x**2 + y - th0*th1",
+                            "y**3*th1 - x*th0**2"), 2,
+                           ((-1.0, 1.0), (-1.0, 2.0)), data_vars=("x", "y"))
+    else:
+        P = _cut_density()
+        assert P.terms
+        spec = moment_spec(("x - th0", "x**3 - th0**3 + 0.1*x*th0*th0"), 1,
+                           ((0.0, 1.0),))
+    at = _theta_polys(P, spec)
+    rng = np.random.default_rng(7)
+    lo = np.array([b[0] for b in spec.bounds])
+    hi = np.array([b[1] for b in spec.bounds])
+    for _ in range(5):
+        theta = lo + rng.random(spec.theta_dim) * (hi - lo)
+        for got, (want, scale) in zip(at(theta), (
+                np.moveaxis(m, -1, 0) for m in _quadrature_means(P, spec, theta))):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + scale)), (
+                case, theta, got, want)
+
+
+# --- property: random populations solve to the scanned minimizer ---------------------
+
+def _scan_minimizer(P, spec, W):
+    """argmin of the quadrature criterion over the bounds to 1e-6: a grid
+    of step 0.1, then four zooms by 20 around the best point."""
+    lo, hi = spec.bounds[0]
+    ts = np.linspace(lo, hi, 61)
+    for _ in range(5):
+        vals = [_criterion(P, spec, W, np.array([t])) for t in ts]
+        best = ts[int(np.argmin(vals))]
+        step = ts[1] - ts[0]
+        ts = np.linspace(max(lo, best - step), min(hi, best + step), 41)
+    return best, min(vals)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.5, 1.5), st.floats(0.8, 1.5), st.integers(50, 400),
+       st.integers(0, 1), st.booleans())
+def test_random_populations_solve_to_the_scanned_minimizer(mean, sd, k, odd,
+                                                            optimal):
+    P = _window_normal(2 * k + odd, mean, sd)
+    sol = gmm_solve(P, SPEC, "optimal" if optimal else I2)
+    assert _foc_norm(sol) < _FOC_TOL
+    best, crit = _scan_minimizer(P, SPEC, sol.W)
+    assert abs(sol.theta[0] - best) < 1e-6, (sol.theta, best)
+    assert sol.criterion <= crit + 1e-12

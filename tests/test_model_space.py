@@ -125,6 +125,21 @@ def test_density_csv_roundtrip_1d(tmp_path):
     np.testing.assert_array_equal(Q.values, P.values)
 
 
+def test_node_table_writes_the_row_by_row_bytes(tmp_path):
+    """Rows formatted in blocks read as the per-row repr(float) loop,
+    across block boundaries and for an integer column."""
+    rng = np.random.default_rng(3)
+    n = 2 * model_space._ROW_BLOCK + 5
+    wide = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+    wide[:4] = [-0.0, np.inf, np.nan, 1e-320]
+    cols = [np.arange(n), wide, np.linspace(-1.0, 1.0, n)]
+    path = tmp_path / "table.csv"
+    model_space.write_node_table(str(path), ["i", "w", "u"], cols, eol="\r\n")
+    want = "i,w,u\r\n" + "".join(",".join(repr(float(v)) for v in row) + "\r\n"
+                                 for row in zip(*cols))
+    assert path.read_bytes() == want.encode()
+
+
 def test_density_csv_roundtrip_2d(tmp_path):
     g = Grid.box((0.0, 1.0), (0.0, 2.0), (41, 61))
     P = GridDensity.from_callable(g, lambda x, y: 1.0 + x * y)
