@@ -27,14 +27,13 @@ from .estimation import (Multinomial, PluginConfig, RatioInformation,
                          mc_consistency, mc_joint_asymptotics,
                          mc_joint_multinomial, plugin_sensitivity)
 from .families import build_family
-from .functionals import influence, parse_functional
+from .functionals import parse_functional
 from .gmm import gmm_efficient_influence, gmm_influence, gmm_solve, moment_spec
 from .model_space import (Grid, GridDensity, Sample, likelihood_ratio,
                           write_node_table)
 from .surfaces import build_chart, coord_functional, surface_sensitivity
 from .svg import line_plot
-from .tangent import (grad_op_apply, information_metric, inner_p,
-                      policy_metric)
+from .tangent import information_metric, inner_p, policy_metric
 
 __all__ = ["main"]
 
@@ -151,9 +150,8 @@ def _cmd_sensitivity(args) -> int:
     out = _out_dir(args, cfg)
     if out:
         _write_json(out, "report.json", rep.to_json_dict())
-        psi_t = influence(psi, P)
-        nu_t = influence(nu, P)
-        grad = grad_op_apply(nu_t, metric)
+        psi_t, nu_t = rep.psi_influence, rep.nu_influence
+        grad = rep.nu_gradient
         if P.grid.ndim == 1:
             x = P.grid.axes[0].nodes
             write_node_table(os.path.join(out, "curves", "influence.csv"),

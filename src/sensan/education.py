@@ -34,13 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import counterfactual_report, sensitivity
+from .engine import counterfactual_report
 from .errors import ConfigError, nested
 from .families import build_family
-from .functionals import evaluate, influence, moment, quantile_functional
+from .functionals import moment, quantile_functional
 from .model_space import Grid, GridDensity, write_node_table
 from .svg import line_plot
-from .tangent import grad_op_apply, information_metric, policy_metric
+from .tangent import information_metric, policy_metric
 
 __all__ = ["EducationRow", "EducationResult", "replicate_education",
            "DEFAULT_MARGINAL", "DEFAULT_POLICIES"]
@@ -140,25 +140,22 @@ def replicate_education(out_dir: str, *, grid_n: int = 801,
     os.makedirs(curves_dir, exist_ok=True)
     os.makedirs(plots_dir, exist_ok=True)
 
-    psi_before = evaluate(psi, P)
-    nu_before = evaluate(nu, P)
-    psi_t = influence(psi, P)
-    nu_t = influence(nu, P)
     rows = []
-    counterfactuals = []
-    gradients = []
+    reports = []
     for label, metric in metrics:
-        rep = sensitivity(psi, nu, P, metric)
         cf = counterfactual_report(psi, nu, P, metric, target_increment,
                                    refine=True)
+        rep = cf.sensitivity
         rows.append(EducationRow(
             label=label, S=rep.S, Lambda=rep.Lambda, Delta=rep.Delta,
             dpsi_dnu=rep.dpsi_dnu, grad_norm_nu=rep.grad_norm_nu,
             h=cf.h, nu_after=cf.nu_after, psi_after=cf.psi_after,
             predicted_psi_after=cf.predicted_psi_after,
             psi_gap=abs(cf.psi_after - cf.predicted_psi_after)))
-        counterfactuals.append((label, cf.counterfactual))
-        gradients.append((label, grad_op_apply(nu_t, metric)))
+        reports.append((label, cf))
+    # influences and values do not depend on the metric
+    base = reports[0][1].sensitivity
+    psi_before, nu_before = base.psi_value, base.nu_value
 
     x = grid.axes[0].nodes
     files = []
@@ -174,14 +171,14 @@ def replicate_education(out_dir: str, *, grid_n: int = 801,
     emit("sampling_pdf", ["x", "p_x"], [x, P.values],
          "X-marginal density", "density")
     emit("influence", ["x", "psi_influence", "nu_influence"],
-         [x, psi_t.values, nu_t.values],
+         [x, base.psi_influence.values, base.nu_influence.values],
          "Influence functions on the X-marginal", "value")
-    emit("policy_gradients", ["x"] + [lab for lab, _ in gradients],
-         [x] + [g.values for _, g in gradients],
+    emit("policy_gradients", ["x"] + [lab for lab, _ in reports],
+         [x] + [cf.sensitivity.nu_gradient.values for _, cf in reports],
          "Gradient of the median under each metric", "gradient")
     emit("counterfactual_pdfs", ["x", "baseline"] + [lab for lab, _ in
-                                                     counterfactuals],
-         [x, P.values] + [c.values for _, c in counterfactuals],
+                                                     reports],
+         [x, P.values] + [cf.counterfactual.values for _, cf in reports],
          "Counterfactual densities reaching the target median", "density")
 
     files.append(_joint_artifact(P, curves_dir))

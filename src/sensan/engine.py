@@ -21,7 +21,7 @@ tilt exp(h grad nu) dP is available behind a flag for comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +53,10 @@ class SensitivityReport:
 
     grad_norm_psi and grad_norm_nu are metric norms (not squares).
     Lambda and Delta are the information-metric sensitivity and
-    sufficiency, reported under every metric.
+    sufficiency, reported under every metric. Reports built by
+    `sensitivity_from_influences` also carry the two influence functions
+    and the metric gradient A* nu~ they were computed from; these stay out
+    of comparisons and of the JSON form.
     """
 
     psi_label: str
@@ -68,6 +71,12 @@ class SensitivityReport:
     grad_norm_nu: float
     Lambda: float
     Delta: float
+    psi_influence: TangentVector | None = field(default=None, repr=False,
+                                                compare=False)
+    nu_influence: TangentVector | None = field(default=None, repr=False,
+                                               compare=False)
+    nu_gradient: TangentVector | None = field(default=None, repr=False,
+                                              compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.R <= 1.0 + 1e-8:
@@ -93,14 +102,6 @@ class SensitivityReport:
             "Lambda": self.Lambda,
             "Delta": self.Delta,
         }
-
-    csv_header = ("psi", "nu", "metric", "psi_value", "nu_value", "dpsi_dnu",
-                  "S", "R", "grad_norm_psi", "grad_norm_nu", "Lambda", "Delta")
-
-    def to_csv_row(self) -> tuple:
-        return (self.psi_label, self.nu_label, self.metric_kind,
-                self.psi_value, self.nu_value, self.dpsi_dnu, self.S, self.R,
-                self.grad_norm_psi, self.grad_norm_nu, self.Lambda, self.Delta)
 
 
 def sensitivity_from_influences(psi_t: TangentVector, nu_t: TangentVector,
@@ -145,6 +146,9 @@ def sensitivity_from_influences(psi_t: TangentVector, nu_t: TangentVector,
         grad_norm_nu=math.sqrt(gn2_nu),
         Lambda=ip_pn / ip_nn,
         Delta=ip_pn * ip_pn / (ip_pp * ip_nn),
+        psi_influence=psi_t,
+        nu_influence=nu_t,
+        nu_gradient=Anu,
     )
 
 
@@ -255,7 +259,9 @@ class CounterfactualReport:
 
     tolerance is the declared second-order bound C h^2 on the gap between
     the achieved and requested control increment; C is estimated by
-    halving h once, with a safety factor of two.
+    halving h once, with a safety factor of two. sensitivity is the report
+    at the base density whose nu_gradient the step moves along; it stays
+    out of comparisons and of the JSON form.
     """
 
     h: float
@@ -267,6 +273,8 @@ class CounterfactualReport:
     predicted_psi_after: float
     tolerance: float
     counterfactual: GridDensity
+    sensitivity: SensitivityReport | None = field(default=None, repr=False,
+                                                  compare=False)
 
     def __post_init__(self):
         gap = abs(self.nu_after - self.nu_before - self.target_increment)
@@ -292,14 +300,6 @@ class CounterfactualReport:
             },
         }
 
-    csv_header = ("h", "target_increment", "nu_before", "nu_after",
-                  "psi_before", "psi_after", "predicted_psi_after", "tolerance")
-
-    def to_csv_row(self) -> tuple:
-        return (self.h, self.target_increment, self.nu_before, self.nu_after,
-                self.psi_before, self.psi_after, self.predicted_psi_after,
-                self.tolerance)
-
 
 def counterfactual_report(psi: Functional, nu: Functional, P: GridDensity,
                           metric: PolicyMetric, target_increment: float, *,
@@ -314,12 +314,8 @@ def counterfactual_report(psi: Functional, nu: Functional, P: GridDensity,
     gap. With refine=True, h is adjusted (at most 5 quasi-Newton
     iterations, tolerance 1e-8) so the achieved increment hits the target.
     """
-    psi_t = influence(psi, P, schedule)
-    nu_t = influence(nu, P, schedule)
-    rep = sensitivity_from_influences(
-        psi_t, nu_t, metric, psi_label=psi.label, nu_label=nu.label,
-        psi_value=evaluate(psi, P), nu_value=evaluate(nu, P))
-    direction = grad_op_apply(nu_t, metric)
+    rep = sensitivity(psi, nu, P, metric, schedule)
+    direction = rep.nu_gradient
     gn2 = rep.grad_norm_nu ** 2
     nu0, psi0 = rep.nu_value, rep.psi_value
     h = target_increment / gn2
@@ -362,6 +358,7 @@ def counterfactual_report(psi: Functional, nu: Functional, P: GridDensity,
         predicted_psi_after=psi0 + rep.S * target_increment,
         tolerance=tol,
         counterfactual=Ph,
+        sensitivity=rep,
     )
 
 
@@ -390,11 +387,6 @@ class FirstOrderCheck:
             "slope_psi": self.slope_psi,
         }
 
-    csv_header = ("h", "nu_error", "psi_error")
-
-    def to_csv_rows(self) -> list[tuple]:
-        return [tuple(r) for r in self.rows]
-
 
 def _fit_slope(hs: list[float], errs: list[float], floor: float) -> float:
     pts = [(math.log(h), math.log(e)) for h, e in zip(hs, errs) if e > floor]
@@ -419,12 +411,8 @@ def verify_first_order(psi: Functional, nu: Functional, P: GridDensity,
     if len(hs) < 3 or any(h <= 0.0 for h in hs) or any(
             a <= b for a, b in zip(hs, hs[1:])):
         raise SensanError("need at least three decreasing positive step sizes")
-    psi_t = influence(psi, P, schedule)
-    nu_t = influence(nu, P, schedule)
-    rep = sensitivity_from_influences(
-        psi_t, nu_t, metric,
-        psi_value=evaluate(psi, P), nu_value=evaluate(nu, P))
-    direction = grad_op_apply(nu_t, metric)
+    rep = sensitivity(psi, nu, P, metric, schedule)
+    direction = rep.nu_gradient
     gn2 = rep.grad_norm_nu ** 2
     rows = []
     for h in hs:

@@ -469,11 +469,8 @@ class Sample:
         return self.points[:, axis]
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x"] if self.ndim == 1 else ["x", "y"])
-            for row in self.points:
-                w.writerow([repr(float(c)) for c in row])
+        write_node_table(path, ["x", "y"][:self.ndim], self.points.T,
+                         eol="\r\n")
 
     @classmethod
     def from_csv(cls, path: str, lo=None, hi=None) -> "Sample":

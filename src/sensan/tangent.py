@@ -100,6 +100,13 @@ class PolicyMetric:
     ratio: LikelihoodRatio | None = None
     label: str = "information"
 
+    def __post_init__(self):
+        if self.kind not in ("information", "policy"):
+            raise SensanError(f"unknown metric kind '{self.kind}'")
+        if self.kind == "policy" and (self.Q is None or self.ratio is None):
+            raise SensanError("policy metric needs a policy measure and a "
+                              "likelihood ratio")
+
 
 def information_metric() -> PolicyMetric:
     return PolicyMetric(kind="information")
@@ -115,16 +122,10 @@ def policy_metric(P: GridDensity, Q: GridDensity,
 
 def inner(u: TangentVector, v: TangentVector, metric: PolicyMetric) -> float:
     """Metric inner product: L2(P) under information, L2(Q) under policy."""
-    _check_same_base(u, v)
     if metric.kind == "information":
-        weight = u.base
-    elif metric.kind == "policy":
-        if metric.Q is None:
-            raise SensanError("policy metric without a policy measure")
-        weight = metric.Q
-    else:
-        raise SensanError(f"unknown metric kind '{metric.kind}'")
-    return u.times(v).times(weight).quad()
+        return inner_p(u, v)
+    _check_same_base(u, v)
+    return u.times(v).times(metric.Q).quad()
 
 
 def inner_p(u: TangentVector, v: TangentVector) -> float:
@@ -142,8 +143,6 @@ def grad_op_apply(v: TangentVector, metric: PolicyMetric) -> TangentVector:
     """
     if metric.kind == "information":
         return v
-    if metric.ratio is None:
-        raise SensanError("policy metric without a likelihood ratio")
     r = metric.ratio.ratio_values
     # v r is an intermediate, not a direction: plain field arithmetic
     pvr = PiecewiseField.scale(v, r).times(v.base).quad()
@@ -156,8 +155,6 @@ def grad_op_inverse(u: TangentVector, metric: PolicyMetric) -> TangentVector:
     """Inverse of `grad_op_apply`: u / r - Q(u), re-centered under P."""
     if metric.kind == "information":
         return u
-    if metric.ratio is None or metric.Q is None:
-        raise SensanError("policy metric without a likelihood ratio")
     qu = u.times(metric.Q).quad()
     out = u.scale(metric.ratio.reciprocal_values()).shift(-qu)
     return out.shift(-out.mean_under_base())

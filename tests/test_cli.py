@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sensan.functionals
 from sensan import (Grid, PluginConfig, RatioInformation, Sample,
                     estimated_influence, parse_functional, plugin_sensitivity,
                     sample_from)
@@ -50,6 +51,22 @@ def test_sensitivity_writes_artifacts(tmp_path, capsys):
     header = (out_dir / "curves" / "influence.csv").read_text().splitlines()[0]
     assert header == "x,psi,nu,grad_nu"
     assert (out_dir / "plots" / "influence.svg").read_text().startswith("<svg")
+
+
+def test_sensitivity_artifacts_reuse_the_report_influences(tmp_path, capsys,
+                                                          monkeypatch):
+    calls = []
+    orig = sensan.functionals.influence_analytic
+
+    def counted(F, P):
+        calls.append(F.label)
+        return orig(F, P)
+
+    monkeypatch.setattr(sensan.functionals, "influence_analytic", counted)
+    cfg = _write(tmp_path, "mm.json", MEAN_MEDIAN)
+    assert main(["sensitivity", "--config", cfg, "--out",
+                 str(tmp_path / "art")]) == 0
+    assert len(calls) == 2
 
 
 def test_sensitivity_policy_metric(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
+import sensan.functionals
 from sensan.education import (DEFAULT_MARGINAL, DEFAULT_POLICIES,
                               regression_fn, replicate_education)
 from sensan.errors import ConfigError
@@ -135,3 +136,19 @@ def test_defaults_are_the_documented_reconstruction():
     assert DEFAULT_MARGINAL["family"] == "quadratic"
     assert [p["family"] for p in DEFAULT_POLICIES] == [
         "quadratic", "linear", "uniform"]
+
+
+def test_each_metric_computes_the_influences_once(tmp_path, monkeypatch):
+    """Two analytic influences (mean of Y, median of X) per metric, four
+    metrics: the table, curves and gradients all read them from the
+    counterfactual reports."""
+    calls = []
+    orig = sensan.functionals.influence_analytic
+
+    def counted(F, P):
+        calls.append(F.label)
+        return orig(F, P)
+
+    monkeypatch.setattr(sensan.functionals, "influence_analytic", counted)
+    replicate_education(str(tmp_path / "edu"), grid_n=201)
+    assert len(calls) == 8

@@ -6,8 +6,8 @@ import pytest
 from bundles import mean_over_median
 from sensan import (CounterfactualReport, Grid, GridDensity, SensitivityReport,
                     TangentVector, counterfactual_density, counterfactual_report,
-                    evaluate, influence, information_metric, moment,
-                    policy_metric, quantile_functional, sensitivity,
+                    evaluate, grad_op_apply, influence, information_metric,
+                    moment, policy_metric, quantile_functional, sensitivity,
                     sensitivity_from_influences, variance, verify_first_order)
 from sensan.errors import SensanError
 from sensan.families import beta, linear, quadratic, truncated_normal, uniform
@@ -131,11 +131,10 @@ def test_report_invariants_reject_inconsistent_fields():
 def test_report_serialization():
     rep = sensitivity(MEAN, MEDIAN, U, information_metric())
     d = rep.to_json_dict()
-    assert set(d) == set(SensitivityReport.csv_header) - {"psi", "nu", "metric"} | {
-        "psi_label", "nu_label", "metric_kind"}
-    row = rep.to_csv_row()
-    assert len(row) == len(SensitivityReport.csv_header)
-    assert row[0] == "mean"
+    assert set(d) == {"psi_label", "nu_label", "metric_kind", "psi_value",
+                      "nu_value", "dpsi_dnu", "S", "R", "grad_norm_psi",
+                      "grad_norm_nu", "Lambda", "Delta"}
+    assert d["psi_label"] == "mean"
 
 
 def test_counterfactual_density_median_direction():
@@ -233,7 +232,6 @@ def test_counterfactual_report_serialization():
     d = rep.to_json_dict()
     assert d["counterfactual"]["axes"] == [[0.0, 1.0, 801]]
     assert len(d["counterfactual"]["values"]) == 801
-    assert len(rep.to_csv_row()) == len(CounterfactualReport.csv_header)
 
 
 def test_verify_first_order_quadratic_remainder():
@@ -266,4 +264,43 @@ def test_first_order_check_serialization():
     d = chk.to_json_dict()
     assert len(d["rows"]) == 3
     assert {"h", "nu_error", "psi_error"} == set(d["rows"][0])
-    assert len(chk.to_csv_rows()) == 3
+
+
+def _same_field(a, b):
+    """Bitwise equality of two piecewise fields, cut terms included."""
+    assert np.array_equal(a.smooth, b.smooth)
+    assert len(a.terms) == len(b.terms)
+    for s, t in zip(a.terms, b.terms):
+        assert s.cuts == t.cuts
+        assert np.array_equal(s.samples, t.samples)
+    assert np.array_equal(a.values, b.values)
+
+
+G2 = Grid.box((0.0, 1.0), (0.0, 1.0), (41, 41))
+P2 = GridDensity.from_callable(G2, lambda x, y: 1.0 + x * y)
+
+
+@pytest.mark.parametrize("psi, nu, P, metric, target", [
+    (MEAN, MEDIAN, U, information_metric(), 0.025),
+    (variance(), MEDIAN, U, policy_metric(U, linear(G, 0.5, 1.0)), 0.02),
+    (MEAN, quantile_functional(0.3), beta(G, 2.0, 5.0), information_metric(),
+     0.01),
+    (moment(lambda x, y: x * y), quantile_functional(0.5, axis=1), P2,
+     policy_metric(P2, GridDensity.from_callable(G2, lambda x, y: 1.0 + x)),
+     0.01),
+], ids=["information", "policy", "quantile-jump", "2d"])
+def test_counterfactual_report_carries_its_sensitivity(psi, nu, P, metric,
+                                                       target):
+    """The report's sensitivity is the one `sensitivity` computes, to the
+    bit, and its nu_gradient is the metric gradient of nu's influence."""
+    cf = counterfactual_report(psi, nu, P, metric, target)
+    rep = sensitivity(psi, nu, P, metric)
+    assert cf.sensitivity.to_json_dict() == rep.to_json_dict()
+    _same_field(cf.sensitivity.psi_influence, influence(psi, P))
+    _same_field(cf.sensitivity.nu_influence, influence(nu, P))
+    _same_field(cf.sensitivity.nu_gradient, rep.nu_gradient)
+    _same_field(cf.sensitivity.nu_gradient,
+                grad_op_apply(influence(nu, P), metric))
+    assert cf.predicted_psi_after == rep.psi_value + rep.S * target
+    # the extra fields stay out of the JSON form
+    assert "sensitivity" not in cf.to_json_dict()

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,6 +228,27 @@ def test_sample_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.points, s.points)
     bounds_from_data = Sample.from_csv(path)
     assert bounds_from_data.lo == tuple(pts.min(axis=0))
+
+
+def test_sample_csv_writes_the_csv_writer_bytes(tmp_path):
+    """Sample.to_csv reads as the csv.writer loop of repr(float) rows, for
+    1-d and 2-d samples with a signed zero, a subnormal and a huge value."""
+    def reference(sample, path):
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["x"] if sample.ndim == 1 else ["x", "y"])
+            for row in sample.points:
+                w.writerow([repr(float(c)) for c in row])
+
+    rng = np.random.default_rng(5)
+    one = np.concatenate([[-0.0, 5e-324, 1e300], rng.uniform(-1.0, 1.0, 40)])
+    two = np.column_stack([one, rng.normal(size=one.size) * 1e-7])
+    for pts in (one, two):
+        s = Sample(pts, (-1.0,) * pts.ndim, (1e300,) * pts.ndim)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        s.to_csv(str(got))
+        reference(s, str(want))
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_quantile_uniform_is_identity():

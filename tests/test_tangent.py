@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensan import (Grid, GridDensity, TangentVector, grad_op_apply,
-                    grad_op_inverse, information_metric, inner, inner_p,
-                    policy_metric, sensitivity_from_influences)
+from sensan import (Grid, GridDensity, PolicyMetric, TangentVector,
+                    grad_op_apply, grad_op_inverse, information_metric, inner,
+                    inner_p, likelihood_ratio, policy_metric,
+                    sensitivity_from_influences)
 from sensan.errors import SensanError
 from sensan.families import linear, quadratic, uniform
 from sensan.model_space import CutTerm
@@ -89,6 +90,19 @@ def test_mismatched_bases_are_rejected():
     w = TangentVector(other, X)
     with pytest.raises(SensanError, match="mismatched bases"):
         inner_p(v, w)
+
+
+def test_malformed_policy_metrics_are_rejected():
+    Q = linear(G, 0.5, 1.0)
+    r = likelihood_ratio(U, Q)
+    for bad, match in ((dict(kind="geodesic"), "unknown metric kind"),
+                       (dict(kind="policy"), "policy measure"),
+                       (dict(kind="policy", Q=Q), "likelihood ratio"),
+                       (dict(kind="policy", ratio=r), "policy measure")):
+        with pytest.raises(SensanError, match=match):
+            PolicyMetric(**bad)
+    assert PolicyMetric(kind="policy", Q=Q, ratio=r).label == "information"
+    assert policy_metric(U, Q).kind == "policy"
 
 
 def test_tangent_values_must_be_finite():
