@@ -16,6 +16,13 @@ bit because they execute the same code on the same arrays.
 Replication seeds derive from (master_seed, n, rep), so results are
 reproducible no matter how replications are scheduled; reductions use
 numpy pairwise summation over rep-ordered arrays.
+
+Samples come from inverting grid CDFs. Uniform draws are inverted in
+increasing order and put back in draw order, since np.interp starts each
+search at the previous draw's cell; in two dimensions the row CDFs of
+Y | X are built for blocks of _DRAW_BLOCK draws, so memory does not grow
+with n. Each draw meets the same cell and formula as np.interp on the
+draws in their own order, so the sample is bit for bit the same.
 """
 
 from __future__ import annotations
@@ -48,6 +55,8 @@ __all__ = [
     "mc_joint_asymptotics",
     "mc_joint_multinomial",
 ]
+
+_DRAW_BLOCK = 512   # conditional draws whose row CDFs sample_from holds at once
 
 
 # --- ratio estimators ---------------------------------------------------------------
@@ -192,6 +201,40 @@ def plugin_sensitivity(config: PluginConfig) -> float:
 
 # --- sampling from grid densities ---------------------------------------------------
 
+def _invert_sorted(u: np.ndarray, F: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """np.interp(u, F, nodes), evaluated in increasing u. np.interp starts
+    each search at the previous draw's cell, so sorted draws cost a step
+    or two each instead of a bisection; every draw still gets the same
+    cell and formula, so the values are bit for bit those of the call in
+    draw order."""
+    order = np.argsort(u)
+    x = np.empty_like(u)
+    x[order] = np.interp(u[order], F, nodes)
+    return x
+
+
+def _conditional_draws(P: GridDensity, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Y | X = x by inverting the row CDF of each draw at its u."""
+    grid = P.grid
+    ynodes = grid.axes[1].nodes
+    # conditional rows by linear interpolation of the joint in x
+    i, w = locate(grid.axes[0], x)
+    w = w[:, None]
+    rows = (1.0 - w) * P.values[i, :] + w * P.values[i + 1, :]
+    dy = grid.axes[1].spacing
+    Fy = np.concatenate(
+        [np.zeros((len(x), 1)),
+         np.cumsum(0.5 * dy * (rows[:, 1:] + rows[:, :-1]), axis=1)], axis=1)
+    Fy = Fy / Fy[:, -1:]
+    # inverse row CDFs at once, with np.interp's search and formula: the
+    # last node at or below u, then slope * (u - f0) + y0
+    j = np.count_nonzero(Fy <= u[:, None], axis=1) - 1
+    draw = np.arange(len(x))
+    f0, f1 = Fy[draw, j], Fy[draw, j + 1]
+    slope = (ynodes[j + 1] - ynodes[j]) / (f1 - f0)
+    return slope * (u - f0) + ynodes[j]
+
+
 def sample_from(P: GridDensity, n: int, rng: np.random.Generator) -> Sample:
     """Draw n points: inverse-CDF on the grid in one dimension, X then
     Y | X in two."""
@@ -200,32 +243,22 @@ def sample_from(P: GridDensity, n: int, rng: np.random.Generator) -> Sample:
         nodes = grid.axes[0].nodes
         F = _cumtrapz(nodes, P.values)
         F = F / F[-1]
-        x = np.interp(rng.random(n), F, nodes)
+        x = _invert_sorted(rng.random(n), F, nodes)
         return Sample(x.reshape(-1, 1), (grid.axes[0].lo,), (grid.axes[0].hi,))
     if grid.ndim != 2:
         raise SensanError("sampling supports one- and two-dimensional grids")
-    xnodes, ynodes = grid.axes[0].nodes, grid.axes[1].nodes
+    xnodes = grid.axes[0].nodes
     marg = _simpson_reduce(grid, P.values, 1)
     Fx = _cumtrapz(xnodes, marg)
     Fx = Fx / Fx[-1]
-    x = np.interp(rng.random(n), Fx, xnodes)
-    # conditional rows by linear interpolation of the joint in x
-    i, w = locate(grid.axes[0], x)
-    w = w[:, None]
-    rows = (1.0 - w) * P.values[i, :] + w * P.values[i + 1, :]
-    dy = grid.axes[1].spacing
-    Fy = np.concatenate(
-        [np.zeros((n, 1)),
-         np.cumsum(0.5 * dy * (rows[:, 1:] + rows[:, :-1]), axis=1)], axis=1)
-    Fy = Fy / Fy[:, -1:]
-    # inverse row CDFs at once, with np.interp's search and formula: the
-    # last node at or below u, then slope * (u - f0) + y0
+    x = _invert_sorted(rng.random(n), Fx, xnodes)
     u = rng.random(n)
-    j = np.count_nonzero(Fy <= u[:, None], axis=1) - 1
-    draw = np.arange(n)
-    f0, f1 = Fy[draw, j], Fy[draw, j + 1]
-    slope = (ynodes[j + 1] - ynodes[j]) / (f1 - f0)
-    y = slope * (u - f0) + ynodes[j]
+    # the row CDF table is built _DRAW_BLOCK draws at a time; each row's
+    # arithmetic is independent of the others, so blocking changes no bit
+    y = np.empty(n)
+    for start in range(0, n, _DRAW_BLOCK):
+        block = slice(start, start + _DRAW_BLOCK)
+        y[block] = _conditional_draws(P, x[block], u[block])
     lo = tuple(ax.lo for ax in grid.axes)
     hi = tuple(ax.hi for ax in grid.axes)
     return Sample(np.column_stack([x, y]), lo, hi)

@@ -202,10 +202,15 @@ class MollifierSchedule:
 
 def default_schedule(grid: Grid) -> MollifierSchedule:
     """sigma0 = max(5% of the shortest side, 16 grid spacings), halved
-    down to the smallest width of at least two grid spacings."""
+    down to the smallest width of at least two grid spacings. On coarse
+    grids, where 16 spacings exceed 40% of the shortest side, sigma0 is
+    capped at 40% of that side but kept at 8 spacings or more: the bias
+    of a Richardson pair depends on the bump's absolute width, and the
+    uncapped widths of 21- and 31-node unit axes, 0.8 and 0.533, do not
+    converge even for a smooth covariance."""
     span = min(ax.hi - ax.lo for ax in grid.axes)
     h = max(ax.spacing for ax in grid.axes)
-    sigma0 = max(0.05 * span, 16.0 * h)
+    sigma0 = max(0.05 * span, min(16.0 * h, max(0.4 * span, 8.0 * h)))
     levels = 3
     while sigma0 * 2.0 ** (-levels) >= 2.0 * h:
         levels += 1

@@ -177,6 +177,41 @@ class _DrawsWithZeros:
         return u
 
 
+class _DrawsWithTies(_DrawsWithZeros):
+    """_DrawsWithZeros plus repeated values and exact values of the CDF F,
+    so sorted draws meet ties and some land on a node of F, its flat
+    stretches included."""
+
+    def __init__(self, seed, F):
+        super().__init__(seed)
+        self.F = F
+
+    def random(self, n):
+        u = super().random(n)
+        u[5::11] = u[3 % n]
+        knots = u[7::13]
+        u[7::13] = self.F[np.arange(len(knots)) * 37 % len(self.F)]
+        return u
+
+
+def test_sample_from_1d_is_bit_identical_to_np_interp():
+    """Sorted-order inversion gives np.interp's values in draw order, also
+    with flat CDF stretches at the start, inside and at the end."""
+    x = G.axes[0].nodes
+    holes = GridDensity.from_callable(G, lambda x: np.where(
+        (x < 0.05) | (np.abs(x - 0.3) < 0.1) | (x > 0.9), 0.0, 1.0 + x))
+    for P, seed in ((holes, 5), (linear(G, 0.5, 1.0), 6)):
+        F = _cumtrapz(x, P.values)
+        F = F / F[-1]
+        draws = (np.random.default_rng, _DrawsWithZeros,
+                 lambda s: _DrawsWithTies(s, F))
+        for n in (1, 500, 5000):
+            for make in draws:
+                got = sample_from(P, n, make(seed)).coord(0)
+                want = np.interp(make(seed).random(n), F, x)
+                assert got.tobytes() == want.tobytes()
+
+
 def test_sample_from_2d_is_bit_identical_to_the_per_draw_loop():
     """The vectorised row search reproduces np.interp draw for draw, also
     where zero rows and columns of the density leave flat CDF segments."""
@@ -188,11 +223,13 @@ def test_sample_from_2d_is_bit_identical_to_the_per_draw_loop():
         g2, lambda x, y: np.exp(-((x - 0.4) ** 2 + (y - 0.6) ** 2) / 0.01))
     assert np.any(np.all(holes.values == 0.0, axis=1))
     assert np.any(np.all(holes.values == 0.0, axis=0))
+    # 511 to 513 straddle the block of conditional draws
     for P, seed in ((holes, 3), (bump, 4)):
         for draws in (np.random.default_rng, _DrawsWithZeros):
-            got = sample_from(P, 5000, draws(seed)).points
-            want = _sample_2d_by_loop(P, 5000, draws(seed))
-            assert np.array_equal(got, want)
+            for n in (5000, 1, 511, 512, 513):
+                got = sample_from(P, n, draws(seed)).points
+                want = _sample_2d_by_loop(P, n, draws(seed))
+                assert np.array_equal(got, want)
 
 
 def test_replication_is_deterministic():

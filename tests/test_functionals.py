@@ -140,6 +140,37 @@ def test_default_schedule_scales_with_the_grid():
     assert sched.sigma0 == pytest.approx(0.05)
 
 
+def _covariance(Q):
+    X, Y = Q.grid.mesh()
+    z = Q.quad()
+    return Q.quad(X * Y) / z - Q.quad(X) * Q.quad(Y) / (z * z)
+
+
+@pytest.mark.parametrize("n", [21, 31])
+def test_coarse_grid_covariance_influence_converges(n):
+    """16 grid spacings are 0.8 of the side at 21 nodes and 0.533 at 31,
+    widths whose Richardson pair diverges; the capped sigma0 of 0.4
+    converges, and one sigma0 inside the box the covariance influence
+    matches its chain rule (x - mx)(y - my), centered."""
+    g = Grid.box((0.0, 1.0), (0.0, 1.0), (n, n))
+    r = 0.3
+
+    def shape(x, y):
+        a, b = (x - 0.5) / 0.3, (y - 0.5) / 0.3
+        return np.exp(-0.5 * (a * a - 2.0 * r * a * b + b * b) / (1.0 - r * r))
+
+    P = GridDensity.from_callable(g, shape)
+    num = influence_numerical(composite(_covariance, "covariance"), P).values
+    s0 = default_schedule(g).sigma0
+    assert s0 == pytest.approx(0.4)
+    X, Y = g.mesh()
+    mx, my = P.quad(X), P.quad(Y)
+    ref = TangentVector(P, (X - mx) * (Y - my)).values
+    zone = (X >= s0) & (X <= 1.0 - s0) & (Y >= s0) & (Y <= 1.0 - s0)
+    assert np.count_nonzero(zone) >= 16
+    assert np.max(np.abs(num - ref)[zone]) < 1e-2
+
+
 def test_mollifier_divergence_is_reported():
     """The sup functional has no L2 influence function; its finite
     difference estimates blow up as the bump narrows and the level
@@ -197,17 +228,12 @@ def test_node_gradient_matches_the_mixture_route_in_1d():
 
 
 def test_node_gradient_matches_the_mixture_route_in_2d():
-    def covariance(Q):
-        X, Y = Q.grid.mesh()
-        z = Q.quad()
-        return Q.quad(X * Y) / z - Q.quad(X) * Q.quad(Y) / (z * z)
-
     g = Grid.box((0.0, 1.0), (0.0, 1.0), (21, 21))
     P = GridDensity.from_callable(
         g, lambda x, y: np.exp(-((x - 0.5) ** 2 + (x - 0.5) * (y - 0.5)
                                  + (y - 0.5) ** 2) / 0.15))
     sched = MollifierSchedule(sigma0=8 * g.axes[0].spacing)
-    F = composite(covariance, "covariance")
+    F = composite(_covariance, "covariance")
     ref = _mixture_route(F, P, sched)
     num = influence_numerical(F, P, sched).values
     assert np.max(np.abs(num - ref)) < 1e-8
