@@ -1,18 +1,26 @@
-"""Minimal SVG line plots.
+"""Every file sensan writes: report JSON, CSV tables and SVG line plots.
 
-CSV is the canonical artifact format; these plots exist so a run can be
-eyeballed without any plotting stack. Everything is a polyline on a
-fixed canvas with light axes, so the implementation stays a page long.
+This is the one module that opens files for writing. `report.json` is
+`json.dump` with an indent of 2 and a final newline. A table has a
+header row and writes floats as repr, integer columns as integers and
+text columns as text. Node tables of fields and samples and the Monte
+Carlo `table.csv` end their lines in CRLF; 1-d curve tables and the
+education `table.csv` end them in LF. Plots are SVG polylines on a fixed
+canvas, so a run can be eyeballed without any plotting stack; CSV stays
+the canonical artifact.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 
 import numpy as np
 
-__all__ = ["line_plot"]
+__all__ = ["line_plot", "write_curves", "write_json", "write_table"]
 
+_ROW_BLOCK = 1024   # rows that write_table formats at a time
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _W, _H = 720, 440
@@ -111,3 +119,41 @@ def line_plot(path: str, curves, title: str = "", xlabel: str = "",
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
+
+
+def write_json(path: str, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def write_table(path: str, header, columns, eol: str = "\n") -> None:
+    """CSV with a header row and one row per entry of the columns. Floats
+    are written as repr, integer columns as integers and text columns as
+    text."""
+    columns = [c if c.dtype.kind in "iuU" else c.astype(float, copy=False)
+               for c in map(np.asarray, columns)]
+    # str equals repr on floats and ints but is slower; text needs it
+    fmt = str if any(c.dtype.kind == "U" for c in columns) else repr
+    n = min(map(len, columns))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + eol)
+        # rows in bounded blocks: Python floats for whole columns would
+        # cost several megabytes on a 2-d grid
+        for start in range(0, n, _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, n)
+            rows = zip(*(c[start:stop].tolist() for c in columns))
+            fh.write("".join(",".join(map(fmt, row)) + eol for row in rows))
+
+
+def write_curves(out: str, name: str, header, columns, title: str,
+                 ylabel: str) -> tuple[str, str]:
+    """Write curves/<name>.csv and plots/<name>.svg under out, the plot
+    drawing columns[1:] against columns[0] with legends header[1:], and
+    return both paths."""
+    table = os.path.join(out, "curves", name + ".csv")
+    plot = os.path.join(out, "plots", name + ".svg")
+    write_table(table, header, columns)
+    line_plot(plot, [(h, columns[0], c) for h, c in zip(header[1:], columns[1:])],
+              title=title, xlabel=header[0], ylabel=ylabel)
+    return table, plot

@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 
+from .artifacts import write_curves, write_json
 from .education import replicate_education
 from .engine import counterfactual_report, sensitivity
 from .errors import ConfigError, SensanError, nested, read
@@ -29,10 +30,8 @@ from .estimation import (Multinomial, PluginConfig, RatioInformation,
 from .families import build_family
 from .functionals import parse_functional
 from .gmm import gmm_efficient_influence, gmm_influence, gmm_solve, moment_spec
-from .model_space import (Grid, GridDensity, Sample, likelihood_ratio,
-                          write_node_table)
+from .model_space import Grid, GridDensity, Sample, likelihood_ratio
 from .surfaces import build_chart, coord_functional, surface_sensitivity
-from .svg import line_plot
 from .tangent import information_metric, inner_p, policy_metric
 
 __all__ = ["main"]
@@ -124,17 +123,6 @@ def _out_dir(args, cfg: dict, required: bool = False) -> str | None:
     return out
 
 
-def _write_json(out: str, name: str, payload: dict) -> None:
-    with open(os.path.join(out, name), "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def _plot_1d(out: str, name: str, curves, title: str, ylabel: str) -> None:
-    line_plot(os.path.join(out, "plots", name + ".svg"), curves,
-              title=title, xlabel="x", ylabel=ylabel)
-
-
 # --- subcommands --------------------------------------------------------------------
 
 def _cmd_sensitivity(args) -> int:
@@ -149,18 +137,14 @@ def _cmd_sensitivity(args) -> int:
           f"R = {rep.R:.6f}, Lambda = {rep.Lambda:.6f})")
     out = _out_dir(args, cfg)
     if out:
-        _write_json(out, "report.json", rep.to_json_dict())
+        write_json(os.path.join(out, "report.json"), rep.to_json_dict())
         psi_t, nu_t = rep.psi_influence, rep.nu_influence
         grad = rep.nu_gradient
         if P.grid.ndim == 1:
             x = P.grid.axes[0].nodes
-            write_node_table(os.path.join(out, "curves", "influence.csv"),
-                             ["x", "psi", "nu", "grad_nu"],
-                             [x, psi_t.values, nu_t.values, grad.values])
-            _plot_1d(out, "influence",
-                     [("psi", x, psi_t.values), ("nu", x, nu_t.values),
-                      ("grad nu", x, grad.values)],
-                     "Influence functions and metric gradient", "value")
+            write_curves(out, "influence", ["x", "psi", "nu", "grad_nu"],
+                         [x, psi_t.values, nu_t.values, grad.values],
+                         "Influence functions and metric gradient", "value")
         else:
             psi_t.to_csv(os.path.join(out, "curves", "psi_influence.csv"))
             nu_t.to_csv(os.path.join(out, "curves", "nu_influence.csv"))
@@ -186,18 +170,14 @@ def _cmd_counterfactual(args) -> int:
           f"(predicted {rep.predicted_psi_after:.6f})")
     out = _out_dir(args, cfg)
     if out:
-        _write_json(out, "report.json", rep.to_json_dict())
+        write_json(os.path.join(out, "report.json"), rep.to_json_dict())
         rep.counterfactual.to_csv(
             os.path.join(out, "curves", "counterfactual.csv"))
         if P.grid.ndim == 1:
             x = P.grid.axes[0].nodes
-            write_node_table(os.path.join(out, "curves", "densities.csv"),
-                             ["x", "baseline", "counterfactual"],
-                             [x, P.values, rep.counterfactual.values])
-            _plot_1d(out, "densities",
-                     [("baseline", x, P.values),
-                      ("counterfactual", x, rep.counterfactual.values)],
-                     "Counterfactual density", "density")
+            write_curves(out, "densities", ["x", "baseline", "counterfactual"],
+                         [x, P.values, rep.counterfactual.values],
+                         "Counterfactual density", "density")
     return 0
 
 
@@ -231,7 +211,7 @@ def _cmd_gmm(args) -> int:
     print(f"influence variances: weighted = {var_w}  efficient = {var_eff}")
     out = _out_dir(args, cfg)
     if out:
-        _write_json(out, "report.json", {
+        write_json(os.path.join(out, "report.json"), {
             "theta": sol.theta.tolist(),
             "criterion": sol.criterion,
             "correctly_specified": sol.correctly_specified,
@@ -247,11 +227,8 @@ def _cmd_gmm(args) -> int:
             cols = [x] + [t.values for t in infl] + [t.values for t in eff]
             head = (["x"] + [f"influence_{a}" for a in range(len(infl))]
                     + [f"efficient_{a}" for a in range(len(eff))])
-            write_node_table(os.path.join(out, "curves", "influences.csv"),
-                             head, cols)
-            _plot_1d(out, "influences",
-                     [(h, x, c) for h, c in zip(head[1:], cols[1:])],
-                     "Parameter influence functions", "value")
+            write_curves(out, "influences", head, cols,
+                         "Parameter influence functions", "value")
     return 0
 
 
@@ -270,7 +247,7 @@ def _cmd_surface(args) -> int:
     if args.out:
         with nested("out"):
             os.makedirs(args.out, exist_ok=True)
-        _write_json(args.out, "report.json", {
+        write_json(os.path.join(args.out, "report.json"), {
             "chart": args.chart, "point": list(at), "psi": args.psi,
             "nu": args.nu, "mode": args.mode, "sensitivity": val})
     return 0
@@ -361,14 +338,14 @@ def _cmd_mc(args) -> int:
             ratio_estimator=ratio, sample=sample))
         print(f"plugin sensitivity = {val:.8f}")
         if out:
-            _write_json(out, "report.json", {
+            write_json(os.path.join(out, "report.json"), {
                 "plugin_sensitivity": val, "n": sample.n,
                 "ratio": read(cfg, "ratio", dict, {"kind": "information"})})
         return 0
 
     if out:
         res.to_csv(os.path.join(out, "table.csv"))
-        _write_json(out, "report.json", res.to_json_dict())
+        write_json(os.path.join(out, "report.json"), res.to_json_dict())
     return 0
 
 

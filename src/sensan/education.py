@@ -28,18 +28,17 @@ at low and high attainment are also the empirically common shape.)
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
+from .artifacts import write_curves, write_json, write_table
 from .engine import counterfactual_report
 from .errors import ConfigError, nested
 from .families import build_family
 from .functionals import moment, quantile_functional
-from .model_space import Grid, GridDensity, write_node_table
-from .svg import line_plot
+from .model_space import Grid, GridDensity
 from .tangent import information_metric, policy_metric
 
 __all__ = ["EducationRow", "EducationResult", "replicate_education",
@@ -134,11 +133,9 @@ def replicate_education(out_dir: str, *, grid_n: int = 801,
     metrics += [(lab, policy_metric(P, Q, label=lab))
                 for lab, Q in zip(_POLICY_LABELS, Qs)]
 
-    os.makedirs(out_dir, exist_ok=True)
     curves_dir = os.path.join(out_dir, "curves")
-    plots_dir = os.path.join(out_dir, "plots")
-    os.makedirs(curves_dir, exist_ok=True)
-    os.makedirs(plots_dir, exist_ok=True)
+    for sub in ("curves", "plots"):
+        os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
 
     rows = []
     reports = []
@@ -161,12 +158,7 @@ def replicate_education(out_dir: str, *, grid_n: int = 801,
     files = []
 
     def emit(name, header, cols, title, ylabel):
-        cpath = os.path.join(curves_dir, name + ".csv")
-        write_node_table(cpath, header, cols)
-        spath = os.path.join(plots_dir, name + ".svg")
-        line_plot(spath, [(h, x, c) for h, c in zip(header[1:], cols[1:])],
-                  title=title, xlabel="x", ylabel=ylabel)
-        files.extend([cpath, spath])
+        files.extend(write_curves(out_dir, name, header, cols, title, ylabel))
 
     emit("sampling_pdf", ["x", "p_x"], [x, P.values],
          "X-marginal density", "density")
@@ -183,36 +175,24 @@ def replicate_education(out_dir: str, *, grid_n: int = 801,
 
     files.append(_joint_artifact(P, curves_dir))
 
+    # table columns and report keys: the EducationRow fields, label first
+    names = [f.name for f in fields(EducationRow)[1:]]
     table_path = os.path.join(out_dir, "table.csv")
-    with open(table_path, "w") as fh:
-        fh.write("metric,S,Lambda,Delta,dpsi_dnu,grad_norm_nu,h,nu_after,"
-                 "psi_after,predicted_psi_after,psi_gap\n")
-        for r in rows:
-            fh.write(",".join([r.label] + [repr(v) for v in (
-                r.S, r.Lambda, r.Delta, r.dpsi_dnu, r.grad_norm_nu, r.h,
-                r.nu_after, r.psi_after, r.predicted_psi_after,
-                r.psi_gap)]) + "\n")
+    write_table(table_path, ["metric"] + names, list(zip(*map(astuple, rows))))
     files.append(table_path)
 
     report_path = os.path.join(out_dir, "report.json")
-    with open(report_path, "w") as fh:
-        json.dump({
-            "psi_before": psi_before,
-            "nu_before": nu_before,
-            "target_increment": target_increment,
-            "rows": [{
-                "metric": r.label, "S": r.S, "Lambda": r.Lambda,
-                "Delta": r.Delta, "dpsi_dnu": r.dpsi_dnu,
-                "grad_norm_nu": r.grad_norm_nu, "h": r.h,
-                "nu_after": r.nu_after, "psi_after": r.psi_after,
-                "predicted_psi_after": r.predicted_psi_after,
-                "psi_gap": r.psi_gap} for r in rows],
-            "note": ("reconstruction: the published marginal and policy "
-                     "densities exist only as figures, so table values "
-                     "are checked for internal consistency, not against "
-                     "the published numbers"),
-        }, fh, indent=2)
-        fh.write("\n")
+    write_json(report_path, {
+        "psi_before": psi_before,
+        "nu_before": nu_before,
+        "target_increment": target_increment,
+        "rows": [{"metric": r.label, **{k: getattr(r, k) for k in names}}
+                 for r in rows],
+        "note": ("reconstruction: the published marginal and policy "
+                 "densities exist only as figures, so table values "
+                 "are checked for internal consistency, not against "
+                 "the published numbers"),
+    })
     files.append(report_path)
 
     return EducationResult(

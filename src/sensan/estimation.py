@@ -27,13 +27,12 @@ draws in their own order, so the sample is bit for bit the same.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_table
 from .errors import ConfigError, SensanError
 from .functionals import Functional, evaluate
 from .model_space import (Grid, GridDensity, LikelihoodRatio, Sample,
@@ -129,7 +128,9 @@ def estimated_influence(F: Functional, sample: Sample,
     callable on sample point arrays.
 
     The quantile influence needs the density at the estimated quantile;
-    that comes from a kernel density estimate on the sample's own range.
+    that comes from a 1-d kernel density estimate on the quantile's axis:
+    a 1-d grid, axis F.axis of a 2-d one, or without a grid the sample's
+    own range.
     """
     if F.kind == "moment":
         def at(pts):
@@ -149,6 +150,8 @@ def estimated_influence(F: Functional, sample: Sample,
         if grid is None:
             lo, hi = sample.lo[F.axis], sample.hi[F.axis]
             grid = Grid.line(float(lo), float(hi), 801)
+        elif grid.ndim > 1:
+            grid = Grid((grid.axes[F.axis],))
         dens_hat = kde_fit(
             Sample(sample.points[:, F.axis:F.axis + 1],
                    (sample.lo[F.axis],), (sample.hi[F.axis],)), grid)
@@ -282,18 +285,13 @@ class McResult:
     delta_hat: float | None = None
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            if self.kind == "consistency":
-                w.writerow(["n", "rep", "estimate"])
-                for n in self.n_grid:
-                    for rep, est in enumerate(self.estimates[n]):
-                        w.writerow([n, rep, repr(float(est))])
-            else:
-                w.writerow(["n", "rep", "psi_hat", "nu_hat"])
-                for n in self.n_grid:
-                    for rep, (a, b) in enumerate(self.estimates[n]):
-                        w.writerow([n, rep, repr(float(a)), repr(float(b))])
+        est = np.concatenate([self.estimates[n] for n in self.n_grid])
+        head = (["n", "rep", "estimate"] if self.kind == "consistency"
+                else ["n", "rep", "psi_hat", "nu_hat"])
+        write_table(path, head,
+                    [np.repeat(self.n_grid, self.reps),
+                     np.tile(np.arange(self.reps), len(self.n_grid)),
+                     *est.reshape(len(est), -1).T], eol="\r\n")
 
     def to_json_dict(self) -> dict:
         return {
@@ -308,11 +306,6 @@ class McResult:
             "lambda_hat": self.lambda_hat,
             "delta_hat": self.delta_hat,
         }
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 def _rep_rng(master_seed: int, n: int, rep: int) -> np.random.Generator:
@@ -354,6 +347,11 @@ def mc_consistency(P: GridDensity, psi: Functional, nu: Functional,
 def _joint_summaries(pairs: np.ndarray, n: int, psi0: float, nu0: float):
     errors = math.sqrt(n) * (pairs - np.array([psi0, nu0]))
     cov = np.cov(errors.T, bias=True)
+    for name, var in (("psi", cov[0, 0]), ("nu", cov[1, 1])):
+        if not var > 0.0:
+            raise SensanError(
+                f"the {name} estimates have zero variance across the "
+                "replications, so Lambda and Delta are undefined")
     lam = float(cov[0, 1] / cov[1, 1])
     delta = float(cov[0, 1] ** 2 / (cov[0, 0] * cov[1, 1]))
     return cov, lam, delta

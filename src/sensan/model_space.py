@@ -28,6 +28,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .artifacts import write_table
 from .errors import SensanError
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-_ROW_BLOCK = 1024   # rows that write_node_table formats at a time
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -237,21 +237,6 @@ def interpolate(grid: Grid, samples: np.ndarray, points: np.ndarray) -> np.ndarr
     return vals[0]
 
 
-def write_node_table(path: str, header, columns, eol: str = "\n") -> None:
-    """CSV with a header row and one row per node, each value written as
-    repr(float)."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    n = min(map(len, columns))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + eol)
-        # rows in bounded blocks: Python floats for whole columns would
-        # cost several megabytes on a 2-d grid
-        for start in range(0, n, _ROW_BLOCK):
-            stop = min(start + _ROW_BLOCK, n)
-            rows = zip(*(c[start:stop].tolist() for c in columns))
-            fh.write("".join(",".join(map(repr, row)) + eol for row in rows))
-
-
 # --- piecewise smooth fields --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -354,8 +339,8 @@ class PiecewiseField:
     def to_csv(self, path: str, label: str = "value") -> None:
         """Node table "x,<label>" or "x,y,<label>", x-major."""
         coords = [c.ravel() for c in self.grid.mesh()]
-        write_node_table(path, ["x", "y"][:self.grid.ndim] + [label],
-                         coords + [self.values.ravel()], eol="\r\n")
+        write_table(path, ["x", "y"][:self.grid.ndim] + [label],
+                    coords + [self.values.ravel()], eol="\r\n")
 
 
 class GridDensity(PiecewiseField):
@@ -469,8 +454,7 @@ class Sample:
         return self.points[:, axis]
 
     def to_csv(self, path: str) -> None:
-        write_node_table(path, ["x", "y"][:self.ndim], self.points.T,
-                         eol="\r\n")
+        write_table(path, ["x", "y"][:self.ndim], self.points.T, eol="\r\n")
 
     @classmethod
     def from_csv(cls, path: str, lo=None, hi=None) -> "Sample":

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -296,6 +297,35 @@ def test_mc_consistency_mode(tmp_path, capsys):
     assert text.count("rmse") == 3
 
 
+def test_mc_consistency_with_a_2d_quantile(tmp_path, capsys):
+    cfg = _write(tmp_path, "mc.json", {
+        "mode": "consistency", "grid": {"x": [0.0, 1.0, 41],
+                                        "y": [0.0, 1.0, 41]},
+        "distribution": {"family": "uniform"},
+        "psi": {"kind": "moment", "rho": "x"},
+        "nu": {"kind": "quantile", "tau": 0.5, "axis": 1},
+        "n_grid": [50, 100, 200], "reps": 3,
+    })
+    assert main(["mc", "--config", cfg]) == 0
+    assert capsys.readouterr().out.count("rmse") == 3
+
+
+@pytest.mark.parametrize("constant", ["psi", "nu"])
+def test_mc_joint_zero_variance_estimator_exits_one(tmp_path, capsys,
+                                                    constant):
+    """A constant estimator leaves Lambda and Delta undefined: the run
+    exits 1 naming it and writes no report."""
+    cfg = _write(tmp_path, "mc.json", {
+        **MEAN_MEDIAN, "grid": {"lo": 0.0, "hi": 1.0, "n": 101},
+        "mode": "joint", "n": 50, "reps": 10,
+        constant: {"kind": "moment", "rho": "1"}})
+    out_dir = tmp_path / "out"
+    assert main(["mc", "--config", cfg, "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert f"the {constant} estimates have zero variance" in err, err
+    assert not (out_dir / "report.json").exists()
+
+
 def test_mc_plugin_mode_on_stored_sample(tmp_path, capsys):
     rng = np.random.default_rng(21)
     s = sample_from(uniform(Grid.line(0.0, 1.0, 801)), 5000, rng)
@@ -342,9 +372,87 @@ def test_replicate_education_runs(tmp_path, capsys):
     assert (out_dir / "table.csv").exists()
 
 
+# --- the output tree ----------------------------------------------------------------
+
+_BOX = {"x": [0.0, 1.0, 21], "y": [0.0, 1.0, 21]}
+_ONE_D = {"grid": {"lo": 0.0, "hi": 1.0, "n": 101},
+          "distribution": {"family": "linear", "intercept": 0.5, "slope": 1.0},
+          "psi": {"kind": "moment", "rho": "x"},
+          "nu": {"kind": "quantile", "tau": 0.5}, "target_increment": 0.02}
+_TWO_D = {"grid": _BOX, "distribution": {"family": "uniform"},
+          "psi": {"kind": "moment", "rho": "x*y"},
+          "nu": {"kind": "moment", "rho": "y"}, "target_increment": 0.02}
+_GMM_1D = {"grid": {"lo": -7.0, "hi": 9.0, "n": 101},
+           "distribution": {"family": "truncated_normal", "mean": 1.0,
+                            "sd": 1.0},
+           "moments": ["x - th0", "x*x - th0*th0 - 1"], "theta_dim": 1,
+           "bounds": [[-3.0, 3.0]], "weight": "identity"}
+_GMM_2D = {"grid": _BOX, "distribution": {"family": "uniform"},
+           "moments": ["x - th0", "y - th0"], "theta_dim": 1,
+           "bounds": [[0.0, 1.0]], "weight": "identity"}
+_MC = {**_ONE_D, "n": 50, "reps": 10, "n_grid": [20, 40, 80]}
+
+# every entry under --out; a directory ends in "/"
+OUT_TREES = [
+    ("sensitivity-1d", "sensitivity", _ONE_D,
+     ["curves/", "curves/influence.csv", "plots/", "plots/influence.svg",
+      "report.json"]),
+    ("sensitivity-2d", "sensitivity", _TWO_D,
+     ["curves/", "curves/grad_nu.csv", "curves/nu_influence.csv",
+      "curves/psi_influence.csv", "plots/", "report.json"]),
+    ("counterfactual-1d", "counterfactual", _ONE_D,
+     ["curves/", "curves/counterfactual.csv", "curves/densities.csv",
+      "plots/", "plots/densities.svg", "report.json"]),
+    ("counterfactual-2d", "counterfactual", _TWO_D,
+     ["curves/", "curves/counterfactual.csv", "plots/", "report.json"]),
+    ("gmm-1d", "gmm", _GMM_1D,
+     ["curves/", "curves/influences.csv", "plots/", "plots/influences.svg",
+      "report.json"]),
+    ("gmm-2d", "gmm", _GMM_2D, ["curves/", "plots/", "report.json"]),
+    ("mc-joint", "mc", {**_MC, "mode": "joint"},
+     ["curves/", "plots/", "report.json", "table.csv"]),
+    ("mc-consistency", "mc", {**_MC, "mode": "consistency"},
+     ["curves/", "plots/", "report.json", "table.csv"]),
+    ("mc-plugin", "mc", {**_MC, "mode": "plugin", "sample_csv": "SAMPLE"},
+     ["curves/", "plots/", "report.json"]),
+    ("surface", "surface", None, ["report.json"]),
+]
+
+
+@pytest.mark.parametrize("command,payload,tree",
+                         [case[1:] for case in OUT_TREES],
+                         ids=[case[0] for case in OUT_TREES])
+def test_out_holds_exactly_the_listed_files(tmp_path, capsys, command,
+                                            payload, tree):
+    """The files and directories each subcommand leaves under --out, and
+    a report.json laid out as json.dump(indent=2) plus a newline."""
+    out_dir = tmp_path / "out"
+    if command == "surface":
+        argv = ["surface", "--chart", "sphere", "--point", "0.2", "0.3",
+                "--psi", "u", "--nu", "v"]
+    else:
+        if payload.get("sample_csv") == "SAMPLE":
+            sample = tmp_path / "sample.csv"
+            Sample(np.linspace(0.05, 0.95, 60), (0.0,), (1.0,)).to_csv(
+                str(sample))
+            payload = {**payload, "sample_csv": str(sample)}
+        argv = [command, "--config", _write(tmp_path, "c.json", payload)]
+    assert main(argv + ["--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    got = sorted(p.relative_to(out_dir).as_posix() + "/" * p.is_dir()
+                 for p in out_dir.rglob("*"))
+    assert got == tree
+    text = (out_dir / "report.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 def test_module_entry_point():
+    # the child imports the sensan under test, however pytest found it
+    src = os.path.dirname(os.path.dirname(sensan.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "sensan.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "sensitivity" in proc.stdout
     assert "replicate-education" in proc.stdout

@@ -81,6 +81,23 @@ def test_table_csv_and_curve_headers(default_run):
     assert header == "x,baseline,L²(P_X),L²(Q₁),L²(Q₂),L²(Q₃)"
 
 
+def test_table_csv_writes_the_row_loop_bytes(default_run, tmp_path):
+    """table.csv reads as the row loop: LF rows, the metric label as text,
+    every number as repr(float)."""
+    want = tmp_path / "table.csv"
+    with open(want, "w") as fh:
+        fh.write("metric,S,Lambda,Delta,dpsi_dnu,grad_norm_nu,h,nu_after,"
+                 "psi_after,predicted_psi_after,psi_gap\n")
+        for r in default_run.rows:
+            fh.write(",".join([r.label] + [repr(v) for v in (
+                r.S, r.Lambda, r.Delta, r.dpsi_dnu, r.grad_norm_nu, r.h,
+                r.nu_after, r.psi_after, r.predicted_psi_after,
+                r.psi_gap)]) + "\n")
+    got = os.path.join(default_run.out_dir, "table.csv")
+    with open(got, "rb") as fh:
+        assert fh.read() == want.read_bytes()
+
+
 def test_plots_are_svg(default_run):
     path = os.path.join(default_run.out_dir, "plots", "influence.svg")
     with open(path) as fh:

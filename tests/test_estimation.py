@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from sensan import (Grid, GridDensity, Multinomial, PluginConfig,
                     information_metric, mc_consistency, mc_joint_asymptotics,
                     mc_joint_multinomial, moment, plugin_sensitivity,
                     quantile_functional, sample_from, sensitivity, variance)
+from sensan.artifacts import write_json
 from sensan.errors import SensanError
 from sensan.families import linear, uniform
 from sensan.model_space import (_cumtrapz, _simpson_reduce, likelihood_ratio,
@@ -50,6 +52,19 @@ def test_estimated_quantile_influence_levels():
     # (tau - indicator) / f_hat with f_hat near 1 on Uniform[0, 1]
     assert abs(levels[0] + 0.5) < 0.1
     assert abs(levels[1] - 0.5) < 0.1
+
+
+def test_quantile_influence_fits_on_its_own_axis_of_a_2d_grid():
+    """On a 2-d grid the quantile's kernel estimate lives on the grid's
+    axis for that coordinate: the same values as that axis given alone."""
+    g2 = Grid.box((0.0, 1.0), (0.0, 2.0), (41, 61))
+    P = GridDensity.from_callable(g2, lambda x, y: 1.0 + x * y)
+    s = sample_from(P, 500, np.random.default_rng(12))
+    for axis in (0, 1):
+        F = quantile_functional(0.5, axis=axis)
+        want = estimated_influence(F, s, Grid((g2.axes[axis],)))(s.points)
+        got = estimated_influence(F, s, g2)(s.points)
+        np.testing.assert_array_equal(got, want)
 
 
 def test_estimated_quantile_influence_density_gate(monkeypatch):
@@ -262,12 +277,35 @@ def test_mc_result_serialization(tmp_path):
     assert d["seed"] == 77
     assert np.asarray(d["covariance"]["300"]).shape == (2, 2)
     path = tmp_path / "mc.json"
-    res.to_json(str(path))
+    write_json(str(path), res.to_json_dict())
     assert json.loads(path.read_text())["reps"] == 20
     csv_path = tmp_path / "mc.csv"
     res.to_csv(str(csv_path))
     header = csv_path.read_text().splitlines()[0]
     assert header == "n,rep,psi_hat,nu_hat"
+
+
+@pytest.mark.parametrize("kind", ["consistency", "joint"])
+def test_mc_csv_writes_the_csv_writer_bytes(tmp_path, kind):
+    """McResult.to_csv reads as the csv.writer loop: CRLF rows, n and rep
+    as integers, estimates as repr(float)."""
+    if kind == "consistency":
+        res = mc_consistency(U, MEAN, MEDIAN, RatioInformation(),
+                             (20, 40, 80), 3, 5, 0.125)
+    else:
+        res = mc_joint_asymptotics(U, MEAN, MEDIAN, 60, 7, 5)
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["n", "rep", "estimate"] if kind == "consistency"
+                   else ["n", "rep", "psi_hat", "nu_hat"])
+        for n in res.n_grid:
+            for rep, est in enumerate(res.estimates[n]):
+                w.writerow([n, rep] + [repr(float(v))
+                                       for v in np.atleast_1d(est)])
+    got = tmp_path / "got.csv"
+    res.to_csv(str(got))
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_multinomial_closed_forms():

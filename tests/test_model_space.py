@@ -9,6 +9,7 @@ from scipy import stats
 from sensan import Grid, GridDensity, Sample, integrate, quantile, density_at
 from sensan.errors import SensanError
 import sensan.model_space as model_space
+from sensan import artifacts
 from sensan import (counterfactual_density, grad_op_apply, influence,
                     information_metric, quantile_functional)
 from sensan.families import beta, linear, quadratic, truncated_normal, uniform
@@ -128,17 +129,18 @@ def test_density_csv_roundtrip_1d(tmp_path):
 
 
 def test_node_table_writes_the_row_by_row_bytes(tmp_path):
-    """Rows formatted in blocks read as the per-row repr(float) loop,
-    across block boundaries and for an integer column."""
+    """Rows formatted in blocks read as the per-row repr loop, across
+    block boundaries, with an integer column written as integers."""
     rng = np.random.default_rng(3)
-    n = 2 * model_space._ROW_BLOCK + 5
+    n = 2 * artifacts._ROW_BLOCK + 5
     wide = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
     wide[:4] = [-0.0, np.inf, np.nan, 1e-320]
     cols = [np.arange(n), wide, np.linspace(-1.0, 1.0, n)]
     path = tmp_path / "table.csv"
-    model_space.write_node_table(str(path), ["i", "w", "u"], cols, eol="\r\n")
-    want = "i,w,u\r\n" + "".join(",".join(repr(float(v)) for v in row) + "\r\n"
-                                 for row in zip(*cols))
+    artifacts.write_table(str(path), ["i", "w", "u"], cols, eol="\r\n")
+    want = "i,w,u\r\n" + "".join(
+        ",".join([repr(int(i))] + [repr(float(v)) for v in rest]) + "\r\n"
+        for i, *rest in zip(*cols))
     assert path.read_bytes() == want.encode()
 
 

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 
-from sensan import svg
+from sensan import artifacts as svg
 
 
 def test_polyline_points_match_point_by_point_formatting(tmp_path):
