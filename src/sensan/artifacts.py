@@ -3,11 +3,14 @@
 This is the one module that opens files for writing. `report.json` is
 `json.dump` with an indent of 2 and a final newline. A table has a
 header row and writes floats as repr, integer columns as integers and
-text columns as text. Node tables of fields and samples and the Monte
-Carlo `table.csv` end their lines in CRLF; 1-d curve tables and the
-education `table.csv` end them in LF. Plots are SVG polylines on a fixed
-canvas, so a run can be eyeballed without any plotting stack; CSV stays
-the canonical artifact.
+text columns as text. A column whose values repeat formats each
+distinct value once and looks it up for the other rows, which writes
+the same bytes as formatting every row: a 2-d node table has only as
+many distinct coordinates as grid nodes per axis. Node tables of fields
+and samples and the Monte Carlo `table.csv` end their lines in CRLF;
+1-d curve tables and the education `table.csv` end them in LF. Plots
+are SVG polylines on a fixed canvas, so a run can be eyeballed without
+any plotting stack; CSV stays the canonical artifact.
 """
 
 from __future__ import annotations
@@ -127,23 +130,41 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _distinct_text(c: np.ndarray, fmt):
+    """(text of each distinct value as an object array, index of each
+    entry into it) for a column whose values repeat, on average at least
+    twice, else None. Floats are told apart by their bits, so -0.0 and
+    0.0 keep their own text."""
+    key = c.view(np.int64) if c.dtype.kind == "f" else c
+    uniq, inverse = np.unique(key, return_inverse=True)
+    # a mostly distinct column gains little and would hold most of its
+    # text at once; it is formatted block by block instead
+    if 2 * len(uniq) > len(c):
+        return None
+    values = uniq.view(c.dtype) if c.dtype.kind == "f" else uniq
+    return np.array(list(map(fmt, values.tolist())), dtype=object), inverse
+
+
 def write_table(path: str, header, columns, eol: str = "\n") -> None:
     """CSV with a header row and one row per entry of the columns. Floats
     are written as repr, integer columns as integers and text columns as
-    text."""
-    columns = [c if c.dtype.kind in "iuU" else c.astype(float, copy=False)
+    text, each distinct value of a repeating column formatted once."""
+    n = min(map(len, columns))
+    columns = [c[:n] if c.dtype.kind in "iuU" else c[:n].astype(float, copy=False)
                for c in map(np.asarray, columns)]
     # str equals repr on floats and ints but is slower; text needs it
     fmt = str if any(c.dtype.kind == "U" for c in columns) else repr
-    n = min(map(len, columns))
+    distinct = [_distinct_text(c, fmt) for c in columns]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + eol)
-        # rows in bounded blocks: Python floats for whole columns would
+        # rows in bounded blocks: Python strings for whole columns would
         # cost several megabytes on a 2-d grid
         for start in range(0, n, _ROW_BLOCK):
-            stop = min(start + _ROW_BLOCK, n)
-            rows = zip(*(c[start:stop].tolist() for c in columns))
-            fh.write("".join(",".join(map(fmt, row)) + eol for row in rows))
+            block = slice(start, start + _ROW_BLOCK)
+            cells = [list(map(fmt, c[block].tolist())) if d is None
+                     else d[0][d[1][block]].tolist()
+                     for c, d in zip(columns, distinct)]
+            fh.write(eol.join(map(",".join, zip(*cells))) + eol)
 
 
 def write_curves(out: str, name: str, header, columns, title: str,

@@ -458,8 +458,13 @@ class Sample:
 
     @classmethod
     def from_csv(cls, path: str, lo=None, hi=None) -> "Sample":
+        with open(path) as fh:
+            # the data lines as loadtxt sees them: no header, comment or blank
+            rows = [r for r in fh.readlines()[1:] if r.split("#", 1)[0].strip()]
+        if not rows:
+            raise SensanError(f"sample csv {path} holds no rows")
         try:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            data = np.loadtxt(rows, delimiter=",", ndmin=2)
             lo = tuple(data.min(axis=0)) if lo is None else lo
             hi = tuple(data.max(axis=0)) if hi is None else hi
         except ValueError as exc:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -512,6 +513,20 @@ def test_mc_plugin_sample_csv_problems_name_the_key(tmp_path, capsys):
         assert main(["mc", "--config", _plugin_config(tmp_path, body)]) == 2
         err = capsys.readouterr().err
         assert "config key 'sample_csv'" in err, err
+
+
+def test_mc_plugin_empty_sample_csv_exits_two_without_a_warning(tmp_path,
+                                                                capsys):
+    """A sample CSV with a header and no rows exits 2 naming sample_csv
+    and saying the file holds no rows, with no warning on the way."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["mc", "--config", _plugin_config(tmp_path, "x\n")]) == 2
+    assert not seen, [str(w.message) for w in seen]
+    err = capsys.readouterr().err
+    assert "config key 'sample_csv'" in err, err
+    assert "holds no rows" in err, err
+    assert "Traceback" not in err and "Warning" not in err, err
 
 
 def test_mc_plugin_without_grid_spans_the_sample_range(tmp_path, capsys):

@@ -9,6 +9,7 @@ import sensan.functionals
 from sensan.education import (DEFAULT_MARGINAL, DEFAULT_POLICIES,
                               regression_fn, replicate_education)
 from sensan.errors import ConfigError
+from sensan.model_space import GridDensity
 
 LABELS = ("L²(P_X)", "L²(Q₁)", "L²(Q₂)", "L²(Q₃)")
 
@@ -121,6 +122,29 @@ def test_joint_density_lives_on_the_sub_rectangle(default_run):
     assert data.shape == (161 * 201, 3)
     assert data[:, 0].max() == pytest.approx(0.8)
     assert np.all(data[:, 2] >= 0.0)
+
+
+def test_joint_density_csv_writes_the_row_loop_bytes(tmp_path, monkeypatch):
+    """curves/joint_density.csv reads as the row loop over the 161x201
+    joint: x-major CRLF rows of repr(float) x, y and density."""
+    joints = []
+    to_csv = GridDensity.to_csv
+
+    def spy(self, path):
+        joints.append(self)
+        to_csv(self, path)
+
+    monkeypatch.setattr(GridDensity, "to_csv", spy)
+    res = replicate_education(str(tmp_path / "edu"), grid_n=201)
+    (J,) = joints
+    assert J.grid.shape == (161, 201)
+    X, Y = J.grid.mesh()
+    want = "x,y,density\r\n" + "".join(
+        f"{float(x)!r},{float(y)!r},{float(v)!r}\r\n"
+        for x, y, v in zip(X.ravel(), Y.ravel(), J.values.ravel()))
+    path = os.path.join(res.out_dir, "curves", "joint_density.csv")
+    with open(path, "rb") as fh:
+        assert fh.read() == want.encode()
 
 
 def test_zero_target_keeps_the_baseline(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,58 @@ def test_node_table_writes_the_row_by_row_bytes(tmp_path):
     assert path.read_bytes() == want.encode()
 
 
+def test_2d_node_table_writes_the_row_by_row_bytes(tmp_path):
+    """A 61x83 node table, 5063 rows across four block edges, reads as
+    the per-row repr loop: coordinates that repeat row after row, the
+    y column cycling through its nodes, and values from a density."""
+    g = Grid.box((-1.0, 1.0), (0.0, 3.0), (61, 83))
+    P = GridDensity.from_callable(g, lambda x, y: 1.0 + x * x * y)
+    assert g.shape[0] * g.shape[1] > 4 * artifacts._ROW_BLOCK
+    path = tmp_path / "nodes.csv"
+    P.to_csv(str(path))
+    want = "".join(row + "\r\n" for row in ["x,y,density", *_density_rows(P)])
+    assert path.read_bytes() == want.encode()
+
+
+def test_few_distinct_floats_keep_their_own_text(tmp_path):
+    """A float column drawn from a few values writes each row's repr:
+    -0.0 and 0.0 stay apart, and nan, inf and a subnormal keep theirs."""
+    rng = np.random.default_rng(11)
+    pool = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.1, 5e-324])
+    col = rng.choice(pool, 3 * artifacts._ROW_BLOCK + 7)
+    path = tmp_path / "few.csv"
+    artifacts.write_table(str(path), ["v"], [col])
+    want = "v\n" + "".join(repr(float(v)) + "\n" for v in col)
+    assert {"0.0", "-0.0", "nan", "inf"} <= set(want.split())
+    assert path.read_bytes() == want.encode()
+
+
+def test_repeated_integers_and_text_write_the_row_loop_bytes(tmp_path):
+    """Repeated integer columns, alone with floats as in the Monte Carlo
+    table and beside a repeated text column, read as the per-row loop:
+    integers as integers, text as text, floats as repr."""
+    rng = np.random.default_rng(12)
+    reps = artifacts._ROW_BLOCK // 2 + 3
+    n_col, rep_col = np.repeat([50, 200, 800], reps), np.tile(np.arange(reps), 3)
+    est = rng.normal(size=3 * reps)
+    path = tmp_path / "mc.csv"
+    artifacts.write_table(str(path), ["n", "rep", "est"], [n_col, rep_col, est],
+                          eol="\r\n")
+    want = "n,rep,est\r\n" + "".join(f"{int(n)!r},{int(r)!r},{float(e)!r}\r\n"
+                                     for n, r, e in zip(n_col, rep_col, est))
+    assert path.read_bytes() == want.encode()
+
+    size = 2 * artifacts._ROW_BLOCK + 3
+    ints = rng.integers(-5, 5, size)
+    text = rng.choice(np.array(["a", "b c", "-0.0"]), size)
+    floats = rng.choice(np.array([0.25, -0.0, 0.0, 1e300]), size)
+    path = tmp_path / "mixed.csv"
+    artifacts.write_table(str(path), ["i", "s", "f"], [ints, text, floats])
+    want = "i,s,f\n" + "".join(f"{int(i)},{s},{float(f)!r}\n"
+                               for i, s, f in zip(ints, text, floats))
+    assert path.read_bytes() == want.encode()
+
+
 def test_density_csv_roundtrip_2d(tmp_path):
     g = Grid.box((0.0, 1.0), (0.0, 2.0), (41, 61))
     P = GridDensity.from_callable(g, lambda x, y: 1.0 + x * y)
@@ -216,8 +269,13 @@ def test_sample_csv_rejects_rows_that_are_not_numbers(tmp_path):
     for name, body in bodies.items():
         path = tmp_path / f"{name}.csv"
         path.write_text(body)
-        with pytest.raises(SensanError, match="sample"):
-            Sample.from_csv(str(path))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(SensanError, match="sample") as info:
+                Sample.from_csv(str(path))
+        assert not seen, [str(w.message) for w in seen]
+        if name == "empty":
+            assert "holds no rows" in str(info.value)
 
 
 def test_sample_csv_roundtrip(tmp_path):
