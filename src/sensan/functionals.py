@@ -20,14 +20,19 @@ the Gateaux derivative along mixtures toward a near-point mass,
 for a Gaussian bump G_z of shrinking width sigma_j = sigma0 * 2^-j, down
 to two grid spacings, extrapolated in the bump width. The derivative is
 linear in the bump, so every width and every z comes from one node
-gradient of psi (central differences, two functional calls per node)
-smoothed by a convolution along each axis. The perturbed fields are
-signed, so evaluation runs on raw PiecewiseFields rather than through
+gradient of psi (central differences at every node) smoothed by a
+convolution along each axis. The built-in kinds evaluate the perturbed
+fields in row blocks, a stack of them per array operation, with the bits
+of one field at a time; a composite's evaluator is opaque and gets one
+call per perturbed field, two per node. The perturbed fields are signed,
+so evaluation runs on raw PiecewiseFields rather than through
 GridDensity validation.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +56,8 @@ __all__ = [
     "influence_numerical",
     "parse_functional",
 ]
+
+_NODE_BLOCK = 1 << 14   # node values in one stack of perturbed fields (128 KB)
 
 
 @dataclass(frozen=True)
@@ -109,7 +116,9 @@ def composite(evaluator, label: str = "composite") -> Functional:
 def _evaluator(F: Functional, grid: Grid):
     """psi as a map on fields over `grid`. The integrand (moment) or the
     coordinate arrays (variance) are built here, once, so numerical
-    differentiation pays only for the quadrature in each of its calls."""
+    differentiation pays only for the quadrature in each of its calls.
+    For the built-in kinds the map also takes a stack of fields, rows
+    along a leading axis of the smooth part, and gives one value per row."""
     if F.kind == "moment":
         vals = np.broadcast_to(np.asarray(F.rho(*grid.mesh()), dtype=float),
                                grid.shape)
@@ -183,8 +192,14 @@ class MollifierSchedule:
     fd_step: float = 1e-4
 
     def __post_init__(self):
-        if self.sigma0 <= 0.0 or self.fd_step <= 0.0:
-            raise SensanError("mollifier schedule needs positive sigma0 and fd_step")
+        for name in ("sigma0", "fd_step"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0.0):
+                raise SensanError(f"mollifier schedule needs positive {name} "
+                                  f"(a finite number), got {v!r}")
+        if isinstance(self.levels, bool) or not isinstance(self.levels, numbers.Integral):
+            raise SensanError(
+                f"mollifier schedule levels must be an integer, got {self.levels!r}")
         if self.levels < 3:
             raise SensanError("mollifier schedule needs at least 3 levels")
 
@@ -217,22 +232,41 @@ def default_schedule(grid: Grid) -> MollifierSchedule:
     return MollifierSchedule(sigma0=sigma0, levels=levels)
 
 
-def _node_gradient(psi, P: GridDensity, t: float) -> np.ndarray:
+def _node_gradient(psi, P: GridDensity, t: float, rows: int | None) -> np.ndarray:
     """(psi(P + t e_k) - psi(P - t e_k)) / 2t for every node k, e_k the
-    unit node vector added to the smooth part; P's cut terms are kept.
-    The perturbed copy is edited in place and each call gets a fresh
-    field, so no cached node values outlive their perturbation."""
+    unit node vector added to the smooth part; P's cut terms are shared.
+    With `rows`, psi takes a stack of up to that many perturbed fields
+    along a leading axis, row r perturbed at node k0 + r, and returns one
+    value per row; with None it takes one field at a time. The perturbed
+    copies are edited in place and each call gets a fresh field, so no
+    cached node values outlive their perturbation."""
     work = np.array(P.smooth, dtype=float)
     flat = work.reshape(-1)
-    g = np.empty(flat.size)
-    for k in range(flat.size):
-        v = flat[k]
-        flat[k] = v + t
-        up = psi(PiecewiseField(P.grid, work, P.terms))
-        flat[k] = v - t
-        dn = psi(PiecewiseField(P.grid, work, P.terms))
-        flat[k] = v
-        g[k] = (up - dn) / (2.0 * t)
+    size = flat.size
+    g = np.empty(size)
+    if rows is None:
+        for k in range(size):
+            v = flat[k]
+            flat[k] = v + t
+            up = psi(PiecewiseField(P.grid, work, P.terms))
+            flat[k] = v - t
+            dn = psi(PiecewiseField(P.grid, work, P.terms))
+            flat[k] = v
+            g[k] = (up - dn) / (2.0 * t)
+        return g.reshape(P.grid.shape)
+    base, work = flat, np.tile(flat, rows)
+    for k0 in range(0, size, rows):
+        b = min(rows, size - k0)
+        v = base[k0:k0 + b]
+        # row r of the stack at its own node k0 + r: a stride of size + 1
+        diag = work[k0:k0 + b * (size + 1):size + 1]
+        fields = work[:b * size].reshape((b,) + P.grid.shape)
+        diag[:] = v + t
+        up = psi(PiecewiseField(P.grid, fields, P.terms))
+        diag[:] = v - t
+        dn = psi(PiecewiseField(P.grid, fields, P.terms))
+        diag[:] = v
+        g[k0:k0 + b] = (up - dn) / (2.0 * t)
     return g.reshape(P.grid.shape)
 
 
@@ -261,8 +295,10 @@ def influence_numerical(F: Functional, P: GridDensity,
     of width sigma_j, renormalized by its Simpson integral n_j(z). That
     derivative is linear in the bump, so it is computed from one node
     gradient g_k = d psi / d P(x_k) and the derivative Dpsi along P
-    itself, both by central differences with step fd_step (2G + 2
-    functional calls in all):
+    itself, both by central differences with step fd_step. A composite
+    takes 2G + 2 evaluator calls; the built-in kinds evaluate the 2G
+    perturbed fields in row blocks of up to _NODE_BLOCK node values,
+    with the same bits:
 
         level_j = (B_j g) / n_j - Dpsi,    n_j = B_j w,
 
@@ -284,7 +320,10 @@ def influence_numerical(F: Functional, P: GridDensity,
     grid = P.grid
     t = schedule.fd_step
     psi = _evaluator(F, grid)
-    g = _node_gradient(psi, P, t)
+    # built-in kinds evaluate stacks of perturbed fields; an opaque
+    # composite evaluator takes one field per call
+    rows = None if F.kind == "composite" else max(1, _NODE_BLOCK // P.smooth.size)
+    g = _node_gradient(psi, P, t, rows)
     dpsi = (psi(P.scale(1.0 + t)) - psi(P.scale(1.0 - t))) / (2.0 * t)
     w = grid.weight_tensor()
     levels = [_smooth(grid, g, s) / _smooth(grid, w, s) - dpsi

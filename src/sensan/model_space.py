@@ -156,24 +156,35 @@ def merge_cuts(*cut_sets: Cuts) -> Cuts:
     return tuple(sorted(bound.items()))
 
 
-def _simpson_reduce(grid: Grid, samples: np.ndarray, axis: int) -> np.ndarray:
+def _simpson_reduce(grid: Grid, samples: np.ndarray, axis: int,
+                    pos: int | None = None) -> np.ndarray:
+    """Integrate samples along grid axis `axis`, found at position `pos`
+    counted from the end (by default the field's own position)."""
+    w = grid.axes[axis].weights
+    pos = axis - grid.ndim if pos is None else pos
+    if samples.ndim > 2:
+        # rows of 2-d fields: matmul makes one gemv per row, the call a
+        # C-ordered field gets below, so each row keeps its bits
+        samples = np.ascontiguousarray(samples)
+        return samples @ w if pos == -1 else w @ samples
     # the 2-d layout and np.dot call of np.tensordot (same result, bit for
     # bit) without its Python overhead, which dominates 1-d quadrature
-    w = grid.axes[axis].weights
-    F = np.swapaxes(samples, axis, -1)
+    F = np.swapaxes(samples, pos, -1)
     return np.dot(F.reshape(-1, w.size), w[:, None]).reshape(F.shape[:-1])
 
 
-def _below_reduce(grid: Grid, samples: np.ndarray, axis: int, q: float) -> np.ndarray:
-    """Integrate samples along `axis` over [lo, min(q, hi)], splitting the
-    cell that contains q. Simpson on the even-length prefix, a trapezoid
-    cell when the prefix length is odd, linear interpolation inside the
-    partial cell. Exact consistency: q >= hi falls back to the full rule."""
+def _below_reduce(grid: Grid, samples: np.ndarray, axis: int, pos: int,
+                  q: float) -> np.ndarray:
+    """Integrate samples along `axis` (at `pos` from the end) over
+    [lo, min(q, hi)], splitting the cell that contains q. Simpson on the
+    even-length prefix, a trapezoid cell when the prefix length is odd,
+    linear interpolation inside the partial cell. Exact consistency:
+    q >= hi falls back to the full rule."""
     ax = grid.axes[axis]
     x = ax.nodes
     if q >= ax.hi:
-        return _simpson_reduce(grid, samples, axis)
-    F = np.moveaxis(samples, axis, -1)
+        return _simpson_reduce(grid, samples, axis, pos)
+    F = np.moveaxis(samples, pos, -1)
     out = np.zeros(F.shape[:-1])
     if q < ax.lo:
         return out
@@ -196,23 +207,40 @@ def _below_reduce(grid: Grid, samples: np.ndarray, axis: int, q: float) -> np.nd
 def _reduce(grid: Grid, samples: np.ndarray, cuts: Cuts,
             keep: int | None = None) -> np.ndarray:
     """Integrate samples over every axis except `keep`, each restricted to
-    {x_axis <= location} where `cuts` bounds that axis."""
+    {x_axis <= location} where `cuts` bounds that axis. The grid axes are
+    the trailing axes of `samples`; leading axes are rows of fields."""
+    if not cuts and keep is None:
+        if samples.ndim > grid.ndim:
+            # rows: matmul makes per row the gemv and the closing ddot that
+            # np.dot makes for one field, so each row keeps its bits
+            for ax in reversed(grid.axes[1:]):
+                samples = samples @ ax.weights
+            return (samples[..., None, :] @ grid.axes[0].weights)[..., 0]
+        # one dot per axis, last axis first: these are the BLAS calls of
+        # the general path below, so the bits agree
+        for ax in reversed(grid.axes):
+            samples = np.dot(samples, ax.weights)
+        return samples
     bound = dict(merge_cuts(cuts)) if cuts else {}
     out = samples
     for axis in reversed(range(grid.ndim)):
         if axis == keep:
             continue
+        pos = -2 if keep is not None and keep > axis else -1
         if axis in bound:
-            out = _below_reduce(grid, out, axis, bound[axis])
+            out = _below_reduce(grid, out, axis, pos, bound[axis])
         else:
-            out = _simpson_reduce(grid, out, axis)
+            out = _simpson_reduce(grid, out, axis, pos)
     return out
 
 
-def grid_quad(grid: Grid, samples: np.ndarray, cuts: Cuts = ()) -> float:
+def grid_quad(grid: Grid, samples: np.ndarray, cuts: Cuts = ()):
     """Integrate node samples over the grid, restricted to the half-open
-    box {x_axis <= location} for every (axis, location) in `cuts`."""
-    return float(_reduce(grid, np.asarray(samples, dtype=float), cuts))
+    box {x_axis <= location} for every (axis, location) in `cuts`. Leading
+    axes beyond the grid's are rows: the result is then one integral per
+    row instead of a float."""
+    out = _reduce(grid, np.asarray(samples, dtype=float), cuts)
+    return float(out) if out.ndim == 0 else out
 
 
 def locate(ax: GridAxis, coords) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +290,9 @@ class PiecewiseField:
 
     Construction neither validates nor copies, and the masked node values
     are built on first use only: numerical differentiation builds
-    thousands of these and reads most of them through `quad` alone."""
+    thousands of these and reads most of them through `quad` alone. It
+    also stacks fields that share their terms as leading axes of
+    `smooth`; `quad` and `marginal` then give one result per row."""
 
     grid: Grid
     smooth: np.ndarray
@@ -520,27 +550,29 @@ def integrate(f, P: GridDensity) -> float:
 
 
 def _cumtrapz(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
+    out = np.zeros(y.shape)
+    (0.5 * (y[..., 1:] + y[..., :-1]) * (x[1:] - x[:-1])).cumsum(axis=-1, out=out[..., 1:])
     return out
 
 
-def _cum_at(x: np.ndarray, s: np.ndarray, cum: np.ndarray, t: float) -> float:
+def _cum_at(x: np.ndarray, s: np.ndarray, cum: np.ndarray, t: float):
     """Trapezoid integral of node samples s over [x[0], t], consistent with
-    their node-level cumulative table `cum`."""
+    their node-level cumulative table `cum`, per row of s."""
     if t <= x[0]:
         return 0.0
     t = min(t, x[-1])
     k = min(int(np.searchsorted(x, t, side="right")) - 1, len(x) - 2)
     d = t - x[k]
-    st = s[k] + (s[k + 1] - s[k]) * (d / (x[k + 1] - x[k]))
-    return cum[k] + 0.5 * d * (s[k] + st)
+    st = s[..., k] + (s[..., k + 1] - s[..., k]) * (d / (x[k + 1] - x[k]))
+    return cum[..., k] + 0.5 * d * (s[..., k] + st)
 
 
-def invert_cdf(m: PiecewiseField, tau: float, *, strict: bool = True) -> float:
+def invert_cdf(m: PiecewiseField, tau: float, *, strict: bool = True):
     """Invert the cumulative-trapezoid CDF of a 1-d field (a marginal),
     splitting cells at its cuts.
 
+    Leading axes of `m.smooth` are rows, each a field sharing m's cut
+    terms; the result is one quantile per row, or a float for one field.
     Strict mode rejects a flat crossing (zero density on an interval at
     the level). Non-strict mode takes the first crossing, which tolerates
     the tiny negative dips a signed mixture density can produce."""
@@ -548,28 +580,44 @@ def invert_cdf(m: PiecewiseField, tau: float, *, strict: bool = True) -> float:
     parts = [(math.inf, m.smooth)] + [(t.cuts[0][1], t.samples) for t in m.terms]
     parts = [(q, s, _cumtrapz(x, s)) for q, s in parts]
 
-    def cdf(t: float) -> float:
+    def cdf(t: float):
         return sum(_cum_at(x, s, cum, min(t, q)) for q, s, cum in parts)
 
     F = sum(cum if q >= x[-1] else np.where(x <= q, cum, _cum_at(x, s, cum, q))
             for q, s, cum in parts)
-    if F[-1] < tau:
+    rows = F.shape[:-1]
+    if (F[..., -1] < tau).any():
         raise SensanError("quantile level beyond the grid support")
-    i = int(np.argmax(F >= tau))
-    i = min(max(i, 1), len(F) - 1)
+    i = np.maximum((F >= tau).argmax(axis=-1), 1)
     x0, x1 = x[i - 1], x[i]
-    pts = [x0] + sorted(q for q, _, _ in parts if x0 < q < x1) + [x1]
-    Fv = [F[i - 1]] + [cdf(b) for b in pts[1:-1]] + [F[i]]
-    for j in range(len(pts) - 1):
-        lo_f, hi_f = Fv[j], Fv[j + 1]
-        if hi_f >= tau:
-            dF = hi_f - lo_f
-            if dF <= 1e-13:
-                if strict:
-                    raise SensanError("non-unique quantile: flat CDF at the level")
-                return float(pts[j])
-            return float(pts[j] + (tau - lo_f) / dF * (pts[j + 1] - pts[j]))
-    return float(x1)
+    # node i of each row as an index into the flattened F; a number for one field
+    k = i + len(x) * np.arange(i.size).reshape(rows)
+    F = F.reshape(-1)
+
+    def cross(hi_x, rows_in, hi_f):
+        """Rows of `rows_in` whose CDF reaches tau on [lo_x, hi_x], and
+        the crossing point of every row."""
+        hit = rows_in & (hi_f >= tau)
+        dF = hi_f - lo_f
+        flat = dF <= 1e-13
+        if strict and (hit & flat).any():
+            raise SensanError("non-unique quantile: flat CDF at the level")
+        at = lo_x + (tau - lo_f) / np.where(flat, 1.0, dF) * (hi_x - lo_x)
+        return hit, np.where(flat, lo_x, at)
+
+    # walk each row's cell [x0, x1] piece by piece, split at the cuts inside
+    lo_x, lo_f, out = x0, F[k - 1], x1
+    ahead = True                            # rows that have not crossed yet
+    for q in sorted(q for q, _, _ in parts[1:]):
+        inside = ahead & (x0 < q) & (q < x1)
+        if inside.any():
+            hi_f = cdf(q)
+            hit, at = cross(q, inside, hi_f)
+            out, ahead = np.where(hit, at, out), ahead & ~hit
+            lo_x, lo_f = np.where(inside, q, lo_x), np.where(inside, hi_f, lo_f)
+    hit, at = cross(x1, ahead, F[k])
+    out = np.where(hit, at, out)
+    return out if rows else float(out)
 
 
 def quantile(P, tau: float, axis: int = 0) -> float:

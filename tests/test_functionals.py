@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundles import mean_over_median
 from sensan import (Grid, GridDensity, MollifierSchedule, TangentVector,
-                    composite, evaluate, influence, influence_analytic,
-                    influence_numerical, inner_p, moment, parse_functional,
-                    quantile_functional, variance)
+                    composite, counterfactual_density, evaluate, influence,
+                    influence_analytic, influence_numerical, inner_p, moment,
+                    parse_functional, quantile_functional, variance)
 from sensan.errors import ConfigError, SensanError
-from sensan.families import beta, linear, uniform
-from sensan.functionals import default_schedule
+from sensan.families import beta, linear, quadratic, truncated_normal, uniform
+from sensan.functionals import (_NODE_BLOCK, _evaluator, _node_gradient,
+                                default_schedule)
 from sensan.model_space import PiecewiseField, grid_quad
 
 G = Grid.line(0.0, 1.0, 801)
@@ -255,3 +258,145 @@ def test_parse_functional_config_errors():
         parse_functional({"kind": "quantile"}, 1)
     with pytest.raises(ConfigError, match="config key 'kind'"):
         parse_functional({"kind": "entropy"}, 1)
+
+
+# --- the node gradient in row blocks -------------------------------------------------
+
+def _loop_gradient(F, P, t=1e-4):
+    """Reference for the node gradient of a built-in kind: the per-node
+    loop, one perturbed field per call, two calls per node (the route an
+    opaque composite takes)."""
+    psi = _evaluator(F, P.grid)
+    work = np.array(P.smooth, dtype=float)
+    flat = work.reshape(-1)
+    g = np.empty(flat.size)
+    for k in range(flat.size):
+        v = flat[k]
+        flat[k] = v + t
+        up = psi(PiecewiseField(P.grid, work, P.terms))
+        flat[k] = v - t
+        dn = psi(PiecewiseField(P.grid, work, P.terms))
+        flat[k] = v
+        g[k] = (up - dn) / (2.0 * t)
+    return g.reshape(P.grid.shape)
+
+
+def _block_gradient(F, P, rows=None, t=1e-4):
+    rows = rows or max(1, _NODE_BLOCK // P.smooth.size)
+    return _node_gradient(_evaluator(F, P.grid), P, t, rows)
+
+
+def _gaussian_2d(shape):
+    g = Grid.box((0.0, 1.0), (0.0, 1.0), shape)
+    return GridDensity.from_callable(
+        g, lambda x, y: np.exp(-((x - 0.45) ** 2 + (x - 0.5) * (y - 0.5)
+                                 + (y - 0.55) ** 2) / 0.1))
+
+
+def _with_a_jump(P, tau=0.4, axis=0):
+    """P moved along the gradient of a quantile: a density whose cut term
+    every perturbed field shares."""
+    nu = quantile_functional(tau, axis)
+    return counterfactual_density(P, influence_analytic(nu, P), 0.02)
+
+
+_KINDS_1D = [moment(lambda x: x * x), variance(), quantile_functional(0.3),
+             quantile_functional(0.5)]
+_KINDS_2D = [moment(lambda x, y: x * y), variance(0), variance(1),
+             quantile_functional(0.3, 0), quantile_functional(0.5, 0),
+             quantile_functional(0.3, 1), quantile_functional(0.5, 1)]
+
+
+@pytest.mark.parametrize("n", [201, 401, 801])
+@pytest.mark.parametrize("jump", [False, True])
+def test_block_node_gradient_gives_the_loop_bits_in_1d(n, jump):
+    """The block sizes (81, 40 and 20 rows) do not divide the node counts,
+    so every case ends on a short block. Each row of a block keeps the
+    bits of its field alone, so the gradient equals the loop's exactly;
+    the quadrature kinds need only match within 1e-8 max|g|, which exact
+    equality implies."""
+    P = beta(Grid.line(0.0, 1.0, n), 2.0, 3.0)
+    P = _with_a_jump(P) if jump else P
+    assert bool(P.terms) == jump
+    for F in _KINDS_1D:
+        np.testing.assert_array_equal(_block_gradient(F, P), _loop_gradient(F, P),
+                                      err_msg=F.label)
+
+
+@pytest.mark.parametrize("shape,jump", [((21, 31), False), ((21, 31), True),
+                                        ((41, 41), False)])
+def test_block_node_gradient_gives_the_loop_bits_in_2d(shape, jump):
+    """Blocks of 25 and 9 rows, which divide neither 651 nor 1681 nodes."""
+    P = _gaussian_2d(shape)
+    P = _with_a_jump(P, 0.5, axis=1) if jump else P
+    for F in _KINDS_2D:
+        np.testing.assert_array_equal(_block_gradient(F, P), _loop_gradient(F, P),
+                                      err_msg=F.label)
+
+
+@st.composite
+def family_densities(draw):
+    """A family density on a grid of random size (odd and even node
+    counts), or the same density moved along the gradient of one of its
+    quantiles, which adds a cut term."""
+    g = Grid.line(0.0, 1.0, draw(st.integers(5, 121)))
+    family = draw(st.sampled_from(("uniform", "beta", "linear", "quadratic",
+                                   "truncated_normal")))
+    P = {"uniform": lambda: uniform(g),
+         "beta": lambda: beta(g, draw(st.floats(1.0, 5.0)), draw(st.floats(1.0, 5.0))),
+         "linear": lambda: linear(g, draw(st.floats(0.2, 2.0)),
+                                  draw(st.floats(-0.15, 2.0))),
+         "quadratic": lambda: quadratic(g, draw(st.floats(0.1, 2.0)),
+                                        draw(st.floats(0.0, 3.0)),
+                                        draw(st.floats(0.0, 1.0))),
+         "truncated_normal": lambda: truncated_normal(
+             g, draw(st.floats(0.2, 0.8)), draw(st.floats(0.1, 1.0)))}[family]()
+    if draw(st.booleans()):
+        P = _with_a_jump(P, draw(st.floats(0.2, 0.8)))
+    return P
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(family_densities(),
+       st.sampled_from([moment(lambda x: x ** 3 - x), variance(),
+                        quantile_functional(0.25), quantile_functional(0.5),
+                        quantile_functional(0.8)]),
+       st.integers(1, 50))
+def test_block_node_gradient_gives_the_loop_bits_on_generated_densities(P, F, rows):
+    np.testing.assert_array_equal(_block_gradient(F, P, rows), _loop_gradient(F, P))
+
+
+def _reciprocal(x):
+    with np.errstate(divide="ignore"):
+        return 1.0 / x
+
+
+@pytest.mark.parametrize("F,message", [
+    (moment(_reciprocal), "non-finite integrand"),
+    (quantile_functional(0.999999), "quantile level beyond the grid support"),
+])
+def test_block_node_gradient_raises_the_loop_errors(F, message):
+    """1/x is infinite at x = 0; at tau = 0.999999 on 201 nodes the rows
+    perturbed by -t hold less mass than tau. Both routes fail with the
+    same text."""
+    P = beta(Grid.line(0.0, 1.0, 201), 2.0, 3.0)
+    with pytest.raises(SensanError) as loop:
+        _loop_gradient(F, P)
+    with pytest.raises(SensanError) as block:
+        influence_numerical(F, P)
+    assert str(loop.value) == str(block.value) == message
+
+
+@pytest.mark.parametrize("kwargs,field", [
+    ({"sigma0": np.inf}, "sigma0"),
+    ({"sigma0": np.nan}, "sigma0"),
+    ({"sigma0": 0.2, "fd_step": np.nan}, "fd_step"),
+    ({"sigma0": 0.2, "fd_step": np.inf}, "fd_step"),
+    ({"sigma0": 0.2, "levels": 3.5}, "levels"),
+])
+def test_mollifier_schedule_rejects_non_finite_and_fractional_fields(kwargs, field):
+    """sigma0 = inf used to give an influence of about 4e-17 at every node,
+    nan failed later as "tangent values must be finite", and levels = 3.5
+    ended in a TypeError."""
+    with pytest.raises(SensanError, match=f"mollifier schedule .*{field}"):
+        MollifierSchedule(**kwargs)

@@ -81,6 +81,76 @@ def test_grid_quad_cut_restriction_2d():
     assert abs(got - 0.3) < 1e-13
 
 
+def _axis_by_axis(grid, samples, keep=None):
+    """Reference for cut-free quadrature: one axis at a time, last first,
+    that axis swapped last and the rest flattened into rows, one np.dot
+    with the weight column (the reduction before grid_quad had a cut-free
+    path)."""
+    out = samples
+    for axis in reversed(range(grid.ndim)):
+        if axis == keep:
+            continue
+        w = grid.axes[axis].weights
+        F = np.swapaxes(out, axis, -1)
+        out = np.dot(F.reshape(-1, w.size), w[:, None]).reshape(F.shape[:-1])
+    return out
+
+
+def _layouts(A):
+    """A in the memory layouts quadrature meets: C order, reversed and
+    transposed views, and the stride-0 broadcasts that from_callable and
+    the moment evaluator pass for integrands constant along an axis."""
+    out = [A, A[::-1], np.broadcast_to(A.flat[0], A.shape)]
+    if A.ndim == 2:
+        out += [np.asfortranarray(A), A.T.copy().T, A[:, ::-1],
+                np.broadcast_to(A[:, :1], A.shape), np.broadcast_to(A[:1], A.shape)]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(5,), (6,), (201,), (800,), (801,),
+                                   (21, 31), (40, 41), (41, 41), (4, 7)])
+def test_cut_free_grid_quad_gives_the_axis_by_axis_bits(shape):
+    """Odd and even node counts (Simpson and trapezoid weights) in every
+    layout: the cut-free path's chained dots give the bits of the
+    axis-by-axis reduction."""
+    g = (Grid.line(0.0, 1.0, *shape) if len(shape) == 1
+         else Grid.box((0.0, 1.0), (-1.0, 2.0), shape))
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(5):
+        A = rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 4)
+        for L in _layouts(A):
+            assert grid_quad(g, L) == float(_axis_by_axis(g, L))
+
+
+@pytest.mark.parametrize("shape", [(21, 31), (40, 41), (41, 41), (5, 200)])
+def test_marginals_give_the_axis_by_axis_bits(shape):
+    """Both marginals of a 2-d field, alone and as rows of a stack: each
+    row of a stack keeps the bits of its field alone, which the node
+    gradient's row blocks rely on; so does a stack's integral."""
+    g = Grid.box((0.0, 1.0), (-1.0, 2.0), shape)
+    rng = np.random.default_rng(sum(shape))
+    A = rng.standard_normal(shape)
+    for L in _layouts(A):
+        for axis in (0, 1):
+            np.testing.assert_array_equal(
+                model_space.PiecewiseField(g, L).marginal(axis).smooth,
+                _axis_by_axis(g, L, keep=axis))
+    stack = rng.standard_normal((9,) + shape)
+    for axis in (0, 1):
+        rows = model_space.PiecewiseField(g, stack).marginal(axis).smooth
+        assert rows.shape == (9, shape[axis])
+        for r in range(9):
+            np.testing.assert_array_equal(rows[r], _axis_by_axis(g, stack[r], keep=axis))
+    np.testing.assert_array_equal(grid_quad(g, stack), [grid_quad(g, f) for f in stack])
+
+
+@pytest.mark.parametrize("n", [5, 201, 800, 801])
+def test_row_integrals_give_the_bits_of_each_field(n):
+    g = Grid.line(0.0, 1.0, n)
+    stack = np.random.default_rng(n).standard_normal((13, n))
+    np.testing.assert_array_equal(grid_quad(g, stack), [grid_quad(g, f) for f in stack])
+
+
 def test_cut_term_mask():
     g = Grid.line(0.0, 1.0, 5)
     m = CutTerm(((0, 0.5),), np.ones(5)).mask(g)
@@ -354,6 +424,91 @@ def test_quantile_flat_cdf_is_rejected():
         quantile(P, 0.5)
     # off the flat stretch the quantile is still well defined
     assert abs(quantile(P, 0.25) - 0.174375) < 1e-6
+
+
+def _field_cdf(m):
+    """Nodes, the cumulative-trapezoid CDF at the nodes, and the CDF at any
+    point, of a 1-d field whose parts are split at their cuts."""
+    x = m.grid.axes[0].nodes
+    parts = [(np.inf, m.smooth)] + [(t.cuts[0][1], t.samples) for t in m.terms]
+    parts = [(q, s, model_space._cumtrapz(x, s)) for q, s in parts]
+
+    def cdf(t):
+        return sum(model_space._cum_at(x, s, cum, min(t, q)) for q, s, cum in parts)
+
+    F = sum(cum if q >= x[-1] else np.where(x <= q, cum, model_space._cum_at(x, s, cum, q))
+            for q, s, cum in parts)
+    return x, F, cdf
+
+
+def _one_field_inversion(m, tau, *, strict):
+    """Reference for invert_cdf on one field: the cumulative trapezoid of
+    each part, the first node at the level, then that cell walked piece by
+    piece between the cuts inside it (the scalar inversion before
+    invert_cdf took rows)."""
+    x, F, cdf = _field_cdf(m)
+    cuts = [t.cuts[0][1] for t in m.terms]
+    if F[-1] < tau:
+        raise SensanError("quantile level beyond the grid support")
+    i = min(max(int(np.argmax(F >= tau)), 1), len(F) - 1)
+    pts = [x[i - 1]] + sorted(q for q in cuts if x[i - 1] < q < x[i]) + [x[i]]
+    Fv = [F[i - 1]] + [cdf(b) for b in pts[1:-1]] + [F[i]]
+    for j in range(len(pts) - 1):
+        if Fv[j + 1] >= tau:
+            dF = Fv[j + 1] - Fv[j]
+            if dF <= 1e-13:
+                if strict:
+                    raise SensanError("non-unique quantile: flat CDF at the level")
+                return float(pts[j])
+            return float(pts[j] + (tau - Fv[j]) / dF * (pts[j + 1] - pts[j]))
+    return float(x[i])
+
+
+def _outcome(fn, m, tau, strict):
+    try:
+        return fn(m, tau, strict=strict)
+    except SensanError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", [5, 21, 200, 201])
+def test_row_inversion_gives_each_fields_bits(n):
+    """Signed fields with up to three cuts (one repeated) and a near-flat
+    stretch, at levels that put a cut inside the crossing cell or the
+    crossing inside the stretch: a stack of fields inverts row by row to
+    the one-field reference, in both modes. A stack fails when a row
+    fails, a level beyond the support first."""
+    g = Grid.line(0.0, 1.0, n)
+    rng = np.random.default_rng(n)
+    stretch = slice(n // 3, max(n // 2, n // 3 + 2))
+    for trial in range(40):
+        cuts = sorted(rng.uniform(0.0, 1.0, rng.integers(0, 4)))
+        if trial % 7 == 1 and cuts:
+            cuts = [cuts[0]] + cuts
+        bump = 0.3 * rng.standard_normal((len(cuts), n))
+        bump[:, stretch] = 0.0
+        terms = tuple(CutTerm(((0, q),), b) for q, b in zip(cuts, bump))
+        stack = np.abs(rng.standard_normal((6, n))) + (0.5 if trial % 2 else 0.0)
+        stack[1] -= 0.4                     # signed, dips below zero
+        stack[2, stretch] = 1e-12           # a CDF rising by about 1e-14 a cell
+        fields = [model_space.PiecewiseField(g, s, terms) for s in stack]
+        _, F2, _ = _field_cdf(fields[2])
+        _, _, cdf0 = _field_cdf(fields[0])
+        levels = list(rng.uniform(0.0, 1.2, 3) * F2[-1]) + [cdf0(q) for q in cuts]
+        levels.append(F2[stretch][-1])
+        for tau in levels:
+            for strict in (True, False):
+                got = _outcome(model_space.invert_cdf,
+                               model_space.PiecewiseField(g, stack, terms), tau, strict)
+                want = [_outcome(_one_field_inversion, f, tau, strict) for f in fields]
+                errors = [w for w in want if isinstance(w, str)]
+                if errors:
+                    beyond = "quantile level beyond the grid support"
+                    assert got == (beyond if beyond in errors else errors[0])
+                else:
+                    assert got.tolist() == want
+                    assert _outcome(model_space.invert_cdf, fields[0], tau,
+                                    strict) == want[0]
 
 
 def test_density_at_interpolates():
