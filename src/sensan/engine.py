@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SensanError
-from .functionals import Functional, MollifierSchedule, evaluate, influence
+from .functionals import Functional, evaluate, influence
 from .model_space import CutTerm, Grid, GridDensity, PiecewiseField, locate
 from .tangent import (PolicyMetric, TangentVector, grad_op_apply, inner,
                       inner_p)
@@ -153,11 +153,10 @@ def sensitivity_from_influences(psi_t: TangentVector, nu_t: TangentVector,
 
 
 def sensitivity(psi: Functional, nu: Functional, P: GridDensity,
-                metric: PolicyMetric,
-                schedule: MollifierSchedule | None = None) -> SensitivityReport:
+                metric: PolicyMetric) -> SensitivityReport:
     """Sensitivity of psi(P) to the control nu(P) under the metric."""
-    psi_t = influence(psi, P, schedule)
-    nu_t = influence(nu, P, schedule)
+    psi_t = influence(psi, P)
+    nu_t = influence(nu, P)
     return sensitivity_from_influences(
         psi_t, nu_t, metric,
         psi_label=psi.label, nu_label=nu.label,
@@ -303,8 +302,7 @@ class CounterfactualReport:
 
 def counterfactual_report(psi: Functional, nu: Functional, P: GridDensity,
                           metric: PolicyMetric, target_increment: float, *,
-                          refine: bool = False, path: str = "multiplicative",
-                          schedule: MollifierSchedule | None = None
+                          refine: bool = False, path: str = "multiplicative"
                           ) -> CounterfactualReport:
     """Move nu(P) by the requested amount along its gradient and report
     what happened to psi.
@@ -314,7 +312,7 @@ def counterfactual_report(psi: Functional, nu: Functional, P: GridDensity,
     gap. With refine=True, h is adjusted (at most 5 quasi-Newton
     iterations, tolerance 1e-8) so the achieved increment hits the target.
     """
-    rep = sensitivity(psi, nu, P, metric, schedule)
+    rep = sensitivity(psi, nu, P, metric)
     direction = rep.nu_gradient
     gn2 = rep.grad_norm_nu ** 2
     nu0, psi0 = rep.nu_value, rep.psi_value
@@ -399,9 +397,7 @@ def _fit_slope(hs: list[float], errs: list[float], floor: float) -> float:
 
 
 def verify_first_order(psi: Functional, nu: Functional, P: GridDensity,
-                       metric: PolicyMetric, h_list,
-                       *, schedule: MollifierSchedule | None = None
-                       ) -> FirstOrderCheck:
+                       metric: PolicyMetric, h_list) -> FirstOrderCheck:
     """Check that the counterfactual remainders shrink quadratically.
 
     h_list must hold at least three decreasing positive step sizes, each
@@ -411,7 +407,7 @@ def verify_first_order(psi: Functional, nu: Functional, P: GridDensity,
     if len(hs) < 3 or any(h <= 0.0 for h in hs) or any(
             a <= b for a, b in zip(hs, hs[1:])):
         raise SensanError("need at least three decreasing positive step sizes")
-    rep = sensitivity(psi, nu, P, metric, schedule)
+    rep = sensitivity(psi, nu, P, metric)
     direction = rep.nu_gradient
     gn2 = rep.grad_norm_nu ** 2
     rows = []

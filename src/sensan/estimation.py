@@ -35,8 +35,8 @@ import numpy as np
 from .artifacts import write_table
 from .errors import ConfigError, SensanError
 from .functionals import Functional, evaluate
-from .model_space import (Grid, GridDensity, LikelihoodRatio, Sample,
-                          _cumtrapz, _simpson_reduce, density_at,
+from .model_space import (RATIO_CLAMP, Grid, GridDensity, LikelihoodRatio,
+                          Sample, _cumtrapz, _simpson_reduce, density_at,
                           interpolate, kde_fit, locate, quantile)
 
 __all__ = [
@@ -75,16 +75,12 @@ class RatioKnown:
 @dataclass(frozen=True)
 class RatioKde:
     """Estimated ratio: kernel density estimate of P over the known policy
-    density, clamped to the usual bounds."""
+    density, clamped into RATIO_CLAMP like a known ratio."""
 
     Q: GridDensity
     bandwidth: float | None = None
-    clamp: tuple[float, float] = (1e-3, 1e3)
 
     def __post_init__(self):
-        lo, hi = self.clamp
-        if lo <= 0.0 or hi <= lo:
-            raise SensanError("ratio clamp bounds must be positive and ordered")
         if self.bandwidth is not None and not self.bandwidth > 0.0:
             raise ConfigError("bandwidth", "bandwidth must be positive")
 
@@ -100,8 +96,7 @@ def _ratio_at_points(estimator, sample: Sample) -> np.ndarray:
         phat = kde_fit(sample, grid, estimator.bandwidth)
         num = interpolate(grid, phat.values, sample.points)
         den = interpolate(grid, estimator.Q.values, sample.points)
-        lo, hi = estimator.clamp
-        return np.clip(num / np.maximum(den, 1e-300), lo, hi)
+        return np.clip(num / np.maximum(den, 1e-300), *RATIO_CLAMP)
     raise SensanError(f"unknown ratio estimator {type(estimator).__name__}")
 
 

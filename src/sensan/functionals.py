@@ -21,18 +21,17 @@ for a Gaussian bump G_z of shrinking width sigma_j = sigma0 * 2^-j, down
 to two grid spacings, extrapolated in the bump width. The derivative is
 linear in the bump, so every width and every z comes from one node
 gradient of psi (central differences at every node) smoothed by a
-convolution along each axis. The built-in kinds evaluate the perturbed
-fields in row blocks, a stack of them per array operation, with the bits
-of one field at a time; a composite's evaluator is opaque and gets one
-call per perturbed field, two per node. The perturbed fields are signed,
-so evaluation runs on raw PiecewiseFields rather than through
-GridDensity validation.
+convolution along each axis. Every kind evaluates the perturbed fields in
+row blocks, with the bits of one field at a time: the built-in kinds take
+a whole stack per array operation, while a composite's evaluator is
+opaque and gets one call per row, two per node. The perturbed fields are
+signed, so evaluation runs on raw PiecewiseFields rather than through
+GridDensity validation. The bump widths come from the grid alone
+(default_schedule).
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +57,7 @@ __all__ = [
 ]
 
 _NODE_BLOCK = 1 << 14   # node values in one stack of perturbed fields (128 KB)
+_FD_STEP = 1e-4         # central-difference step of the node gradient
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,8 @@ class Functional:
     tau, axis: level and axis for quantile / variance
     evaluator: callable PiecewiseField -> float (composite only); it sees
         GridDensity inputs and, during numerical differentiation, signed
-        perturbations of them; it must not keep its argument, whose arrays
-        are reused once the call returns
+        perturbations of them, one field per call; it must not keep its
+        argument, whose arrays are reused once the call returns
     label: short name used in reports
     """
 
@@ -117,8 +117,9 @@ def _evaluator(F: Functional, grid: Grid):
     """psi as a map on fields over `grid`. The integrand (moment) or the
     coordinate arrays (variance) are built here, once, so numerical
     differentiation pays only for the quadrature in each of its calls.
-    For the built-in kinds the map also takes a stack of fields, rows
-    along a leading axis of the smooth part, and gives one value per row."""
+    The map also takes a stack of fields, rows along a leading axis of the
+    smooth part, and gives one value per row; a composite's evaluator sees
+    each row as a field of its own."""
     if F.kind == "moment":
         vals = np.broadcast_to(np.asarray(F.rho(*grid.mesh()), dtype=float),
                                grid.shape)
@@ -137,7 +138,13 @@ def _evaluator(F: Functional, grid: Grid):
         return var
     if F.kind == "quantile":
         return lambda f: invert_cdf(f.marginal(F.axis), F.tau, strict=False)
-    return lambda f: float(F.evaluator(f))
+
+    def opaque(f: PiecewiseField):
+        if f.smooth.ndim == grid.ndim:
+            return float(F.evaluator(f))
+        return np.array([float(F.evaluator(PiecewiseField(grid, row, f.terms)))
+                         for row in f.smooth])
+    return opaque
 
 
 def evaluate(F: Functional, P: GridDensity) -> float:
@@ -172,11 +179,10 @@ def influence_analytic(F: Functional, P: GridDensity) -> TangentVector:
     raise SensanError(f"no analytic influence for kind '{F.kind}'")
 
 
-def influence(F: Functional, P: GridDensity,
-              schedule: "MollifierSchedule | None" = None) -> TangentVector:
+def influence(F: Functional, P: GridDensity) -> TangentVector:
     """Influence function at P, analytic when available, numerical otherwise."""
     if F.kind == "composite":
-        return influence_numerical(F, P, schedule)
+        return influence_numerical(F, P)
     return influence_analytic(F, P)
 
 
@@ -184,35 +190,14 @@ def influence(F: Functional, P: GridDensity,
 
 @dataclass(frozen=True)
 class MollifierSchedule:
-    """Bump widths sigma_j = sigma0 * 2^-j for j < levels, and the finite
-    difference step of the node gradient."""
+    """Bump widths sigma_j = sigma0 * 2^-j for j < levels, as
+    default_schedule derives them from a grid."""
 
     sigma0: float
-    levels: int = 3
-    fd_step: float = 1e-4
-
-    def __post_init__(self):
-        for name in ("sigma0", "fd_step"):
-            v = getattr(self, name)
-            if not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0.0):
-                raise SensanError(f"mollifier schedule needs positive {name} "
-                                  f"(a finite number), got {v!r}")
-        if isinstance(self.levels, bool) or not isinstance(self.levels, numbers.Integral):
-            raise SensanError(
-                f"mollifier schedule levels must be an integer, got {self.levels!r}")
-        if self.levels < 3:
-            raise SensanError("mollifier schedule needs at least 3 levels")
+    levels: int
 
     def sigmas(self) -> list[float]:
         return [self.sigma0 * 2.0 ** (-j) for j in range(self.levels)]
-
-    def validate_for(self, grid: Grid) -> None:
-        finest = self.sigma0 * 2.0 ** (-(self.levels - 1))
-        coarse = max(ax.spacing for ax in grid.axes)
-        if finest < 2.0 * coarse:
-            raise SensanError(
-                f"finest mollifier width {finest:.3g} is below two grid "
-                f"spacings ({2.0 * coarse:.3g}); widen sigma0 or refine the grid")
 
 
 def default_schedule(grid: Grid) -> MollifierSchedule:
@@ -222,7 +207,8 @@ def default_schedule(grid: Grid) -> MollifierSchedule:
     capped at 40% of that side but kept at 8 spacings or more: the bias
     of a Richardson pair depends on the bump's absolute width, and the
     uncapped widths of 21- and 31-node unit axes, 0.8 and 0.533, do not
-    converge even for a smooth covariance."""
+    converge even for a smooth covariance. sigma0 is at least 8 spacings,
+    so the third level, and with it the finest, is two spacings or wider."""
     span = min(ax.hi - ax.lo for ax in grid.axes)
     h = max(ax.spacing for ax in grid.axes)
     sigma0 = max(0.05 * span, min(16.0 * h, max(0.4 * span, 8.0 * h)))
@@ -232,29 +218,18 @@ def default_schedule(grid: Grid) -> MollifierSchedule:
     return MollifierSchedule(sigma0=sigma0, levels=levels)
 
 
-def _node_gradient(psi, P: GridDensity, t: float, rows: int | None) -> np.ndarray:
+def _node_gradient(psi, P: GridDensity, t: float) -> np.ndarray:
     """(psi(P + t e_k) - psi(P - t e_k)) / 2t for every node k, e_k the
     unit node vector added to the smooth part; P's cut terms are shared.
-    With `rows`, psi takes a stack of up to that many perturbed fields
-    along a leading axis, row r perturbed at node k0 + r, and returns one
-    value per row; with None it takes one field at a time. The perturbed
-    copies are edited in place and each call gets a fresh field, so no
-    cached node values outlive their perturbation."""
-    work = np.array(P.smooth, dtype=float)
-    flat = work.reshape(-1)
-    size = flat.size
+    psi takes a stack of up to _NODE_BLOCK // G perturbed fields along a
+    leading axis, row r perturbed at node k0 + r, and returns one value
+    per row. The perturbed copies are edited in place and each call gets
+    a fresh field, so no cached node values outlive their perturbation."""
+    base = np.array(P.smooth, dtype=float).reshape(-1)
+    size = base.size
+    rows = max(1, _NODE_BLOCK // size)
+    work = np.tile(base, rows)
     g = np.empty(size)
-    if rows is None:
-        for k in range(size):
-            v = flat[k]
-            flat[k] = v + t
-            up = psi(PiecewiseField(P.grid, work, P.terms))
-            flat[k] = v - t
-            dn = psi(PiecewiseField(P.grid, work, P.terms))
-            flat[k] = v
-            g[k] = (up - dn) / (2.0 * t)
-        return g.reshape(P.grid.shape)
-    base, work = flat, np.tile(flat, rows)
     for k0 in range(0, size, rows):
         b = min(rows, size - k0)
         v = base[k0:k0 + b]
@@ -286,19 +261,19 @@ def _smooth(grid: Grid, a: np.ndarray, sigma: float) -> np.ndarray:
     return a
 
 
-def influence_numerical(F: Functional, P: GridDensity,
-                        schedule: MollifierSchedule | None = None) -> TangentVector:
+def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
     """Influence function by differentiating mixtures toward point masses.
 
     Level j estimates, at every node z, the Gateaux derivative
     d/ds psi((1-s) P + s G_z^j) at s = 0 toward the Gaussian bump G_z^j
-    of width sigma_j, renormalized by its Simpson integral n_j(z). That
+    of width sigma_j (from default_schedule, so from the grid alone),
+    renormalized by its Simpson integral n_j(z). That
     derivative is linear in the bump, so it is computed from one node
     gradient g_k = d psi / d P(x_k) and the derivative Dpsi along P
-    itself, both by central differences with step fd_step. A composite
-    takes 2G + 2 evaluator calls; the built-in kinds evaluate the 2G
-    perturbed fields in row blocks of up to _NODE_BLOCK node values,
-    with the same bits:
+    itself, both by central differences with step _FD_STEP. The 2G
+    perturbed fields are evaluated in row blocks of up to _NODE_BLOCK node
+    values, with the bits of one field per row; a composite takes 2G + 2
+    evaluator calls. Then
 
         level_j = (B_j g) / n_j - Dpsi,    n_j = B_j w,
 
@@ -315,19 +290,14 @@ def influence_numerical(F: Functional, P: GridDensity,
     the first three widths: if the second change exceeds the first, the
     estimates diverge as the bump shrinks and the computation aborts.
     """
-    schedule = schedule or default_schedule(P.grid)
-    schedule.validate_for(P.grid)
     grid = P.grid
-    t = schedule.fd_step
+    t = _FD_STEP
     psi = _evaluator(F, grid)
-    # built-in kinds evaluate stacks of perturbed fields; an opaque
-    # composite evaluator takes one field per call
-    rows = None if F.kind == "composite" else max(1, _NODE_BLOCK // P.smooth.size)
-    g = _node_gradient(psi, P, t, rows)
+    g = _node_gradient(psi, P, t)
     dpsi = (psi(P.scale(1.0 + t)) - psi(P.scale(1.0 - t))) / (2.0 * t)
     w = grid.weight_tensor()
     levels = [_smooth(grid, g, s) / _smooth(grid, w, s) - dpsi
-              for s in schedule.sigmas()]
+              for s in default_schedule(grid).sigmas()]
     changes = [float(np.max(np.abs(levels[j] - levels[j - 1])))
                for j in range(1, len(levels))]
     scale = 1.0 + max(float(np.max(np.abs(l))) for l in levels)

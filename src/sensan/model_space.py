@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+RATIO_CLAMP = (1e-3, 1e3)   # bounds [m, M] on a likelihood ratio dP/dQ
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -487,7 +488,9 @@ class Sample:
         write_table(path, ["x", "y"][:self.ndim], self.points.T, eol="\r\n")
 
     @classmethod
-    def from_csv(cls, path: str, lo=None, hi=None) -> "Sample":
+    def from_csv(cls, path: str) -> "Sample":
+        """Points from a CSV with one header line, as to_csv writes it;
+        the declared rectangle is their bounding box."""
         with open(path) as fh:
             # the data lines as loadtxt sees them: no header, comment or blank
             rows = [r for r in fh.readlines()[1:] if r.split("#", 1)[0].strip()]
@@ -495,11 +498,10 @@ class Sample:
             raise SensanError(f"sample csv {path} holds no rows")
         try:
             data = np.loadtxt(rows, delimiter=",", ndmin=2)
-            lo = tuple(data.min(axis=0)) if lo is None else lo
-            hi = tuple(data.max(axis=0)) if hi is None else hi
         except ValueError as exc:
             raise SensanError(f"sample csv {path}: {exc}") from None
-        return cls(data, tuple(float(v) for v in lo), tuple(float(v) for v in hi))
+        return cls(data, tuple(float(v) for v in data.min(axis=0)),
+                   tuple(float(v) for v in data.max(axis=0)))
 
 
 @dataclass(frozen=True)
@@ -649,12 +651,11 @@ def density_at(P: GridDensity, x) -> float:
     return float(P.at(pt)[0])
 
 
-def likelihood_ratio(P: GridDensity, Q: GridDensity,
-                     clamp: tuple[float, float] = (1e-3, 1e3)) -> LikelihoodRatio:
-    """Pointwise dP/dQ on the shared grid, clamped into `clamp`."""
+def likelihood_ratio(P: GridDensity, Q: GridDensity) -> LikelihoodRatio:
+    """Pointwise dP/dQ on the shared grid, clamped into RATIO_CLAMP."""
     if not P.grid.same_as(Q.grid):
         raise SensanError("mismatched grids for likelihood ratio")
-    m, M = clamp
+    m, M = RATIO_CLAMP
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = np.where(Q.values > 0.0, P.values / np.maximum(Q.values, 1e-300), np.inf)
     raw = np.where(np.isnan(raw), 1.0, raw)

@@ -36,6 +36,8 @@ __all__ = [
     "surface_sensitivity",
 ]
 
+_FD_STEP = 1e-5   # central-difference step of numerical_information_matrix
+
 
 @dataclass(frozen=True)
 class Chart:
@@ -164,12 +166,12 @@ def information_matrix(chart: Chart, at) -> np.ndarray:
     return I
 
 
-def numerical_information_matrix(chart: Chart, at, step: float = 1e-5
-                                 ) -> np.ndarray:
+def numerical_information_matrix(chart: Chart, at) -> np.ndarray:
     """Information matrix from central differences of the embedding."""
     if chart.embedding is None:
         raise SensanError(f"{chart.kind} chart has no embedding to difference")
     u, v = _check_point(chart, at)
+    step = _FD_STEP
     xu = (chart.embedding(u + step, v) - chart.embedding(u - step, v)) / (2 * step)
     xv = (chart.embedding(u, v + step) - chart.embedding(u, v - step)) / (2 * step)
     return np.array([[xu @ xu, xu @ xv], [xu @ xv, xv @ xv]])

@@ -113,9 +113,8 @@ def information_metric() -> PolicyMetric:
 
 
 def policy_metric(P: GridDensity, Q: GridDensity,
-                  clamp: tuple[float, float] = (1e-3, 1e3),
                   label: str | None = None) -> PolicyMetric:
-    ratio = likelihood_ratio(P, Q, clamp)
+    ratio = likelihood_ratio(P, Q)
     return PolicyMetric(kind="policy", Q=Q, ratio=ratio,
                         label=label or "L2(Q)")
 

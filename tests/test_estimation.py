@@ -136,11 +136,6 @@ def test_plugin_rejects_nonfinite_influences():
         plugin_sensitivity(cfg)
 
 
-def test_ratio_kde_clamp_validation():
-    with pytest.raises(SensanError, match="clamp bounds"):
-        RatioKde(U, clamp=(0.0, 1e3))
-
-
 def test_sample_from_1d_matches_the_cdf():
     rng = np.random.default_rng(10)
     s = sample_from(linear(G, 0.5, 1.0), 40_000, rng)

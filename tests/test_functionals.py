@@ -1,18 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundles import mean_over_median
-from sensan import (Grid, GridDensity, MollifierSchedule, TangentVector,
-                    composite, counterfactual_density, evaluate, influence,
+from sensan import (Grid, GridDensity, TangentVector, composite,
+                    counterfactual_density, evaluate, functionals, influence,
                     influence_analytic, influence_numerical, inner_p, moment,
                     parse_functional, quantile_functional, variance)
 from sensan.errors import ConfigError, SensanError
 from sensan.families import beta, linear, quadratic, truncated_normal, uniform
-from sensan.functionals import (_NODE_BLOCK, _evaluator, _node_gradient,
+from sensan.functionals import (_FD_STEP, _evaluator, _node_gradient,
                                 default_schedule)
-from sensan.model_space import PiecewiseField, grid_quad
+from sensan.model_space import PiecewiseField, grid_quad, invert_cdf
 
 G = Grid.line(0.0, 1.0, 801)
 U = uniform(G)
@@ -126,21 +128,32 @@ def test_influence_falls_back_to_numerical_for_composite():
     assert np.max(np.abs(v.values[interior] - (x[interior] - 0.5))) < 1e-8
 
 
-def test_mollifier_schedule_validation():
-    with pytest.raises(SensanError, match="positive sigma0"):
-        MollifierSchedule(sigma0=0.0)
-    with pytest.raises(SensanError, match="at least 3 levels"):
-        MollifierSchedule(sigma0=0.1, levels=2)
-    sched = MollifierSchedule(sigma0=0.01)
-    with pytest.raises(SensanError, match="below two grid spacings"):
-        sched.validate_for(Grid.line(0.0, 1.0, 201))
-
-
 def test_default_schedule_scales_with_the_grid():
     sched = default_schedule(Grid.line(0.0, 1.0, 201))
     assert sched.sigma0 == pytest.approx(0.08)
     sched = default_schedule(Grid.line(0.0, 1.0, 801))
     assert sched.sigma0 == pytest.approx(0.05)
+
+
+_AXES = st.tuples(st.integers(3, 2001), st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_AXES, min_size=1, max_size=2))
+def test_default_schedule_ends_at_two_spacings_or_wider(axes):
+    """No caller sets the widths, so this is what keeps the finest bump
+    wide enough to damp the period-2h Simpson ripple: at least three
+    levels, the finest at two of the coarsest spacings or wider, and one
+    more level would fall below that."""
+    (n, span), *more = axes
+    grid = (Grid.box((0.0, span), (0.0, more[0][1]), (n, more[0][0])) if more
+            else Grid.line(0.0, span, n))
+    h = max(ax.spacing for ax in grid.axes)
+    sched = default_schedule(grid)
+    assert np.isfinite(sched.sigma0) and sched.sigma0 > 0.0
+    assert sched.levels >= 3
+    assert sched.sigmas()[-1] >= 2.0 * h
+    assert sched.sigma0 * 2.0 ** -sched.levels < 2.0 * h
 
 
 def _covariance(Q):
@@ -198,7 +211,7 @@ def _mixture_route(F, P, schedule):
     node z and width sigma the central difference of F along the signed
     mixture (1 - t) P + t G_z, G_z the Gaussian bump at z divided by its
     Simpson integral, then Richardson on the two finest widths."""
-    grid, t = P.grid, schedule.fd_step
+    grid, t = P.grid, _FD_STEP
     mesh = grid.mesh()
 
     def at_mixture(bump, s):
@@ -235,10 +248,11 @@ def test_node_gradient_matches_the_mixture_route_in_2d():
     P = GridDensity.from_callable(
         g, lambda x, y: np.exp(-((x - 0.5) ** 2 + (x - 0.5) * (y - 0.5)
                                  + (y - 0.5) ** 2) / 0.15))
-    sched = MollifierSchedule(sigma0=8 * g.axes[0].spacing)
+    sched = default_schedule(g)
+    assert (sched.sigma0, sched.levels) == (8 * g.axes[0].spacing, 3)
     F = composite(_covariance, "covariance")
     ref = _mixture_route(F, P, sched)
-    num = influence_numerical(F, P, sched).values
+    num = influence_numerical(F, P).values
     assert np.max(np.abs(num - ref)) < 1e-8
 
 
@@ -262,10 +276,9 @@ def test_parse_functional_config_errors():
 
 # --- the node gradient in row blocks -------------------------------------------------
 
-def _loop_gradient(F, P, t=1e-4):
-    """Reference for the node gradient of a built-in kind: the per-node
-    loop, one perturbed field per call, two calls per node (the route an
-    opaque composite takes)."""
+def _loop_gradient(F, P, t=_FD_STEP):
+    """Reference for the node gradient: the per-node loop, one perturbed
+    field per call, two calls per node."""
     psi = _evaluator(F, P.grid)
     work = np.array(P.smooth, dtype=float)
     flat = work.reshape(-1)
@@ -281,9 +294,11 @@ def _loop_gradient(F, P, t=1e-4):
     return g.reshape(P.grid.shape)
 
 
-def _block_gradient(F, P, rows=None, t=1e-4):
-    rows = rows or max(1, _NODE_BLOCK // P.smooth.size)
-    return _node_gradient(_evaluator(F, P.grid), P, t, rows)
+def _block_gradient(F, P, rows=None, t=_FD_STEP):
+    """The node gradient in blocks of `rows` rows, or of the default size."""
+    block = rows * P.smooth.size if rows else functionals._NODE_BLOCK
+    with mock.patch.object(functionals, "_NODE_BLOCK", block):
+        return _node_gradient(_evaluator(F, P.grid), P, t)
 
 
 def _gaussian_2d(shape):
@@ -301,10 +316,11 @@ def _with_a_jump(P, tau=0.4, axis=0):
 
 
 _KINDS_1D = [moment(lambda x: x * x), variance(), quantile_functional(0.3),
-             quantile_functional(0.5)]
+             quantile_functional(0.5), mean_over_median()]
 _KINDS_2D = [moment(lambda x, y: x * y), variance(0), variance(1),
              quantile_functional(0.3, 0), quantile_functional(0.5, 0),
-             quantile_functional(0.3, 1), quantile_functional(0.5, 1)]
+             quantile_functional(0.3, 1), quantile_functional(0.5, 1),
+             composite(_covariance, "covariance")]
 
 
 @pytest.mark.parametrize("n", [201, 401, 801])
@@ -314,7 +330,7 @@ def test_block_node_gradient_gives_the_loop_bits_in_1d(n, jump):
     so every case ends on a short block. Each row of a block keeps the
     bits of its field alone, so the gradient equals the loop's exactly;
     the quadrature kinds need only match within 1e-8 max|g|, which exact
-    equality implies."""
+    equality implies. The composite sees each row as a field of its own."""
     P = beta(Grid.line(0.0, 1.0, n), 2.0, 3.0)
     P = _with_a_jump(P) if jump else P
     assert bool(P.terms) == jump
@@ -360,7 +376,7 @@ def family_densities(draw):
 @given(family_densities(),
        st.sampled_from([moment(lambda x: x ** 3 - x), variance(),
                         quantile_functional(0.25), quantile_functional(0.5),
-                        quantile_functional(0.8)]),
+                        quantile_functional(0.8), mean_over_median()]),
        st.integers(1, 50))
 def test_block_node_gradient_gives_the_loop_bits_on_generated_densities(P, F, rows):
     np.testing.assert_array_equal(_block_gradient(F, P, rows), _loop_gradient(F, P))
@@ -374,29 +390,16 @@ def _reciprocal(x):
 @pytest.mark.parametrize("F,message", [
     (moment(_reciprocal), "non-finite integrand"),
     (quantile_functional(0.999999), "quantile level beyond the grid support"),
+    (composite(lambda Q: invert_cdf(Q.marginal(0), 0.999999, strict=False)),
+     "quantile level beyond the grid support"),
 ])
 def test_block_node_gradient_raises_the_loop_errors(F, message):
     """1/x is infinite at x = 0; at tau = 0.999999 on 201 nodes the rows
-    perturbed by -t hold less mass than tau. Both routes fail with the
-    same text."""
+    perturbed by -t hold less mass than tau, for the built-in quantile and
+    for a composite one alike. Both routes fail with the same text."""
     P = beta(Grid.line(0.0, 1.0, 201), 2.0, 3.0)
     with pytest.raises(SensanError) as loop:
         _loop_gradient(F, P)
     with pytest.raises(SensanError) as block:
         influence_numerical(F, P)
     assert str(loop.value) == str(block.value) == message
-
-
-@pytest.mark.parametrize("kwargs,field", [
-    ({"sigma0": np.inf}, "sigma0"),
-    ({"sigma0": np.nan}, "sigma0"),
-    ({"sigma0": 0.2, "fd_step": np.nan}, "fd_step"),
-    ({"sigma0": 0.2, "fd_step": np.inf}, "fd_step"),
-    ({"sigma0": 0.2, "levels": 3.5}, "levels"),
-])
-def test_mollifier_schedule_rejects_non_finite_and_fractional_fields(kwargs, field):
-    """sigma0 = inf used to give an influence of about 4e-17 at every node,
-    nan failed later as "tangent values must be finite", and levels = 3.5
-    ended in a TypeError."""
-    with pytest.raises(SensanError, match=f"mollifier schedule .*{field}"):
-        MollifierSchedule(**kwargs)

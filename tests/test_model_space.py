@@ -354,10 +354,10 @@ def test_sample_csv_roundtrip(tmp_path):
     s = Sample(pts, (0.0, 0.0), (1.0, 1.0))
     path = str(tmp_path / "sample.csv")
     s.to_csv(path)
-    back = Sample.from_csv(path, lo=(0.0, 0.0), hi=(1.0, 1.0))
+    back = Sample.from_csv(path)
     np.testing.assert_array_equal(back.points, s.points)
-    bounds_from_data = Sample.from_csv(path)
-    assert bounds_from_data.lo == tuple(pts.min(axis=0))
+    assert back.lo == tuple(pts.min(axis=0))
+    assert back.hi == tuple(pts.max(axis=0))
 
 
 def test_sample_csv_writes_the_csv_writer_bytes(tmp_path):
