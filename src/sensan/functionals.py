@@ -26,8 +26,10 @@ row blocks, with the bits of one field at a time: the built-in kinds take
 a whole stack per array operation, while a composite's evaluator is
 opaque and gets one call per row, two per node. The perturbed fields are
 signed, so evaluation runs on raw PiecewiseFields rather than through
-GridDensity validation. The bump widths come from the grid alone
-(default_schedule).
+GridDensity validation. They all share P's grid, whose coordinate mesh
+is built once: an evaluator may call `Q.grid.mesh()` on every call at no
+cost, and must not write into the read-only arrays it returns. The bump
+widths come from the grid alone (default_schedule).
 """
 
 from __future__ import annotations
@@ -70,7 +72,9 @@ class Functional:
     evaluator: callable PiecewiseField -> float (composite only); it sees
         GridDensity inputs and, during numerical differentiation, signed
         perturbations of them, one field per call; it must not keep its
-        argument, whose arrays are reused once the call returns
+        argument, whose arrays are reused once the call returns; it may
+        read `Q.grid.mesh()` on every call, built once per grid, and must
+        not write into those shared, read-only arrays
     label: short name used in reports
     """
 

@@ -70,7 +70,7 @@ def _simpson_weights(lo: float, hi: float, n: int) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridAxis:
     lo: float
     hi: float
@@ -83,9 +83,12 @@ class GridAxis:
         return (self.hi - self.lo) / (self.n - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
-    """Regular rectangular grid with per-axis quadrature weights."""
+    """Regular rectangular grid with per-axis quadrature weights.
+
+    Grids compare and hash by identity, which matches the mesh cached on
+    each instance; `same_as` is the geometric comparison."""
 
     axes: tuple[GridAxis, ...]
 
@@ -122,8 +125,16 @@ class Grid:
         return tuple(ax.n for ax in self.axes)
 
     def mesh(self) -> tuple[np.ndarray, ...]:
-        """Coordinate arrays broadcast to the full grid shape (ij indexing)."""
-        return tuple(np.meshgrid(*(ax.nodes for ax in self.axes), indexing="ij"))
+        """Coordinate arrays at the full grid shape (ij indexing).
+
+        They are built on the first call and shared by every later one,
+        so they are read-only: a caller that needs to change them copies."""
+        return self._mesh
+
+    @cached_property
+    def _mesh(self) -> tuple[np.ndarray, ...]:
+        return tuple(_readonly(m) for m in
+                     np.meshgrid(*(ax.nodes for ax in self.axes), indexing="ij"))
 
     def weight_tensor(self) -> np.ndarray:
         w = self.axes[0].weights

@@ -187,6 +187,25 @@ def test_coarse_grid_covariance_influence_converges(n):
     assert np.max(np.abs(num - ref)[zone]) < 1e-2
 
 
+def test_composite_cannot_write_into_the_shared_mesh():
+    """Every field of the mollifier route shares one grid and so one mesh;
+    an evaluator that writes into it fails instead of corrupting the
+    coordinates that later calls read."""
+    g = Grid.box((0.0, 1.0), (0.0, 1.0), (21, 21))
+    P = GridDensity.from_callable(g, lambda x, y: 1.0 + x * y)
+
+    def writes(Q):
+        X, Y = Q.grid.mesh()
+        X += 0.0
+        return Q.quad(X * Y)
+
+    with pytest.raises(ValueError, match="read-only"):
+        influence_numerical(composite(writes, "writes"), P)
+    want = np.meshgrid(*(ax.nodes for ax in g.axes), indexing="ij")
+    for got, ref in zip(g.mesh(), want):
+        np.testing.assert_array_equal(got, ref)
+
+
 def test_mollifier_divergence_is_reported():
     """The sup functional has no L2 influence function; its finite
     difference estimates blow up as the bump narrows and the level

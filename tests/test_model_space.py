@@ -43,6 +43,42 @@ def test_grid_same_as():
     assert not a.same_as(c)
 
 
+def test_grids_compare_and_hash_by_identity():
+    """The dataclass comparison would compare node arrays and raise; a
+    grid is its own instance, and `same_as` is the geometric test."""
+    a = Grid.line(0.0, 1.0, 5)
+    b = Grid.line(0.0, 1.0, 5)
+    assert a == a
+    assert not a == b and a != b
+    assert a.same_as(b)
+    assert {a, b, a} == {a, b}
+    box = Grid.box((0.0, 1.0), (0.0, 2.0), (3, 5))
+    assert box in {box} and Grid.box((0.0, 1.0), (0.0, 2.0), (3, 5)) not in {box}
+
+
+_MESH_AXES = st.tuples(st.integers(3, 201), st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(_MESH_AXES, min_size=1, max_size=2))
+def test_mesh_is_built_once_read_only_and_equal_to_meshgrid(axes):
+    grid = Grid(tuple(Grid._axis(0.0, span, n) for n, span in axes))
+    mesh = grid.mesh()
+    assert grid.mesh() is mesh
+    want = np.meshgrid(*(ax.nodes for ax in grid.axes), indexing="ij")
+    assert len(mesh) == len(want) == grid.ndim
+    for got, ref in zip(mesh, want):
+        np.testing.assert_array_equal(got, ref)
+        assert got.shape == grid.shape and got.flags.c_contiguous
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got += 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            got[(0,) * grid.ndim] = 1.0
+    for got, ref in zip(grid.mesh(), want):
+        np.testing.assert_array_equal(got, ref)
+
+
 def test_simpson_exact_for_cubic_on_odd_node_counts():
     # composite Simpson integrates cubics exactly when the cell count is even
     for n in (5, 801):
