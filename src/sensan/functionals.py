@@ -26,10 +26,13 @@ row blocks, with the bits of one field at a time: the built-in kinds take
 a whole stack per array operation, while a composite's evaluator is
 opaque and gets one call per row, two per node. The perturbed fields are
 signed, so evaluation runs on raw PiecewiseFields rather than through
-GridDensity validation. They all share P's grid, whose coordinate mesh
-is built once: an evaluator may call `Q.grid.mesh()` on every call at no
-cost, and must not write into the read-only arrays it returns. The bump
-widths come from the grid alone (default_schedule).
+GridDensity validation. Every field an evaluator gets is read-only, and
+it must not write into one: the rows are views of one work array, and a
+term-free row's `values` is that row itself, valid only during the call.
+They all share P's grid, whose coordinate mesh is built once: an
+evaluator may call `Q.grid.mesh()` on every call at no cost, and must
+not write into the read-only arrays it returns. The bump widths come
+from the grid alone (default_schedule).
 """
 
 from __future__ import annotations
@@ -71,10 +74,12 @@ class Functional:
     tau, axis: level and axis for quantile / variance
     evaluator: callable PiecewiseField -> float (composite only); it sees
         GridDensity inputs and, during numerical differentiation, signed
-        perturbations of them, one field per call; it must not keep its
-        argument, whose arrays are reused once the call returns; it may
-        read `Q.grid.mesh()` on every call, built once per grid, and must
-        not write into those shared, read-only arrays
+        perturbations of them, one field per call; every field's arrays
+        are read-only, and it must not write into them; it must not keep
+        its argument, whose arrays are reused once the call returns (a
+        term-free field's `values` is its smooth part, a view of a shared
+        work array); it may read `Q.grid.mesh()` on every call, built once
+        per grid, and must not write into those shared, read-only arrays
     label: short name used in reports
     """
 
@@ -123,7 +128,11 @@ def _evaluator(F: Functional, grid: Grid):
     differentiation pays only for the quadrature in each of its calls.
     The map also takes a stack of fields, rows along a leading axis of the
     smooth part, and gives one value per row; a composite's evaluator sees
-    each row as a field of its own."""
+    each row as a field of its own. Those row fields are read-only views
+    of the stack, and a term-free row is its own `values`, so reading the
+    node values costs no copy; a composite's single fields other than a
+    GridDensity, whose arrays are read-only already, come as read-only
+    views too."""
     if F.kind == "moment":
         vals = np.broadcast_to(np.asarray(F.rho(*grid.mesh()), dtype=float),
                                grid.shape)
@@ -144,11 +153,32 @@ def _evaluator(F: Functional, grid: Grid):
         return lambda f: invert_cdf(f.marginal(F.axis), F.tau, strict=False)
 
     def opaque(f: PiecewiseField):
-        if f.smooth.ndim == grid.ndim:
+        if isinstance(f, GridDensity):
             return float(F.evaluator(f))
-        return np.array([float(F.evaluator(PiecewiseField(grid, row, f.terms)))
-                         for row in f.smooth])
+        smooth = _view(f.smooth)
+        terms = tuple(CutTerm(t.cuts, _view(t.samples)) for t in f.terms)
+        if smooth.ndim == grid.ndim:
+            return float(F.evaluator(PiecewiseField(grid, smooth, terms)))
+        # the rows are fields of their own, set up without the frozen
+        # dataclass __init__; a term-free row is its own `values`, the bits
+        # of the lazy copy, so reading them costs no copy and no lock
+        state = {"grid": grid, "terms": terms}
+        out = []
+        for row in smooth:
+            Q = object.__new__(PiecewiseField)
+            Q.__dict__.update(state, smooth=row)
+            if not terms:
+                Q.__dict__["values"] = row
+            out.append(float(F.evaluator(Q)))
+        return np.array(out)
     return opaque
+
+
+def _view(a: np.ndarray) -> np.ndarray:
+    """A read-only view of `a`: a write through it raises, `a` is untouched."""
+    v = a.view()
+    v.flags.writeable = False
+    return v
 
 
 def evaluate(F: Functional, P: GridDensity) -> float:
@@ -277,7 +307,8 @@ def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
     itself, both by central differences with step _FD_STEP. The 2G
     perturbed fields are evaluated in row blocks of up to _NODE_BLOCK node
     values, with the bits of one field per row; a composite takes 2G + 2
-    evaluator calls. Then
+    evaluator calls, each on a read-only field: a write into it raises
+    numpy's ValueError instead of shifting the rows that follow. Then
 
         level_j = (B_j g) / n_j - Dpsi,    n_j = B_j w,
 

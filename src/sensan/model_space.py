@@ -221,18 +221,12 @@ def _reduce(grid: Grid, samples: np.ndarray, cuts: Cuts,
     """Integrate samples over every axis except `keep`, each restricted to
     {x_axis <= location} where `cuts` bounds that axis. The grid axes are
     the trailing axes of `samples`; leading axes are rows of fields."""
-    if not cuts and keep is None:
-        if samples.ndim > grid.ndim:
-            # rows: matmul makes per row the gemv and the closing ddot that
-            # np.dot makes for one field, so each row keeps its bits
-            for ax in reversed(grid.axes[1:]):
-                samples = samples @ ax.weights
-            return (samples[..., None, :] @ grid.axes[0].weights)[..., 0]
-        # one dot per axis, last axis first: these are the BLAS calls of
-        # the general path below, so the bits agree
-        for ax in reversed(grid.axes):
-            samples = np.dot(samples, ax.weights)
-        return samples
+    if not cuts and keep is None and samples.ndim > grid.ndim:
+        # rows: matmul makes per row the gemv and the closing ddot that
+        # np.dot makes for one field in grid_quad, so each row keeps its bits
+        for ax in reversed(grid.axes[1:]):
+            samples = samples @ ax.weights
+        return (samples[..., None, :] @ grid.axes[0].weights)[..., 0]
     bound = dict(merge_cuts(cuts)) if cuts else {}
     out = samples
     for axis in reversed(range(grid.ndim)):
@@ -251,7 +245,15 @@ def grid_quad(grid: Grid, samples: np.ndarray, cuts: Cuts = ()):
     box {x_axis <= location} for every (axis, location) in `cuts`. Leading
     axes beyond the grid's are rows: the result is then one integral per
     row instead of a float."""
-    out = _reduce(grid, np.asarray(samples, dtype=float), cuts)
+    samples = np.asarray(samples, dtype=float)
+    if not cuts and samples.ndim == grid.ndim:
+        # one field, one dot per axis, last axis first: the BLAS calls of
+        # _reduce's general path, so the bits agree, without its dispatch,
+        # which weighs on each of a composite's thousands of calls
+        for ax in reversed(grid.axes):
+            samples = np.dot(samples, ax.weights)
+        return float(samples)
+    out = _reduce(grid, samples, cuts)
     return float(out) if out.ndim == 0 else out
 
 

@@ -204,9 +204,29 @@ class _DrawsWithTies(_DrawsWithZeros):
         return u
 
 
+class _DrawsInBuckets(_DrawsWithZeros):
+    """_DrawsWithZeros plus draws exactly on the edges k / 65536 of the
+    16-bit sort buckets, and many draws, in decreasing order, inside the
+    bucket that holds a node of the CDF F: the bucketed order leaves them
+    in draw order, so np.interp's searches go back and forth across it."""
+
+    def __init__(self, seed, F):
+        super().__init__(seed)
+        self.F = F
+
+    def random(self, n):
+        u = super().random(n)
+        u[1::4] = self.rng.integers(0, 65536, len(u[1::4])) / 65536.0
+        bucket = np.floor(self.F[len(self.F) // 3] * 65536.0)
+        inside = np.sort(self.rng.random(len(u[2::4])))[::-1]
+        u[2::4] = (bucket + inside) / 65536.0
+        return u
+
+
 def test_sample_from_1d_is_bit_identical_to_np_interp():
-    """Sorted-order inversion gives np.interp's values in draw order, also
-    with flat CDF stretches at the start, inside and at the end."""
+    """Bucket-order inversion gives np.interp's values in draw order, also
+    with flat CDF stretches at the start, inside and at the end, with draws
+    on bucket edges and with many draws inside one bucket."""
     x = G.axes[0].nodes
     holes = GridDensity.from_callable(G, lambda x: np.where(
         (x < 0.05) | (np.abs(x - 0.3) < 0.1) | (x > 0.9), 0.0, 1.0 + x))
@@ -214,7 +234,7 @@ def test_sample_from_1d_is_bit_identical_to_np_interp():
         F = _cumtrapz(x, P.values)
         F = F / F[-1]
         draws = (np.random.default_rng, _DrawsWithZeros,
-                 lambda s: _DrawsWithTies(s, F))
+                 lambda s: _DrawsWithTies(s, F), lambda s: _DrawsInBuckets(s, F))
         for n in (1, 500, 5000):
             for make in draws:
                 got = sample_from(P, n, make(seed)).coord(0)

@@ -14,7 +14,7 @@ from sensan.errors import ConfigError, SensanError
 from sensan.families import beta, linear, quadratic, truncated_normal, uniform
 from sensan.functionals import (_FD_STEP, _evaluator, _node_gradient,
                                 default_schedule)
-from sensan.model_space import PiecewiseField, grid_quad, invert_cdf
+from sensan.model_space import CutTerm, PiecewiseField, grid_quad, invert_cdf
 
 G = Grid.line(0.0, 1.0, 801)
 U = uniform(G)
@@ -204,6 +204,67 @@ def test_composite_cannot_write_into_the_shared_mesh():
     want = np.meshgrid(*(ax.nodes for ax in g.axes), indexing="ij")
     for got, ref in zip(g.mesh(), want):
         np.testing.assert_array_equal(got, ref)
+
+
+def _mean_case(dim: int, cut: bool):
+    """P and a mean functional, 1-d Beta(2, 3) at 201 nodes or 2-d at 21²,
+    optionally with mass moved below x = 0.4 as a cut term."""
+    if dim == 1:
+        P = beta(Grid.line(0.0, 1.0, 201), 2.0, 3.0)
+    else:
+        P = GridDensity.from_callable(Grid.box((0.0, 1.0), (0.0, 1.0), (21, 21)),
+                                      lambda x, y: 1.0 + x * y)
+    if cut:
+        P = GridDensity(P.grid, 0.9 * P.smooth, _normalize="force",
+                        _terms=(CutTerm(((0, 0.4),), 0.2 * P.smooth),))
+    x = P.grid.mesh()[0]
+    return P, lambda Q: Q.quad(x) / Q.quad()
+
+
+@pytest.mark.parametrize("target", ["smooth", "values"])
+@pytest.mark.parametrize("cut", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_composite_cannot_write_into_its_field(dim, cut, target):
+    """The rows of the node gradient are views of one work array: an
+    evaluator that writes into its field's smooth part or node values
+    fails with numpy's read-only error instead of shifting the influence,
+    and neither P nor a later influence changes."""
+    P, mean = _mean_case(dim, cut)
+    before = influence_numerical(composite(mean, "mean"), P)
+    smooth, values = P.smooth.copy(), P.values.copy()
+
+    def writes(Q):
+        a = getattr(Q, target)
+        a *= 1.0 + 1e-7
+        return mean(Q)
+
+    with pytest.raises(ValueError, match="read-only"):
+        influence_numerical(composite(writes, "writes"), P)
+    np.testing.assert_array_equal(P.smooth, smooth)
+    np.testing.assert_array_equal(P.values, values)
+    after = influence_numerical(composite(mean, "mean"), P)
+    assert after.smooth.tobytes() == before.smooth.tobytes()
+
+
+@pytest.mark.parametrize("cut", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_every_field_an_evaluator_sees_is_read_only(dim, cut):
+    """2G + 2 calls, the 2G rows and the two scaled copies of P alike, each
+    on a field whose arrays are all read-only; a term-free field's node
+    values are its smooth part, with the bits of the lazy copy."""
+    P, mean = _mean_case(dim, cut)
+    seen = []
+
+    def records(Q):
+        arrays = [Q.smooth, Q.values] + [t.samples for t in Q.terms]
+        seen.append(any(a.flags.writeable for a in arrays))
+        if not Q.terms:
+            assert Q.values.tobytes() == np.array(Q.smooth).tobytes()
+        return mean(Q)
+
+    influence_numerical(composite(records, "records"), P)
+    assert len(seen) == 2 * P.smooth.size + 2
+    assert not any(seen)
 
 
 def test_mollifier_divergence_is_reported():

@@ -156,6 +156,14 @@ def test_cut_free_grid_quad_gives_the_axis_by_axis_bits(shape):
         A = rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 4)
         for L in _layouts(A):
             assert grid_quad(g, L) == float(_axis_by_axis(g, L))
+    # inputs the direct path converts first: integers, a Python list, and
+    # a read-only row of a stack, as a composite's evaluator gets it
+    ints = rng.integers(-1000, 1000, shape)
+    assert grid_quad(g, ints) == float(_axis_by_axis(g, ints.astype(float)))
+    assert grid_quad(g, ints.tolist()) == float(_axis_by_axis(g, ints.astype(float)))
+    stack = rng.standard_normal((3,) + shape)
+    stack.flags.writeable = False
+    assert grid_quad(g, stack[1]) == float(_axis_by_axis(g, stack[1]))
 
 
 @pytest.mark.parametrize("shape", [(21, 31), (40, 41), (41, 41), (5, 200)])

@@ -1,0 +1,203 @@
+"""Print a `label sha256` line for each result that a speed-up must keep
+bit for bit, so that two checkouts can be compared with `diff`:
+
+    python3 tools/bitcheck.py /path/to/parent > parent.txt
+    python3 tools/bitcheck.py . > change.txt
+    diff parent.txt change.txt
+
+The argument is the checkout to measure (default: the one holding this
+script). Its `src` is imported, and the composite evaluators come from its
+`perfbench/jobs.py` and the README schema configs from its
+`tests/test_cli.py`, so the script runs unchanged on an older checkout.
+The lines cover:
+
+- numerical influences of the 1-d kinds and `mean_over_median` on
+  Beta(2, 3) at 101, 201 and 801 nodes, with and without a cut term
+- numerical influences of the 2-d kinds and the covariance composite on
+  a correlated Gaussian at 21², 31², 41² and 21×31 (and at 21×31 with a
+  cut), on the uniform and on an isotropic Gaussian at 21², 31², 41²
+- `engine.sensitivity` S and R with `mean_over_median` as psi
+- 1-d and 2-d `sample_from` draws
+- every file `python -m sensan.cli` writes, with its exit code, stdout
+  and stderr, for the schema configs and `replicate-education --grid 201`
+
+A numerical failure (SensanError) is hashed by its message, so a
+changed error shows too; any other exception stops the script.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+
+def emit(label: str, *parts) -> None:
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(p if isinstance(p, bytes) else
+                 np.ascontiguousarray(p).tobytes() if isinstance(p, np.ndarray)
+                 else repr(p).encode())
+    print(label, h.hexdigest())
+
+
+def field_parts(f) -> list:
+    out = [f.smooth]
+    for t in f.terms:
+        out += [repr(t.cuts), t.samples]
+    return out
+
+
+BETA23 = {"family": "beta", "alpha": 2.0, "beta": 3.0}
+
+
+def unit_box(sensan, shape):
+    return sensan.Grid.box((0.0, 1.0), (0.0, 1.0), shape)
+
+
+def with_cut(sensan, P, q: float):
+    """P with mass moved below x = q, carried as a cut term."""
+    return sensan.GridDensity(
+        P.grid, 0.9 * P.smooth, _normalize="force",
+        _terms=(sensan.CutTerm(((0, q),), 0.2 * P.smooth),))
+
+
+def influence(sensan, label: str, F, P) -> None:
+    try:
+        emit(label, *field_parts(sensan.influence_numerical(F, P)))
+    except sensan.SensanError as exc:
+        emit(label, "error", str(exc))
+
+
+def influences(sensan, jobs) -> None:
+    mom = sensan.moment
+    one_d = [("x2", mom(lambda x: x * x)), ("mean", mom(lambda x: x)),
+             ("variance", sensan.variance()),
+             ("q0.3", sensan.quantile_functional(0.3)),
+             ("q0.5", sensan.quantile_functional(0.5)),
+             ("mean_over_median", sensan.composite(jobs.mean_over_median))]
+    for n in (101, 201, 801):
+        P = sensan.build_family(BETA23, sensan.Grid.line(0.0, 1.0, n))
+        for cut, Q in (("", P), ("+cut", with_cut(sensan, P, 0.4))):
+            for name, F in one_d:
+                influence(sensan, f"ni/beta23/{n}{cut}/{name}", F, Q)
+
+    cov = sensan.composite(jobs.covariance)
+    two_d = [("xy", mom(lambda x, y: x * y)),
+             ("var0", sensan.variance(0)), ("var1", sensan.variance(1))]
+    two_d += [(f"q{tau}/{a}", sensan.quantile_functional(tau, a))
+              for tau in (0.3, 0.5) for a in (0, 1)]
+    two_d.append(("covariance", cov))
+
+    def correlated(x, y):
+        a, b = (x - 0.45) / 0.18, (y - 0.55) / 0.2
+        return np.exp(-0.5 * (a * a - 1.2 * a * b + b * b) / 0.64)
+
+    for shape in ((21, 21), (31, 31), (41, 41), (21, 31)):
+        P = sensan.GridDensity.from_callable(unit_box(sensan, shape), correlated)
+        cases = [("", P)]
+        if shape == (21, 31):
+            cases.append(("+cut", with_cut(sensan, P, 0.5)))
+        for cut, Q in cases:
+            for name, F in two_d:
+                influence(sensan, f"ni/gauss/{shape[0]}x{shape[1]}{cut}/{name}",
+                          F, Q)
+
+    plain = [("xy", mom(lambda x, y: x * y)), ("var1", sensan.variance(1)),
+             ("median0", sensan.quantile_functional(0.5)), ("covariance", cov)]
+    shapes = {"uniform": lambda x, y: 1.0 + 0.0 * x,
+              "iso0.3": lambda x, y: np.exp(-((x - 0.5) ** 2
+                                              + (y - 0.5) ** 2) / 0.18)}
+    for dist, fn in shapes.items():
+        for n in (21, 31, 41):
+            P = sensan.GridDensity.from_callable(unit_box(sensan, (n, n)), fn)
+            for name, F in plain:
+                influence(sensan, f"ni/{dist}/{n}x{n}/{name}", F, P)
+    U21 = sensan.build_family({"family": "uniform"},
+                              sensan.Grid.line(0.0, 1.0, 21))
+    influence(sensan, "ni/uniform/21/variance", sensan.variance(), U21)
+
+
+def sensitivities(sensan, jobs) -> None:
+    grid = sensan.Grid.line(0.0, 1.0, 201)
+    P = sensan.build_family(BETA23, grid)
+    psi = sensan.composite(jobs.mean_over_median, "mean/median")
+    nu = sensan.quantile_functional(0.5)
+    policy = sensan.build_family(
+        {"family": "linear", "intercept": 0.5, "slope": 1.0}, grid)
+    for name, metric in (("information", sensan.information_metric()),
+                         ("policy-linear", sensan.policy_metric(P, policy))):
+        try:
+            rep = sensan.sensitivity(psi, nu, P, metric)
+            emit(f"sensitivity/{name}", rep.S, rep.R)
+        except sensan.SensanError as exc:
+            emit(f"sensitivity/{name}", "error", str(exc))
+
+
+def samples(sensan) -> None:
+    P1 = sensan.build_family(BETA23, sensan.Grid.line(0.0, 1.0, 801))
+    P2 = sensan.GridDensity.from_callable(
+        unit_box(sensan, (101, 101)), lambda x, y: np.exp(
+            -((x - 0.4) ** 2 + (y - 0.6) ** 2 - (x - 0.4) * (y - 0.6)) / 0.05))
+    for name, P in (("1d", P1), ("2d", P2)):
+        for n in (1, 511, 5000):
+            draws = sensan.sample_from(P, n, np.random.default_rng(n))
+            emit(f"sample_from/{name}/{n}", draws.points)
+
+
+def cli_runs(sensan, src: str, configs) -> None:
+    runs = [(f"{i}-{command}", [command, "--config"], config)
+            for i, (command, config) in enumerate(configs)]
+    runs.append(("edu-201", ["replicate-education", "--grid", "201"], None))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    for label, argv, config in runs:
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out")
+            if config is not None:
+                sample = os.path.join(tmp, "sample.csv")
+                sensan.Sample(np.linspace(0.05, 0.95, 60), (0.0,),
+                              (1.0,)).to_csv(sample)
+                text = json.dumps(config).replace('"SAMPLE"', json.dumps(sample))
+                text = text.replace('"OUT"', json.dumps(out))
+                path = os.path.join(tmp, "config.json")
+                with open(path, "w") as fh:
+                    fh.write(text)
+                argv = argv + [path]
+            proc = subprocess.run([sys.executable, "-m", "sensan.cli", *argv,
+                                   "--out", out], cwd=tmp, env=env,
+                                  capture_output=True)
+            emit(f"cli/{label}", proc.returncode,
+                 proc.stdout.replace(tmp.encode(), b"TMP"),
+                 proc.stderr.replace(tmp.encode(), b"TMP"))
+            for base, _, files in sorted(os.walk(out)):
+                for name in sorted(files):
+                    full = os.path.join(base, name)
+                    with open(full, "rb") as fh:
+                        data = fh.read().replace(tmp.encode(), b"TMP")
+                    emit(f"cli/{label}/{os.path.relpath(full, out)}", data)
+
+
+def main(argv: list[str]) -> None:
+    root = os.path.abspath(argv[0] if argv else
+                           os.path.join(os.path.dirname(__file__), ".."))
+    src = os.path.join(root, "src")
+    # leave no bytecode in the checkouts being compared
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [src, os.path.join(root, "perfbench"),
+                    os.path.join(root, "tests")]
+    import sensan
+    import jobs
+    from test_cli import SCHEMA_CONFIGS
+    influences(sensan, jobs)
+    sensitivities(sensan, jobs)
+    samples(sensan)
+    cli_runs(sensan, src, SCHEMA_CONFIGS)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
