@@ -97,11 +97,11 @@ def _joint_artifact(P: GridDensity, curves_dir: str) -> str:
     """2-d joint on the sub-rectangle where the conditional is bounded,
     renormalized there for display."""
     sub = Grid.box((0.0, 0.8), (0.0, 1.0), (161, 201))
-    px = np.interp(sub.axes[0].nodes, P.grid.axes[0].nodes, P.values)
+    px = P.at(sub.axes[0].nodes[:, None])
 
     def joint(x, y):
-        marg = np.interp(x, sub.axes[0].nodes, px)
-        return marg * conditional_density(x, y)
+        # x is the sub-grid's ij mesh: row i holds the node px[i] is at
+        return px[:, None] * conditional_density(x, y)
 
     J = GridDensity.from_callable(sub, joint)
     path = os.path.join(curves_dir, "joint_density.csv")

@@ -14,8 +14,11 @@ That keeps indicator integrands at Simpson-level accuracy, which several
 downstream tolerances rely on.
 
 `PiecewiseField` is that decomposition and owns its algebra: quadrature,
-scaling, products, marginals and point values. Densities, tangent vectors
-and the signed mixtures of numerical differentiation are all fields.
+scaling, products, marginals, point values and the range probe. Densities,
+tangent vectors and the signed mixtures of numerical differentiation are
+all fields. A field keeps one term per distinct box: sums, products and
+marginals add up the parts that land on the same box, so a product of k
+one-cut factors on a line has k + 1 parts, not 2^k.
 """
 
 from __future__ import annotations
@@ -298,6 +301,20 @@ class CutTerm:
         return m
 
 
+def _coalesce(grid: Grid, parts) -> "PiecewiseField":
+    """The field summing (cuts, samples) parts, one term per distinct box.
+    A part's box is the intersection of its cuts; parts on the same box
+    add up in order, and those on the whole grid, (), make the smooth
+    part, which the first part must be on."""
+    boxes: dict = {}
+    for cuts, s in parts:
+        box = merge_cuts(cuts)
+        boxes[box] = boxes[box] + s if box in boxes else s
+    smooth = boxes.pop(())
+    return PiecewiseField(grid, smooth,
+                          tuple(CutTerm(c, s) for c, s in boxes.items()))
+
+
 @dataclass(frozen=True, eq=False)
 class PiecewiseField:
     """smooth(x) + sum_k terms[k].samples(x) on the box of terms[k].
@@ -338,36 +355,30 @@ class PiecewiseField:
         return PiecewiseField(self.grid, self.smooth + c, self.terms)
 
     def add(self, other: "PiecewiseField") -> "PiecewiseField":
-        return PiecewiseField(self.grid, self.smooth + other.smooth,
-                              self.terms + other.terms)
+        return _coalesce(self.grid, [((), self.smooth), ((), other.smooth)] + [
+            (t.cuts, t.samples) for t in self.terms + other.terms])
 
     def times(self, other: "PiecewiseField") -> "PiecewiseField":
         """Pointwise product, a plain field whatever the operand types:
-        each pair of parts lives on the intersection of their boxes."""
+        each pair of parts lives on the intersection of their boxes, and
+        the pairs on one box add up."""
         if not other.terms:
             return PiecewiseField.scale(self, other.smooth)
         if not self.terms:
             return PiecewiseField.scale(other, self.smooth)
         mine = [((), self.smooth)] + [(t.cuts, t.samples) for t in self.terms]
         theirs = [((), other.smooth)] + [(t.cuts, t.samples) for t in other.terms]
-        # a box intersected with the whole grid is that box
-        parts = [CutTerm(merge_cuts(ca, cb) if ca and cb else ca or cb, sa * sb)
-                 for ca, sa in mine for cb, sb in theirs]
-        return PiecewiseField(self.grid, parts[0].samples, tuple(parts[1:]))
+        return _coalesce(self.grid, [(ca + cb, sa * sb)
+                                     for ca, sa in mine for cb, sb in theirs])
 
     def marginal(self, axis: int) -> "PiecewiseField":
         """The 1-d field along `axis`, every other axis integrated out
         below the cuts that bound it."""
-        smooth = _reduce(self.grid, self.smooth, (), keep=axis)
-        terms = []
-        for t in self.terms:
-            reduced = _reduce(self.grid, t.samples, t.cuts, keep=axis)
-            kept = [q for a, q in t.cuts if a == axis]
-            if kept:
-                terms.append(CutTerm(((0, min(kept)),), reduced))
-            else:
-                smooth = smooth + reduced
-        return PiecewiseField(Grid((self.grid.axes[axis],)), smooth, tuple(terms))
+        parts = [((), _reduce(self.grid, self.smooth, (), keep=axis))]
+        parts += [(tuple((0, q) for a, q in t.cuts if a == axis),
+                   _reduce(self.grid, t.samples, t.cuts, keep=axis))
+                  for t in self.terms]
+        return _coalesce(Grid((self.grid.axes[axis],)), parts)
 
     def at(self, points) -> np.ndarray:
         """Values at points of shape (m, ndim) by multilinear interpolation,
@@ -379,6 +390,20 @@ class PiecewiseField:
             inside = np.all([pts[:, a] <= q for a, q in t.cuts], axis=0)
             out = out + np.where(inside, interpolate(self.grid, t.samples, pts), 0.0)
         return out
+
+    def extremes(self) -> tuple[float, float]:
+        """Min and max over the nodes and over both sides of every cut:
+        `at` reads the side below a cut at its location q and the side
+        above at the next float after q."""
+        vals = [self.values]
+        for axis, q in {c for t in self.terms for c in t.cuts}:
+            line = [ax.nodes for ax in self.grid.axes]
+            for side in (q, np.nextafter(q, np.inf)):
+                line[axis] = np.array([side])
+                vals.append(self.at(np.stack(np.meshgrid(*line, indexing="ij"),
+                                             axis=-1)))
+        return (float(min(v.min() for v in vals)),
+                float(max(v.max() for v in vals)))
 
     def to_csv(self, path: str, label: str = "value") -> None:
         """Node table "x,<label>" or "x,y,<label>", x-major."""

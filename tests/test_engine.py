@@ -77,6 +77,27 @@ def test_dual_path_gate_rejects_marginal_quadrature():
         sensitivity(MEDIAN, variance(), B, policy_metric(B, Q))
 
 
+def test_dual_path_gate_names_the_jump_of_p_under_a_policy_metric():
+    """P with one jump, the first counterfactual step of the median on
+    0.5 + x: the likelihood ratio divides node values, so the jump becomes
+    a one-cell ramp and the two gradient-norm routes part; the message
+    says so. A jump-free P that fails the gate gets no such cause."""
+    P = linear(G, 0.5, 1.0)
+    P1 = counterfactual_report(MEAN, MEDIAN, P, information_metric(),
+                               0.02).counterfactual
+    assert len(P1.terms) == 1
+    with pytest.raises(SensanError, match=(
+            r"gradient norm of nu disagrees between code paths: "
+            r"0\.183529\d* vs 0\.183532\d*; P has jumps, .*"
+            r"ramp across one cell")):
+        sensitivity(MEAN, MEDIAN, P1, policy_metric(P1, U))
+    B = beta(G, 2.0, 5.0)
+    with pytest.raises(SensanError) as exc:
+        sensitivity(MEDIAN, variance(), B, policy_metric(B, P))
+    assert "disagrees between code paths" in str(exc.value)
+    assert "jumps" not in str(exc.value)
+
+
 def test_degenerate_control_is_rejected():
     zero = TangentVector(U, np.zeros(G.shape), _centered=True)
     with pytest.raises(SensanError, match="degenerate gradient"):
@@ -184,12 +205,21 @@ def test_exponential_path():
     assert abs(Ph.values[100] / Ph.values[700] - math.exp(-0.4)) < 1e-9
 
 
-def test_exponential_path_jump_budget():
-    terms = tuple(CutTerm(((0, 0.1 * k),), np.full(G.shape, 0.01))
-                  for k in range(1, 10))
+def test_exponential_path_takes_nine_jumps():
+    """Nine one-cut terms on the uniform tilt to at most one term per box
+    (ten boxes, the whole grid among them), with node values
+    exp(h * sum of the active jumps) over their exact integral."""
+    q = [0.1 * k for k in range(1, 10)]
+    terms = tuple(CutTerm(((0, c),), np.full(G.shape, 0.01)) for c in q)
     d = TangentVector(U, np.zeros(G.shape), terms=terms)
-    with pytest.raises(SensanError, match="at most 8 jump terms"):
-        counterfactual_density(U, d, 0.01, path="exponential")
+    h = 5.0
+    Ph = counterfactual_density(U, d, h, path="exponential")
+    assert len(Ph.terms) <= 9
+    active = 0.01 * (G.axes[0].nodes[:, None] <= np.array(q)).sum(axis=1)
+    # on (q_j, q_j+1] the jumps of q_j+1 .. q_9 are active
+    mass = np.dot(np.diff([0.0] + q + [1.0]),
+                  np.exp(h * 0.01 * np.arange(9, -1, -1)))
+    assert np.max(np.abs(Ph.values - np.exp(h * active) / mass)) < 1e-12
 
 
 def test_counterfactual_report_first_order_step():

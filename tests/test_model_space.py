@@ -11,8 +11,9 @@ from sensan import Grid, GridDensity, Sample, integrate, quantile, density_at
 from sensan.errors import SensanError
 import sensan.model_space as model_space
 from sensan import artifacts
-from sensan import (counterfactual_density, grad_op_apply, influence,
-                    information_metric, quantile_functional)
+from sensan import (counterfactual_density, counterfactual_report,
+                    grad_op_apply, influence, information_metric, moment,
+                    quantile_functional, sensitivity)
 from sensan.families import beta, linear, quadratic, truncated_normal, uniform
 from sensan.model_space import CutTerm, grid_quad, kde_fit, likelihood_ratio
 
@@ -741,3 +742,153 @@ def quantile_sources(draw):
 def test_quantile_is_nondecreasing_in_tau(P, taus):
     values = [quantile(P, tau) for tau in sorted(taus)]
     assert all(b >= a for a, b in zip(values, values[1:])), values
+
+
+# --- property: one term per distinct box --------------------------------------------
+
+_CUT_POOL = (0.15, 0.3, 0.5, 0.62, 0.9)   # few locations, so boxes repeat
+
+
+@st.composite
+def cut_sets(draw):
+    """A 1-d or 2-d grid with odd or even node counts, and 0-3 cut
+    locations per axis."""
+    shape = draw(st.sampled_from(((5,), (6,), (21,), (40,), (5, 6), (11, 11),
+                                  (6, 21))))
+    g = (Grid.line(0.0, 1.0, *shape) if len(shape) == 1
+         else Grid.box((0.0, 1.0), (0.0, 1.0), shape))
+    cuts = [sorted(draw(st.sets(st.sampled_from(_CUT_POOL), max_size=3)))
+            for _ in shape]
+    return g, cuts
+
+
+def _random_field(draw, g, cuts):
+    """Smooth part and 0-4 terms on distinct boxes, as the algebra leaves
+    them, each box bounded by one or none of the cuts of each axis and by
+    one at least. The two fields of a pair share their cuts, so their
+    boxes meet and their products land on common boxes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    boxes = {}
+    if any(cuts):
+        for _ in range(draw(st.integers(0, 4))):
+            box = tuple((a, qs[k]) for a, qs in enumerate(cuts)
+                        for k in [draw(st.integers(0, len(qs)))] if k < len(qs))
+            if box:
+                boxes[box] = CutTerm(box, rng.standard_normal(g.shape))
+    return model_space.PiecewiseField(g, rng.standard_normal(g.shape),
+                                      tuple(boxes.values()))
+
+
+@st.composite
+def field_pairs(draw):
+    g, cuts = draw(cut_sets())
+    return _random_field(draw, g, cuts), _random_field(draw, g, cuts)
+
+
+def _uncoalesced_times(f, g):
+    """Products as they were before coalescing: one term per pair of parts."""
+    mine = [((), f.smooth)] + [(t.cuts, t.samples) for t in f.terms]
+    theirs = [((), g.smooth)] + [(t.cuts, t.samples) for t in g.terms]
+    parts = [CutTerm(model_space.merge_cuts(ca, cb), sa * sb)
+             for ca, sa in mine for cb, sb in theirs]
+    return model_space.PiecewiseField(f.grid, parts[0].samples, tuple(parts[1:]))
+
+
+def _uncoalesced_add(f, g):
+    return model_space.PiecewiseField(f.grid, f.smooth + g.smooth, f.terms + g.terms)
+
+
+def _uncoalesced_marginal(f, axis):
+    """One term per term of f that keeps a cut on `axis`."""
+    smooth = model_space._reduce(f.grid, f.smooth, (), keep=axis)
+    terms = []
+    for t in f.terms:
+        reduced = model_space._reduce(f.grid, t.samples, t.cuts, keep=axis)
+        kept = [q for a, q in t.cuts if a == axis]
+        if kept:
+            terms.append(CutTerm(((0, min(kept)),), reduced))
+        else:
+            smooth = smooth + reduced
+    return model_space.PiecewiseField(Grid((f.grid.axes[axis],)), smooth,
+                                      tuple(terms))
+
+
+def _assert_same_field(out, ref):
+    """One term per distinct box, each box in its merged form and none the
+    whole grid; values and integral those of the uncoalesced reference
+    within 1e-13 of the size of its parts."""
+    boxes = [t.cuts for t in out.terms]
+    assert len(set(boxes)) == len(boxes) and () not in boxes, boxes
+    assert all(model_space.merge_cuts(b) == b for b in boxes), boxes
+    assert len(boxes) <= len(ref.terms)
+    scale = np.max(np.abs(ref.smooth)) + sum(np.max(np.abs(t.samples))
+                                             for t in ref.terms)
+    assert np.max(np.abs(out.values - ref.values)) <= 1e-13 * scale
+    size = grid_quad(ref.grid, np.abs(ref.smooth)) + sum(
+        grid_quad(ref.grid, np.abs(t.samples), t.cuts) for t in ref.terms)
+    assert abs(out.quad() - ref.quad()) <= 1e-13 * size
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(field_pairs())
+def test_field_algebra_keeps_one_term_per_box(pair):
+    f, g = pair
+    _assert_same_field(f.times(g), _uncoalesced_times(f, g))
+    _assert_same_field(f.add(g), _uncoalesced_add(f, g))
+    for axis in range(f.grid.ndim):
+        _assert_same_field(f.marginal(axis), _uncoalesced_marginal(f, axis))
+
+
+def _extremes_by_slices(f):
+    """The range probe by axis slices, as the engine once computed it: on
+    each side of each cut, the linear slice of the smooth part plus that
+    of every term whose box holds that side."""
+    grid = f.grid
+
+    def slice_at(samples, axis, loc):
+        i, w = model_space.locate(grid.axes[axis], loc)
+        lo = np.take(samples, i, axis=axis)
+        return lo + w * (np.take(samples, i + 1, axis=axis) - lo)
+
+    vals = [np.min(f.values), np.max(f.values)]
+    for axis, loc in {c for t in f.terms for c in t.cuts}:
+        for below in (True, False):
+            probe = slice_at(f.smooth, axis, loc)
+            for t in f.terms:
+                if not all(loc <= q if below else loc < q
+                           for a, q in t.cuts if a == axis):
+                    continue
+                incl = np.ones(np.shape(probe), dtype=bool)
+                for a, q in t.cuts:
+                    if a != axis:
+                        incl &= slice_at(grid.mesh()[a], axis, loc) <= q
+                probe = probe + np.where(incl, slice_at(t.samples, axis, loc), 0.0)
+            vals += [np.min(probe), np.max(probe)]
+    return min(vals), max(vals)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(field_pairs())
+def test_extremes_match_the_slice_probe(pair):
+    for f in (pair[0], pair[0].times(pair[1])):
+        lo, hi = f.extremes()
+        ref_lo, ref_hi = _extremes_by_slices(f)
+        assert lo == pytest.approx(ref_lo, rel=1e-13, abs=1e-13)
+        assert hi == pytest.approx(ref_hi, rel=1e-13, abs=1e-13)
+
+
+def test_median_steps_add_one_term_each():
+    """Five counterfactual steps of 0.02 in the median on 0.5 + x, each
+    along the gradient at the moved density: one new jump, so one new
+    term, per step, and S of the mean to the median as before
+    coalescing (values frozen from the term-per-pair algebra)."""
+    frozen_S = (0.5254125891629666, 0.5535314381699167, 0.583156867783218,
+                0.6144019999149475, 0.6473926101321605, 0.6822685384791334)
+    P = linear(Grid.line(0.0, 1.0, 801), 0.5, 1.0)
+    mean, median = moment(lambda x: x), quantile_functional(0.5)
+    for k, S in enumerate(frozen_S):
+        assert len(P.terms) == k
+        rep = sensitivity(mean, median, P, information_metric())
+        assert rep.S == pytest.approx(S, rel=1e-12, abs=0.0)
+        P = counterfactual_report(mean, median, P, information_metric(),
+                                  0.02).counterfactual

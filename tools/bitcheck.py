@@ -17,6 +17,9 @@ The lines cover:
   a correlated Gaussian at 21², 31², 41² and 21×31 (and at 21×31 with a
   cut), on the uniform and on an isotropic Gaussian at 21², 31², 41²
 - `engine.sensitivity` S and R with `mean_over_median` as psi
+- five counterfactual steps of 0.02 in the median on the density 0.5 + x
+  (each step's field parts and S of the mean), and an exponential tilt of
+  the uniform along nine one-cut terms
 - 1-d and 2-d `sample_from` draws
 - every file `python -m sensan.cli` writes, with its exit code, stdout
   and stderr, for the schema configs and `replicate-education --grid 201`
@@ -139,6 +142,33 @@ def sensitivities(sensan, jobs) -> None:
             emit(f"sensitivity/{name}", "error", str(exc))
 
 
+def counterfactuals(sensan) -> None:
+    grid = sensan.Grid.line(0.0, 1.0, 801)
+    P = sensan.build_family(
+        {"family": "linear", "intercept": 0.5, "slope": 1.0}, grid)
+    mean = sensan.moment(lambda x: x)
+    median = sensan.quantile_functional(0.5)
+    info = sensan.information_metric()
+    parts = []
+    for step in range(6):
+        parts += field_parts(P)
+        parts.append(sensan.sensitivity(mean, median, P, info).S)
+        if step < 5:
+            P = sensan.counterfactual_report(mean, median, P, info,
+                                             0.02).counterfactual
+    emit("counterfactual/median-steps", *parts)
+
+    U = sensan.build_family({"family": "uniform"}, grid)
+    jumps = tuple(sensan.CutTerm(((0, 0.1 * k),), np.full(grid.shape, 0.01))
+                  for k in range(1, 10))
+    d = sensan.TangentVector(U, np.zeros(grid.shape), terms=jumps)
+    try:
+        emit("counterfactual/tilt-9-jumps", *field_parts(
+            sensan.counterfactual_density(U, d, 5.0, path="exponential")))
+    except sensan.SensanError as exc:
+        emit("counterfactual/tilt-9-jumps", "error", str(exc))
+
+
 def samples(sensan) -> None:
     P1 = sensan.build_family(BETA23, sensan.Grid.line(0.0, 1.0, 801))
     P2 = sensan.GridDensity.from_callable(
@@ -195,6 +225,7 @@ def main(argv: list[str]) -> None:
     from test_cli import SCHEMA_CONFIGS
     influences(sensan, jobs)
     sensitivities(sensan, jobs)
+    counterfactuals(sensan)
     samples(sensan)
     cli_runs(sensan, src, SCHEMA_CONFIGS)
 
