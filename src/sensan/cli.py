@@ -30,7 +30,7 @@ from .estimation import (Multinomial, PluginConfig, RatioInformation,
 from .families import build_family
 from .functionals import parse_functional
 from .gmm import gmm_efficient_influence, gmm_influence, gmm_solve, moment_spec
-from .model_space import Grid, GridDensity, Sample, likelihood_ratio
+from .model_space import Grid, GridDensity, Sample
 from .surfaces import build_chart, coord_functional, surface_sensitivity
 from .tangent import information_metric, inner_p, policy_metric
 
@@ -269,7 +269,7 @@ def _ratio_estimator(cfg: dict, grid: Grid, P: GridDensity | None = None):
         P = _density(cfg, "distribution", grid)
     metric = policy_metric(P, Q)
     if kind == "known":
-        return RatioKnown(likelihood_ratio(P, Q)), metric
+        return RatioKnown(metric.ratio), metric
     return kde, metric
 
 

@@ -30,8 +30,8 @@ import numpy as np
 from .errors import SensanError
 from .functionals import Functional, evaluate, influence
 from .model_space import CutTerm, GridDensity, PiecewiseField
-from .tangent import (PolicyMetric, TangentVector, grad_op_apply, inner,
-                      inner_p)
+from .tangent import (PolicyMetric, TangentVector, _same_base, grad_op_apply,
+                      inner, inner_p)
 
 __all__ = [
     "SensitivityReport",
@@ -172,10 +172,7 @@ def sensitivity(psi: Functional, nu: Functional, P: GridDensity,
 # --- counterfactual densities -------------------------------------------------------
 
 def _check_direction_base(P: GridDensity, direction: TangentVector) -> None:
-    if direction.base is P:
-        return
-    if not direction.grid.same_as(P.grid) or not np.array_equal(
-            direction.base.values, P.values):
+    if not _same_base(direction.base, P):
         raise SensanError("direction is not tangent at the given density")
 
 

@@ -12,9 +12,12 @@ Hessian of the criterion. When Pg = 0 the curvature terms drop and the
 familiar -(G'WG)^{-1} G'W g remains.
 
 Moment functions are whitelisted polynomials, so Pg, G and P[Hess g_i]
-are theta-polynomials in data moments P[x^alpha] integrated once per P.
-The solver takes Newton steps with the exact Hessian B (Gauss-Newton where
-B is not positive-definite) and no grid pass, then checks by quadrature.
+are theta-polynomials in data moments P[x^alpha] integrated once per
+solve, for both steps of the "optimal" weight. The solver takes Newton
+steps with the exact Hessian B (Gauss-Newton where B is not
+positive-definite) and no grid pass, then checks by quadrature. A solution
+keeps the node values of g and dg/dtheta at theta, Pg, G and Omega by their
+quadrature, and P[Hess g_i]; the influence functions below only read it.
 
 On the correctly specified model the tangent set restricts, and scores
 decompose through the whitened moment space: the projection onto the
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,7 +100,8 @@ def moment_spec(g_texts, theta_dim: int, bounds,
 
 @dataclass(frozen=True)
 class GmmSolution:
-    """An accepted GMM minimizer with the matrices the theory runs on."""
+    """An accepted GMM minimizer with the matrices the theory runs on, the
+    node arrays g[i] = g_i and jac[j][i] = dg_i/dth_j, and H[i] = P[Hess g_i]."""
 
     theta: np.ndarray
     W: np.ndarray
@@ -105,6 +109,9 @@ class GmmSolution:
     G: np.ndarray
     Omega: np.ndarray
     criterion: float
+    g: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    jac: tuple[tuple[np.ndarray, ...], ...] = field(repr=False, compare=False)
+    H: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
         grad = 2.0 * self.G.T @ self.W @ self.Pg
@@ -123,35 +130,23 @@ class GmmSolution:
         return float(np.linalg.norm(self.Pg)) < _SPECIFIED_TOL
 
 
-def _node_args(P: GridDensity, spec: MomentSpec):
-    if len(spec.data_vars) != P.grid.ndim:
-        raise SensanError("moment data variables do not match the grid "
-                          "dimension")
-    return P.grid.mesh()
-
-
 def _node_arrays(P: GridDensity, spec: MomentSpec, theta,
-                 *js: int) -> list[np.ndarray]:
+                 *js: int) -> tuple[np.ndarray, ...]:
     """Node values at theta of every moment differentiated in th_js."""
-    args = _node_args(P, spec)
+    args = P.grid.mesh()
     polys = [spec.derivative(i, *js) for i in range(spec.moment_dim)]
-    return [as_array_function(q, q.variables)(*args, *theta) for q in polys]
-
-
-def _solution_matrices(P: GridDensity, spec: MomentSpec, theta):
-    """Pointwise moments at theta, with Pg and G by grid quadrature."""
-    g_arrays = _node_arrays(P, spec, theta)
-    jac = [_node_arrays(P, spec, theta, j) for j in range(spec.theta_dim)]
-    Pg = np.array([integrate(a, P) for a in g_arrays])
-    G = np.array([[integrate(a, P) for a in row] for row in zip(*jac)])
-    return g_arrays, Pg, G
+    return tuple(as_array_function(q, q.variables)(*args, *theta)
+                 for q in polys)
 
 
 def _theta_polys(P: GridDensity, spec: MomentSpec):
     """theta -> (Pg, G, H), H[i] = P[Hess g_i], as polynomials in theta with
     each data moment P[x^alpha] integrated once, cut-aware."""
+    if len(spec.data_vars) != P.grid.ndim:
+        raise SensanError("moment data variables do not match the grid "
+                          "dimension")
     r, p = spec.moment_dim, spec.theta_dim
-    mesh = _node_args(P, spec)
+    mesh = P.grid.mesh()
     nd = len(spec.data_vars)
     orders = [()] + [(j,) for j in range(p)] + list(
         itertools.product(range(p), repeat=2))
@@ -219,25 +214,22 @@ def _newton(at, spec: MomentSpec, W: np.ndarray, start):
     return (theta, crit) if ok else None
 
 
-def gmm_solve(P: GridDensity, spec: MomentSpec, W) -> GmmSolution:
-    """Minimize the GMM criterion by multi-start Newton.
+def _solution(P: GridDensity, spec: MomentSpec, W: np.ndarray, theta,
+              at) -> GmmSolution:
+    """The solution at theta: node arrays of g and dg/dtheta, Pg, G and
+    Omega by grid quadrature of them, and H from the theta-polynomials."""
+    g = _node_arrays(P, spec, theta)
+    jac = tuple(_node_arrays(P, spec, theta, j) for j in range(spec.theta_dim))
+    Pg = np.array([integrate(a, P) for a in g])
+    G = np.array([[integrate(a, P) for a in row] for row in zip(*jac)])
+    Omega = np.array([[integrate(a * b, P) for b in g] for a in g])
+    return GmmSolution(theta=theta, W=W, Pg=Pg, G=G, Omega=Omega,
+                       criterion=float(Pg @ W @ Pg), g=g, jac=jac,
+                       H=at(theta)[2])
 
-    Data moments are integrated once per P; from each of 3^p starts,
-    Newton steps with the exact criterion Hessian (Gauss-Newton where it
-    is not positive-definite) run under a strict-decrease halving line
-    search. Pg, G and Omega at the accepted point come from quadrature.
 
-    W is an r x r symmetric positive-definite matrix or the string
-    "optimal" for the two-step recipe (identity solve, then W set to the
-    inverse of the moment second-moment matrix at the first-step theta).
-    """
-    if isinstance(W, str):
-        if W != "optimal":
-            raise SensanError(f"unknown weight matrix spec '{W}'")
-        first = gmm_solve(P, spec, np.eye(spec.moment_dim))
-        return gmm_solve(P, spec, np.linalg.inv(first.Omega))
-    W = _check_weight(W, spec.moment_dim)
-    at = _theta_polys(P, spec)
+def _minimize(P: GridDensity, spec: MomentSpec, W: np.ndarray,
+              at) -> GmmSolution:
     starts = itertools.product(
         *([lo + f * (hi - lo) for f in (0.25, 0.5, 0.75)]
           for lo, hi in spec.bounds))
@@ -253,10 +245,32 @@ def gmm_solve(P: GridDensity, spec: MomentSpec, W) -> GmmSolution:
             raise SensanError(
                 "non-unique minimizer: criterion ties at "
                 f"theta = {theta.tolist()} and {other.tolist()}")
-    g_arrays, Pg, G = _solution_matrices(P, spec, theta)
-    Omega = np.array([[integrate(a * b, P) for b in g_arrays] for a in g_arrays])
-    return GmmSolution(theta=theta, W=W, Pg=Pg, G=G, Omega=Omega,
-                       criterion=float(Pg @ W @ Pg))
+    return _solution(P, spec, W, theta, at)
+
+
+def gmm_solve(P: GridDensity, spec: MomentSpec, W) -> GmmSolution:
+    """Minimize the GMM criterion by multi-start Newton.
+
+    Data moments are integrated once per call; from each of 3^p starts,
+    Newton steps with the exact criterion Hessian (Gauss-Newton where it
+    is not positive-definite) run under a strict-decrease halving line
+    search. Pg, G and Omega at the accepted point come from quadrature.
+
+    W is an r x r symmetric positive-definite matrix or the string
+    "optimal" for the two-step recipe (identity solve, then W set to the
+    inverse of the moment second-moment matrix at the first-step theta);
+    both steps run on the same theta-polynomials.
+    """
+    optimal = isinstance(W, str)
+    if optimal and W != "optimal":
+        raise SensanError(f"unknown weight matrix spec '{W}'")
+    r = spec.moment_dim
+    W = _check_weight(np.eye(r) if optimal else W, r)
+    at = _theta_polys(P, spec)
+    sol = _minimize(P, spec, W, at)
+    if optimal:
+        sol = _minimize(P, spec, _check_weight(np.linalg.inv(sol.Omega), r), at)
+    return sol
 
 
 # --- influence functions ------------------------------------------------------------
@@ -270,16 +284,13 @@ def gmm_influence(P: GridDensity, spec: MomentSpec,
     """
     p, r = spec.theta_dim, spec.moment_dim
     c = sol.W @ sol.Pg
-    B = sol.G.T @ sol.W @ sol.G + np.tensordot(
-        c, _theta_polys(P, spec)(sol.theta)[2], 1)
+    B = sol.G.T @ sol.W @ sol.G + np.tensordot(c, sol.H, 1)
     if np.linalg.cond(B) >= 1e10:
         raise SensanError("local identification failure: singular "
                           "criterion curvature")
-    g_arrays = _node_arrays(P, spec, sol.theta)
     GW = sol.G.T @ sol.W
-    jacs = [_node_arrays(P, spec, sol.theta, a) for a in range(p)]
     rhs = [sum(t for i in range(r)
-               for t in (c[i] * jacs[a][i], GW[a, i] * g_arrays[i]))
+               for t in (c[i] * sol.jac[a][i], GW[a, i] * sol.g[i]))
            for a in range(p)]
     Binv = np.linalg.inv(B)
     return [TangentVector(P, -sum(Binv[a, b] * rhs[b] for b in range(p)))
@@ -289,26 +300,20 @@ def gmm_influence(P: GridDensity, spec: MomentSpec,
 def gmm_efficient_influence(P: GridDensity, spec: MomentSpec,
                             sol: GmmSolution) -> list[TangentVector]:
     """Efficient influence functions -(G' O^-1 G)^-1 G' O^-1 g."""
-    g_arrays = _node_arrays(P, spec, sol.theta)
     A = np.linalg.solve(sol.G.T @ np.linalg.solve(sol.Omega, sol.G),
                         sol.G.T @ np.linalg.inv(sol.Omega))
     return [TangentVector(
-        P, -sum(A[a, i] * g_arrays[i] for i in range(spec.moment_dim)))
+        P, -sum(A[a, i] * sol.g[i] for i in range(spec.moment_dim)))
         for a in range(spec.theta_dim)]
-
-
-def _omega_inv_sqrt(Omega: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(Omega)
-    return V @ np.diag(1.0 / np.sqrt(np.maximum(w, 1e-12))) @ V.T
 
 
 def _perp_projector(sol: GmmSolution) -> tuple[np.ndarray, np.ndarray]:
     """Whitening root and the projector onto the orthocomplement of the
     whitened moment Jacobian."""
-    S = _omega_inv_sqrt(sol.Omega)
+    w, V = np.linalg.eigh(sol.Omega)
+    S = V @ np.diag(1.0 / np.sqrt(np.maximum(w, 1e-12))) @ V.T
     SG = S @ sol.G
-    r = sol.Omega.shape[0]
-    proj = np.eye(r) - SG @ np.linalg.solve(SG.T @ SG, SG.T)
+    proj = np.eye(len(S)) - SG @ np.linalg.solve(SG.T @ SG, SG.T)
     return S, proj
 
 
@@ -326,11 +331,9 @@ def gmm_project_tangent(P: GridDensity, spec: MomentSpec, sol: GmmSolution,
     that is not explained by the moment Jacobian."""
     _require_specified(sol)
     S, proj = _perp_projector(sol)
-    g_arrays = _node_arrays(P, spec, sol.theta)
-    g_t = [TangentVector(P, a) for a in g_arrays]
-    cov = np.array([inner_p(xi, gt) for gt in g_t])  # P[xi g']
+    cov = np.array([inner_p(xi, TangentVector(P, a)) for a in sol.g])  # P[xi g']
     coef = cov @ S.T @ proj @ S
-    out_smooth = xi.smooth - sum(coef[i] * g_arrays[i]
+    out_smooth = xi.smooth - sum(coef[i] * sol.g[i]
                                  for i in range(spec.moment_dim))
     return TangentVector(P, out_smooth, terms=xi.terms)
 
@@ -349,6 +352,5 @@ def gmm_out_direction(P: GridDensity, spec: MomentSpec, sol: GmmSolution,
         raise SensanError("alpha must have one entry per moment")
     S, proj = _perp_projector(sol)
     coef = alpha @ proj @ S
-    g_arrays = _node_arrays(P, spec, sol.theta)
     return TangentVector(
-        P, sum(coef[i] * g_arrays[i] for i in range(spec.moment_dim)))
+        P, sum(coef[i] * sol.g[i] for i in range(spec.moment_dim)))

@@ -145,12 +145,6 @@ class Grid:
             w = np.multiply.outer(w, ax.weights)
         return w
 
-    def volume(self) -> float:
-        out = 1.0
-        for ax in self.axes:
-            out *= ax.hi - ax.lo
-        return out
-
     def same_as(self, other: "Grid") -> bool:
         return self.shape == other.shape and all(
             a.lo == b.lo and a.hi == b.hi for a, b in zip(self.axes, other.axes)

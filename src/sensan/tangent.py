@@ -83,10 +83,15 @@ class TangentVector(PiecewiseField):
         return self._tangent(super().add(other))
 
 
+def _same_base(P: GridDensity, Q: GridDensity) -> bool:
+    """One base density: the same object, else the same grid geometry and
+    equal node values."""
+    return P is Q or (P.grid.same_as(Q.grid)
+                      and np.array_equal(P.values, Q.values))
+
+
 def _check_same_base(u: TangentVector, v: TangentVector) -> None:
-    if u.base is v.base:
-        return
-    if not u.grid.same_as(v.grid) or not np.array_equal(u.base.values, v.base.values):
+    if not _same_base(u.base, v.base):
         raise SensanError("mismatched bases for tangent vectors")
 
 

@@ -7,8 +7,9 @@ from bundles import mean_over_median
 from sensan import (CounterfactualReport, Grid, GridDensity, SensitivityReport,
                     TangentVector, counterfactual_density, counterfactual_report,
                     evaluate, grad_op_apply, influence, information_metric,
-                    moment, policy_metric, quantile_functional, sensitivity,
-                    sensitivity_from_influences, variance, verify_first_order)
+                    inner_p, moment, policy_metric, quantile_functional,
+                    sensitivity, sensitivity_from_influences, variance,
+                    verify_first_order)
 from sensan.errors import SensanError
 from sensan.families import beta, linear, quadratic, truncated_normal, uniform
 from sensan.model_space import CutTerm, integrate, quantile
@@ -187,6 +188,28 @@ def test_counterfactual_requires_tangent_direction():
     d = influence(MEDIAN, other)
     with pytest.raises(SensanError, match="not tangent at the given density"):
         counterfactual_density(U, d, 0.1)
+
+
+@pytest.mark.parametrize("other, same", [
+    (lambda: uniform(Grid.line(0.0, 1.0, 801)), True),   # an equal copy
+    (lambda: uniform(Grid.line(1.0, 2.0, 801)), False),  # equal values, other grid
+])
+def test_directions_and_tangent_pairs_share_one_base_test(other, same):
+    """counterfactual_density and the tangent pairing accept the same
+    bases, each with its own message for the rest (other node values:
+    test_counterfactual_requires_tangent_direction)."""
+    Q = other()
+    d = influence(MEDIAN, Q)
+    if same:
+        moved = counterfactual_density(U, d, 0.1)
+        want = counterfactual_density(Q, d, 0.1)
+        assert np.array_equal(moved.values, want.values)
+        assert inner_p(d, influence(MEDIAN, U)) == inner_p(d, d)
+        return
+    with pytest.raises(SensanError, match="not tangent at the given density"):
+        counterfactual_density(U, d, 0.1)
+    with pytest.raises(SensanError, match="mismatched bases"):
+        inner_p(d, influence(MEDIAN, U))
 
 
 def test_counterfactual_unknown_path():

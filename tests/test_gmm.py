@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from bundles import (two_moment_misspecified, two_moment_population,
                      two_moment_spec)
-from sensan import (Grid, GmmSolution, GridDensity, counterfactual_density,
+from sensan import (Grid, GridDensity, counterfactual_density,
                     gmm_efficient_influence, gmm_influence, gmm_out_direction,
                     gmm_project_tangent, gmm_solve, grad_op_apply, influence,
                     information_metric, inner_p, moment_spec,
@@ -13,7 +15,9 @@ from sensan import (Grid, GmmSolution, GridDensity, counterfactual_density,
 from sensan.errors import SensanError
 from sensan.expressions import as_array_function
 from sensan.families import build_family, truncated_normal
-from sensan.gmm import _FOC_TOL, _solution_matrices, _theta_polys
+import sensan.gmm
+from sensan.gmm import _FOC_TOL, _node_arrays, _solution, _theta_polys
+from sensan.model_space import integrate
 
 P0 = two_moment_population()
 SPEC = two_moment_spec()
@@ -23,7 +27,9 @@ I2 = np.eye(2)
 def _criterion(P, spec, W, theta) -> float:
     """The GMM criterion with Pg by grid quadrature of the pointwise
     moments, the solver's reference."""
-    _, Pg, _ = _solution_matrices(P, spec, theta)
+    args = P.grid.mesh()
+    Pg = np.array([integrate(as_array_function(q, q.variables)(*args, *theta), P)
+                   for q in spec.polys])
     return float(Pg @ W @ Pg)
 
 
@@ -153,12 +159,8 @@ def test_local_identification_failure():
     g = Grid.line(-8.0, 8.0, 801)
     P = truncated_normal(g, 0.0, 1.0)
     spec = moment_spec(("x - th0*th0*th0",), 1, ((-3.0, 3.0),))
-    g_arrays, Pg, G = _solution_matrices(P, spec, np.array([0.0]))
-    from sensan.model_space import integrate
-
-    omega = np.array([[integrate(g_arrays[0] * g_arrays[0], P)]])
-    sol = GmmSolution(theta=np.array([0.0]), W=np.eye(1), Pg=Pg, G=G,
-                      Omega=omega, criterion=float(Pg @ Pg))
+    sol = _solution(P, spec, np.eye(1), np.array([0.0]), _theta_polys(P, spec))
+    assert sol.G[0, 0] == 0.0
     with pytest.raises(SensanError, match="local identification failure"):
         gmm_influence(P, spec, sol)
 
@@ -177,14 +179,11 @@ def test_weight_matrix_validation():
 def test_solution_validation():
     sol = gmm_solve(P0, SPEC, I2)
     with pytest.raises(SensanError, match="fails the first-order condition"):
-        GmmSolution(theta=sol.theta, W=sol.W, Pg=np.array([0.1, 0.0]),
-                    G=sol.G, Omega=sol.Omega, criterion=0.01)
+        dataclasses.replace(sol, Pg=np.array([0.1, 0.0]), criterion=0.01)
     with pytest.raises(SensanError, match="not symmetric"):
-        GmmSolution(theta=sol.theta, W=sol.W, Pg=sol.Pg, G=sol.G,
-                    Omega=np.array([[1.0, 0.3], [0.0, 1.0]]), criterion=0.0)
+        dataclasses.replace(sol, Omega=np.array([[1.0, 0.3], [0.0, 1.0]]))
     with pytest.raises(SensanError, match="not positive-definite"):
-        GmmSolution(theta=sol.theta, W=sol.W, Pg=sol.Pg, G=sol.G,
-                    Omega=np.array([[1.0, 0.0], [0.0, -2.0]]), criterion=0.0)
+        dataclasses.replace(sol, Omega=np.array([[1.0, 0.0], [0.0, -2.0]]))
 
 
 def test_moment_spec_validation():
@@ -268,11 +267,8 @@ def test_theta_polynomials_match_pointwise_quadrature(case):
                             "x**4 - 3*th1*th1 - th0**4 + x*th0*th1"), 2,
                            ((-3.0, 3.0), (0.0, 3.0)))
     elif case == "2-d":
-        P = GridDensity.from_callable(Grid.box((0.0, 1.0), (-1.0, 2.0), (41, 40)),
-                                      lambda x, y: 1.0 + x * y + y * y)
-        spec = moment_spec(("x*y - th0", "x**2 + y - th0*th1",
-                            "y**3*th1 - x*th0**2"), 2,
-                           ((-1.0, 1.0), (-1.0, 2.0)), data_vars=("x", "y"))
+        P = _two_d_density(lambda x, y: 1.0 + x * y + y * y)
+        spec = _two_d_spec()
     else:
         P = _cut_density()
         assert P.terms
@@ -289,6 +285,68 @@ def test_theta_polynomials_match_pointwise_quadrature(case):
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + scale)), (
                 case, theta, got, want)
+
+
+# --- a solution keeps what its solve computed ------------------------------------
+
+def _counting(monkeypatch, name: str) -> list:
+    """Replace sensan.gmm.<name> by a wrapper that records each call."""
+    calls, inner = [], getattr(sensan.gmm, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(sensan.gmm, name, wrapper)
+    return calls
+
+
+def _two_d_spec():
+    return moment_spec(("x*y - th0", "x**2 + y - th0*th1",
+                        "y**3*th1 - x*th0**2"), 2,
+                       ((-1.0, 1.0), (-1.0, 2.0)), data_vars=("x", "y"))
+
+
+def _two_d_density(f):
+    return GridDensity.from_callable(Grid.box((0.0, 1.0), (-1.0, 2.0), (41, 40)), f)
+
+
+@pytest.mark.parametrize("weight", ["identity", "optimal"])
+def test_solve_compiles_once_and_the_influences_reuse_it(monkeypatch, weight):
+    polys = _counting(monkeypatch, "_theta_polys")
+    compiles = _counting(monkeypatch, "as_array_function")
+    sol = gmm_solve(P0, SPEC, I2 if weight == "identity" else "optimal")
+    assert len(polys) == 1
+    assert compiles
+    polys.clear()
+    compiles.clear()
+    a = gmm_influence(P0, SPEC, sol)[0]
+    gmm_efficient_influence(P0, SPEC, sol)
+    gmm_project_tangent(P0, SPEC, sol, a)
+    gmm_out_direction(P0, SPEC, sol, (1.0, -0.5))
+    assert polys == [] and compiles == []
+
+
+@pytest.mark.parametrize("case", ["1-d", "2-d"])
+def test_solution_keeps_the_node_arrays_and_curvature_bit_for_bit(case):
+    if case == "1-d":
+        P, spec = P0, SPEC
+    else:
+        # a bump whose criterion has an interior, misspecified minimizer
+        P, spec = _two_d_density(lambda x, y: np.exp(
+            -((x - 0.6) ** 2 + (y - 0.3) ** 2) / 0.3)), _two_d_spec()
+    sol = gmm_solve(P, spec, np.eye(spec.moment_dim))
+    assert case == "1-d" or not sol.correctly_specified
+    theta = sol.theta
+    for got, want in zip(sol.g, _node_arrays(P, spec, theta), strict=True):
+        np.testing.assert_array_equal(got, want, strict=True)
+    assert len(sol.jac) == spec.theta_dim
+    for j, row in enumerate(sol.jac):
+        for got, want in zip(row, _node_arrays(P, spec, theta, j), strict=True):
+            np.testing.assert_array_equal(got, want, strict=True)
+    H = _theta_polys(P, spec)(theta)[2]
+    np.testing.assert_array_equal(sol.H, H, strict=True)
+    assert sol.H.shape == (spec.moment_dim, spec.theta_dim, spec.theta_dim)
 
 
 # --- property: random populations solve to the scanned minimizer ---------------------

@@ -21,6 +21,10 @@ The lines cover:
   (each step's field parts and S of the mean), and an exponential tilt of
   the uniform along nine one-cut terms
 - 1-d and 2-d `sample_from` draws
+- GMM solutions (theta, Omega, Pg, G) and the fields of `gmm_influence`,
+  `gmm_efficient_influence`, `gmm_project_tangent` and `gmm_out_direction`
+  for a specified and a misspecified truncated normal and a 2-d
+  three-moment spec, each with identity and "optimal" weights
 - every file `python -m sensan.cli` writes, with its exit code, stdout
   and stderr, for the schema configs and `replicate-education --grid 201`
 
@@ -180,6 +184,51 @@ def samples(sensan) -> None:
             emit(f"sample_from/{name}/{n}", draws.points)
 
 
+def gmm_case(sensan, label: str, P, spec, W) -> None:
+    """Hash one solve and each influence or projection built on it."""
+    try:
+        sol = sensan.gmm_solve(P, spec, W)
+    except sensan.SensanError as exc:
+        emit(f"{label}/solution", "error", str(exc))
+        return
+    emit(f"{label}/solution", sol.theta, sol.W, sol.Pg, sol.G, sol.Omega,
+         sol.criterion)
+    alpha = np.array([1.0, -0.5, 0.25])[:spec.moment_dim]
+    infl = sensan.gmm_influence(P, spec, sol)
+    calls = [("influence", lambda: infl),
+             ("efficient", lambda: sensan.gmm_efficient_influence(P, spec, sol)),
+             ("project", lambda: [sensan.gmm_project_tangent(P, spec, sol, a)
+                                  for a in infl]),
+             ("out", lambda: [sensan.gmm_out_direction(P, spec, sol, alpha)])]
+    for name, call in calls:
+        try:
+            emit(f"{label}/{name}",
+                 *(part for t in call() for part in field_parts(t)))
+        except sensan.SensanError as exc:
+            emit(f"{label}/{name}", "error", str(exc))
+
+
+def gmms(sensan) -> None:
+    line = sensan.Grid.line(-7.0, 9.0, 801)
+    spec = sensan.moment_spec(("x - th0", "x*x - th0*th0 - 1"), 1,
+                              ((-3.0, 3.0),))
+    box = sensan.Grid.box((0.0, 1.0), (-1.0, 2.0), (41, 40))
+    spec2 = sensan.moment_spec(("x*y - th0", "x**2 + y - th0*th1",
+                                "y**3*th1 - x*th0**2"), 2,
+                               ((-1.0, 1.0), (-1.0, 2.0)), data_vars=("x", "y"))
+    cases = [
+        ("normal-1-1", sensan.build_family(
+            {"family": "truncated_normal", "mean": 1.0, "sd": 1.0}, line), spec),
+        ("normal-1-1.2", sensan.build_family(
+            {"family": "truncated_normal", "mean": 1.0, "sd": 1.2}, line), spec),
+        ("tilted-2d", sensan.GridDensity.from_callable(
+            box, lambda x, y: 2.5 - y + x * y), spec2)]
+    for name, P, sp in cases:
+        for weight in ("identity", "optimal"):
+            W = np.eye(sp.moment_dim) if weight == "identity" else weight
+            gmm_case(sensan, f"gmm/{name}/{weight}", P, sp, W)
+
+
 def cli_runs(sensan, src: str, configs) -> None:
     runs = [(f"{i}-{command}", [command, "--config"], config)
             for i, (command, config) in enumerate(configs)]
@@ -227,6 +276,7 @@ def main(argv: list[str]) -> None:
     sensitivities(sensan, jobs)
     counterfactuals(sensan)
     samples(sensan)
+    gmms(sensan)
     cli_runs(sensan, src, SCHEMA_CONFIGS)
 
 
