@@ -6,6 +6,10 @@ case, `gmm` solves a moment model and reports its influence structure,
 `surface` evaluates chart sensitivities, `mc` runs the Monte Carlo
 harness, and `replicate-education` rebuilds the schooling example.
 
+`main` reads a run's config file once and hands the dict to the
+subcommand (`surface` takes no config and gets an empty one); `_case`
+builds the (P, psi, nu) of every subcommand that states one.
+
 Exit codes: 0 on success, 2 for configuration problems (the diagnostic
 names the offending key), 1 for computation failures.
 """
@@ -30,7 +34,7 @@ from .estimation import (Multinomial, PluginConfig, RatioInformation,
 from .families import build_family
 from .functionals import parse_functional
 from .gmm import gmm_efficient_influence, gmm_influence, gmm_solve, moment_spec
-from .model_space import Grid, GridDensity, Sample
+from .model_space import Grid, GridDensity, Sample, likelihood_ratio
 from .surfaces import build_chart, coord_functional, surface_sensitivity
 from .tangent import information_metric, inner_p, policy_metric
 
@@ -85,14 +89,14 @@ def _density(spec: dict, key: str, grid: Grid) -> GridDensity:
         return build_family(spec, grid)
 
 
-def _build_metric(cfg: dict, P: GridDensity, grid: Grid):
+def _build_metric(cfg: dict, P: GridDensity):
     spec = read(cfg, "metric", dict, {})
     with nested("metric"):
         kind = read(spec, "kind", str, "information",
                     choices=("information", "policy"))
         if kind == "information":
             return information_metric()
-        Q = _density(spec, "density", grid)
+        Q = _density(spec, "density", P.grid)
         label = read(spec, "label", str, "L2(Q)")
     return policy_metric(P, Q, label=label)
 
@@ -101,6 +105,14 @@ def _functional(cfg: dict, key: str, ndim: int):
     spec = read(cfg, key, dict)
     with nested(key):
         return parse_functional(spec, ndim)
+
+
+def _case(cfg: dict, grid: Grid):
+    """The density P, target psi and control nu cfg states. psi and nu are
+    parsed on P's own grid, since a stored density brings its grid."""
+    P = _density(cfg, "distribution", grid)
+    return (P, _functional(cfg, "psi", P.grid.ndim),
+            _functional(cfg, "nu", P.grid.ndim))
 
 
 def _rows(cfg: dict, key: str, width: int):
@@ -125,13 +137,9 @@ def _out_dir(args, cfg: dict, required: bool = False) -> str | None:
 
 # --- subcommands --------------------------------------------------------------------
 
-def _cmd_sensitivity(args) -> int:
-    cfg = _load_config(args.config)
-    grid = _build_grid(cfg, args.grid)
-    P = _density(cfg, "distribution", grid)
-    psi = _functional(cfg, "psi", P.grid.ndim)
-    nu = _functional(cfg, "nu", P.grid.ndim)
-    metric = _build_metric(cfg, P, P.grid)
+def _cmd_sensitivity(args, cfg: dict) -> int:
+    P, psi, nu = _case(cfg, _build_grid(cfg, args.grid))
+    metric = _build_metric(cfg, P)
     rep = sensitivity(psi, nu, P, metric)
     print(f"S = {rep.S:.8f}  (dpsi_dnu = {rep.dpsi_dnu:.8f}, "
           f"R = {rep.R:.6f}, Lambda = {rep.Lambda:.6f})")
@@ -152,17 +160,13 @@ def _cmd_sensitivity(args) -> int:
     return 0
 
 
-def _cmd_counterfactual(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_counterfactual(args, cfg: dict) -> int:
     target = read(cfg, "target_increment", float, 0.1)
     refine = read(cfg, "refine", bool, False)
     path = read(cfg, "path", str, "multiplicative",
                 choices=("multiplicative", "exponential"))
-    grid = _build_grid(cfg, args.grid)
-    P = _density(cfg, "distribution", grid)
-    psi = _functional(cfg, "psi", P.grid.ndim)
-    nu = _functional(cfg, "nu", P.grid.ndim)
-    metric = _build_metric(cfg, P, P.grid)
+    P, psi, nu = _case(cfg, _build_grid(cfg, args.grid))
+    metric = _build_metric(cfg, P)
     rep = counterfactual_report(psi, nu, P, metric, target, refine=refine,
                                 path=path)
     print(f"h = {rep.h:.8f}  nu: {rep.nu_before:.6f} -> {rep.nu_after:.6f}  "
@@ -181,8 +185,7 @@ def _cmd_counterfactual(args) -> int:
     return 0
 
 
-def _cmd_gmm(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_gmm(args, cfg: dict) -> int:
     grid = _build_grid(cfg, args.grid)
     spec = moment_spec(read(cfg, "moments", list, of=str),
                        read(cfg, "theta_dim", int), _rows(cfg, "bounds", 2),
@@ -232,7 +235,7 @@ def _cmd_gmm(args) -> int:
     return 0
 
 
-def _cmd_surface(args) -> int:
+def _cmd_surface(args, cfg: dict) -> int:
     chart = build_chart(args.chart)
     with nested("psi"):
         psi = coord_functional(args.psi)
@@ -254,8 +257,10 @@ def _cmd_surface(args) -> int:
 
 
 def _ratio_estimator(cfg: dict, grid: Grid, P: GridDensity | None = None):
-    """The ratio estimator cfg asks for and its metric; the base density
-    is built from 'distribution' when the ratio needs it and P is None."""
+    """The ratio estimator cfg asks for and its metric at the base density
+    P. Without P, as in a plug-in run, no policy metric is built (it is
+    None): a known ratio builds its base from 'distribution', and a kde
+    ratio needs none."""
     spec = read(cfg, "ratio", dict, {})
     with nested("ratio"):
         kind = read(spec, "kind", str, "information",
@@ -265,16 +270,16 @@ def _ratio_estimator(cfg: dict, grid: Grid, P: GridDensity | None = None):
         Q = _density(spec, "density", grid)
         # built for both kinds, so a bad bandwidth is named under 'ratio'
         kde = RatioKde(Q, read(spec, "bandwidth", float, None))
-    if P is None:
-        P = _density(cfg, "distribution", grid)
-    metric = policy_metric(P, Q)
+    if P is not None:
+        metric = policy_metric(P, Q)
+        return (RatioKnown(metric.ratio) if kind == "known" else kde), metric
     if kind == "known":
-        return RatioKnown(metric.ratio), metric
-    return kde, metric
+        P = _density(cfg, "distribution", grid)
+        return RatioKnown(likelihood_ratio(P, Q)), None
+    return kde, None
 
 
-def _cmd_mc(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_mc(args, cfg: dict) -> int:
     seed = read(cfg if args.seed is None else vars(args), "seed", int, 0,
                 lo=0)
     mode = read(cfg, "mode", str, "consistency",
@@ -296,10 +301,7 @@ def _cmd_mc(args) -> int:
                         for k in range(2))
             res = mc_joint_multinomial(model, i, j, n, reps, seed)
         else:
-            P = _density(cfg, "distribution", grid)
-            psi = _functional(cfg, "psi", P.grid.ndim)
-            nu = _functional(cfg, "nu", P.grid.ndim)
-            res = mc_joint_asymptotics(P, psi, nu, n, reps, seed)
+            res = mc_joint_asymptotics(*_case(cfg, grid), n, reps, seed)
         cov = res.empirical_cov[res.n_grid[0]]
         print(f"n = {res.n_grid[0]}  reps = {res.reps}  "
               f"cov = {np.array2string(np.asarray(cov), precision=5)}  "
@@ -308,9 +310,7 @@ def _cmd_mc(args) -> int:
     elif mode == "consistency":
         n_grid = read(cfg, "n_grid", list, [500, 2000, 8000], of=int)
         reps = read(cfg, "reps", int, 200, lo=1)
-        P = _density(cfg, "distribution", grid)
-        psi = _functional(cfg, "psi", P.grid.ndim)
-        nu = _functional(cfg, "nu", P.grid.ndim)
+        P, psi, nu = _case(cfg, grid)
         ratio, metric = _ratio_estimator(cfg, grid, P)
         population = sensitivity(psi, nu, P, metric).dpsi_dnu
         res = mc_consistency(P, psi, nu, ratio, n_grid, reps, seed,
@@ -325,13 +325,17 @@ def _cmd_mc(args) -> int:
         psi = _functional(cfg, "psi", sample.ndim)
         nu = _functional(cfg, "nu", sample.ndim)
         ratio, _ = _ratio_estimator(cfg, grid)
-        # without a grid the quantile KDE spans the sample's own range
+        # without a grid the quantile KDE spans the sample's own range; a
+        # known or kde ratio is read on its policy density's grid
         kde_grid = grid if "grid" in cfg or args.grid is not None else None
-        if kde_grid is not None and not (kde_grid.ndim == sample.ndim and all(
-                ax.lo <= lo and hi <= ax.hi
-                for ax, lo, hi in zip(kde_grid.axes, sample.lo, sample.hi))):
-            raise ConfigError("grid", "does not cover the stored sample, which "
-                              f"spans {sample.lo} to {sample.hi}")
+        ratio_grid = (ratio.ratio.grid if isinstance(ratio, RatioKnown) else
+                      ratio.Q.grid if isinstance(ratio, RatioKde) else None)
+        for g in (kde_grid, ratio_grid):
+            if g is not None and not (g.ndim == sample.ndim and all(
+                    ax.lo <= lo and hi <= ax.hi
+                    for ax, lo, hi in zip(g.axes, sample.lo, sample.hi))):
+                raise ConfigError("grid", "does not cover the stored sample, "
+                                  f"which spans {sample.lo} to {sample.hi}")
         val = plugin_sensitivity(PluginConfig(
             psi_influence=estimated_influence(psi, sample, kde_grid),
             nu_influence=estimated_influence(nu, sample, kde_grid),
@@ -349,8 +353,7 @@ def _cmd_mc(args) -> int:
     return 0
 
 
-def _cmd_replicate_education(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_replicate_education(args, cfg: dict) -> int:
     out = _out_dir(args, cfg, required=True)
     res = replicate_education(
         out,
@@ -377,21 +380,22 @@ def _parser() -> argparse.ArgumentParser:
                     "metrics")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True):
+    def common(name, run, text, seed=True):
+        sp = sub.add_parser(name, help=text)
+        sp.set_defaults(run=run)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="artifact output directory")
         sp.add_argument("--grid", type=int, help="override grid size")
         if seed:
             sp.add_argument("--seed", type=int, help="override RNG seed")
 
-    common(sub.add_parser("sensitivity",
-                          help="sensitivity report for one case"))
-    common(sub.add_parser("counterfactual",
-                          help="calibrated counterfactual density"))
-    common(sub.add_parser("gmm", help="moment model solve and influences"),
-           seed=False)
+    common("sensitivity", _cmd_sensitivity, "sensitivity report for one case")
+    common("counterfactual", _cmd_counterfactual,
+           "calibrated counterfactual density")
+    common("gmm", _cmd_gmm, "moment model solve and influences", seed=False)
 
     ssurf = sub.add_parser("surface", help="chart sensitivity at a point")
+    ssurf.set_defaults(run=_cmd_surface, config=None)
     ssurf.add_argument("--chart", required=True)
     ssurf.add_argument("--point", nargs=2, required=True, metavar=("U", "V"))
     ssurf.add_argument("--psi", required=True)
@@ -400,24 +404,16 @@ def _parser() -> argparse.ArgumentParser:
                        choices=("analytic", "numerical"))
     ssurf.add_argument("--out")
 
-    common(sub.add_parser("mc", help="Monte Carlo harness"))
-    common(sub.add_parser("replicate-education",
-                          help="rebuild the schooling example"))
+    common("mc", _cmd_mc, "Monte Carlo harness")
+    common("replicate-education", _cmd_replicate_education,
+           "rebuild the schooling example")
     return p
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    handlers = {
-        "sensitivity": _cmd_sensitivity,
-        "counterfactual": _cmd_counterfactual,
-        "gmm": _cmd_gmm,
-        "surface": _cmd_surface,
-        "mc": _cmd_mc,
-        "replicate-education": _cmd_replicate_education,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args, _load_config(args.config))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import SensanError
 from .functionals import Functional, evaluate, influence
-from .model_space import CutTerm, GridDensity, PiecewiseField
+from .model_space import RATIO_CLAMP, CutTerm, GridDensity, PiecewiseField
 from .tangent import (PolicyMetric, TangentVector, _same_base, grad_op_apply,
                       inner, inner_p)
 
@@ -126,7 +126,7 @@ def sensitivity_from_influences(psi_t: TangentVector, nu_t: TangentVector,
         if not _close(primal, dual, 1e-8):
             cause = ""
             if metric.ratio is not None and metric.ratio.clamped:
-                m, M = metric.ratio.clamp_bounds
+                m, M = RATIO_CLAMP
                 cause = (f"; the likelihood ratio dP/dQ was clamped into "
                          f"[{m:g}, {M:g}]")
             if metric.kind == "policy" and psi_t.base.terms:

@@ -172,10 +172,6 @@ class PluginConfig:
     ratio_estimator: object
     sample: Sample
 
-    def __post_init__(self):
-        if self.sample.n == 0:
-            raise SensanError("plugin estimation needs a nonempty sample")
-
 
 def plugin_sensitivity(config: PluginConfig) -> float:
     """Empirical analog of the policy sensitivity."""
@@ -341,7 +337,11 @@ def mc_consistency(P: GridDensity, psi: Functional, nu: Functional,
                     estimates=estimates, rmse=rmse, empirical_cov={})
 
 
-def _joint_summaries(pairs: np.ndarray, n: int, psi0: float, nu0: float):
+def _joint_result(pairs: np.ndarray, n: int, master_seed: int, psi0: float,
+                  nu0: float) -> McResult:
+    """The joint McResult of (psi-hat, nu-hat) replications at sample size
+    n: the covariance of the sqrt(n)-scaled errors and the sensitivity
+    ratios it implies."""
     errors = math.sqrt(n) * (pairs - np.array([psi0, nu0]))
     cov = np.cov(errors.T, bias=True)
     for name, var in (("psi", cov[0, 0]), ("nu", cov[1, 1])):
@@ -349,9 +349,11 @@ def _joint_summaries(pairs: np.ndarray, n: int, psi0: float, nu0: float):
             raise SensanError(
                 f"the {name} estimates have zero variance across the "
                 "replications, so Lambda and Delta are undefined")
-    lam = float(cov[0, 1] / cov[1, 1])
-    delta = float(cov[0, 1] ** 2 / (cov[0, 0] * cov[1, 1]))
-    return cov, lam, delta
+    return McResult(kind="joint", n_grid=(n,), reps=len(pairs),
+                    seed=master_seed, population=None, estimates={n: pairs},
+                    rmse={}, empirical_cov={n: cov},
+                    lambda_hat=float(cov[0, 1] / cov[1, 1]),
+                    delta_hat=float(cov[0, 1] ** 2 / (cov[0, 0] * cov[1, 1])))
 
 
 def mc_joint_asymptotics(P: GridDensity, psi: Functional, nu: Functional,
@@ -367,10 +369,7 @@ def mc_joint_asymptotics(P: GridDensity, psi: Functional, nu: Functional,
         sample = sample_from(P, n, rng)
         pairs[rep, 0] = efficient_estimate(psi, sample)
         pairs[rep, 1] = efficient_estimate(nu, sample)
-    cov, lam, delta = _joint_summaries(pairs, n, psi0, nu0)
-    return McResult(kind="joint", n_grid=(n,), reps=reps, seed=master_seed,
-                    population=None, estimates={n: pairs}, rmse={},
-                    empirical_cov={n: cov}, lambda_hat=lam, delta_hat=delta)
+    return _joint_result(pairs, n, master_seed, psi0, nu0)
 
 
 # --- discrete three-cell model ------------------------------------------------------
@@ -410,7 +409,4 @@ def mc_joint_multinomial(model: Multinomial, i: int, j: int, n: int,
         rng = _rep_rng(master_seed, n, rep)
         counts = rng.multinomial(n, p)
         pairs[rep] = counts[i] / n, counts[j] / n
-    cov, lam, delta = _joint_summaries(pairs, n, float(p[i]), float(p[j]))
-    return McResult(kind="joint", n_grid=(n,), reps=reps, seed=master_seed,
-                    population=None, estimates={n: pairs}, rmse={},
-                    empirical_cov={n: cov}, lambda_hat=lam, delta_hat=delta)
+    return _joint_result(pairs, n, master_seed, float(p[i]), float(p[j]))

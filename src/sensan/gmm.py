@@ -98,7 +98,7 @@ def moment_spec(g_texts, theta_dim: int, bounds,
                       bounds=bounds, polys=polys)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GmmSolution:
     """An accepted GMM minimizer with the matrices the theory runs on, the
     node arrays g[i] = g_i and jac[j][i] = dg_i/dth_j, and H[i] = P[Hess g_i]."""
@@ -109,9 +109,9 @@ class GmmSolution:
     G: np.ndarray
     Omega: np.ndarray
     criterion: float
-    g: tuple[np.ndarray, ...] = field(repr=False, compare=False)
-    jac: tuple[tuple[np.ndarray, ...], ...] = field(repr=False, compare=False)
-    H: np.ndarray = field(repr=False, compare=False)
+    g: tuple[np.ndarray, ...] = field(repr=False)
+    jac: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
+    H: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         grad = 2.0 * self.G.T @ self.W @ self.Pg

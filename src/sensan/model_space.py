@@ -278,7 +278,7 @@ def interpolate(grid: Grid, samples: np.ndarray, points: np.ndarray) -> np.ndarr
 
 # --- piecewise smooth fields --------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CutTerm:
     """Piecewise contribution samples(x) * prod_k 1[x_axis_k <= location_k].
 
@@ -421,7 +421,8 @@ class GridDensity(PiecewiseField):
         raw = PiecewiseField(grid, np.asarray(values, dtype=float), tuple(_terms))
         if raw.smooth.shape != grid.shape:
             raise SensanError("density values do not match the grid shape")
-        if not np.all(np.isfinite(raw.smooth)):
+        if not np.all(np.isfinite(raw.smooth)) or not all(
+                np.all(np.isfinite(t.samples)) for t in raw.terms):
             raise SensanError("density values must be finite")
         if np.any(raw.values < 0.0):
             raise SensanError("density values must be nonnegative")
@@ -432,8 +433,9 @@ class GridDensity(PiecewiseField):
                     f"density integral {total:.6g} outside [0.99, 1.01], "
                     "refusing to renormalize")
         elif _normalize == "force":
-            if total <= 0.0:
-                raise SensanError("density integrates to zero")
+            if not (np.isfinite(total) and total > 0.0):
+                raise SensanError(f"density integral {total:.6g} is not a "
+                                  "positive finite number")
         else:
             raise SensanError(f"unknown normalization mode '{_normalize}'")
         # divide rather than scale by 1 / total: the quotient is correctly
@@ -481,7 +483,7 @@ class GridDensity(PiecewiseField):
         return cls(grid, data[:, ndim].reshape(grid.shape))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
     """Observed points inside a declared rectangle of the sample space."""
 
@@ -536,34 +538,28 @@ class Sample:
                    tuple(float(v) for v in data.max(axis=0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LikelihoodRatio:
-    """Pointwise dP/dQ on a grid, clamped into [m, M].
+    """Pointwise dP/dQ on a grid, clamped into RATIO_CLAMP = [m, M].
 
-    The stored orientation is dP/dQ, the one entering the gradient operator;
-    the reciprocal is derived on demand. `clamped` records whether the clamp
-    actually bit, since a biting clamp means the bounded-ratio assumption
-    failed and downstream adjoint identities hold only approximately.
+    The stored orientation is dP/dQ, the one entering the gradient operator.
+    `clamped` records whether the clamp actually bit, since a biting clamp
+    means the bounded-ratio assumption failed and downstream adjoint
+    identities hold only approximately.
     """
 
     grid: Grid
     ratio_values: np.ndarray
-    clamp_bounds: tuple[float, float]
     clamped: bool
 
     def __post_init__(self):
-        m, M = self.clamp_bounds
-        if not (0.0 < m <= M < np.inf):
-            raise SensanError("clamp bounds must satisfy 0 < m <= M < inf")
+        m, M = RATIO_CLAMP
         vals = np.asarray(self.ratio_values, dtype=float)
         if vals.shape != self.grid.shape:
             raise SensanError("ratio values do not match the grid shape")
         if np.any(vals < m) or np.any(vals > M):
             raise SensanError("ratio values escape the clamp bounds")
         object.__setattr__(self, "ratio_values", _readonly(vals))
-
-    def reciprocal_values(self) -> np.ndarray:
-        return 1.0 / self.ratio_values
 
 
 # --- operations ---------------------------------------------------------------------
@@ -693,7 +689,7 @@ def likelihood_ratio(P: GridDensity, Q: GridDensity) -> LikelihoodRatio:
     raw = np.where(np.isnan(raw), 1.0, raw)
     clipped = np.clip(raw, m, M)
     bit = bool(np.any(raw < m) or np.any(raw > M))
-    return LikelihoodRatio(P.grid, clipped, (float(m), float(M)), bit)
+    return LikelihoodRatio(P.grid, clipped, bit)
 
 
 def _reflection_operator(ax: GridAxis, b: float, first: int, size: int) -> np.ndarray:

@@ -160,5 +160,5 @@ def grad_op_inverse(u: TangentVector, metric: PolicyMetric) -> TangentVector:
     if metric.kind == "information":
         return u
     qu = u.times(metric.Q).quad()
-    out = u.scale(metric.ratio.reciprocal_values()).shift(-qu)
+    out = u.scale(1.0 / metric.ratio.ratio_values).shift(-qu)
     return out.shift(-out.mean_under_base())

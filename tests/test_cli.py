@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sensan.functionals
-from sensan import (Grid, PluginConfig, RatioInformation, Sample,
-                    estimated_influence, parse_functional, plugin_sensitivity,
-                    sample_from)
+from sensan import (Grid, GridDensity, PluginConfig, RatioInformation,
+                    Sample, estimated_influence, information_metric,
+                    parse_functional, plugin_sensitivity, sample_from,
+                    sensitivity, variance)
 from sensan.cli import main
-from sensan.families import uniform
+from sensan.families import linear, uniform
 
 MEAN_MEDIAN = {
     "grid": {"lo": 0.0, "hi": 1.0, "n": 801},
@@ -311,6 +312,24 @@ def test_mc_consistency_with_a_2d_quantile(tmp_path, capsys):
     assert capsys.readouterr().out.count("rmse") == 3
 
 
+def test_mc_consistency_with_a_variance_psi(tmp_path, capsys):
+    """A variance psi runs through the estimated variance influence; the
+    population line is the engine's dpsi_dnu."""
+    cfg = _write(tmp_path, "mc.json", {
+        "mode": "consistency", "grid": {"lo": 0.0, "hi": 1.0, "n": 201},
+        "distribution": {"family": "linear", "intercept": 0.5, "slope": 1.0},
+        "psi": {"kind": "variance"}, "nu": {"kind": "moment", "rho": "x"},
+        "n_grid": [50, 100, 200], "reps": 3,
+    })
+    assert main(["mc", "--config", cfg]) == 0
+    text = capsys.readouterr().out
+    P = linear(Grid.line(0.0, 1.0, 201), 0.5, 1.0)
+    want = sensitivity(variance(), parse_functional(
+        {"kind": "moment", "rho": "x"}, 1), P, information_metric()).dpsi_dnu
+    assert f"population = {want:.8f}" in text
+    assert text.count("rmse") == 3
+
+
 @pytest.mark.parametrize("constant", ["psi", "nu"])
 def test_mc_joint_zero_variance_estimator_exits_one(tmp_path, capsys,
                                                     constant):
@@ -549,6 +568,89 @@ def test_mc_plugin_without_grid_spans_the_sample_range(tmp_path, capsys):
         ratio_estimator=RatioInformation(), sample=sample))
     rep = json.loads((out_dir / "report.json").read_text())
     assert rep["plugin_sensitivity"] == want
+
+
+def _ratio_plugin_config(tmp_path, ratio_kind, **extra):
+    """A plug-in run on 400 points uniform on [2, 3] (seed 1) with a
+    known or kde ratio against the density 0.5 + x."""
+    pts = 2.0 + np.random.default_rng(1).uniform(size=400)
+    csv_path = tmp_path / "sample.csv"
+    csv_path.write_text("x\n" + "".join(f"{v!r}\n" for v in pts.tolist()))
+    return _write(tmp_path, "mc.json", {
+        "mode": "plugin", "sample_csv": str(csv_path),
+        "psi": {"kind": "moment", "rho": "x"},
+        "nu": {"kind": "moment", "rho": "x*x"},
+        "ratio": {"kind": ratio_kind, "density": {
+            "family": "linear", "intercept": 0.5, "slope": 1.0}}, **extra})
+
+
+@pytest.mark.parametrize("kind,value", [("known", "0.34011720"),
+                                        ("kde", "1.10681390")])
+def test_mc_plugin_ratio_grid_must_cover_the_sample(tmp_path, capsys, kind,
+                                                    value):
+    """A known or kde ratio is read on its grid, so without a grid that
+    covers the sample the run exits 2 naming 'grid'; with one it runs."""
+    uniform_dist = {"distribution": {"family": "uniform"}}
+    cfg = _ratio_plugin_config(tmp_path, kind, **uniform_dist)
+    assert main(["mc", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config key 'grid': does not cover the stored sample" in err, err
+    cfg = _ratio_plugin_config(tmp_path, kind, **uniform_dist,
+                               grid={"lo": 0.0, "hi": 4.0, "n": 801})
+    assert main(["mc", "--config", cfg]) == 0
+    assert capsys.readouterr().out == f"plugin sensitivity = {value}\n"
+
+
+def test_mc_plugin_kde_ratio_needs_no_distribution(tmp_path, capsys):
+    """The kde ratio estimates P from the sample, so 'distribution' is not
+    read: a run without it gives the value a run with it gives."""
+    grid = {"lo": 0.0, "hi": 4.0, "n": 801}
+    outs = []
+    for extra in ({}, {"distribution": {"family": "uniform"}}):
+        cfg = _ratio_plugin_config(tmp_path, "kde", grid=grid, **extra)
+        assert main(["mc", "--config", cfg]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == "plugin sensitivity = 1.10681390\n"
+
+
+def test_counterfactual_to_a_non_finite_density_exits_one(tmp_path, capsys):
+    """An exponential step whose jump factor overflows gives no density:
+    the run exits 1 naming it and writes no report."""
+    cfg = _write(tmp_path, "cf.json", {
+        "grid": {"lo": 0, "hi": 1, "n": 201},
+        "distribution": {"family": "linear", "intercept": 0.5, "slope": 1.0},
+        "psi": {"kind": "moment", "rho": "x"},
+        "nu": {"kind": "quantile", "tau": 0.5},
+        "target_increment": -400, "path": "exponential"})
+    out_dir = tmp_path / "cf"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["counterfactual", "--config", cfg, "--out", str(out_dir)])
+    assert code == 1
+    assert "error: density values must be finite" in capsys.readouterr().err
+    assert not (out_dir / "report.json").exists()
+
+
+def test_csv_distribution_brings_its_own_2d_grid(tmp_path, capsys):
+    """A {"csv": path} density with no 'grid' key sets the grid, and psi
+    and nu are parsed in its two dimensions."""
+    P = GridDensity.from_callable(Grid.box((0.0, 1.0), (0.0, 2.0), (21, 31)),
+                                  lambda x, y: 1.0 + x * y)
+    P.to_csv(str(tmp_path / "dens.csv"))
+    psi = {"kind": "moment", "rho": "x*y"}
+    nu = {"kind": "quantile", "tau": 0.5, "axis": 1}
+    cfg = _write(tmp_path, "s.json", {
+        "distribution": {"csv": str(tmp_path / "dens.csv")},
+        "psi": psi, "nu": nu})
+    out_dir = tmp_path / "art"
+    assert main(["sensitivity", "--config", cfg, "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    stored = GridDensity.from_csv(str(tmp_path / "dens.csv"))
+    want = sensitivity(parse_functional(psi, 2), parse_functional(nu, 2),
+                       stored, information_metric())
+    rep = json.loads((out_dir / "report.json").read_text())
+    assert rep["S"] == want.S and rep["dpsi_dnu"] == want.dpsi_dnu
+    assert (out_dir / "curves" / "grad_nu.csv").read_text().startswith(
+        "x,y,value")
 
 
 # --- the config contract: every problem exits 2 naming its key ----------------------

@@ -43,6 +43,19 @@ def test_estimated_moment_influence_is_centered():
     np.testing.assert_allclose(v, s.coord(0) - np.mean(s.coord(0)), atol=1e-12)
 
 
+def test_estimated_variance_influence_is_the_centered_square():
+    """The variance influence with the estimated mean x-bar is
+    (x - x-bar)^2 - mean((x - x-bar)^2), on the functional's own axis."""
+    s = _uniform_sample(500, 4)
+    x = s.coord(0)
+    d2 = (x - np.mean(x)) ** 2
+    np.testing.assert_array_equal(
+        estimated_influence(variance(), s)(s.points), d2 - np.mean(d2))
+    pts = np.column_stack([np.ones_like(x), x])
+    np.testing.assert_array_equal(
+        estimated_influence(variance(axis=1), s)(pts), d2 - np.mean(d2))
+
+
 def test_estimated_quantile_influence_levels():
     s = _uniform_sample(4000, 3)
     at = estimated_influence(MEDIAN, s, G)

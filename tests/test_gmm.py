@@ -42,6 +42,15 @@ def test_identity_weight_solve():
     np.testing.assert_allclose(sol.Omega, [[1.0, 2.0], [2.0, 6.0]], atol=1e-8)
 
 
+def test_solutions_compare_by_identity():
+    """Two solves of one model are distinct solutions, a solution equals
+    itself, and hashing works."""
+    a, b = gmm_solve(P0, SPEC, I2), gmm_solve(P0, SPEC, I2)
+    assert (a == b) is False
+    assert a == a
+    assert hash(a) == hash(a) and hash(a) != hash(b)
+
+
 def test_identity_weight_influence_variance():
     """With W = I2 the asymptotic variance of the location estimate from
     (mean, second moment) conditions on N(1, 1) is 33/25."""
