@@ -23,7 +23,7 @@ multiplicative step bound reads the direction's range from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,8 +45,16 @@ __all__ = [
 ]
 
 
+_LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above it
+
+
 def _close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * (1.0 + max(abs(a), abs(b)))
+
+
+def _compared_fields(report) -> dict:
+    """A report's JSON form: its compared fields, in declaration order."""
+    return {f.name: getattr(report, f.name) for f in fields(report) if f.compare}
 
 
 @dataclass(frozen=True)
@@ -90,20 +98,7 @@ class SensitivityReport:
             raise SensanError("report fields violate the S identity")
 
     def to_json_dict(self) -> dict:
-        return {
-            "psi_label": self.psi_label,
-            "nu_label": self.nu_label,
-            "metric_kind": self.metric_kind,
-            "psi_value": self.psi_value,
-            "nu_value": self.nu_value,
-            "dpsi_dnu": self.dpsi_dnu,
-            "S": self.S,
-            "R": self.R,
-            "grad_norm_psi": self.grad_norm_psi,
-            "grad_norm_nu": self.grad_norm_nu,
-            "Lambda": self.Lambda,
-            "Delta": self.Delta,
-        }
+        return _compared_fields(self)
 
 
 def sensitivity_from_influences(psi_t: TangentVector, nu_t: TangentVector,
@@ -183,7 +178,8 @@ def counterfactual_density(P: GridDensity, direction: TangentVector, h: float,
     Multiplicative path: (1 + h direction) dP, requiring the factor to
     stay above 1e-6 everywhere (probed at nodes and on both sides of
     every jump by `PiecewiseField.extremes`). Exponential path:
-    renormalized exp(h direction) dP, one term per distinct jump box.
+    renormalized exp(h direction) dP, one term per distinct jump box; a
+    step whose tilted density would overflow a float is refused.
     """
     _check_direction_base(P, direction)
     if h == 0.0:
@@ -208,10 +204,19 @@ def counterfactual_density(P: GridDensity, direction: TangentVector, h: float,
 def _exponential_tilt(P: GridDensity, direction: TangentVector,
                       h: float) -> GridDensity:
     # exp(h(s + sum t_j 1_j)) = exp(h s) * prod_j (1 + (exp(h t_j) - 1) 1_j)
-    factor = PiecewiseField(P.grid, np.exp(h * direction.smooth))
+    exps = [h * direction.smooth] + [h * t.samples for t in direction.terms]
+    # refuse before exp: each exponent, and the tilt's whole range (h times
+    # the direction's extremes), plus log max P, since the tilt multiplies P
+    top = max([float(e.max()) for e in exps]
+              + [h * v for v in direction.extremes()]) + math.log(P.extremes()[1])
+    if top > _LOG_MAX:
+        raise SensanError(
+            f"step h = {h:.6g} overflows the exponential path: the tilted "
+            f"density would reach exp({top:.6g})")
+    factor = PiecewiseField(P.grid, np.exp(exps[0]))
     ones = np.ones(P.grid.shape)
-    for t in direction.terms:
-        gain = CutTerm(t.cuts, np.exp(h * t.samples) - 1.0)
+    for t, e in zip(direction.terms, exps[1:]):
+        gain = CutTerm(t.cuts, np.exp(e) - 1.0)
         factor = factor.times(PiecewiseField(P.grid, ones, (gain,)))
     tilted = P.times(factor)
     return GridDensity(P.grid, tilted.smooth, _terms=tilted.terms,
@@ -252,20 +257,10 @@ class CounterfactualReport:
 
     def to_json_dict(self) -> dict:
         grid = self.counterfactual.grid
-        return {
-            "h": self.h,
-            "target_increment": self.target_increment,
-            "nu_before": self.nu_before,
-            "nu_after": self.nu_after,
-            "psi_before": self.psi_before,
-            "psi_after": self.psi_after,
-            "predicted_psi_after": self.predicted_psi_after,
-            "tolerance": self.tolerance,
-            "counterfactual": {
-                "axes": [[ax.lo, ax.hi, ax.n] for ax in grid.axes],
-                "values": np.asarray(self.counterfactual.values).ravel().tolist(),
-            },
-        }
+        return {**_compared_fields(self), "counterfactual": {
+            "axes": [[ax.lo, ax.hi, ax.n] for ax in grid.axes],
+            "values": np.asarray(self.counterfactual.values).ravel().tolist(),
+        }}
 
 
 def counterfactual_report(psi: Functional, nu: Functional, P: GridDensity,

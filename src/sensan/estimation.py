@@ -262,7 +262,7 @@ def sample_from(P: GridDensity, n: int, rng: np.random.Generator) -> Sample:
 
 # --- Monte Carlo results ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McResult:
     """Replication table plus the summaries the theory predicts."""
 

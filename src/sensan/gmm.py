@@ -16,13 +16,15 @@ are theta-polynomials in data moments P[x^alpha] integrated once per
 solve, for both steps of the "optimal" weight. The solver takes Newton
 steps with the exact Hessian B (Gauss-Newton where B is not
 positive-definite) and no grid pass, then checks by quadrature. A solution
-keeps the node values of g and dg/dtheta at theta, Pg, G and Omega by their
-quadrature, and P[Hess g_i]; the influence functions below only read it.
+keeps the node values of g and dg/dtheta at theta as (r, *grid) and
+(p, r, *grid) arrays, Pg, G and Omega by one quadrature each, and
+P[Hess g_i]; the influence functions below only read it.
 
-On the correctly specified model the tangent set restricts, and scores
-decompose through the whitened moment space: the projection onto the
-model tangent set, the efficient influence function, and the
-out-of-model directions zeta all live here.
+On the correctly specified model every tangent-set formula derives from
+the efficient map A = (G'O^-1 G)^-1 G'O^-1, O = Omega: the efficient
+influence functions are -A g, the projection removes P[xi g'] O^-1
+(I - G A) g from a score xi, and the out-of-model directions a'g with
+G'a = 0 are alpha' O^-1/2 (I - G A) g.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ import numpy as np
 
 from .errors import ConfigError, SensanError, nested
 from .expressions import Poly, _floats, as_array_function, parse_whitelisted
-from .model_space import GridDensity, integrate
-from .tangent import TangentVector, inner_p
+from .model_space import GridDensity
+from .tangent import TangentVector
 
 __all__ = [
     "MomentSpec",
@@ -101,7 +103,8 @@ def moment_spec(g_texts, theta_dim: int, bounds,
 @dataclass(frozen=True, eq=False)
 class GmmSolution:
     """An accepted GMM minimizer with the matrices the theory runs on, the
-    node arrays g[i] = g_i and jac[j][i] = dg_i/dth_j, and H[i] = P[Hess g_i]."""
+    node arrays g[i] = g_i, shape (r, *grid), and jac[j, i] = dg_i/dth_j,
+    shape (p, r, *grid), and H[i] = P[Hess g_i]."""
 
     theta: np.ndarray
     W: np.ndarray
@@ -109,8 +112,8 @@ class GmmSolution:
     G: np.ndarray
     Omega: np.ndarray
     criterion: float
-    g: tuple[np.ndarray, ...] = field(repr=False)
-    jac: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
+    g: np.ndarray = field(repr=False)
+    jac: np.ndarray = field(repr=False)
     H: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -131,12 +134,12 @@ class GmmSolution:
 
 
 def _node_arrays(P: GridDensity, spec: MomentSpec, theta,
-                 *js: int) -> tuple[np.ndarray, ...]:
-    """Node values at theta of every moment differentiated in th_js."""
+                 *js: int) -> np.ndarray:
+    """(r, *grid) node values at theta of the moments differentiated in th_js."""
     args = P.grid.mesh()
     polys = [spec.derivative(i, *js) for i in range(spec.moment_dim)]
-    return tuple(as_array_function(q, q.variables)(*args, *theta)
-                 for q in polys)
+    return np.array([as_array_function(q, q.variables)(*args, *theta)
+                     for q in polys])
 
 
 def _theta_polys(P: GridDensity, spec: MomentSpec):
@@ -184,14 +187,15 @@ def _check_weight(W, r: int) -> np.ndarray:
 
 
 def _newton(at, spec: MomentSpec, W: np.ndarray, start):
-    """One local solve. Returns (theta, criterion) or None."""
+    """One local solve. Returns (theta, criterion, ok): the end point, its
+    criterion, and whether it meets the first-order condition."""
     lo, hi = np.array(spec.bounds).T
     theta = np.clip(np.asarray(start, dtype=float), lo, hi)
     Pg, G, H = at(theta)
     crit = float(Pg @ W @ Pg)
     for _ in range(200):
         if float(np.linalg.norm(2.0 * G.T @ W @ Pg)) < _FOC_TARGET:
-            return theta, crit
+            return theta, crit, True
         B = G.T @ W @ G + np.tensordot(W @ Pg, H, 1)
         if float(np.linalg.eigvalsh(B)[0]) <= 0.0:
             B = G.T @ W @ G  # Gauss-Newton
@@ -210,19 +214,20 @@ def _newton(at, spec: MomentSpec, W: np.ndarray, start):
             t *= 0.5
         else:
             break
-    ok = float(np.linalg.norm(2.0 * G.T @ W @ Pg)) < _FOC_TOL
-    return (theta, crit) if ok else None
+    return theta, crit, float(np.linalg.norm(2.0 * G.T @ W @ Pg)) < _FOC_TOL
 
 
 def _solution(P: GridDensity, spec: MomentSpec, W: np.ndarray, theta,
               at) -> GmmSolution:
     """The solution at theta: node arrays of g and dg/dtheta, Pg, G and
-    Omega by grid quadrature of them, and H from the theta-polynomials."""
+    Omega by one grid quadrature each, and H from the theta-polynomials."""
     g = _node_arrays(P, spec, theta)
-    jac = tuple(_node_arrays(P, spec, theta, j) for j in range(spec.theta_dim))
-    Pg = np.array([integrate(a, P) for a in g])
-    G = np.array([[integrate(a, P) for a in row] for row in zip(*jac)])
-    Omega = np.array([[integrate(a * b, P) for b in g] for a in g])
+    jac = np.array([_node_arrays(P, spec, theta, j)
+                    for j in range(spec.theta_dim)])
+    gg = g[:, None] * g[None, :]  # finite only where g is
+    if not (np.all(np.isfinite(jac)) and np.all(np.isfinite(gg))):
+        raise SensanError("non-finite integrand")
+    Pg, G, Omega = P.quad(g), P.quad(jac).T, P.quad(gg)
     return GmmSolution(theta=theta, W=W, Pg=Pg, G=G, Omega=Omega,
                        criterion=float(Pg @ W @ Pg), g=g, jac=jac,
                        H=at(theta)[2])
@@ -233,11 +238,16 @@ def _minimize(P: GridDensity, spec: MomentSpec, W: np.ndarray,
     starts = itertools.product(
         *([lo + f * (hi - lo) for f in (0.25, 0.5, 0.75)]
           for lo, hi in spec.bounds))
-    found = [res for res in (_newton(at, spec, W, s) for s in starts)
-             if res is not None]
+    ends = [_newton(at, spec, W, s) for s in starts]
+    found = [(theta, crit) for theta, crit, ok in ends if ok]
     if not found:
-        raise SensanError("gmm solve failed: no start satisfied the "
-                          "first-order condition")
+        # the lowest end point names the face of the box it stopped on
+        theta = min(ends, key=lambda e: e[1])[0]
+        raise SensanError(
+            "gmm solve failed: no start satisfied the first-order condition"
+            + "".join(f"; th{j} stops at its {side} bound {b:g}"
+                      for j, (t, box) in enumerate(zip(theta, spec.bounds))
+                      for side, b in zip(("lower", "upper"), box) if t == b))
     found.sort(key=lambda tc: (tc[1], tuple(tc[0])))
     theta, crit = found[0]
     for other, ocrit in found[1:]:
@@ -282,39 +292,28 @@ def gmm_influence(P: GridDensity, spec: MomentSpec,
     Includes the moment-curvature terms; they carry the weight c = W Pg
     and vanish on the correctly specified model.
     """
-    p, r = spec.theta_dim, spec.moment_dim
     c = sol.W @ sol.Pg
     B = sol.G.T @ sol.W @ sol.G + np.tensordot(c, sol.H, 1)
     if np.linalg.cond(B) >= 1e10:
         raise SensanError("local identification failure: singular "
                           "criterion curvature")
-    GW = sol.G.T @ sol.W
-    rhs = [sum(t for i in range(r)
-               for t in (c[i] * sol.jac[a][i], GW[a, i] * sol.g[i]))
-           for a in range(p)]
-    Binv = np.linalg.inv(B)
-    return [TangentVector(P, -sum(Binv[a, b] * rhs[b] for b in range(p)))
-            for a in range(p)]
+    rhs = (np.tensordot(c, sol.jac, (0, 1))
+           + np.tensordot(sol.G.T @ sol.W, sol.g, 1))
+    return [TangentVector(P, v)
+            for v in -np.tensordot(np.linalg.inv(B), rhs, 1)]
+
+
+def _efficient_map(sol: GmmSolution) -> np.ndarray:
+    """A = (G'O^-1 G)^-1 G'O^-1: the efficient influences are -A g."""
+    OiG = np.linalg.solve(sol.Omega, sol.G)
+    return np.linalg.solve(sol.G.T @ OiG, OiG.T)
 
 
 def gmm_efficient_influence(P: GridDensity, spec: MomentSpec,
                             sol: GmmSolution) -> list[TangentVector]:
     """Efficient influence functions -(G' O^-1 G)^-1 G' O^-1 g."""
-    A = np.linalg.solve(sol.G.T @ np.linalg.solve(sol.Omega, sol.G),
-                        sol.G.T @ np.linalg.inv(sol.Omega))
-    return [TangentVector(
-        P, -sum(A[a, i] * sol.g[i] for i in range(spec.moment_dim)))
-        for a in range(spec.theta_dim)]
-
-
-def _perp_projector(sol: GmmSolution) -> tuple[np.ndarray, np.ndarray]:
-    """Whitening root and the projector onto the orthocomplement of the
-    whitened moment Jacobian."""
-    w, V = np.linalg.eigh(sol.Omega)
-    S = V @ np.diag(1.0 / np.sqrt(np.maximum(w, 1e-12))) @ V.T
-    SG = S @ sol.G
-    proj = np.eye(len(S)) - SG @ np.linalg.solve(SG.T @ SG, SG.T)
-    return S, proj
+    return [TangentVector(P, v)
+            for v in np.tensordot(-_efficient_map(sol), sol.g, 1)]
 
 
 def _require_specified(sol: GmmSolution) -> None:
@@ -327,22 +326,21 @@ def _require_specified(sol: GmmSolution) -> None:
 def gmm_project_tangent(P: GridDensity, spec: MomentSpec, sol: GmmSolution,
                         xi: TangentVector) -> TangentVector:
     """Projection of a score onto the tangent set of the correctly
-    specified model: subtract the component along the whitened moments
-    that is not explained by the moment Jacobian."""
+    specified model: subtract P[xi g'] O^-1 (I - G A) g, the component
+    along the moments that is not explained by the moment Jacobian."""
     _require_specified(sol)
-    S, proj = _perp_projector(sol)
-    cov = np.array([inner_p(xi, TangentVector(P, a)) for a in sol.g])  # P[xi g']
-    coef = cov @ S.T @ proj @ S
-    out_smooth = xi.smooth - sum(coef[i] * sol.g[i]
-                                 for i in range(spec.moment_dim))
-    return TangentVector(P, out_smooth, terms=xi.terms)
+    cov = xi.times(P).quad(sol.g)  # P[xi g']
+    perp = np.eye(spec.moment_dim) - sol.G @ _efficient_map(sol)
+    coef = cov @ np.linalg.solve(sol.Omega, perp)
+    return TangentVector(P, xi.smooth - np.tensordot(coef, sol.g, 1),
+                         terms=xi.terms)
 
 
 def gmm_out_direction(P: GridDensity, spec: MomentSpec, sol: GmmSolution,
                       alpha) -> TangentVector:
-    """A direction pointing outside the correctly specified model:
-    alpha' applied to the whitened moments after removing the Jacobian
-    span. The efficient functional has zero sensitivity along it."""
+    """A direction outside the correctly specified model: a'g with
+    a' = alpha' O^-1/2 (I - G A), so G'a = 0 and the efficient functional
+    has zero sensitivity along it; alpha is in whitened coordinates."""
     _require_specified(sol)
     if spec.moment_dim == spec.theta_dim:
         raise SensanError("model not over-identified: no out-of-model "
@@ -350,7 +348,7 @@ def gmm_out_direction(P: GridDensity, spec: MomentSpec, sol: GmmSolution,
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (spec.moment_dim,):
         raise SensanError("alpha must have one entry per moment")
-    S, proj = _perp_projector(sol)
-    coef = alpha @ proj @ S
-    return TangentVector(
-        P, sum(coef[i] * sol.g[i] for i in range(spec.moment_dim)))
+    w, V = np.linalg.eigh(sol.Omega)
+    root = V @ np.diag(1.0 / np.sqrt(w)) @ V.T  # O^-1/2
+    perp = np.eye(spec.moment_dim) - sol.G @ _efficient_map(sol)
+    return TangentVector(P, np.tensordot(alpha @ root @ perp, sol.g, 1))

@@ -523,17 +523,23 @@ class Sample:
 
     @classmethod
     def from_csv(cls, path: str) -> "Sample":
-        """Points from a CSV with one header line, as to_csv writes it;
-        the declared rectangle is their bounding box."""
+        """Points from a CSV with the header "x" or "x,y", as to_csv writes
+        it; the declared rectangle is their bounding box."""
         with open(path) as fh:
-            # the data lines as loadtxt sees them: no header, comment or blank
-            rows = [r for r in fh.readlines()[1:] if r.split("#", 1)[0].strip()]
+            header, *lines = fh.readlines() or [""]
+        names = header.strip()
+        if names not in ("x", "x,y"):
+            raise SensanError(f"unrecognized sample csv header {names!r}")
+        # the data lines as loadtxt sees them: no comment or blank
+        rows = [r for r in lines if r.split("#", 1)[0].strip()]
         if not rows:
             raise SensanError(f"sample csv {path} holds no rows")
         try:
             data = np.loadtxt(rows, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise SensanError(f"sample csv {path}: {exc}") from None
+        if data.shape[1] != len(names.split(",")):
+            raise SensanError(f"sample csv rows must match the header {names!r}")
         return cls(data, tuple(float(v) for v in data.min(axis=0)),
                    tuple(float(v) for v in data.max(axis=0)))
 

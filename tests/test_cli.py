@@ -614,8 +614,9 @@ def test_mc_plugin_kde_ratio_needs_no_distribution(tmp_path, capsys):
 
 
 def test_counterfactual_to_a_non_finite_density_exits_one(tmp_path, capsys):
-    """An exponential step whose jump factor overflows gives no density:
-    the run exits 1 naming it and writes no report."""
+    """An exponential step whose tilt would overflow gives no density:
+    the run exits 1 naming h and the exponential path, writes no report,
+    and no numpy warning reaches stderr on the way."""
     cfg = _write(tmp_path, "cf.json", {
         "grid": {"lo": 0, "hi": 1, "n": 201},
         "distribution": {"family": "linear", "intercept": 0.5, "slope": 1.0},
@@ -623,11 +624,39 @@ def test_counterfactual_to_a_non_finite_density_exits_one(tmp_path, capsys):
         "nu": {"kind": "quantile", "tau": 0.5},
         "target_increment": -400, "path": "exponential"})
     out_dir = tmp_path / "cf"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
         code = main(["counterfactual", "--config", cfg, "--out", str(out_dir)])
+    assert not seen, [str(w.message) for w in seen]
     assert code == 1
-    assert "error: density values must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: step h = -1999.99 overflows the "
+                          "exponential path"), err
+    assert err.count("\n") == 1, err
     assert not (out_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("table", ["density", "three-columns"])
+def test_mc_plugin_sample_csv_needs_a_sample_header(tmp_path, capsys, table):
+    """Only the headers Sample.to_csv writes, "x" and "x,y", are read: a
+    density table or a 3-column file exits 2 naming sample_csv instead of
+    running as a 2-d or 3-d sample."""
+    csv_path = tmp_path / "table.csv"
+    if table == "density":
+        GridDensity.from_callable(Grid.line(0.0, 1.0, 51),
+                                  lambda x: 0.5 + x).to_csv(str(csv_path))
+    else:
+        csv_path.write_text("q,w,e\n0.1,0.2,0.3\n0.4,0.5,0.6\n0.7,0.8,0.9\n")
+    cfg = _write(tmp_path, "mc.json", {
+        "mode": "plugin", "sample_csv": str(csv_path),
+        "psi": {"kind": "moment", "rho": "x"},
+        "nu": {"kind": "moment", "rho": "y"},
+        "grid": {"x": [0, 1, 51], "y": [0, 3, 51]}})
+    assert main(["mc", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "config key 'sample_csv'" in captured.err, captured.err
+    assert "unrecognized sample csv header" in captured.err, captured.err
+    assert "plugin sensitivity" not in captured.out
 
 
 def test_csv_distribution_brings_its_own_2d_grid(tmp_path, capsys):

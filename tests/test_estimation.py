@@ -358,3 +358,13 @@ def test_multinomial_joint_mc_recovers_the_covariance():
     assert abs(cov[0, 1] + 0.15) < 0.03
     assert abs(cov[0, 0] - 0.25) < 0.03
     assert res.lambda_hat == pytest.approx(cov[0, 1] / cov[1, 1])
+
+
+def test_mc_results_compare_by_identity():
+    """Two runs of one Monte Carlo are distinct results, a result equals
+    itself, and hashing works."""
+    m = Multinomial((0.5, 0.3, 0.2))
+    a, b = (mc_joint_multinomial(m, 0, 1, 100, 20, 19) for _ in range(2))
+    assert (a == b) is False
+    assert a == a
+    assert hash(a) == hash(a) and hash(a) != hash(b)

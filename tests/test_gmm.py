@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bundles import (two_moment_misspecified, two_moment_population,
                      two_moment_spec)
-from sensan import (Grid, GridDensity, counterfactual_density,
+from sensan import (Grid, GridDensity, TangentVector, counterfactual_density,
                     gmm_efficient_influence, gmm_influence, gmm_out_direction,
                     gmm_project_tangent, gmm_solve, grad_op_apply, influence,
                     information_metric, inner_p, moment_spec,
@@ -149,8 +149,19 @@ def test_alpha_shape_is_checked():
 
 def test_solve_fails_when_bounds_exclude_the_root():
     spec = moment_spec(("x - th0",), 1, ((2.5, 3.0),))
-    with pytest.raises(SensanError, match="gmm solve failed"):
+    with pytest.raises(SensanError, match="gmm solve failed: .*; th0 stops "
+                       "at its lower bound 2.5$"):
         gmm_solve(P0, spec, np.eye(1))
+
+
+def test_a_minimizer_on_the_bounds_box_is_named():
+    """On 1 + xy + y^2 the 2-d criterion falls toward th0 > 1, so every
+    start stops on the face th0 = 1 of the box."""
+    P = _two_d_density(lambda x, y: 1.0 + x * y + y * y)
+    with pytest.raises(SensanError, match="gmm solve failed: no start "
+                       "satisfied the first-order condition; th0 stops at "
+                       "its upper bound 1$"):
+        gmm_solve(P, _two_d_spec(), np.eye(3))
 
 
 def test_non_unique_minimizer_is_refused():
@@ -268,21 +279,25 @@ def _cut_density():
     return counterfactual_density(P, direction, 0.02)
 
 
+def _polynomial_case(case: str):
+    """(P, spec) on a 1-d normal window, a 2-d polynomial density and a
+    1-d density with a cut term."""
+    if case == "1-d":
+        return _window_normal(801, 1.0, 1.2), moment_spec(
+            ("x - th0", "x*x - th0*th0 - th1",
+             "x**4 - 3*th1*th1 - th0**4 + x*th0*th1"), 2,
+            ((-3.0, 3.0), (0.0, 3.0)))
+    if case == "2-d":
+        return _two_d_density(lambda x, y: 1.0 + x * y + y * y), _two_d_spec()
+    P = _cut_density()
+    assert P.terms
+    return P, moment_spec(("x - th0", "x**3 - th0**3 + 0.1*x*th0*th0"), 1,
+                          ((0.0, 1.0),))
+
+
 @pytest.mark.parametrize("case", ["1-d", "2-d", "cut"])
 def test_theta_polynomials_match_pointwise_quadrature(case):
-    if case == "1-d":
-        P = _window_normal(801, 1.0, 1.2)
-        spec = moment_spec(("x - th0", "x*x - th0*th0 - th1",
-                            "x**4 - 3*th1*th1 - th0**4 + x*th0*th1"), 2,
-                           ((-3.0, 3.0), (0.0, 3.0)))
-    elif case == "2-d":
-        P = _two_d_density(lambda x, y: 1.0 + x * y + y * y)
-        spec = _two_d_spec()
-    else:
-        P = _cut_density()
-        assert P.terms
-        spec = moment_spec(("x - th0", "x**3 - th0**3 + 0.1*x*th0*th0"), 1,
-                           ((0.0, 1.0),))
+    P, spec = _polynomial_case(case)
     at = _theta_polys(P, spec)
     rng = np.random.default_rng(7)
     lo = np.array([b[0] for b in spec.bounds])
@@ -356,6 +371,96 @@ def test_solution_keeps_the_node_arrays_and_curvature_bit_for_bit(case):
     H = _theta_polys(P, spec)(theta)[2]
     np.testing.assert_array_equal(sol.H, H, strict=True)
     assert sol.H.shape == (spec.moment_dim, spec.theta_dim, spec.theta_dim)
+
+
+@pytest.mark.parametrize("case", ["1-d", "2-d", "cut"])
+@pytest.mark.parametrize("weight", ["identity", "optimal"])
+def test_solution_moments_are_the_per_entry_integrals_bit_for_bit(case, weight):
+    """Pg, G and Omega from one quadrature of each stacked integrand equal
+    one `integrate` call per entry. The 2-d minimizer lies past th0 = 1,
+    so that case widens th0's bound to 2."""
+    P, spec = _polynomial_case(case)
+    if case == "2-d":
+        spec = moment_spec(spec.texts, 2, ((-1.0, 2.0), (-1.0, 2.0)),
+                           data_vars=spec.data_vars)
+    sol = gmm_solve(P, spec, np.eye(spec.moment_dim) if weight == "identity"
+                    else "optimal")
+    args = P.grid.mesh()
+
+    def nodes(i, *js):
+        q = spec.derivative(i, *js)
+        return as_array_function(q, q.variables)(*args, *sol.theta)
+
+    r, p = spec.moment_dim, spec.theta_dim
+    g = [nodes(i) for i in range(r)]
+    Pg = np.array([integrate(a, P) for a in g])
+    G = np.array([[integrate(nodes(i, j), P) for j in range(p)]
+                  for i in range(r)])
+    Omega = np.array([[integrate(a * b, P) for b in g] for a in g])
+    for got, want in ((sol.Pg, Pg), (sol.G, G), (sol.Omega, Omega)):
+        np.testing.assert_array_equal(got, want, strict=True)
+    assert sol.g.shape == (r, *P.grid.shape)
+    assert sol.jac.shape == (p, r, *P.grid.shape)
+
+
+def test_solution_refuses_a_non_finite_integrand():
+    """g is finite at theta, but g^2, the integrand of Omega, overflows
+    (numpy's overflow warning is silenced: the refusal is under test)."""
+    spec = moment_spec(("x - th0", "1e200*x*x - 1e200*th0*th0 - 1e200"), 1,
+                       ((-3.0, 3.0),))
+    with np.errstate(over="ignore"), pytest.raises(
+            SensanError, match="non-finite integrand"):
+        _solution(P0, spec, I2, np.array([1.0]), _theta_polys(P0, spec))
+
+
+# --- property: the tangent-set identities on correctly specified normals ----------
+
+NORMAL_MOMENTS = moment_spec(
+    ("x - th0", "x*x - th0*th0 - th1*th1", "x**3 - th0**3 - 3*th0*th1*th1"),
+    2, ((-3.0, 3.0), (0.3, 3.0)))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(st.floats(-1.0, 1.0), st.floats(0.6, 1.5), st.floats(0.2, 0.8),
+       st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+def test_tangent_set_identities_on_normal_populations(mean, sd, tau, c):
+    """On N(mean, sd^2) cut to ten sd either side, the over-identified
+    normal-moment model is correctly specified, and:
+    - the projection onto its tangent set is idempotent
+    - it leaves every efficient influence function fixed
+    - every out-of-model direction is L2(P)-orthogonal to every projected
+      score and to every efficient influence function"""
+    P = truncated_normal(Grid.line(mean - 10.0 * sd, mean + 10.0 * sd, 401),
+                         mean, sd)
+    sol = gmm_solve(P, NORMAL_MOMENTS, np.eye(3))
+    assert sol.correctly_specified
+    x = P.grid.axes[0].nodes
+    scores = [TangentVector(P, c[0] * x + c[1] * x ** 2 + c[2] * x ** 4),
+              influence(quantile_functional(tau), P),
+              *gmm_influence(P, NORMAL_MOMENTS, sol)]
+    eff = gmm_efficient_influence(P, NORMAL_MOMENTS, sol)
+    outs = [gmm_out_direction(P, NORMAL_MOMENTS, sol, alpha)
+            for alpha in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
+
+    def project(v):
+        return gmm_project_tangent(P, NORMAL_MOMENTS, sol, v)
+
+    def norm(v):
+        return inner_p(v, v) ** 0.5
+
+    # one alpha's direction can vanish (at mean 0 the first does), so
+    # orthogonality is measured against the largest out-direction
+    out_scale = max(norm(zeta) for zeta in outs)
+    for xi in scores:
+        once = project(xi)
+        twice = project(once)
+        assert norm(twice.add(once.scale(-1.0))) <= 1e-12 * norm(xi)
+        for zeta in outs:
+            assert abs(inner_p(once, zeta)) <= 1e-12 * norm(once) * out_scale
+    for e in eff:
+        assert norm(project(e).add(e.scale(-1.0))) <= 1e-12 * norm(e)
+        for zeta in outs:
+            assert abs(inner_p(e, zeta)) <= 1e-12 * norm(e) * out_scale
 
 
 # --- property: random populations solve to the scanned minimizer ---------------------

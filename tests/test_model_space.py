@@ -425,6 +425,21 @@ def test_sample_csv_rejects_rows_that_are_not_numbers(tmp_path):
             assert "holds no rows" in str(info.value)
 
 
+def test_sample_csv_rows_must_match_a_sample_header(tmp_path):
+    """Only "x" and "x,y" head a sample CSV, and each row holds one value
+    per header column."""
+    bodies = {"density": ("x,density\n0.0,0.5\n1.0,1.5\n", "header"),
+              "three": ("q,w,e\n0.1,0.2,0.3\n", "header"),
+              "empty-file": ("", "header"),
+              "wide": ("x\n0.1,0.2\n0.3,0.4\n", "match the header 'x'"),
+              "wider": ("x,y\n0.1,0.2,0.3\n", "match the header 'x,y'")}
+    for name, (body, match) in bodies.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(body)
+        with pytest.raises(SensanError, match=match):
+            Sample.from_csv(str(path))
+
+
 def test_sample_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
     pts = rng.uniform(size=(50, 2))
