@@ -11,15 +11,14 @@ from .engine import (CounterfactualReport, FirstOrderCheck,
 from .errors import ConfigError, SensanError
 from .estimation import (McResult, Multinomial, PluginConfig,
                          RatioInformation, RatioKde, RatioKnown,
-                         efficient_estimate, estimated_influence,
                          mc_consistency, mc_joint_asymptotics,
                          mc_joint_multinomial, plugin_sensitivity,
                          sample_from)
 from .families import build_family
 from .functionals import (Functional, MollifierSchedule, composite,
-                          evaluate, influence, influence_analytic,
-                          influence_numerical, moment, parse_functional,
-                          quantile_functional, variance)
+                          estimated_influence, evaluate, influence,
+                          influence_analytic, influence_numerical, moment,
+                          parse_functional, quantile_functional, variance)
 from .gmm import (GmmSolution, MomentSpec, gmm_efficient_influence,
                   gmm_influence, gmm_out_direction, gmm_project_tangent,
                   gmm_solve, moment_spec)
@@ -60,6 +59,6 @@ __all__ = [
     "numerical_information_matrix", "surface_sensitivity",
     "PluginConfig", "RatioInformation", "RatioKnown", "RatioKde", "McResult",
     "Multinomial", "plugin_sensitivity", "estimated_influence",
-    "efficient_estimate", "sample_from", "mc_consistency",
-    "mc_joint_asymptotics", "mc_joint_multinomial",
+    "sample_from", "mc_consistency", "mc_joint_asymptotics",
+    "mc_joint_multinomial",
 ]

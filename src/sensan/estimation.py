@@ -1,11 +1,12 @@
 """Plug-in sensitivity estimators and the Monte Carlo harness.
 
 The population sensitivity <psi~, A* nu~>_P has a sample analog: replace
-influence functions by estimated ones (built from the sample, with
-estimated centering parameters), the measure by the empirical measure,
-and the ratio dP/dQ by either a known ratio or a kernel density estimate
-divided by the policy density. All three metric paths run the same
-formula
+influence functions by estimated ones (`functionals.estimated_influence`),
+the measure by the empirical measure, and the ratio dP/dQ by either a
+known ratio or a kernel density estimate divided by the policy density.
+Each kind's sample side lives in `functionals` beside its grid side; the
+joint harness replicates `functionals.evaluate` on samples. All three
+metric paths run the same formula
 
     Pn{ psi~ (nu~ - Pn(nu~ r)/Pn(r)) r },
 
@@ -34,10 +35,10 @@ import numpy as np
 
 from .artifacts import write_table
 from .errors import ConfigError, SensanError
-from .functionals import Functional, evaluate
-from .model_space import (RATIO_CLAMP, Grid, GridDensity, LikelihoodRatio,
-                          Sample, _cumtrapz, _simpson_reduce, density_at,
-                          interpolate, kde_fit, locate, quantile)
+from .functionals import Functional, estimated_influence, evaluate
+from .model_space import (GridDensity, LikelihoodRatio, Sample, _cumtrapz,
+                          _clamped_ratio, _simpson_reduce, interpolate,
+                          kde_fit, locate)
 
 __all__ = [
     "RatioInformation",
@@ -47,7 +48,6 @@ __all__ = [
     "McResult",
     "Multinomial",
     "estimated_influence",
-    "efficient_estimate",
     "plugin_sensitivity",
     "sample_from",
     "mc_consistency",
@@ -96,69 +96,8 @@ def _ratio_at_points(estimator, sample: Sample) -> np.ndarray:
         phat = kde_fit(sample, grid, estimator.bandwidth)
         num = interpolate(grid, phat.values, sample.points)
         den = interpolate(grid, estimator.Q.values, sample.points)
-        return np.clip(num / np.maximum(den, 1e-300), *RATIO_CLAMP)
+        return _clamped_ratio(num, den)[1]
     raise SensanError(f"unknown ratio estimator {type(estimator).__name__}")
-
-
-# --- estimated influence functions and efficient estimators -------------------------
-
-def efficient_estimate(F: Functional, sample: Sample) -> float:
-    """The bundled efficient estimator of the functional: sample mean of
-    rho, biased sample variance, or the empirical quantile."""
-    x = sample.coord(F.axis if F.kind != "moment" else 0)
-    if F.kind == "moment":
-        cols = tuple(sample.points[:, a] for a in range(sample.ndim))
-        return float(np.mean(np.broadcast_to(
-            np.asarray(F.rho(*cols), dtype=float), (sample.n,))))
-    if F.kind == "variance":
-        return float(np.mean((x - np.mean(x)) ** 2))
-    if F.kind == "quantile":
-        return quantile(sample, F.tau, F.axis)
-    raise SensanError(f"no bundled efficient estimator for kind '{F.kind}'")
-
-
-def estimated_influence(F: Functional, sample: Sample,
-                        grid: Grid | None = None):
-    """Influence function with estimated centering parameters, as a
-    callable on sample point arrays.
-
-    The quantile influence needs the density at the estimated quantile;
-    that comes from a 1-d kernel density estimate on the quantile's axis:
-    a 1-d grid, axis F.axis of a 2-d one, or without a grid the sample's
-    own range.
-    """
-    if F.kind == "moment":
-        def at(pts):
-            cols = tuple(pts[:, a] for a in range(pts.shape[1]))
-            v = np.broadcast_to(np.asarray(F.rho(*cols), dtype=float),
-                                (len(pts),))
-            return v - np.mean(v)
-        return at
-    if F.kind == "variance":
-        def at(pts, axis=F.axis):
-            x = pts[:, axis]
-            m = np.mean(x)
-            return (x - m) ** 2 - np.mean((x - m) ** 2)
-        return at
-    if F.kind == "quantile":
-        theta = efficient_estimate(F, sample)
-        if grid is None:
-            lo, hi = sample.lo[F.axis], sample.hi[F.axis]
-            grid = Grid.line(float(lo), float(hi), 801)
-        elif grid.ndim > 1:
-            grid = Grid((grid.axes[F.axis],))
-        dens_hat = kde_fit(
-            Sample(sample.points[:, F.axis:F.axis + 1],
-                   (sample.lo[F.axis],), (sample.hi[F.axis],)), grid)
-        f = density_at(dens_hat, (theta,))
-        if f <= 1e-6:
-            raise SensanError(
-                "quantile influence unstable: estimated density at the "
-                f"quantile is {f:.3g}")
-        def at(pts, axis=F.axis, theta=theta, f=f, tau=F.tau):
-            return (tau - (pts[:, axis] <= theta)) / f
-        return at
-    raise SensanError(f"no estimated influence for kind '{F.kind}'")
 
 
 # --- the plug-in estimator ----------------------------------------------------------
@@ -367,8 +306,8 @@ def mc_joint_asymptotics(P: GridDensity, psi: Functional, nu: Functional,
     for rep in range(reps):
         rng = _rep_rng(master_seed, n, rep)
         sample = sample_from(P, n, rng)
-        pairs[rep, 0] = efficient_estimate(psi, sample)
-        pairs[rep, 1] = efficient_estimate(nu, sample)
+        pairs[rep, 0] = evaluate(psi, sample)
+        pairs[rep, 1] = evaluate(nu, sample)
     return _joint_result(pairs, n, master_seed, psi0, nu0)
 
 

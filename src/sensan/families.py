@@ -16,7 +16,7 @@ from .errors import ConfigError, SensanError, read
 from .model_space import Grid, GridDensity
 
 __all__ = ["uniform", "beta", "truncated_normal", "linear", "quadratic",
-           "build_family", "FAMILY_KEYS"]
+           "build_family"]
 
 
 def uniform(grid: Grid) -> GridDensity:
@@ -78,21 +78,18 @@ def quadratic(grid: Grid, offset: float, curvature: float, center: float) -> Gri
     return GridDensity.from_callable(grid, shape)
 
 
-FAMILY_KEYS = {
-    "uniform": (),
-    "beta": ("alpha", "beta"),
-    "truncated_normal": ("mean", "sd"),
-    "linear": ("intercept", "slope"),
-    "quadratic": ("offset", "curvature", "center"),
+_FAMILIES = {   # name: (builder, its parameter keys in call order)
+    "uniform": (uniform, ()),
+    "beta": (beta, ("alpha", "beta")),
+    "truncated_normal": (truncated_normal, ("mean", "sd")),
+    "linear": (linear, ("intercept", "slope")),
+    "quadratic": (quadratic, ("offset", "curvature", "center")),
 }
-
-_BUILDERS = dict(uniform=uniform, beta=beta, truncated_normal=truncated_normal,
-                 linear=linear, quadratic=quadratic)
 
 
 def build_family(spec: dict, grid: Grid) -> GridDensity:
-    """Build a family density from a config mapping with a 'family' key;
-    the parameters are passed in FAMILY_KEYS order."""
-    name = read(spec, "family", str, choices=tuple(FAMILY_KEYS))
-    return _BUILDERS[name](grid, *(read(spec, key, float)
-                                   for key in FAMILY_KEYS[name]))
+    """Build a family density from a config mapping with a 'family' key
+    and that family's parameter keys."""
+    name = read(spec, "family", str, choices=tuple(_FAMILIES))
+    build, keys = _FAMILIES[name]
+    return build(grid, *(read(spec, key, float) for key in keys))

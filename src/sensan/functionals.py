@@ -33,6 +33,12 @@ They all share P's grid, whose coordinate mesh is built once: an
 evaluator may call `Q.grid.mesh()` on every call at no cost, and must
 not write into the read-only arrays it returns. The bump widths come
 from the grid alone (default_schedule).
+
+This module is the one place that reads a functional's kind, on a grid
+density and on a sample alike: on a Sample, `evaluate` is the bundled
+efficient estimator and `estimated_influence` the analytic influence at
+the estimated parameters. `estimation` builds the plug-in estimator and
+the Monte Carlo harnesses on them.
 """
 
 from __future__ import annotations
@@ -43,8 +49,8 @@ import numpy as np
 
 from .errors import SensanError, nested, read
 from .expressions import as_array_function, parse_whitelisted
-from .model_space import (CutTerm, Grid, GridDensity, PiecewiseField,
-                          invert_cdf, quantile)
+from .model_space import (CutTerm, Grid, GridDensity, PiecewiseField, Sample,
+                          density_at, invert_cdf, kde_fit, quantile)
 from .tangent import TangentVector
 
 __all__ = [
@@ -58,6 +64,7 @@ __all__ = [
     "influence",
     "influence_analytic",
     "influence_numerical",
+    "estimated_influence",
     "parse_functional",
 ]
 
@@ -181,11 +188,25 @@ def _view(a: np.ndarray) -> np.ndarray:
     return v
 
 
-def evaluate(F: Functional, P: GridDensity) -> float:
-    """Value of the functional at P."""
+def _at_points(F: Functional, pts: np.ndarray) -> np.ndarray:
+    """A moment's rho, or a variance's square about the mean, per row."""
+    if F.kind == "moment":
+        return np.broadcast_to(np.asarray(F.rho(*pts.T), dtype=float), len(pts))
+    x = pts[:, F.axis]
+    return (x - np.mean(x)) ** 2
+
+
+def evaluate(F: Functional, P: GridDensity | Sample) -> float:
+    """Value of the functional at P. At a Sample's empirical measure, the
+    bundled efficient estimator: the sample mean of rho, the biased sample
+    variance, or the empirical quantile; a composite has none."""
     if F.kind == "quantile":
         return quantile(P, F.tau, F.axis)
-    return _evaluator(F, P.grid)(P)
+    if not isinstance(P, Sample):
+        return _evaluator(F, P.grid)(P)
+    if F.kind == "composite":
+        raise SensanError("no bundled efficient estimator for kind 'composite'")
+    return float(np.mean(_at_points(F, P.points)))
 
 
 # --- analytic influence functions ---------------------------------------------------
@@ -202,15 +223,45 @@ def influence_analytic(F: Functional, P: GridDensity) -> TangentVector:
         return TangentVector(P, (x - P.quad(x)) ** 2)
     if F.kind == "quantile":
         q = quantile(P, F.tau, F.axis)
-        dens = float(P.marginal(F.axis).at(q)[0])
-        if dens <= 1e-6:
-            raise SensanError(
-                "quantile influence unstable: marginal density at the "
-                f"quantile is {dens:.3g}")
+        dens = _quantile_density(float(P.marginal(F.axis).at(q)[0]), "marginal")
         step = CutTerm(((F.axis, q),), np.full(grid.shape, -1.0 / dens))
         smooth = np.full(grid.shape, F.tau / dens)
         return TangentVector(P, smooth, terms=(step,))
     raise SensanError(f"no analytic influence for kind '{F.kind}'")
+
+
+def _quantile_density(f: float, source: str) -> float:
+    """f, the density at a quantile, if the influence's 1 / f is stable."""
+    if f <= 1e-6:
+        raise SensanError(f"quantile influence unstable: {source} density "
+                          f"at the quantile is {f:.3g}")
+    return f
+
+
+def estimated_influence(F: Functional, sample: Sample,
+                        grid: Grid | None = None):
+    """The analytic influence at the estimated parameters, as a callable on
+    point arrays; a moment or a variance is centered at the mean over the
+    points it is given. The density at the estimated quantile comes from a
+    1-d kernel estimate on the quantile's axis: a 1-d grid, axis F.axis of
+    a 2-d one, or without a grid the sample's own range."""
+    if F.kind in ("moment", "variance"):
+        def at(pts):
+            v = _at_points(F, pts)
+            return v - np.mean(v)
+        return at
+    if F.kind != "quantile":
+        raise SensanError(f"no estimated influence for kind '{F.kind}'")
+    tau, axis = F.tau, F.axis
+    theta = quantile(sample, tau, axis)
+    if grid is None:
+        grid = Grid.line(float(sample.lo[axis]), float(sample.hi[axis]), 801)
+    elif grid.ndim > 1:
+        grid = Grid((grid.axes[axis],))
+    dens_hat = kde_fit(Sample(sample.points[:, axis:axis + 1],
+                              (sample.lo[axis],), (sample.hi[axis],)), grid)
+    f = _quantile_density(density_at(dens_hat, (theta,)), "estimated")
+    return lambda pts: (tau - (pts[:, axis] <= theta)) / f
 
 
 def influence(F: Functional, P: GridDensity) -> TangentVector:

@@ -685,17 +685,21 @@ def density_at(P: GridDensity, x) -> float:
     return float(P.at(pt)[0])
 
 
+def _clamped_ratio(num: np.ndarray, den: np.ndarray):
+    """(num / den, the same clamped into RATIO_CLAMP). A point with
+    neither mass, 0/0, reads 1; mass over none reads +inf, which the
+    clamp takes to its upper bound."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, 1.0))
+    return raw, np.clip(raw, *RATIO_CLAMP)
+
+
 def likelihood_ratio(P: GridDensity, Q: GridDensity) -> LikelihoodRatio:
     """Pointwise dP/dQ on the shared grid, clamped into RATIO_CLAMP."""
     if not P.grid.same_as(Q.grid):
         raise SensanError("mismatched grids for likelihood ratio")
-    m, M = RATIO_CLAMP
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = np.where(Q.values > 0.0, P.values / np.maximum(Q.values, 1e-300), np.inf)
-    raw = np.where(np.isnan(raw), 1.0, raw)
-    clipped = np.clip(raw, m, M)
-    bit = bool(np.any(raw < m) or np.any(raw > M))
-    return LikelihoodRatio(P.grid, clipped, bit)
+    raw, clipped = _clamped_ratio(P.values, Q.values)
+    return LikelihoodRatio(P.grid, clipped, bool(np.any(raw != clipped)))
 
 
 def _reflection_operator(ax: GridAxis, b: float, first: int, size: int) -> np.ndarray:
@@ -756,8 +760,12 @@ def kde_fit(sample: Sample, grid: Grid, bandwidth=None) -> GridDensity:
             bands.append(1.06 * sd * n ** (-0.2))
     else:
         bands = [float(b) for b in np.atleast_1d(bandwidth)]
-        if len(bands) == 1 and grid.ndim == 2:
-            bands = bands * 2
+        if len(bands) == 1:
+            bands = bands * grid.ndim
+        if len(bands) != grid.ndim:
+            raise SensanError(
+                f"bandwidth takes one value or one per grid axis ({grid.ndim}), "
+                f"not {len(bands)}")
         if any(b <= 0.0 for b in bands):
             raise SensanError("bandwidth must be positive")
 

@@ -4,9 +4,12 @@ import json
 import numpy as np
 import pytest
 
+import sensan.estimation
+import sensan.functionals
+
 from sensan import (Grid, GridDensity, Multinomial, PluginConfig,
                     RatioInformation, RatioKde, RatioKnown, Sample,
-                    efficient_estimate, estimated_influence,
+                    composite, estimated_influence, evaluate,
                     information_metric, mc_consistency, mc_joint_asymptotics,
                     mc_joint_multinomial, moment, plugin_sensitivity,
                     quantile_functional, sample_from, sensitivity, variance)
@@ -29,10 +32,46 @@ def _uniform_sample(n, seed):
 
 def test_efficient_estimates():
     s = Sample(np.array([0.1, 0.2, 0.3, 0.8]), (0.0,), (1.0,))
-    assert efficient_estimate(MEAN, s) == pytest.approx(0.35)
-    assert efficient_estimate(variance(), s) == pytest.approx(
+    assert evaluate(MEAN, s) == pytest.approx(0.35)
+    assert evaluate(variance(), s) == pytest.approx(
         np.mean((s.coord(0) - 0.35) ** 2))
-    assert efficient_estimate(MEDIAN, s) == 0.2
+    assert evaluate(MEDIAN, s) == 0.2
+
+
+def test_evaluate_on_a_sample_is_the_empirical_estimator():
+    """At a Sample's empirical measure, evaluate is the np.mean of rho at
+    the columns, the biased variance on each axis and the ceil(n tau)-th
+    order statistic on each axis, bit for bit."""
+    rng = np.random.default_rng(21)
+    s1 = Sample(rng.random(301), (0.0,), (1.0,))
+    s2 = Sample(rng.random((257, 2)) * [1.0, 2.0], (0.0, 0.0), (1.0, 2.0))
+    x, y = s2.coord(0), s2.coord(1)
+    assert evaluate(moment(lambda x: x * x), s1) == np.mean(s1.coord(0) ** 2)
+    assert evaluate(moment(lambda x: 0.25 + 0.0 * x), s1) == 0.25
+    assert evaluate(moment(lambda x, y: x * y + y), s2) == np.mean(x * y + y)
+    for s in (s1, s2):
+        for axis in range(s.ndim):
+            c = s.coord(axis)
+            assert evaluate(variance(axis), s) == np.mean((c - np.mean(c)) ** 2)
+            for tau in (0.1, 0.5, 0.9):
+                k = int(np.ceil(s.n * tau))
+                assert evaluate(quantile_functional(tau, axis), s) == np.sort(c)[k - 1]
+
+
+def test_a_composite_has_no_sample_estimator_or_estimated_influence():
+    s = _uniform_sample(50, 22)
+    F = composite(lambda f: 0.0)
+    with pytest.raises(SensanError,
+                       match="no bundled efficient estimator for kind 'composite'"):
+        evaluate(F, s)
+    with pytest.raises(SensanError,
+                       match="no estimated influence for kind 'composite'"):
+        estimated_influence(F, s, G)
+
+
+def test_estimated_influence_is_the_functionals_one():
+    assert (sensan.estimation.estimated_influence
+            is sensan.functionals.estimated_influence)
 
 
 def test_estimated_moment_influence_is_centered():
@@ -88,7 +127,7 @@ def test_estimated_quantile_influence_density_gate(monkeypatch):
     a degenerate density estimate to see it fire."""
     valley = GridDensity.from_callable(
         G, lambda x: np.where(np.abs(x - 0.5) < 0.05, 1e-9, 1.0))
-    monkeypatch.setattr("sensan.estimation.kde_fit", lambda *a, **k: valley)
+    monkeypatch.setattr("sensan.functionals.kde_fit", lambda *a, **k: valley)
     s = Sample(np.array([0.2, 0.5, 0.8]), (0.0,), (1.0,))
     with pytest.raises(SensanError, match="estimated density at the quantile"):
         estimated_influence(MEDIAN, s, G)

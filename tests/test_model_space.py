@@ -631,6 +631,45 @@ def test_likelihood_ratio_clamps_extreme_tails():
     assert r.ratio_values.max() == 1e3
 
 
+def test_likelihood_ratio_reads_zero_over_zero_as_one():
+    """Beta(2, 5) and Beta(2, 2) both vanish at the two end nodes. A node
+    with neither mass reads 1, so P/P is exactly 1 and unclamped, and P/Q
+    is 1 at node 0 beside 4.98 at node 1."""
+    g = Grid.line(0.0, 1.0, 801)
+    P, Q = beta(g, 2.0, 5.0), beta(g, 2.0, 2.0)
+    assert P.values[0] == Q.values[0] == P.values[-1] == Q.values[-1] == 0.0
+    same = likelihood_ratio(P, P)
+    assert np.all(same.ratio_values == 1.0) and not same.clamped
+    r = likelihood_ratio(P, Q)
+    assert r.ratio_values[0] == r.ratio_values[-1] == 1.0
+    assert r.ratio_values[1] == pytest.approx(4.98, abs=0.005)
+
+
+def test_clamped_ratio_reads_its_edge_cases():
+    """0/0 reads 1, mass over none the upper bound, and a quotient outside
+    the clamp its nearer bound; the raw quotient is returned beside it."""
+    num = np.array([0.0, 2.0, 5e3, 1e-5, 3.0])
+    den = np.array([0.0, 0.0, 1.0, 1.0, 2.0])
+    raw, vals = model_space._clamped_ratio(num, den)
+    assert raw.tolist() == [1.0, np.inf, 5e3, 1e-5, 1.5]
+    assert vals.tolist() == [1.0, 1e3, 1e3, 1e-3, 1.5]
+
+
+def test_kde_fit_takes_one_bandwidth_or_one_per_axis():
+    rng = np.random.default_rng(23)
+    line = Grid.line(0.0, 1.0, 201)
+    s = Sample(rng.random(300), (0.0,), (1.0,))
+    np.testing.assert_array_equal(kde_fit(s, line, [0.1]).values,
+                                  kde_fit(s, line, 0.1).values)
+    box = Grid.box((0.0, 1.0), (0.0, 1.0), (21, 21))
+    s2 = Sample(rng.random((300, 2)), (0.0, 0.0), (1.0, 1.0))
+    kde_fit(s2, box, [0.1, 0.2])
+    for sample, grid, bands in ((s, line, [0.1, 5.0, 7.0]), (s, line, [0.1, 5.0]),
+                                (s2, box, [0.1, 0.2, 9.0])):
+        with pytest.raises(SensanError, match=f"not {len(bands)}$"):
+            kde_fit(sample, grid, bands)
+
+
 def test_kde_fit_recovers_a_bump():
     rng = np.random.default_rng(11)
     pts = np.clip(rng.normal(0.3, 0.05, size=4000), 0.0, 1.0)

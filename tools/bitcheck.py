@@ -21,6 +21,14 @@ The lines cover:
   (each step's field parts and S of the mean), and an exponential tilt of
   the uniform along nine one-cut terms
 - 1-d and 2-d `sample_from` draws
+- the sample side: each kind's estimate at a sample's empirical measure
+  (`efficient_estimate` where the checkout has it, `evaluate` on the
+  Sample otherwise) and its `estimated_influence` at the sample points,
+  with the grid and with `grid=None`, for a 1-d mean, variance and median
+  and a 2-d moment, variance and quantile on axis 1; `plugin_sensitivity`
+  under the information, known and kde ratios; one small
+  `mc_joint_asymptotics` table; and `likelihood_ratio` of Beta(2, 5) over
+  itself and over Beta(2, 2), which vanish at both end nodes
 - GMM solutions (theta, Omega, Pg, G) and the fields of `gmm_influence`,
   `gmm_efficient_influence`, `gmm_project_tangent` and `gmm_out_direction`
   for a specified and a misspecified truncated normal and a 2-d
@@ -184,6 +192,51 @@ def samples(sensan) -> None:
             emit(f"sample_from/{name}/{n}", draws.points)
 
 
+def sample_side(sensan) -> None:
+    estimate = getattr(sensan, "efficient_estimate", sensan.evaluate)
+    line = sensan.Grid.line(0.0, 1.0, 801)
+    P1 = sensan.build_family(BETA23, line)
+    P2 = sensan.GridDensity.from_callable(unit_box(sensan, (41, 41)),
+                                          lambda x, y: 1.0 + x * y)
+    s1 = sensan.sample_from(P1, 501, np.random.default_rng(7))
+    s2 = sensan.sample_from(P2, 400, np.random.default_rng(8))
+    mean, median = sensan.moment(lambda x: x), sensan.quantile_functional(0.5)
+    cases = [("1d", s1, P1.grid, [("mean", mean), ("variance", sensan.variance()),
+                                  ("median", median)]),
+             ("2d", s2, P2.grid, [("xy", sensan.moment(lambda x, y: x * y)),
+                                  ("var1", sensan.variance(1)),
+                                  ("q0.3/1", sensan.quantile_functional(0.3, 1))])]
+    for dim, s, grid, kinds in cases:
+        for name, F in kinds:
+            label = f"sample/{dim}/{name}"
+            emit(f"{label}/estimate", estimate(F, s))
+            for g, tag in ((grid, "grid"), (None, "nogrid")):
+                try:
+                    emit(f"{label}/influence-{tag}",
+                         sensan.estimated_influence(F, s, g)(s.points))
+                except sensan.SensanError as exc:
+                    emit(f"{label}/influence-{tag}", "error", str(exc))
+
+    Q = sensan.build_family(
+        {"family": "linear", "intercept": 0.5, "slope": 1.0}, line)
+    ratios = [("information", sensan.RatioInformation()),
+              ("known", sensan.RatioKnown(sensan.likelihood_ratio(P1, Q))),
+              ("kde", sensan.RatioKde(Q))]
+    for name, ratio in ratios:
+        emit(f"plugin/{name}", sensan.plugin_sensitivity(sensan.PluginConfig(
+            sensan.estimated_influence(mean, s1, line),
+            sensan.estimated_influence(median, s1, line), ratio, s1)))
+    res = sensan.mc_joint_asymptotics(P1, mean, median, 200, 40, 3)
+    emit("mc_joint/beta23/200x40", res.estimates[200], res.empirical_cov[200],
+         res.lambda_hat, res.delta_hat)
+
+    B25 = sensan.build_family({"family": "beta", "alpha": 2, "beta": 5}, line)
+    B22 = sensan.build_family({"family": "beta", "alpha": 2, "beta": 2}, line)
+    for name, Q in (("beta25-beta25", B25), ("beta25-beta22", B22)):
+        lr = sensan.likelihood_ratio(B25, Q)
+        emit(f"likelihood_ratio/{name}", lr.ratio_values, lr.clamped)
+
+
 def gmm_case(sensan, label: str, P, spec, W) -> None:
     """Hash one solve and each influence or projection built on it."""
     try:
@@ -276,6 +329,7 @@ def main(argv: list[str]) -> None:
     sensitivities(sensan, jobs)
     counterfactuals(sensan)
     samples(sensan)
+    sample_side(sensan)
     gmms(sensan)
     cli_runs(sensan, src, SCHEMA_CONFIGS)
 
