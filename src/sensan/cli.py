@@ -63,7 +63,7 @@ def _build_grid(cfg: dict, override_n: int | None) -> Grid:
     if not isinstance(spec, dict):
         spec = {"n": read(cfg, "grid", int, 801)}
     with nested("grid"):
-        if "x" in spec or "y" in spec:
+        if spec.get("x") is not None or spec.get("y") is not None:
             axes = []
             for name in ("x", "y"):
                 t = read(spec, name, list, lo=3, hi=3, of=float)
@@ -84,8 +84,9 @@ def _density(spec: dict, key: str, grid: Grid) -> GridDensity:
     with it, a family parameter the family rejects included, names key."""
     spec = read(spec, key, dict)
     with nested(key):
-        if "csv" in spec:
-            return GridDensity.from_csv(read(spec, "csv", str))
+        path = read(spec, "csv", str, None)
+        if path is not None:
+            return GridDensity.from_csv(path)
         return build_family(spec, grid)
 
 
@@ -327,7 +328,7 @@ def _cmd_mc(args, cfg: dict) -> int:
         ratio, _ = _ratio_estimator(cfg, grid)
         # without a grid the quantile KDE spans the sample's own range; a
         # known or kde ratio is read on its policy density's grid
-        kde_grid = grid if "grid" in cfg or args.grid is not None else None
+        kde_grid = None if cfg.get("grid") is None and args.grid is None else grid
         ratio_grid = (ratio.ratio.grid if isinstance(ratio, RatioKnown) else
                       ratio.Q.grid if isinstance(ratio, RatioKde) else None)
         for g in (kde_grid, ratio_grid):
@@ -380,19 +381,18 @@ def _parser() -> argparse.ArgumentParser:
                     "metrics")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(name, run, text, seed=True):
+    def common(name, run, text):
         sp = sub.add_parser(name, help=text)
         sp.set_defaults(run=run)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="artifact output directory")
         sp.add_argument("--grid", type=int, help="override grid size")
-        if seed:
-            sp.add_argument("--seed", type=int, help="override RNG seed")
+        return sp
 
     common("sensitivity", _cmd_sensitivity, "sensitivity report for one case")
     common("counterfactual", _cmd_counterfactual,
            "calibrated counterfactual density")
-    common("gmm", _cmd_gmm, "moment model solve and influences", seed=False)
+    common("gmm", _cmd_gmm, "moment model solve and influences")
 
     ssurf = sub.add_parser("surface", help="chart sensitivity at a point")
     ssurf.set_defaults(run=_cmd_surface, config=None)
@@ -404,7 +404,8 @@ def _parser() -> argparse.ArgumentParser:
                        choices=("analytic", "numerical"))
     ssurf.add_argument("--out")
 
-    common("mc", _cmd_mc, "Monte Carlo harness")
+    common("mc", _cmd_mc, "Monte Carlo harness").add_argument(
+        "--seed", type=int, help="override RNG seed")
     common("replicate-education", _cmd_replicate_education,
            "rebuild the schooling example")
     return p

@@ -119,8 +119,8 @@ def replicate_education(out_dir: str, *, grid_n: int = 801,
         raise ConfigError("grid", "grid size must be at least 5")
     grid = Grid.line(0.0, 1.0, grid_n)
     with nested("marginal"):
-        P = build_family(marginal or DEFAULT_MARGINAL, grid)
-    policy_specs = list(policies or DEFAULT_POLICIES)
+        P = build_family(DEFAULT_MARGINAL if marginal is None else marginal, grid)
+    policy_specs = list(DEFAULT_POLICIES if policies is None else policies)
     if len(policy_specs) != 3:
         raise ConfigError("policies", "expected exactly three policy "
                           "densities")

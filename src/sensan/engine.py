@@ -46,6 +46,7 @@ __all__ = [
 
 
 _LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above it
+_REFINE_STEPS = 20  # secant steps a counterfactual refinement may take
 
 
 def _close(a: float, b: float, tol: float) -> bool:
@@ -272,8 +273,8 @@ def counterfactual_report(psi: Functional, nu: Functional, P: GridDensity,
 
     The step is the first-order rule h = target / |grad nu|^2; the report
     carries the achieved increment and a declared C h^2 tolerance on the
-    gap. With refine=True, h is adjusted (at most 5 quasi-Newton
-    iterations, tolerance 1e-8) so the achieved increment hits the target.
+    gap. With refine=True, h is adjusted (at most _REFINE_STEPS secant
+    steps, tolerance 1e-8) so the achieved increment hits the target.
     """
     rep = sensitivity(psi, nu, P, metric)
     direction = rep.nu_gradient
@@ -288,17 +289,18 @@ def counterfactual_report(psi: Functional, nu: Functional, P: GridDensity,
     inc, Ph = achieved(h)
     if refine and h != 0.0:
         slope = gn2
-        for _ in range(5):
-            if abs(inc - target_increment) <= 1e-8:
-                break
+        steps = 0
+        while abs(inc - target_increment) > 1e-8 and steps < _REFINE_STEPS:
             step = h - (inc - target_increment) / slope
             inc_new, Ph_new = achieved(step)
             if inc_new != inc:
                 slope = (inc_new - inc) / (step - h)
-            h, inc, Ph = step, inc_new, Ph_new
+            h, inc, Ph, steps = step, inc_new, Ph_new, steps + 1
         if abs(inc - target_increment) > 1e-8:
             raise SensanError(
-                "counterfactual refinement did not reach the target increment")
+                "counterfactual refinement did not reach the target increment: "
+                f"|achieved - target| = {abs(inc - target_increment):.3g} "
+                f"after {steps} secant steps")
 
     if h == 0.0:
         tol = 1e-9 * (1.0 + abs(nu0))

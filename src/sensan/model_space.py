@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -721,35 +722,30 @@ def _reflection_operator(ax: GridAxis, b: float, first: int, size: int) -> np.nd
             + sliding_window_view(mirrored, size))
 
 
-def _reflected_kernel(ax: GridAxis, b: float, x: np.ndarray) -> np.ndarray:
-    """Kernel values at the nodes of the points x and their mirror images,
-    shape (len(x), G), summed directly."""
-    out = np.zeros((len(x), ax.n))
-    for images in (x, 2.0 * ax.lo - x, 2.0 * ax.hi - x):
-        z = (ax.nodes[None, :] - images[:, None]) / b
-        out += np.exp(-0.5 * z * z)
-    return out / (b * _SQRT2PI)
-
-
-def kde_fit(sample: Sample, grid: Grid, bandwidth=None) -> GridDensity:
+def kde_fit(sample: Sample, grid: Grid, bandwidth: float | None = None) -> GridDensity:
     """Gaussian product-kernel density estimate on the grid, computed from
     linearly binned counts (Silverman 1982; Wand 1994).
 
-    Bandwidth per axis defaults to the Silverman rule 1.06 * sd * n^(-1/5);
-    boundary bias is corrected by reflecting each point at both domain
-    edges. Each coordinate is split between its two neighbours on the
-    lattice lo + m h of its axis, which keeps the count and the mean of
-    the sample exact. One G x L operator per axis then sums, at every
-    node, the kernels of a lattice point and of its two mirror images, so
-    dens = M c in 1-d and M0 C M1^T in 2-d. The lattice spans the grid
-    and its two mirror images; a point beyond them (only possible when
-    the sample's rectangle is wider than the grid) adds its kernels by the
-    direct sum. Every node value is a sum of non-negative terms, and
-    binning moves it by at most (h/b)^2 / 8 of the peak kernel height per
-    axis. The result is renormalized on the grid.
+    The sample must lie inside the grid. The bandwidth is one positive
+    number for every axis, or None for the Silverman rule 1.06 * sd *
+    n^(-1/5) per axis; boundary bias is corrected by reflecting each point
+    at both domain edges. Each coordinate is split between its two
+    neighbours on the lattice lo + m h of its axis, which keeps the count
+    and the mean of the sample exact. One G x L operator per axis then
+    sums, at every node, the kernels of a lattice point and of its two
+    mirror images, so dens = M c in 1-d and M0 C M1^T in 2-d. Every node
+    value is a sum of non-negative terms, and binning moves it by at most
+    (h/b)^2 / 8 of the peak kernel height per axis. The result is
+    renormalized on the grid.
     """
     if sample.ndim != grid.ndim:
         raise SensanError("sample dimension does not match the grid")
+    axes = grid.axes
+    lo, hi = sample.points.min(axis=0), sample.points.max(axis=0)
+    for a, ax in enumerate(axes):
+        if lo[a] < ax.lo or hi[a] > ax.hi:
+            raise SensanError(f"sample spans [{lo[a]:g}, {hi[a]:g}] on axis {a}, "
+                              f"outside the grid's [{ax.lo:g}, {ax.hi:g}]")
     n = sample.n
     if bandwidth is None:
         bands = []
@@ -758,41 +754,25 @@ def kde_fit(sample: Sample, grid: Grid, bandwidth=None) -> GridDensity:
             if sd <= 0.0:
                 raise SensanError("degenerate sample: zero variance, cannot pick a bandwidth")
             bands.append(1.06 * sd * n ** (-0.2))
+    elif isinstance(bandwidth, numbers.Real) and 0.0 < bandwidth < math.inf:
+        bands = [float(bandwidth)] * grid.ndim
     else:
-        bands = [float(b) for b in np.atleast_1d(bandwidth)]
-        if len(bands) == 1:
-            bands = bands * grid.ndim
-        if len(bands) != grid.ndim:
-            raise SensanError(
-                f"bandwidth takes one value or one per grid axis ({grid.ndim}), "
-                f"not {len(bands)}")
-        if any(b <= 0.0 for b in bands):
-            raise SensanError("bandwidth must be positive")
+        raise SensanError(f"bandwidth must be one positive number, not {bandwidth!r}")
 
-    axes = grid.axes
-    span = np.array([ax.n - 1 for ax in axes])
     t = (sample.points - [ax.lo for ax in axes]) / [ax.spacing for ax in axes]
-    near = np.all((t >= -span) & (t <= 2 * span), axis=1)
-    dens = np.zeros(grid.shape)
-    if near.any():
-        t = t[near]
-        cell = np.minimum(np.floor(t).astype(int), 2 * span - 1)
-        w = t - cell
-        first = cell.min(axis=0)
-        size = cell.max(axis=0) + 2 - first
-        cell -= first
-        counts = np.zeros(int(np.prod(size)))
-        for corner in np.ndindex(*(2,) * grid.ndim):
-            weight = np.prod(np.where(corner, w, 1.0 - w), axis=1)
-            index = np.ravel_multi_index((cell + corner).T, size)
-            counts += np.bincount(index, weight, minlength=counts.size)
-        counts = counts.reshape(size)
-        M = [_reflection_operator(ax, bands[a], int(first[a]), int(size[a]))
-             for a, ax in enumerate(axes)]
-        dens = M[0] @ counts if grid.ndim == 1 else M[0] @ counts @ M[1].T
-    far = sample.points[~near]
-    if len(far):
-        kern = [_reflected_kernel(ax, bands[a], far[:, a]) for a, ax in enumerate(axes)]
-        dens = dens + (kern[0].sum(axis=0) if grid.ndim == 1 else kern[0].T @ kern[1])
+    cell = np.floor(t).astype(int)
+    w = t - cell
+    first = cell.min(axis=0)
+    size = cell.max(axis=0) + 2 - first
+    cell -= first
+    counts = np.zeros(int(np.prod(size)))
+    for corner in np.ndindex(*(2,) * grid.ndim):
+        weight = np.prod(np.where(corner, w, 1.0 - w), axis=1)
+        index = np.ravel_multi_index((cell + corner).T, size)
+        counts += np.bincount(index, weight, minlength=counts.size)
+    counts = counts.reshape(size)
+    M = [_reflection_operator(ax, bands[a], int(first[a]), int(size[a]))
+         for a, ax in enumerate(axes)]
+    dens = M[0] @ counts if grid.ndim == 1 else M[0] @ counts @ M[1].T
     dens = dens / n
     return GridDensity(grid, dens / grid_quad(grid, dens), _normalize="force")

@@ -209,6 +209,26 @@ def test_counterfactual_artifacts(tmp_path, capsys):
     assert (out_dir / "plots" / "densities.svg").exists()
 
 
+@pytest.mark.parametrize("dist,tau,target,path", [
+    ({"family": "beta", "alpha": 2, "beta": 5}, 0.5, -0.1, "multiplicative"),
+    ({"family": "uniform"}, 0.9, 0.05, "multiplicative"),
+    ({"family": "linear", "intercept": 0.5, "slope": 1}, 0.5, 0.2,
+     "exponential")], ids=["beta25-median", "uniform-q90", "linear-exp"])
+def test_refinement_reaches_targets_past_five_secant_steps(tmp_path, capsys,
+                                                           dist, tau, target,
+                                                           path):
+    """Each of these takes six to nine secant steps to come within 1e-8 of
+    the target increment."""
+    cfg = _write(tmp_path, "cf.json", {
+        "distribution": dist, "psi": {"kind": "moment", "rho": "x"},
+        "nu": {"kind": "quantile", "tau": tau}, "target_increment": target,
+        "refine": True, "path": path})
+    out_dir = tmp_path / "cf"
+    assert main(["counterfactual", "--config", cfg, "--out", str(out_dir)]) == 0
+    rep = json.loads((out_dir / "report.json").read_text())
+    assert abs(rep["nu_after"] - rep["nu_before"] - target) <= 1e-8
+
+
 def test_gmm_two_moment_case(tmp_path, capsys):
     cfg = _write(tmp_path, "gmm.json", {
         "grid": {"lo": -7.0, "hi": 9.0, "n": 801},
@@ -881,3 +901,86 @@ def test_corrupted_config_keys_follow_the_exit_contract(tmp_path_factory,
             assert f"config key '{k}'" in err.getvalue(), (path, bad, err.getvalue())
     else:
         assert code in (0, 1, 2), (path, bad)
+
+
+def _null_or_missing(tmp_path, command, config, node, key):
+    """The (exit code, stdout, stderr) of config with node[key] set to null
+    and with it deleted; node is an object inside config."""
+    def run():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", _write(tmp_path, "c.json", config)])
+        return code, out.getvalue(), err.getvalue()
+
+    node[key] = None
+    null = run()
+    del node[key]
+    return null, run()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_a_null_config_key_reads_as_a_missing_one(tmp_path_factory, data):
+    """Setting any object key of a schema config to null gives the exit
+    code, stdout and stderr that deleting it gives."""
+    command, config = data.draw(st.sampled_from(SCHEMA_CONFIGS))
+    path = data.draw(st.sampled_from(
+        [p for p, _, _ in _places(config) if isinstance(p[-1], str)]))
+    tmp = tmp_path_factory.mktemp("null")
+    sample = tmp / "sample.csv"
+    Sample(np.linspace(0.05, 0.95, 60), (0.0,), (1.0,)).to_csv(str(sample))
+    cfg = json.loads(json.dumps(config).replace(
+        '"SAMPLE"', json.dumps(str(sample))).replace(
+        '"OUT"', json.dumps(str(tmp / "out"))))
+    node = cfg
+    for k in path[:-1]:
+        node = node[k]
+    null, missing = _null_or_missing(tmp, command, cfg, node, path[-1])
+    assert null == missing, (command, path)
+
+
+def test_null_grid_in_a_plugin_run_spans_the_sample(tmp_path):
+    """A null grid leaves the quantile's kernel estimate on the sample's
+    own range, as no grid key does, instead of the default unit grid."""
+    pts = 2.0 + np.random.default_rng(1).uniform(size=400)
+    Sample(pts, (2.0,), (3.0,)).to_csv(str(tmp_path / "sample.csv"))
+    cfg = {**PLUGIN, "sample_csv": str(tmp_path / "sample.csv")}
+    null, missing = _null_or_missing(tmp_path, "mc", cfg, cfg, "grid")
+    assert null == missing
+    assert null[0] == 0 and null[1].startswith("plugin sensitivity = ")
+
+
+def test_null_csv_beside_a_family_builds_the_family(tmp_path):
+    cfg = {**SMALL, "distribution": {"family": "uniform"}}
+    null, missing = _null_or_missing(tmp_path, "sensitivity", cfg,
+                                     cfg["distribution"], "csv")
+    assert null == missing and null[0] == 0
+
+
+def test_null_x_beside_lo_hi_n_builds_the_line(tmp_path):
+    cfg = copy.deepcopy(SMALL)
+    null, missing = _null_or_missing(tmp_path, "sensitivity", cfg,
+                                     cfg["grid"], "x")
+    assert null == missing and null[0] == 0
+
+
+@pytest.mark.parametrize("key,value", [("marginal", {}), ("policies", []),
+                                       ("policies", [{"family": "uniform"}])])
+def test_replicate_education_refuses_an_empty_marginal_or_policies(
+        tmp_path, capsys, key, value):
+    """An empty object or list is not a missing key: it is refused like
+    any other wrong marginal or policy list."""
+    cfg = _write(tmp_path, "edu.json", {"grid": 21, key: value})
+    assert main(["replicate-education", "--config", cfg,
+                 "--out", str(tmp_path / "edu")]) == 2
+    assert f"config key '{key}'" in capsys.readouterr().err
+
+
+def test_seed_is_an_mc_flag_only(tmp_path, capsys):
+    """--seed is read by mc alone; sensitivity refuses it as argparse
+    refuses any unknown flag."""
+    cfg = _write(tmp_path, "mm.json", SMALL)
+    with pytest.raises(SystemExit) as exc:
+        main(["sensitivity", "--config", cfg, "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err

@@ -264,6 +264,19 @@ def test_counterfactual_report_refine_hits_target():
     assert abs(rep.nu_after - 0.525) < 1e-8
 
 
+def test_counterfactual_refinement_failure_names_the_gap_and_steps(monkeypatch):
+    """The Beta(2, 5) median moved by -0.1 takes more than one secant step,
+    so with the cap at one the refinement fails, naming what it missed by
+    and how many steps it took."""
+    monkeypatch.setattr("sensan.engine._REFINE_STEPS", 1)
+    B25 = beta(G, 2.0, 5.0)
+    with pytest.raises(SensanError, match=r"did not reach the target "
+                       r"increment: \|achieved - target\| = \S+ after 1 "
+                       r"secant steps$"):
+        counterfactual_report(MEAN, MEDIAN, B25, information_metric(), -0.1,
+                              refine=True)
+
+
 def test_counterfactual_report_zero_target():
     rep = counterfactual_report(MEAN, MEDIAN, U, information_metric(), 0.0)
     assert rep.h == 0.0

@@ -21,6 +21,8 @@ The lines cover:
   (each step's field parts and S of the mean), and an exponential tilt of
   the uniform along nine one-cut terms
 - 1-d and 2-d `sample_from` draws
+- `kde_fit` of Beta(2, 5) draws on 801 nodes of [0, 1], with the Silverman
+  bandwidth and with 0.05, and of a 2-d product sample on an 81² box
 - the sample side: each kind's estimate at a sample's empirical measure
   (`efficient_estimate` where the checkout has it, `evaluate` on the
   Sample otherwise) and its `estimated_influence` at the sample points,
@@ -192,6 +194,20 @@ def samples(sensan) -> None:
             emit(f"sample_from/{name}/{n}", draws.points)
 
 
+def kdes(sensan) -> None:
+    rng = np.random.default_rng(25)
+    s1 = sensan.Sample(rng.beta(2.0, 5.0, 3000), (0.0,), (1.0,))
+    line = sensan.Grid.line(0.0, 1.0, 801)
+    s2 = sensan.Sample(np.column_stack([rng.beta(2.0, 3.0, 2000),
+                                        rng.beta(3.0, 2.0, 2000)]),
+                       (0.0, 0.0), (1.0, 1.0))
+    cases = [("beta25/801/silverman", s1, line, None),
+             ("beta25/801/0.05", s1, line, 0.05),
+             ("product/81x81/silverman", s2, unit_box(sensan, (81, 81)), None)]
+    for label, s, grid, bandwidth in cases:
+        emit(f"kde_fit/{label}", sensan.kde_fit(s, grid, bandwidth).values)
+
+
 def sample_side(sensan) -> None:
     estimate = getattr(sensan, "efficient_estimate", sensan.evaluate)
     line = sensan.Grid.line(0.0, 1.0, 801)
@@ -329,6 +345,7 @@ def main(argv: list[str]) -> None:
     sensitivities(sensan, jobs)
     counterfactuals(sensan)
     samples(sensan)
+    kdes(sensan)
     sample_side(sensan)
     gmms(sensan)
     cli_runs(sensan, src, SCHEMA_CONFIGS)
