@@ -125,8 +125,10 @@ def _rows(cfg: dict, key: str, width: int):
 
 
 def _out_dir(args, cfg: dict, required: bool = False) -> str | None:
-    out = args.out or read(cfg, "out", str, None)
-    if not out:
+    out = args.out if args.out is not None else read(cfg, "out", str, None)
+    if out == "":
+        raise ConfigError("out", "expected a directory path, got ''")
+    if out is None:
         if required:
             raise ConfigError("out", "required: pass --out or set 'out'")
         return None
@@ -248,7 +250,7 @@ def _cmd_surface(args, cfg: dict) -> int:
         raise ConfigError("point", f"expected two numbers, got {args.point}")
     val = surface_sensitivity(chart, psi, nu, at, mode=args.mode)
     print(f"{val:.8f}")
-    if args.out:
+    if args.out is not None:
         with nested("out"):
             os.makedirs(args.out, exist_ok=True)
         write_json(os.path.join(args.out, "report.json"), {

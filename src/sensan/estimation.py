@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_table
-from .errors import ConfigError, SensanError
+from .errors import ConfigError, SensanError, read
 from .functionals import Functional, estimated_influence, evaluate
 from .model_space import (GridDensity, LikelihoodRatio, Sample, _cumtrapz,
                           _clamped_ratio, _simpson_reduce, interpolate,
@@ -81,8 +81,9 @@ class RatioKde:
     bandwidth: float | None = None
 
     def __post_init__(self):
-        if self.bandwidth is not None and not self.bandwidth > 0.0:
-            raise ConfigError("bandwidth", "bandwidth must be positive")
+        b = read({"bandwidth": self.bandwidth}, "bandwidth", float, None)
+        if b is not None and b <= 0.0:
+            raise ConfigError("bandwidth", f"expected a positive number, got {b!r}")
 
 
 def _ratio_at_points(estimator, sample: Sample) -> np.ndarray:

@@ -21,14 +21,25 @@ for a Gaussian bump G_z of shrinking width sigma_j = sigma0 * 2^-j, down
 to two grid spacings, extrapolated in the bump width. The derivative is
 linear in the bump, so every width and every z comes from one node
 gradient of psi (central differences at every node) smoothed by a
-convolution along each axis. Every kind evaluates the perturbed fields in
-row blocks, with the bits of one field at a time: the built-in kinds take
-a whole stack per array operation, while a composite's evaluator is
-opaque and gets one call per row, two per node. The perturbed fields are
-signed, so evaluation runs on raw PiecewiseFields rather than through
-GridDensity validation. Every field an evaluator gets is read-only, and
-it must not write into one: the rows are views of one work array, and a
-term-free row's `values` is that row itself, valid only during the call.
+convolution along each axis. Each kind takes the node gradient its own
+way:
+
+    moment, variance  central differences of the one or three integrals
+                      psi combines, shifted by t w_k I_k at node k: O(G)
+    quantile          perturbed fields, only at the nodes at or below one
+                      past the quantile's node along its axis; the CDF
+                      beyond the crossing node is never read, so every
+                      other node's gradient is exactly 0
+    composite         perturbed fields at every node
+
+Perturbed fields are evaluated in row blocks, with the bits of one field
+at a time: a quantile takes a whole stack per array operation, while a
+composite's evaluator is opaque and gets one call per row, two per node.
+They are signed, so evaluation runs on raw PiecewiseFields rather than
+through GridDensity validation. Every field an evaluator gets is
+read-only, and it must not write into one: the rows are views of one work
+array, and a term-free row's `values` is that row itself, valid only
+during the call.
 They all share P's grid, whose coordinate mesh is built once: an
 evaluator may call `Q.grid.mesh()` on every call at no cost, and must
 not write into the read-only arrays it returns. The bump widths come
@@ -129,33 +140,38 @@ def composite(evaluator, label: str = "composite") -> Functional:
 
 # --- evaluation on (possibly signed) fields ----------------------------------------
 
-def _evaluator(F: Functional, grid: Grid):
-    """psi as a map on fields over `grid`. The integrand (moment) or the
-    coordinate arrays (variance) are built here, once, so numerical
-    differentiation pays only for the quadrature in each of its calls.
-    The map also takes a stack of fields, rows along a leading axis of the
-    smooth part, and gives one value per row; a composite's evaluator sees
-    each row as a field of its own. Those row fields are read-only views
-    of the stack, and a term-free row is its own `values`, so reading the
-    node values costs no copy; a composite's single fields other than a
-    GridDensity, whose arrays are read-only already, come as read-only
-    views too."""
+def _statistics(F: Functional, grid: Grid):
+    """A moment's or a variance's integrands over `grid` and the map from
+    their integrals to psi: the integral of rho, or those of 1, x_a and
+    x_a^2. Both the evaluator and the node gradient combine through it."""
     if F.kind == "moment":
         vals = np.broadcast_to(np.asarray(F.rho(*grid.mesh()), dtype=float),
                                grid.shape)
         if not np.all(np.isfinite(vals)):
             raise SensanError("non-finite integrand")
-        return lambda f: f.quad(vals)
-    if F.kind == "variance":
-        x = grid.mesh()[F.axis]
-        ones, xx = np.ones(grid.shape), x * x
+        return (vals,), lambda s: s
+    x = grid.mesh()[F.axis]
 
-        def var(f: PiecewiseField) -> float:
-            z = f.quad(ones)
-            m1 = f.quad(x) / z
-            m2 = f.quad(xx) / z
-            return m2 - m1 * m1
-        return var
+    def var(z, a, b):
+        m1 = a / z
+        m2 = b / z
+        return m2 - m1 * m1
+    return (np.ones(grid.shape), x, x * x), var
+
+
+def _evaluator(F: Functional, grid: Grid):
+    """psi as a map on fields over `grid`. The integrands (moment and
+    variance) are built here, once, so each call pays only for the
+    quadrature. The map also takes a stack of fields, rows along a leading
+    axis of the smooth part, and gives one value per row; a composite's
+    evaluator sees each row as a field of its own. Those row fields are
+    read-only views of the stack, and a term-free row is its own `values`,
+    so reading the node values costs no copy; a composite's single fields
+    other than a GridDensity, whose arrays are read-only already, come as
+    read-only views too."""
+    if F.kind in ("moment", "variance"):
+        integrands, combine = _statistics(F, grid)
+        return lambda f: combine(*(f.quad(I) for I in integrands))
     if F.kind == "quantile":
         return lambda f: invert_cdf(f.marginal(F.axis), F.tau, strict=False)
 
@@ -303,30 +319,63 @@ def default_schedule(grid: Grid) -> MollifierSchedule:
     return MollifierSchedule(sigma0=sigma0, levels=levels)
 
 
-def _node_gradient(psi, P: GridDensity, t: float) -> np.ndarray:
+def _node_gradient(F: Functional, P: GridDensity, t: float) -> np.ndarray:
     """(psi(P + t e_k) - psi(P - t e_k)) / 2t for every node k, e_k the
     unit node vector added to the smooth part; P's cut terms are shared.
-    psi takes a stack of up to _NODE_BLOCK // G perturbed fields along a
-    leading axis, row r perturbed at node k0 + r, and returns one value
-    per row. The perturbed copies are edited in place and each call gets
-    a fresh field, so no cached node values outlive their perturbation."""
+
+    A moment or a variance reads a field through one or three integrals,
+    and P + t e_k has P's integrals plus t w_k I_k, w the weight tensor
+    and I the integrand: the central difference is taken on those G-vectors
+    of integrals, with the same combine as the evaluator, in O(G). It
+    differs from one perturbed field per node by the rounding of the
+    difference alone, of order eps |psi| / t, which stays within
+    1e-8 max|g| on the grids tested. A quantile reads its marginal's CDF
+    only up to the crossing node, so a field perturbed further along the
+    quantile's axis returns P's quantile and its g is exactly 0: only the
+    nodes at or below one past the node of P's quantile are perturbed,
+    the one past for a flat crossing, which returns the cell's left node.
+    A composite perturbs every node."""
+    grid = P.grid
+    if F.kind in ("moment", "variance"):
+        integrands, combine = _statistics(F, grid)
+        w = grid.weight_tensor()
+        stats = [P.quad(I) for I in integrands]
+        steps = [t * w * I for I in integrands]
+        up = combine(*(s + d for s, d in zip(stats, steps)))
+        dn = combine(*(s - d for s, d in zip(stats, steps)))
+        return (up - dn) / (2.0 * t)
+    psi = _evaluator(F, grid)
+    nodes = np.arange(P.smooth.size)
+    if F.kind == "quantile":
+        last = np.searchsorted(grid.axes[F.axis].nodes, psi(P), "left") + 1
+        nodes = nodes[np.indices(grid.shape)[F.axis].reshape(-1) <= last]
+    return _stacked_gradient(psi, P, nodes, t)
+
+
+def _stacked_gradient(psi, P: GridDensity, nodes: np.ndarray,
+                      t: float) -> np.ndarray:
+    """The node gradient at the flat node indices `nodes`, 0 elsewhere,
+    from perturbed fields. psi takes a stack of up to _NODE_BLOCK // G
+    fields along a leading axis, row r perturbed at node nodes[k0 + r],
+    and returns one value per row; each row keeps the bits of its field
+    alone. The perturbed copies are edited in place and each call gets a
+    fresh field, so no cached node values outlive their perturbation."""
     base = np.array(P.smooth, dtype=float).reshape(-1)
     size = base.size
     rows = max(1, _NODE_BLOCK // size)
-    work = np.tile(base, rows)
-    g = np.empty(size)
-    for k0 in range(0, size, rows):
-        b = min(rows, size - k0)
-        v = base[k0:k0 + b]
-        # row r of the stack at its own node k0 + r: a stride of size + 1
-        diag = work[k0:k0 + b * (size + 1):size + 1]
-        fields = work[:b * size].reshape((b,) + P.grid.shape)
-        diag[:] = v + t
+    work = np.tile(base, (rows, 1))
+    g = np.zeros(size)
+    for k0 in range(0, nodes.size, rows):
+        k = nodes[k0:k0 + rows]
+        r = np.arange(k.size)
+        v = base[k]
+        fields = work[:k.size].reshape((k.size,) + P.grid.shape)
+        work[r, k] = v + t
         up = psi(PiecewiseField(P.grid, fields, P.terms))
-        diag[:] = v - t
+        work[r, k] = v - t
         dn = psi(PiecewiseField(P.grid, fields, P.terms))
-        diag[:] = v
-        g[k0:k0 + b] = (up - dn) / (2.0 * t)
+        work[r, k] = v
+        g[k] = (up - dn) / (2.0 * t)
     return g.reshape(P.grid.shape)
 
 
@@ -355,11 +404,14 @@ def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
     renormalized by its Simpson integral n_j(z). That
     derivative is linear in the bump, so it is computed from one node
     gradient g_k = d psi / d P(x_k) and the derivative Dpsi along P
-    itself, both by central differences with step _FD_STEP. The 2G
-    perturbed fields are evaluated in row blocks of up to _NODE_BLOCK node
-    values, with the bits of one field per row; a composite takes 2G + 2
-    evaluator calls, each on a read-only field: a write into it raises
-    numpy's ValueError instead of shifting the rows that follow. Then
+    itself, both by central differences with step _FD_STEP. A moment or a
+    variance differentiates its integrals (_node_gradient), with no
+    perturbed field. A quantile evaluates 2 perturbed fields per node up
+    to one past its crossing node and a composite 2 per node, in row
+    blocks of up to _NODE_BLOCK node values, with the bits of one field
+    per row; a composite takes 2G + 2 evaluator calls, each on a
+    read-only field: a write into it raises numpy's ValueError instead of
+    shifting the rows that follow. Then
 
         level_j = (B_j g) / n_j - Dpsi,    n_j = B_j w,
 
@@ -379,7 +431,7 @@ def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
     grid = P.grid
     t = _FD_STEP
     psi = _evaluator(F, grid)
-    g = _node_gradient(psi, P, t)
+    g = _node_gradient(F, P, t)
     dpsi = (psi(P.scale(1.0 + t)) - psi(P.scale(1.0 - t))) / (2.0 * t)
     w = grid.weight_tensor()
     levels = [_smooth(grid, g, s) / _smooth(grid, w, s) - dpsi

@@ -140,6 +140,23 @@ class Grid:
         return tuple(_readonly(m) for m in
                      np.meshgrid(*(ax.nodes for ax in self.axes), indexing="ij"))
 
+    def box_mask(self, cuts: Cuts) -> np.ndarray:
+        """The node mask of the half-open box {x_axis <= q} for every
+        (axis, q) in `cuts`. It is built on the first call for those cuts
+        and shared by every later one, so it is read-only."""
+        masks = self._box_masks
+        if cuts not in masks:
+            m = np.ones(self.shape, dtype=bool)
+            for axis, q in cuts:
+                m &= self._mesh[axis] <= q
+            m.setflags(write=False)
+            masks[cuts] = m
+        return masks[cuts]
+
+    @cached_property
+    def _box_masks(self) -> dict:
+        return {}
+
     def weight_tensor(self) -> np.ndarray:
         w = self.axes[0].weights
         for ax in self.axes[1:]:
@@ -288,13 +305,6 @@ class CutTerm:
     cuts: Cuts
     samples: np.ndarray
 
-    def mask(self, grid: Grid) -> np.ndarray:
-        m = np.ones(grid.shape, dtype=bool)
-        mesh = grid.mesh()
-        for axis, q in self.cuts:
-            m &= mesh[axis] <= q
-        return m
-
 
 def _coalesce(grid: Grid, parts) -> "PiecewiseField":
     """The field summing (cuts, samples) parts, one term per distinct box.
@@ -328,8 +338,7 @@ class PiecewiseField:
     def values(self) -> np.ndarray:
         v = np.array(self.smooth, dtype=float)
         for t in self.terms:
-            m = t.mask(self.grid)
-            v[m] += t.samples[m]
+            np.add(v, t.samples, out=v, where=self.grid.box_mask(t.cuts))
         v.setflags(write=False)
         return v
 

@@ -984,3 +984,30 @@ def test_seed_is_an_mc_flag_only(tmp_path, capsys):
         main(["sensitivity", "--config", cfg, "--seed", "7"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,config,flag", [
+    ("sensitivity", {**SMALL, "out": ""}, []),
+    ("replicate-education", {"grid": 21, "out": ""}, []),
+    ("sensitivity", SMALL, ["--out", ""]),
+])
+def test_an_empty_out_path_exits_two_naming_it(tmp_path, capsys, monkeypatch,
+                                               command, config, flag):
+    """An empty path names no directory: it is refused, in the config and
+    on the command line alike, rather than read as a missing key, and
+    nothing is written."""
+    cfg = _write(tmp_path, "c.json", config)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", cfg] + flag) == 2
+    assert ("config key 'out': expected a directory path, got ''"
+            in capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+def test_surface_refuses_an_empty_out_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["surface", "--chart", "flat", "--point", "0.3", "1.1",
+                 "--psi", "u", "--nu", "v", "--out", ""]) == 2
+    err = capsys.readouterr().err
+    assert "config key 'out'" in err and "''" in err
+    assert os.listdir(tmp_path) == []

@@ -14,7 +14,7 @@ from sensan import (Grid, GridDensity, Multinomial, PluginConfig,
                     mc_joint_multinomial, moment, plugin_sensitivity,
                     quantile_functional, sample_from, sensitivity, variance)
 from sensan.artifacts import write_json
-from sensan.errors import SensanError
+from sensan.errors import ConfigError, SensanError
 from sensan.families import linear, uniform
 from sensan.model_space import (_cumtrapz, _simpson_reduce, likelihood_ratio,
                                  locate)
@@ -173,6 +173,18 @@ def test_plugin_kde_ratio_runs_close_to_known():
         PluginConfig(psi_at, nu_at, RatioKnown(likelihood_ratio(U, Q)), s))
     kde = plugin_sensitivity(PluginConfig(psi_at, nu_at, RatioKde(Q), s))
     assert abs(known - kde) < 0.02
+
+
+@pytest.mark.parametrize("bandwidth", [[0.1], float("inf"), float("nan"), 0.0,
+                                       -0.1, True, "0.1"])
+def test_kde_ratio_bandwidth_is_none_or_one_positive_finite_number(bandwidth):
+    """A list, an infinite, non-positive or non-numeric bandwidth is a
+    config error naming the key, never a TypeError or a later kde_fit
+    failure; None and positive finite reals are taken."""
+    with pytest.raises(ConfigError, match=r"config key 'bandwidth': .*got"):
+        RatioKde(U, bandwidth)
+    for ok in (None, 0.1, 1, np.float64(0.2)):
+        assert RatioKde(U, ok).bandwidth == ok
 
 
 def test_plugin_rejects_nonfinite_influences():

@@ -14,7 +14,8 @@ from sensan.errors import ConfigError, SensanError
 from sensan.families import beta, linear, quadratic, truncated_normal, uniform
 from sensan.functionals import (_FD_STEP, _evaluator, _node_gradient,
                                 default_schedule)
-from sensan.model_space import CutTerm, PiecewiseField, grid_quad, invert_cdf
+from sensan.model_space import (CutTerm, PiecewiseField, _cumtrapz, grid_quad,
+                                invert_cdf)
 
 G = Grid.line(0.0, 1.0, 801)
 U = uniform(G)
@@ -375,10 +376,30 @@ def _loop_gradient(F, P, t=_FD_STEP):
 
 
 def _block_gradient(F, P, rows=None, t=_FD_STEP):
-    """The node gradient in blocks of `rows` rows, or of the default size."""
+    """The node gradient influence_numerical takes for F, in blocks of
+    `rows` rows or of the default size."""
     block = rows * P.smooth.size if rows else functionals._NODE_BLOCK
     with mock.patch.object(functionals, "_NODE_BLOCK", block):
-        return _node_gradient(_evaluator(F, P.grid), P, t)
+        return _node_gradient(F, P, t)
+
+
+def _check_against_the_loop(F, P, rows=None):
+    """A moment's or a variance's gradient, from the perturbed integrals,
+    matches the loop within 1e-8 max|g|, the rounding of the central
+    difference; a quantile's or a composite's rows keep the bits of their
+    fields alone, so theirs equals the loop's exactly. A quantile reads
+    its CDF up to the crossing node only, so the loop's g is exactly 0
+    at every node past it along the quantile's axis."""
+    got, ref = _block_gradient(F, P, rows), _loop_gradient(F, P)
+    if F.kind in ("moment", "variance"):
+        assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref)), F.label
+    else:
+        np.testing.assert_array_equal(got, ref, err_msg=F.label)
+    if F.kind == "quantile":
+        x = P.grid.axes[F.axis].nodes
+        crossing = np.searchsorted(x, evaluate(F, P), "left")
+        past = np.indices(P.grid.shape)[F.axis] > crossing
+        assert np.all(ref[past] == 0.0), F.label
 
 
 def _gaussian_2d(shape):
@@ -407,27 +428,74 @@ _KINDS_2D = [moment(lambda x, y: x * y), variance(0), variance(1),
 @pytest.mark.parametrize("jump", [False, True])
 def test_block_node_gradient_gives_the_loop_bits_in_1d(n, jump):
     """The block sizes (81, 40 and 20 rows) do not divide the node counts,
-    so every case ends on a short block. Each row of a block keeps the
-    bits of its field alone, so the gradient equals the loop's exactly;
-    the quadrature kinds need only match within 1e-8 max|g|, which exact
-    equality implies. The composite sees each row as a field of its own."""
+    so every stack of perturbed fields ends on a short block. The
+    composite sees each row as a field of its own."""
     P = beta(Grid.line(0.0, 1.0, n), 2.0, 3.0)
     P = _with_a_jump(P) if jump else P
     assert bool(P.terms) == jump
     for F in _KINDS_1D:
-        np.testing.assert_array_equal(_block_gradient(F, P), _loop_gradient(F, P),
-                                      err_msg=F.label)
+        _check_against_the_loop(F, P)
 
 
 @pytest.mark.parametrize("shape,jump", [((21, 31), False), ((21, 31), True),
                                         ((41, 41), False)])
 def test_block_node_gradient_gives_the_loop_bits_in_2d(shape, jump):
-    """Blocks of 25 and 9 rows, which divide neither 651 nor 1681 nodes."""
+    """Blocks of 25 and 9 rows, which divide neither 651 nor 1681 nodes;
+    on axis 1 a quantile perturbs rows that are not contiguous."""
     P = _gaussian_2d(shape)
     P = _with_a_jump(P, 0.5, axis=1) if jump else P
     for F in _KINDS_2D:
-        np.testing.assert_array_equal(_block_gradient(F, P), _loop_gradient(F, P),
-                                      err_msg=F.label)
+        _check_against_the_loop(F, P)
+
+
+def _cut_in_the_crossing_cell(P, axis):
+    """P with mass moved below a cut a third of the way into a cell on
+    `axis`, and a quantile on that axis whose crossing lies in the same
+    cell: its level is found by bisection on the quantile."""
+    x = P.grid.axes[axis].nodes
+    k = len(x) // 3
+    cut = x[k] + (x[k + 1] - x[k]) / 3.0
+    Q = GridDensity(P.grid, 0.9 * P.smooth, _normalize="force",
+                    _terms=(CutTerm(((axis, cut),), 0.2 * P.smooth),))
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        tau = 0.5 * (lo + hi)
+        q = evaluate(quantile_functional(tau, axis), Q)
+        if x[k] < q < x[k + 1]:
+            return Q, quantile_functional(tau, axis)
+        lo, hi = (tau, hi) if q <= x[k] else (lo, tau)
+    raise AssertionError("no level crosses in the cut's cell")
+
+
+@pytest.mark.parametrize("dim,axis", [(1, 0), (2, 0), (2, 1)])
+def test_block_node_gradient_with_a_cut_in_the_crossing_cell(dim, axis):
+    """invert_cdf splits the crossing cell at the cut, reading the field
+    inside that cell only; the rows past it still equal P's quantile."""
+    P = (beta(Grid.line(0.0, 1.0, 201), 2.0, 3.0) if dim == 1
+         else _gaussian_2d((21, 31)))
+    Q, F = _cut_in_the_crossing_cell(P, axis)
+    x = Q.grid.axes[axis].nodes
+    ((_, cut),) = Q.terms[0].cuts
+    i = np.searchsorted(x, evaluate(F, Q))
+    assert x[i - 1] < cut < x[i]
+    _check_against_the_loop(F, Q)
+
+
+def test_block_node_gradient_keeps_the_node_past_a_flat_crossing():
+    """Where the CDF rises by no more than 1e-13 across the crossing cell,
+    the quantile is the cell's left node, one node short of the crossing;
+    the row perturbed at the crossing node moves the quantile, so it is
+    stacked too and the gradient keeps the loop's bits."""
+    g = Grid.line(0.0, 1.0, 21)
+    x = g.axes[0].nodes
+    P = GridDensity(g, np.where(np.abs(x - 0.5) < 0.2, 1e-12, 1.0),
+                    _normalize="force")
+    i = 11
+    F = quantile_functional(float(_cumtrapz(x, P.values)[i]))
+    assert invert_cdf(P, F.tau, strict=False) == x[i - 1]
+    got, ref = _block_gradient(F, P), _loop_gradient(F, P)
+    np.testing.assert_array_equal(got, ref)
+    assert ref[i] != 0.0 and np.all(ref[i + 1:] == 0.0)
 
 
 @st.composite
@@ -459,7 +527,7 @@ def family_densities(draw):
                         quantile_functional(0.8), mean_over_median()]),
        st.integers(1, 50))
 def test_block_node_gradient_gives_the_loop_bits_on_generated_densities(P, F, rows):
-    np.testing.assert_array_equal(_block_gradient(F, P, rows), _loop_gradient(F, P))
+    _check_against_the_loop(F, P, rows)
 
 
 def _reciprocal(x):

@@ -197,9 +197,15 @@ def test_row_integrals_give_the_bits_of_each_field(n):
 
 
 def test_cut_term_mask():
+    """A term's box mask is built once per grid and cuts, read-only."""
     g = Grid.line(0.0, 1.0, 5)
-    m = CutTerm(((0, 0.5),), np.ones(5)).mask(g)
+    m = g.box_mask(((0, 0.5),))
     np.testing.assert_array_equal(m, [True, True, True, False, False])
+    assert g.box_mask(((0, 0.5),)) is m and not m.flags.writeable
+    B = Grid.box((0.0, 1.0), (0.0, 1.0), (3, 3))
+    np.testing.assert_array_equal(B.box_mask(((0, 0.5), (1, 0.0))),
+                                  [[True, False, False], [True, False, False],
+                                   [False, False, False]])
 
 
 def test_density_strict_gate_rejects_unnormalized_input():

@@ -16,6 +16,9 @@ The lines cover:
 - numerical influences of the 2-d kinds and the covariance composite on
   a correlated Gaussian at 21², 31², 41² and 21×31 (and at 21×31 with a
   cut), on the uniform and on an isotropic Gaussian at 21², 31², 41²
+- quantile numerical influences where a cut sits inside the crossing
+  cell: Beta(2, 3) at 801 nodes on axis 0, and the correlated Gaussian at
+  21×31 on axis 1
 - `engine.sensitivity` S and R with `mean_over_median` as psi
 - five counterfactual steps of 0.02 in the median on the density 0.5 + x
   (each step's field parts and S of the mean), and an exponential tilt of
@@ -138,6 +141,35 @@ def influences(sensan, jobs) -> None:
     U21 = sensan.build_family({"family": "uniform"},
                               sensan.Grid.line(0.0, 1.0, 21))
     influence(sensan, "ni/uniform/21/variance", sensan.variance(), U21)
+
+    beta801 = sensan.build_family(BETA23, sensan.Grid.line(0.0, 1.0, 801))
+    gauss = sensan.GridDensity.from_callable(unit_box(sensan, (21, 31)),
+                                             correlated)
+    for label, P, axis in (("beta23/801", beta801, 0),
+                           ("gauss/21x31", gauss, 1)):
+        Q, tau = cut_in_the_crossing_cell(sensan, P, axis)
+        influence(sensan, f"ni/{label}+cut-in-crossing-cell/q{tau:.6f}/{axis}",
+                  sensan.quantile_functional(tau, axis), Q)
+
+
+def cut_in_the_crossing_cell(sensan, P, axis: int):
+    """P with mass moved below a cut a third of the way into a cell on
+    `axis`, and a level whose quantile on that axis crosses in the same
+    cell, found by bisection."""
+    x = P.grid.axes[axis].nodes
+    k = len(x) // 3
+    cut = x[k] + (x[k + 1] - x[k]) / 3.0
+    Q = sensan.GridDensity(P.grid, 0.9 * P.smooth, _normalize="force",
+                           _terms=(sensan.CutTerm(((axis, cut),),
+                                                  0.2 * P.smooth),))
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        tau = 0.5 * (lo + hi)
+        q = sensan.quantile(Q, tau, axis)
+        if x[k] < q < x[k + 1]:
+            return Q, tau
+        lo, hi = (tau, hi) if q <= x[k] else (lo, tau)
+    raise RuntimeError("no level crosses in the cut's cell")
 
 
 def sensitivities(sensan, jobs) -> None:
