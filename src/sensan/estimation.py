@@ -18,12 +18,17 @@ Replication seeds derive from (master_seed, n, rep), so results are
 reproducible no matter how replications are scheduled; reductions use
 numpy pairwise summation over rep-ordered arrays.
 
-Samples come from inverting grid CDFs. Uniform draws are inverted in
+Samples come from inverting grid CDFs. A harness builds the CDF table
+once per call (in two dimensions, the X marginal's), and the joint
+harness draws its replications in blocks of _SAMPLE_BLOCK uniforms, each
+row from its own (master_seed, n, rep) stream, and estimates a whole
+block with one call per estimator. Uniform draws are inverted in
 increasing order and put back in draw order, since np.interp starts each
 search at the previous draw's cell; in two dimensions the row CDFs of
 Y | X are built for blocks of _DRAW_BLOCK draws, so memory does not grow
 with n. Each draw meets the same cell and formula as np.interp on the
-draws in their own order, so the sample is bit for bit the same.
+draws in their own order, so a sample is bit for bit the same whether it
+is drawn alone by sample_from or as a row of a block.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ from .artifacts import write_table
 from .errors import ConfigError, SensanError, read
 from .functionals import Functional, estimated_influence, evaluate
 from .model_space import (GridDensity, LikelihoodRatio, Sample, _cumtrapz,
-                          _clamped_ratio, _simpson_reduce, interpolate,
-                          kde_fit, locate)
+                          _clamped_ratio, _simpson_reduce, check_points,
+                          interpolate, kde_fit, locate)
 
 __all__ = [
     "RatioInformation",
@@ -55,7 +60,8 @@ __all__ = [
     "mc_joint_multinomial",
 ]
 
-_DRAW_BLOCK = 512   # conditional draws whose row CDFs sample_from holds at once
+_DRAW_BLOCK = 512        # conditional draws whose row CDFs a sampler holds at once
+_SAMPLE_BLOCK = 1 << 15  # uniforms the joint harness draws and inverts at once (256 KB)
 
 
 # --- ratio estimators ---------------------------------------------------------------
@@ -171,33 +177,57 @@ def _conditional_draws(P: GridDensity, x: np.ndarray, u: np.ndarray) -> np.ndarr
     return slope * (u - f0) + ynodes[j]
 
 
-def sample_from(P: GridDensity, n: int, rng: np.random.Generator) -> Sample:
-    """Draw n points: inverse-CDF on the grid in one dimension, X then
-    Y | X in two."""
+def _inverse_cdf(P: GridDensity):
+    """The inverse-CDF sampler of P, its X table built once: a map from
+    uniforms of shape (..., ndim, n) to points of shape (..., n, ndim),
+    the uniforms of X in row 0 and those of Y | X in row 1. In 2-d the
+    X table is the Simpson marginal's and Y | X is inverted through row
+    CDFs built _DRAW_BLOCK draws at a time; each draw's arithmetic is
+    independent of the others, so neither the blocking nor the leading
+    axes change a bit."""
     grid = P.grid
-    if grid.ndim == 1:
-        nodes = grid.axes[0].nodes
-        F = _cumtrapz(nodes, P.values)
-        F = F / F[-1]
-        x = _invert_sorted(rng.random(n), F, nodes)
-        return Sample(x.reshape(-1, 1), (grid.axes[0].lo,), (grid.axes[0].hi,))
-    if grid.ndim != 2:
+    if grid.ndim not in (1, 2):
         raise SensanError("sampling supports one- and two-dimensional grids")
     xnodes = grid.axes[0].nodes
-    marg = _simpson_reduce(grid, P.values, 1)
+    marg = P.values if grid.ndim == 1 else _simpson_reduce(grid, P.values, 1)
     Fx = _cumtrapz(xnodes, marg)
     Fx = Fx / Fx[-1]
-    x = _invert_sorted(rng.random(n), Fx, xnodes)
-    u = rng.random(n)
-    # the row CDF table is built _DRAW_BLOCK draws at a time; each row's
-    # arithmetic is independent of the others, so blocking changes no bit
-    y = np.empty(n)
-    for start in range(0, n, _DRAW_BLOCK):
-        block = slice(start, start + _DRAW_BLOCK)
-        y[block] = _conditional_draws(P, x[block], u[block])
-    lo = tuple(ax.lo for ax in grid.axes)
-    hi = tuple(ax.hi for ax in grid.axes)
-    return Sample(np.column_stack([x, y]), lo, hi)
+
+    def points(u: np.ndarray) -> np.ndarray:
+        shape = u.shape[:-2] + u.shape[-1:]
+        rows = u.reshape((-1,) + u.shape[-2:])
+        # one sample at a time: a bucket order over a whole block costs
+        # more per draw than over each of its rows
+        x = np.empty((len(rows), u.shape[-1]))
+        for r, row in enumerate(rows):
+            x[r] = _invert_sorted(row[0], Fx, xnodes)
+        x = x.reshape(-1)
+        if grid.ndim == 1:
+            return x.reshape(shape + (1,))
+        v = rows[:, 1].reshape(-1)
+        y = np.empty_like(x)
+        for start in range(0, x.size, _DRAW_BLOCK):
+            block = slice(start, start + _DRAW_BLOCK)
+            y[block] = _conditional_draws(P, x[block], v[block])
+        return np.stack([x, y], axis=-1).reshape(shape + (2,))
+    return points
+
+
+def _bounds(grid) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    return (tuple(ax.lo for ax in grid.axes), tuple(ax.hi for ax in grid.axes))
+
+
+def _draw(points, grid, n: int, rng) -> Sample:
+    """A Sample of n points from the sampler `points`, the uniforms drawn
+    as rng.random(n) for X and then, in 2-d, rng.random(n) for Y."""
+    u = np.stack([rng.random(n) for _ in grid.axes])
+    return Sample(points(u), *_bounds(grid))
+
+
+def sample_from(P: GridDensity, n: int, rng: np.random.Generator) -> Sample:
+    """Draw n points: inverse-CDF on the grid in one dimension, X then
+    Y | X in two, from rng.random(n) for X and then rng.random(n) for Y."""
+    return _draw(_inverse_cdf(P), P.grid, n, rng)
 
 
 # --- Monte Carlo results ------------------------------------------------------------
@@ -257,13 +287,13 @@ def mc_consistency(P: GridDensity, psi: Functional, nu: Functional,
     if (len(n_grid) < 3 or n_grid[0] < 1
             or any(b <= a for a, b in zip(n_grid, n_grid[1:]))):
         raise ConfigError("n_grid", "n_grid must be at least three increasing sizes above 0")
+    points = _inverse_cdf(P)
     estimates: dict = {}
     rmse: dict = {}
     for n in n_grid:
         vals = np.empty(reps)
         for rep in range(reps):
-            rng = _rep_rng(master_seed, n, rep)
-            sample = sample_from(P, n, rng)
+            sample = _draw(points, P.grid, n, _rep_rng(master_seed, n, rep))
             cfg = PluginConfig(
                 psi_influence=estimated_influence(psi, sample, P.grid),
                 nu_influence=estimated_influence(nu, sample, P.grid),
@@ -300,15 +330,30 @@ def mc_joint_asymptotics(P: GridDensity, psi: Functional, nu: Functional,
                          n: int, reps: int, master_seed: int) -> McResult:
     """Joint distribution of the efficient estimators: replicate, scale
     errors by sqrt(n), and report the empirical covariance with the
-    sensitivity ratios it implies."""
+    sensitivity ratios it implies.
+
+    Replications are drawn in blocks of up to _SAMPLE_BLOCK uniforms:
+    each row of a block is filled from its own (master_seed, n, rep)
+    stream, as sample_from would draw it, the block is inverted and
+    checked at once, and each estimator makes one call per block, so
+    every estimate has the bits of its replication drawn alone."""
     psi0 = evaluate(psi, P)
     nu0 = evaluate(nu, P)
+    if n < 1:
+        raise SensanError("sample must be a nonempty array of points")
+    points = _inverse_cdf(P)
+    lo, hi = _bounds(P.grid)
+    rows = max(1, _SAMPLE_BLOCK // (P.grid.ndim * n))
+    u = np.empty((min(rows, reps), P.grid.ndim, n))
     pairs = np.empty((reps, 2))
-    for rep in range(reps):
-        rng = _rep_rng(master_seed, n, rep)
-        sample = sample_from(P, n, rng)
-        pairs[rep, 0] = evaluate(psi, sample)
-        pairs[rep, 1] = evaluate(nu, sample)
+    for r0 in range(0, reps, rows):
+        block = u[:min(rows, reps - r0)]
+        for r, row in enumerate(block):
+            _rep_rng(master_seed, n, r0 + r).random(out=row)
+        pts = points(block)
+        check_points(pts, lo, hi)
+        pairs[r0:r0 + len(block), 0] = evaluate(psi, pts)
+        pairs[r0:r0 + len(block), 1] = evaluate(nu, pts)
     return _joint_result(pairs, n, master_seed, psi0, nu0)
 
 

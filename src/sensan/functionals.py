@@ -47,9 +47,10 @@ from the grid alone (default_schedule).
 
 This module is the one place that reads a functional's kind, on a grid
 density and on a sample alike: on a Sample, `evaluate` is the bundled
-efficient estimator and `estimated_influence` the analytic influence at
-the estimated parameters. `estimation` builds the plug-in estimator and
-the Monte Carlo harnesses on them.
+efficient estimator, on a stack of samples one estimate per sample, and
+`estimated_influence` the analytic influence at the estimated
+parameters. `estimation` builds the plug-in estimator and the Monte
+Carlo harnesses on them.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ import numpy as np
 from .errors import SensanError, nested, read
 from .expressions import as_array_function, parse_whitelisted
 from .model_space import (CutTerm, Grid, GridDensity, PiecewiseField, Sample,
-                          density_at, invert_cdf, kde_fit, quantile)
+                          density_at, invert_cdf, kde_fit, order_statistic,
+                          quantile)
 from .tangent import TangentVector
 
 __all__ = [
@@ -205,24 +207,37 @@ def _view(a: np.ndarray) -> np.ndarray:
 
 
 def _at_points(F: Functional, pts: np.ndarray) -> np.ndarray:
-    """A moment's rho, or a variance's square about the mean, per row."""
+    """A moment's rho, or a variance's square about the mean, at points of
+    shape (..., n, ndim): one value per point, each sample about its own
+    mean."""
     if F.kind == "moment":
-        return np.broadcast_to(np.asarray(F.rho(*pts.T), dtype=float), len(pts))
-    x = pts[:, F.axis]
-    return (x - np.mean(x)) ** 2
+        coords = (pts[..., a] for a in range(pts.shape[-1]))
+        return np.broadcast_to(np.asarray(F.rho(*coords), dtype=float),
+                               pts.shape[:-1])
+    x = pts[..., F.axis]
+    return (x - np.mean(x, axis=-1, keepdims=True)) ** 2
 
 
-def evaluate(F: Functional, P: GridDensity | Sample) -> float:
+def evaluate(F: Functional, P: GridDensity | Sample | np.ndarray):
     """Value of the functional at P. At a Sample's empirical measure, the
     bundled efficient estimator: the sample mean of rho, the biased sample
-    variance, or the empirical quantile; a composite has none."""
-    if F.kind == "quantile":
-        return quantile(P, F.tau, F.axis)
-    if not isinstance(P, Sample):
+    variance, or the empirical quantile; a composite has none. Points of
+    shape (..., n, ndim) are a stack of samples, one estimate per sample
+    along the leading axes, each with the bits of that sample alone; a
+    Sample is the one-sample case and gives a float."""
+    if isinstance(P, Sample):
+        return float(evaluate(F, P.points))
+    if not isinstance(P, np.ndarray):
+        if F.kind == "quantile":
+            return quantile(P, F.tau, F.axis)
         return _evaluator(F, P.grid)(P)
     if F.kind == "composite":
         raise SensanError("no bundled efficient estimator for kind 'composite'")
-    return float(np.mean(_at_points(F, P.points)))
+    if F.kind == "quantile":
+        if F.axis >= P.shape[-1]:
+            raise SensanError("quantile axis out of range")
+        return order_statistic(P[..., F.axis], F.tau)
+    return np.mean(_at_points(F, P), axis=-1)
 
 
 # --- analytic influence functions ---------------------------------------------------

@@ -157,6 +157,21 @@ class Grid:
     def _box_masks(self) -> dict:
         return {}
 
+    def prefix_weights(self, axis: int, m: int) -> np.ndarray:
+        """Simpson weights on the first m + 1 nodes of `axis`, m even, the
+        rule a cut integral applies below its cell. They are built on the
+        first call for that axis and m and shared by every later one, so
+        they are read-only."""
+        weights = self._prefix_weights
+        if (axis, m) not in weights:
+            x = self.axes[axis].nodes
+            weights[axis, m] = _readonly(_simpson_weights(x[0], x[m], m + 1))
+        return weights[axis, m]
+
+    @cached_property
+    def _prefix_weights(self) -> dict:
+        return {}
+
     def weight_tensor(self) -> np.ndarray:
         w = self.axes[0].weights
         for ax in self.axes[1:]:
@@ -220,8 +235,7 @@ def _below_reduce(grid: Grid, samples: np.ndarray, axis: int, pos: int,
     k = min(max(k, 0), ax.n - 2)
     m = k if k % 2 == 0 else k - 1
     if m >= 2:
-        w = _simpson_weights(x[0], x[m], m + 1)
-        out = F[..., : m + 1] @ w
+        out = F[..., : m + 1] @ grid.prefix_weights(axis, m)
     if k > m:
         out = out + 0.5 * h * (F[..., k - 1] + F[..., k])
     delta = q - x[k]
@@ -493,6 +507,22 @@ class GridDensity(PiecewiseField):
         return cls(grid, data[:, ndim].reshape(grid.shape))
 
 
+def check_points(points: np.ndarray, lo, hi) -> None:
+    """Raise unless every point of `points`, shape (..., ndim), is finite
+    and inside the rectangle [lo, hi]."""
+    if not np.all(np.isfinite(points)):
+        raise SensanError("sample points must be finite")
+    if np.any(points < np.asarray(lo)) or np.any(points > np.asarray(hi)):
+        raise SensanError("sample points outside the declared rectangle")
+
+
+def order_statistic(x: np.ndarray, tau: float) -> np.ndarray:
+    """The left-continuous empirical tau-quantile along the last axis of
+    x: its ceil(n tau)-th smallest entry, at least the first."""
+    k = max(int(math.ceil(x.shape[-1] * tau)), 1)
+    return np.partition(x, k - 1, axis=-1)[..., k - 1]
+
+
 @dataclass(frozen=True, eq=False)
 class Sample:
     """Observed points inside a declared rectangle of the sample space."""
@@ -509,12 +539,7 @@ class Sample:
             raise SensanError("sample must be a nonempty array of points")
         if pts.shape[1] != len(self.lo) or len(self.lo) != len(self.hi):
             raise SensanError("sample dimension does not match declared bounds")
-        if not np.all(np.isfinite(pts)):
-            raise SensanError("sample points must be finite")
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        if np.any(pts < lo) or np.any(pts > hi):
-            raise SensanError("sample points outside the declared rectangle")
+        check_points(pts, self.lo, self.hi)
         object.__setattr__(self, "points", _readonly(pts))
 
     @property
@@ -675,8 +700,7 @@ def quantile(P, tau: float, axis: int = 0) -> float:
     if isinstance(P, Sample):
         if axis >= P.ndim:
             raise SensanError("quantile axis out of range")
-        k = max(int(math.ceil(P.n * tau)), 1)
-        return float(np.partition(P.coord(axis), k - 1)[k - 1])
+        return float(order_statistic(P.coord(axis), tau))
     if not isinstance(P, GridDensity):
         raise SensanError("quantile expects a GridDensity or a Sample")
     if axis >= P.grid.ndim:

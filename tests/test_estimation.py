@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sensan.estimation
 import sensan.functionals
@@ -11,11 +13,13 @@ from sensan import (Grid, GridDensity, Multinomial, PluginConfig,
                     RatioInformation, RatioKde, RatioKnown, Sample,
                     composite, estimated_influence, evaluate,
                     information_metric, mc_consistency, mc_joint_asymptotics,
-                    mc_joint_multinomial, moment, plugin_sensitivity,
-                    quantile_functional, sample_from, sensitivity, variance)
+                    mc_joint_multinomial, moment, parse_functional,
+                    plugin_sensitivity, quantile_functional, sample_from,
+                    sensitivity, variance)
 from sensan.artifacts import write_json
 from sensan.errors import ConfigError, SensanError
-from sensan.families import linear, uniform
+from sensan.estimation import _SAMPLE_BLOCK, _joint_result
+from sensan.families import beta, linear, uniform
 from sensan.model_space import (_cumtrapz, _simpson_reduce, likelihood_ratio,
                                  locate)
 
@@ -324,6 +328,116 @@ def test_sample_from_2d_is_bit_identical_to_the_per_draw_loop():
                 got = sample_from(P, n, draws(seed)).points
                 want = _sample_2d_by_loop(P, n, draws(seed))
                 assert np.array_equal(got, want)
+
+
+def _kinds(ndim):
+    """Every sample-side kind on a `ndim`-dimensional density: moments
+    through the expression wrapper and a lambda, the constant 0.1 among
+    them (a stride-0 row whose partial sums round), variances and
+    quantiles on each axis, and a composite, which has no estimator."""
+    rhos = ["x", "x**3 - 2*x", "0.1"] if ndim == 1 else ["x*y", "y**2 + x", "0.1"]
+    kinds = [parse_functional({"kind": "moment", "rho": r}, ndim) for r in rhos]
+    kinds += [moment(lambda *c: c[-1] * c[0], label="product")]
+    for axis in range(ndim):
+        kinds.append(variance(axis))
+        kinds += [quantile_functional(tau, axis) for tau in (0.1, 0.5, 0.93)]
+    kinds.append(composite(lambda f: 0.0))
+    return kinds
+
+
+_JOINT_DENSITIES = {
+    1: [beta(Grid.line(0.0, 1.0, 201), 2.0, 3.0),
+        GridDensity.from_callable(G, lambda x: np.where(
+            np.abs(x - 0.3) < 0.1, 0.0, 1.0 + x))],
+    2: [GridDensity.from_callable(Grid.box((0.0, 1.0), (0.0, 1.0), (41, 41)),
+                                  lambda x, y: 1.0 + x * y),
+        GridDensity.from_callable(
+            Grid.box((0.0, 1.0), (-1.0, 2.0), (21, 31)),
+            lambda x, y: np.exp(-((x - 0.4) ** 2 + (y - 0.6) ** 2) / 0.1))],
+}
+
+
+def _joint_by_replication(P, psi, nu, n, reps, seed):
+    """The joint harness one replication at a time, from the public
+    sample_from and evaluate: a result, or the SensanError it raises."""
+    try:
+        psi0, nu0 = evaluate(psi, P), evaluate(nu, P)
+        pairs = np.empty((reps, 2))
+        for rep in range(reps):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, n, rep)))
+            s = sample_from(P, n, rng)
+            pairs[rep] = evaluate(psi, s), evaluate(nu, s)
+        return _joint_result(pairs, n, seed, psi0, nu0)
+    except SensanError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ndim=st.sampled_from([1, 2]), which=st.integers(0, 1),
+       kinds=st.tuples(st.integers(0, 99), st.integers(0, 99)),
+       n=st.sampled_from([777, 2049, 5000]),
+       fill=st.sampled_from(["below", "at", "above"]),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_joint_harness_equals_the_per_replication_oracle(ndim, which, kinds, n,
+                                                         fill, seed):
+    """Drawing and estimating in blocks gives each replication's estimates
+    bit for bit, for every kind, with reps below, at and just above one
+    block and n that does not divide it; a composite or a constant
+    estimator raises what the one-at-a-time loop raises."""
+    P = _JOINT_DENSITIES[ndim][which]
+    options = _kinds(ndim)
+    psi, nu = (options[k % len(options)] for k in kinds)
+    rows = _SAMPLE_BLOCK // (ndim * n)
+    assert rows * ndim * n != _SAMPLE_BLOCK
+    reps = {"below": max(rows - 1, 2), "at": rows, "above": rows + 1}[fill]
+    want = _joint_by_replication(P, psi, nu, n, reps, seed)
+    if isinstance(want, str):
+        with pytest.raises(SensanError) as err:
+            mc_joint_asymptotics(P, psi, nu, n, reps, seed)
+        assert str(err.value) == want
+        return
+    got = mc_joint_asymptotics(P, psi, nu, n, reps, seed)
+    assert got.estimates[n].tobytes() == want.estimates[n].tobytes()
+    assert got.empirical_cov[n].tobytes() == want.empirical_cov[n].tobytes()
+    assert (got.lambda_hat, got.delta_hat) == (want.lambda_hat, want.delta_hat)
+
+
+def test_joint_harness_refusals_match_the_oracle():
+    """The composite refusal and the zero-variance refusal of a constant
+    estimator, word for word as the one-at-a-time loop gives them."""
+    P = _JOINT_DENSITIES[1][0]
+    const = parse_functional({"kind": "moment", "rho": "0.1"}, 1)
+    for psi, nu, match in ((composite(lambda f: 0.0), MEAN, "composite"),
+                           (MEAN, composite(lambda f: 0.0), "composite"),
+                           (const, MEDIAN, "psi estimates have zero variance"),
+                           (MEAN, const, "nu estimates have zero variance")):
+        want = _joint_by_replication(P, psi, nu, 300, 7, 1)
+        assert match in want
+        with pytest.raises(SensanError) as err:
+            mc_joint_asymptotics(P, psi, nu, 300, 7, 1)
+        assert str(err.value) == want
+
+
+def test_stacked_evaluate_rows_equal_single_samples():
+    """evaluate on points of shape (..., n, ndim) gives one estimate per
+    sample, each the float evaluate gives that sample alone; the
+    composite and an axis beyond the points are refused."""
+    rng = np.random.default_rng(33)
+    for ndim in (1, 2):
+        for shape in ((5, 301), (2, 3, 128), (1, 1)):
+            pts = rng.random(shape + (ndim,))
+            for F in _kinds(ndim)[:-1]:
+                got = evaluate(F, pts)
+                assert got.shape == shape[:-1]
+                for idx in np.ndindex(shape[:-1]):
+                    one = evaluate(F, Sample(pts[idx], (0.0,) * ndim,
+                                             (1.0,) * ndim))
+                    assert isinstance(one, float)
+                    assert got[idx].tobytes() == np.float64(one).tobytes()
+        with pytest.raises(SensanError, match="kind 'composite'"):
+            evaluate(composite(lambda f: 0.0), rng.random((3, 10, ndim)))
+        with pytest.raises(SensanError, match="quantile axis out of range"):
+            evaluate(quantile_functional(0.5, ndim), rng.random((3, 10, ndim)))
 
 
 def test_replication_is_deterministic():

@@ -208,6 +208,36 @@ def test_cut_term_mask():
                                    [False, False, False]])
 
 
+def test_prefix_weights_are_built_once_per_grid_axis_and_length():
+    """A cut integral's Simpson prefix weights are _simpson_weights on the
+    prefix, built once per grid, axis and length, read-only."""
+    B = Grid.box((0.0, 1.0), (-1.0, 2.0), (21, 31))
+    for axis in (0, 1):
+        x = B.axes[axis].nodes
+        for m in (2, 8, 18):
+            w = B.prefix_weights(axis, m)
+            want = model_space._simpson_weights(x[0], x[m], m + 1)
+            assert w.tobytes() == want.tobytes()
+            assert B.prefix_weights(axis, m) is w and not w.flags.writeable
+    assert B.prefix_weights(0, 8) is not B.prefix_weights(1, 8)
+
+
+def test_check_points_refuses_non_finite_and_outside_points():
+    """The one sample check: every point finite and inside [lo, hi], on
+    points of shape (..., ndim), a Sample's and a stack of them alike."""
+    pts = np.full((3, 4, 2), 0.5)
+    model_space.check_points(pts, (0.0, 0.0), (1.0, 1.0))
+    for bad, match in ((np.nan, "must be finite"), (np.inf, "must be finite"),
+                       (1.5, "outside the declared rectangle"),
+                       (-0.1, "outside the declared rectangle")):
+        p = pts.copy()
+        p[2, 1, 1] = bad
+        with pytest.raises(SensanError, match=match):
+            model_space.check_points(p, (0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(SensanError, match=match):
+            Sample(p[2], (0.0, 0.0), (1.0, 1.0))
+
+
 def test_density_strict_gate_rejects_unnormalized_input():
     g = Grid.line(0.0, 1.0, 801)
     with pytest.raises(SensanError, match="refusing to renormalize"):

@@ -31,9 +31,13 @@ The lines cover:
   Sample otherwise) and its `estimated_influence` at the sample points,
   with the grid and with `grid=None`, for a 1-d mean, variance and median
   and a 2-d moment, variance and quantile on axis 1; `plugin_sensitivity`
-  under the information, known and kde ratios; one small
-  `mc_joint_asymptotics` table; and `likelihood_ratio` of Beta(2, 5) over
-  itself and over Beta(2, 2), which vanish at both end nodes
+  under the information, known and kde ratios; `mc_joint_asymptotics`
+  tables of a 1-d mean/median (n = 200, 40 replications) and
+  variance/median (n = 5000, 13 replications), and of the `x*y` moment
+  against the axis-1 median on the 41² density 1 + x*y (n = 700, 9
+  replications); one `mc_consistency` table; and `likelihood_ratio` of
+  Beta(2, 5) over itself and over Beta(2, 2), which vanish at both end
+  nodes
 - GMM solutions (theta, Omega, Pg, G) and the fields of `gmm_influence`,
   `gmm_efficient_influence`, `gmm_project_tangent` and `gmm_out_direction`
   for a specified and a misspecified truncated normal and a 2-d
@@ -274,9 +278,19 @@ def sample_side(sensan) -> None:
         emit(f"plugin/{name}", sensan.plugin_sensitivity(sensan.PluginConfig(
             sensan.estimated_influence(mean, s1, line),
             sensan.estimated_influence(median, s1, line), ratio, s1)))
-    res = sensan.mc_joint_asymptotics(P1, mean, median, 200, 40, 3)
-    emit("mc_joint/beta23/200x40", res.estimates[200], res.empirical_cov[200],
-         res.lambda_hat, res.delta_hat)
+    joints = [("beta23/200x40", P1, mean, median, 200, 40, 3),
+              ("beta23/variance-median/5000x13", P1, sensan.variance(), median,
+               5000, 13, 4),
+              ("1+xy/xy-q0.5/1/700x9", P2, sensan.moment(lambda x, y: x * y),
+               sensan.quantile_functional(0.5, 1), 700, 9, 5)]
+    for label, P, psi, nu, n, reps, seed in joints:
+        res = sensan.mc_joint_asymptotics(P, psi, nu, n, reps, seed)
+        emit(f"mc_joint/{label}", res.estimates[n], res.empirical_cov[n],
+             res.lambda_hat, res.delta_hat)
+    res = sensan.mc_consistency(P1, mean, median, sensan.RatioInformation(),
+                                (60, 120, 240), 6, 11, 0.0)
+    emit("mc_consistency/beta23/information", *(res.estimates[n] for n in
+                                                res.n_grid), res.rmse)
 
     B25 = sensan.build_family({"family": "beta", "alpha": 2, "beta": 5}, line)
     B22 = sensan.build_family({"family": "beta", "alpha": 2, "beta": 2}, line)
