@@ -18,11 +18,12 @@ Replication seeds derive from (master_seed, n, rep), so results are
 reproducible no matter how replications are scheduled; reductions use
 numpy pairwise summation over rep-ordered arrays.
 
-Samples come from inverting grid CDFs. A harness builds the CDF table
-once per call (in two dimensions, the X marginal's), and the joint
-harness draws its replications in blocks of _SAMPLE_BLOCK uniforms, each
-row from its own (master_seed, n, rep) stream, and estimates a whole
-block with one call per estimator. Uniform draws are inverted in
+Samples come from inverting grid CDFs. Both harnesses draw through
+_sample_blocks: one CDF table per sample size (in two dimensions, the X
+marginal's), blocks of _SAMPLE_BLOCK uniforms, each row from its own
+(master_seed, n, rep) stream. The joint harness estimates a block with
+one call per estimator; the consistency harness builds one Sample per
+replication from its row for the plug-in. Uniform draws are inverted in
 increasing order and put back in draw order, since np.interp starts each
 search at the previous draw's cell; in two dimensions the row CDFs of
 Y | X are built for blocks of _DRAW_BLOCK draws, so memory does not grow
@@ -61,7 +62,7 @@ __all__ = [
 ]
 
 _DRAW_BLOCK = 512        # conditional draws whose row CDFs a sampler holds at once
-_SAMPLE_BLOCK = 1 << 15  # uniforms the joint harness draws and inverts at once (256 KB)
+_SAMPLE_BLOCK = 1 << 15  # uniforms a harness draws and inverts at once (256 KB)
 
 
 # --- ratio estimators ---------------------------------------------------------------
@@ -217,17 +218,11 @@ def _bounds(grid) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return (tuple(ax.lo for ax in grid.axes), tuple(ax.hi for ax in grid.axes))
 
 
-def _draw(points, grid, n: int, rng) -> Sample:
-    """A Sample of n points from the sampler `points`, the uniforms drawn
-    as rng.random(n) for X and then, in 2-d, rng.random(n) for Y."""
-    u = np.stack([rng.random(n) for _ in grid.axes])
-    return Sample(points(u), *_bounds(grid))
-
-
 def sample_from(P: GridDensity, n: int, rng: np.random.Generator) -> Sample:
     """Draw n points: inverse-CDF on the grid in one dimension, X then
     Y | X in two, from rng.random(n) for X and then rng.random(n) for Y."""
-    return _draw(_inverse_cdf(P), P.grid, n, rng)
+    u = np.stack([rng.random(n) for _ in P.grid.axes])
+    return Sample(_inverse_cdf(P)(u), *_bounds(P.grid))
 
 
 # --- Monte Carlo results ------------------------------------------------------------
@@ -275,6 +270,26 @@ def _rep_rng(master_seed: int, n: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((master_seed, n, rep)))
 
 
+def _sample_blocks(P: GridDensity, n: int, reps: int, master_seed: int):
+    """Yield (r0, points), points of shape (rows, n, ndim) from P for
+    replications r0, r0 + 1, ...: row r from the (master_seed, n, r0 + r)
+    stream, X's uniforms and then Y's as sample_from draws them, the block
+    inverted through one CDF table and checked at once."""
+    if n < 1:
+        raise SensanError("sample must be a nonempty array of points")
+    points = _inverse_cdf(P)
+    lo, hi = _bounds(P.grid)
+    rows = max(1, _SAMPLE_BLOCK // (P.grid.ndim * n))
+    u = np.empty((min(rows, reps), P.grid.ndim, n))
+    for r0 in range(0, reps, rows):
+        block = u[:min(rows, reps - r0)]
+        for r, row in enumerate(block):
+            _rep_rng(master_seed, n, r0 + r).random(out=row)
+        pts = points(block)
+        check_points(pts, lo, hi)
+        yield r0, pts
+
+
 def mc_consistency(P: GridDensity, psi: Functional, nu: Functional,
                    ratio_estimator, n_grid, reps: int, master_seed: int,
                    population: float) -> McResult:
@@ -287,19 +302,19 @@ def mc_consistency(P: GridDensity, psi: Functional, nu: Functional,
     if (len(n_grid) < 3 or n_grid[0] < 1
             or any(b <= a for a, b in zip(n_grid, n_grid[1:]))):
         raise ConfigError("n_grid", "n_grid must be at least three increasing sizes above 0")
-    points = _inverse_cdf(P)
+    bounds = _bounds(P.grid)
     estimates: dict = {}
     rmse: dict = {}
     for n in n_grid:
         vals = np.empty(reps)
-        for rep in range(reps):
-            sample = _draw(points, P.grid, n, _rep_rng(master_seed, n, rep))
-            cfg = PluginConfig(
-                psi_influence=estimated_influence(psi, sample, P.grid),
-                nu_influence=estimated_influence(nu, sample, P.grid),
-                ratio_estimator=ratio_estimator,
-                sample=sample)
-            vals[rep] = plugin_sensitivity(cfg)
+        for r0, block in _sample_blocks(P, n, reps, master_seed):
+            for r, pts in enumerate(block):
+                sample = Sample(pts, *bounds)
+                vals[r0 + r] = plugin_sensitivity(PluginConfig(
+                    psi_influence=estimated_influence(psi, sample, P.grid),
+                    nu_influence=estimated_influence(nu, sample, P.grid),
+                    ratio_estimator=ratio_estimator,
+                    sample=sample))
         estimates[n] = vals
         rmse[n] = float(np.sqrt(np.mean((vals - population) ** 2)))
     return McResult(kind="consistency", n_grid=n_grid, reps=reps,
@@ -332,28 +347,15 @@ def mc_joint_asymptotics(P: GridDensity, psi: Functional, nu: Functional,
     errors by sqrt(n), and report the empirical covariance with the
     sensitivity ratios it implies.
 
-    Replications are drawn in blocks of up to _SAMPLE_BLOCK uniforms:
-    each row of a block is filled from its own (master_seed, n, rep)
-    stream, as sample_from would draw it, the block is inverted and
-    checked at once, and each estimator makes one call per block, so
-    every estimate has the bits of its replication drawn alone."""
+    Replications come in _sample_blocks blocks, and each estimator makes
+    one call per block, so every estimate has the bits of its replication
+    drawn alone."""
     psi0 = evaluate(psi, P)
     nu0 = evaluate(nu, P)
-    if n < 1:
-        raise SensanError("sample must be a nonempty array of points")
-    points = _inverse_cdf(P)
-    lo, hi = _bounds(P.grid)
-    rows = max(1, _SAMPLE_BLOCK // (P.grid.ndim * n))
-    u = np.empty((min(rows, reps), P.grid.ndim, n))
     pairs = np.empty((reps, 2))
-    for r0 in range(0, reps, rows):
-        block = u[:min(rows, reps - r0)]
-        for r, row in enumerate(block):
-            _rep_rng(master_seed, n, r0 + r).random(out=row)
-        pts = points(block)
-        check_points(pts, lo, hi)
-        pairs[r0:r0 + len(block), 0] = evaluate(psi, pts)
-        pairs[r0:r0 + len(block), 1] = evaluate(nu, pts)
+    for r0, pts in _sample_blocks(P, n, reps, master_seed):
+        pairs[r0:r0 + len(pts), 0] = evaluate(psi, pts)
+        pairs[r0:r0 + len(pts), 1] = evaluate(nu, pts)
     return _joint_result(pairs, n, master_seed, psi0, nu0)
 
 

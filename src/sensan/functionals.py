@@ -55,6 +55,7 @@ Carlo harnesses on them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,8 @@ import numpy as np
 from .errors import SensanError, nested, read
 from .expressions import as_array_function, parse_whitelisted
 from .model_space import (CutTerm, Grid, GridDensity, PiecewiseField, Sample,
-                          density_at, invert_cdf, kde_fit, order_statistic,
-                          quantile)
+                          density_at, invert_cdf, kde_fit, quantile,
+                          silverman_bandwidth)
 from .tangent import TangentVector
 
 __all__ = [
@@ -140,6 +141,13 @@ def composite(evaluator, label: str = "composite") -> Functional:
     return Functional("composite", evaluator=evaluator, label=label)
 
 
+def _axis(F: Functional, ndim: int) -> int:
+    """The axis a variance or a quantile reads, if `ndim` dimensions have it."""
+    if F.axis >= ndim:
+        raise SensanError(f"{F.kind} axis out of range")
+    return F.axis
+
+
 # --- evaluation on (possibly signed) fields ----------------------------------------
 
 def _statistics(F: Functional, grid: Grid):
@@ -152,7 +160,7 @@ def _statistics(F: Functional, grid: Grid):
         if not np.all(np.isfinite(vals)):
             raise SensanError("non-finite integrand")
         return (vals,), lambda s: s
-    x = grid.mesh()[F.axis]
+    x = grid.mesh()[_axis(F, grid.ndim)]
 
     def var(z, a, b):
         m1 = a / z
@@ -175,7 +183,8 @@ def _evaluator(F: Functional, grid: Grid):
         integrands, combine = _statistics(F, grid)
         return lambda f: combine(*(f.quad(I) for I in integrands))
     if F.kind == "quantile":
-        return lambda f: invert_cdf(f.marginal(F.axis), F.tau, strict=False)
+        axis = _axis(F, grid.ndim)
+        return lambda f: invert_cdf(f.marginal(axis), F.tau, strict=False)
 
     def opaque(f: PiecewiseField):
         if isinstance(f, GridDensity):
@@ -214,17 +223,17 @@ def _at_points(F: Functional, pts: np.ndarray) -> np.ndarray:
         coords = (pts[..., a] for a in range(pts.shape[-1]))
         return np.broadcast_to(np.asarray(F.rho(*coords), dtype=float),
                                pts.shape[:-1])
-    x = pts[..., F.axis]
+    x = pts[..., _axis(F, pts.shape[-1])]
     return (x - np.mean(x, axis=-1, keepdims=True)) ** 2
 
 
 def evaluate(F: Functional, P: GridDensity | Sample | np.ndarray):
     """Value of the functional at P. At a Sample's empirical measure, the
     bundled efficient estimator: the sample mean of rho, the biased sample
-    variance, or the empirical quantile; a composite has none. Points of
-    shape (..., n, ndim) are a stack of samples, one estimate per sample
-    along the leading axes, each with the bits of that sample alone; a
-    Sample is the one-sample case and gives a float."""
+    variance, or the ceil(n tau)-th order statistic; a composite has none.
+    Points of shape (..., n, ndim) are a stack of samples, one estimate per
+    sample along the leading axes, each with the bits of that sample
+    alone; a Sample is the one-sample case and gives a float."""
     if isinstance(P, Sample):
         return float(evaluate(F, P.points))
     if not isinstance(P, np.ndarray):
@@ -234,9 +243,9 @@ def evaluate(F: Functional, P: GridDensity | Sample | np.ndarray):
     if F.kind == "composite":
         raise SensanError("no bundled efficient estimator for kind 'composite'")
     if F.kind == "quantile":
-        if F.axis >= P.shape[-1]:
-            raise SensanError("quantile axis out of range")
-        return order_statistic(P[..., F.axis], F.tau)
+        x = P[..., _axis(F, P.shape[-1])]
+        k = max(math.ceil(x.shape[-1] * F.tau), 1)
+        return np.partition(x, k - 1, axis=-1)[..., k - 1]
     return np.mean(_at_points(F, P), axis=-1)
 
 
@@ -250,7 +259,7 @@ def influence_analytic(F: Functional, P: GridDensity) -> TangentVector:
         vals = np.broadcast_to(np.asarray(F.rho(*mesh), dtype=float), grid.shape)
         return TangentVector(P, vals)
     if F.kind == "variance":
-        x = mesh[F.axis]
+        x = mesh[_axis(F, grid.ndim)]
         return TangentVector(P, (x - P.quad(x)) ** 2)
     if F.kind == "quantile":
         q = quantile(P, F.tau, F.axis)
@@ -275,7 +284,8 @@ def estimated_influence(F: Functional, sample: Sample,
     point arrays; a moment or a variance is centered at the mean over the
     points it is given. The density at the estimated quantile comes from a
     1-d kernel estimate on the quantile's axis: a 1-d grid, axis F.axis of
-    a 2-d one, or without a grid the sample's own range."""
+    a 2-d one, or without a grid the sample's own range, once the axis is
+    known to have a bandwidth."""
     if F.kind in ("moment", "variance"):
         def at(pts):
             v = _at_points(F, pts)
@@ -284,13 +294,15 @@ def estimated_influence(F: Functional, sample: Sample,
     if F.kind != "quantile":
         raise SensanError(f"no estimated influence for kind '{F.kind}'")
     tau, axis = F.tau, F.axis
-    theta = quantile(sample, tau, axis)
+    theta = evaluate(F, sample)
+    bandwidth = silverman_bandwidth(sample.coord(axis))
     if grid is None:
         grid = Grid.line(float(sample.lo[axis]), float(sample.hi[axis]), 801)
     elif grid.ndim > 1:
         grid = Grid((grid.axes[axis],))
     dens_hat = kde_fit(Sample(sample.points[:, axis:axis + 1],
-                              (sample.lo[axis],), (sample.hi[axis],)), grid)
+                              (sample.lo[axis],), (sample.hi[axis],)), grid,
+                       bandwidth)
     f = _quantile_density(density_at(dens_hat, (theta,)), "estimated")
     return lambda pts: (tau - (pts[:, axis] <= theta)) / f
 

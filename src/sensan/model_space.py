@@ -516,13 +516,6 @@ def check_points(points: np.ndarray, lo, hi) -> None:
         raise SensanError("sample points outside the declared rectangle")
 
 
-def order_statistic(x: np.ndarray, tau: float) -> np.ndarray:
-    """The left-continuous empirical tau-quantile along the last axis of
-    x: its ceil(n tau)-th smallest entry, at least the first."""
-    k = max(int(math.ceil(x.shape[-1] * tau)), 1)
-    return np.partition(x, k - 1, axis=-1)[..., k - 1]
-
-
 @dataclass(frozen=True, eq=False)
 class Sample:
     """Observed points inside a declared rectangle of the sample space."""
@@ -691,18 +684,14 @@ def invert_cdf(m: PiecewiseField, tau: float, *, strict: bool = True):
     return out if rows else float(out)
 
 
-def quantile(P, tau: float, axis: int = 0) -> float:
-    """Left-continuous quantile. GridDensity: linear interpolation of the
-    cumulative-trapezoid CDF, with cells split at known density jumps.
-    Sample: empirical inverse CDF (the ceil(n*tau) order statistic)."""
+def quantile(P: GridDensity, tau: float, axis: int = 0) -> float:
+    """Left-continuous quantile of a grid density: linear interpolation of
+    the cumulative-trapezoid CDF, with cells split at known density jumps.
+    A sample's empirical quantile is `functionals.evaluate` on the Sample."""
     if not (0.0 < tau < 1.0):
         raise SensanError("quantile level must be strictly inside (0, 1)")
-    if isinstance(P, Sample):
-        if axis >= P.ndim:
-            raise SensanError("quantile axis out of range")
-        return float(order_statistic(P.coord(axis), tau))
     if not isinstance(P, GridDensity):
-        raise SensanError("quantile expects a GridDensity or a Sample")
+        raise SensanError("quantile expects a GridDensity")
     if axis >= P.grid.ndim:
         raise SensanError("quantile axis out of range")
     return invert_cdf(P.marginal(axis), tau, strict=True)
@@ -755,6 +744,17 @@ def _reflection_operator(ax: GridAxis, b: float, first: int, size: int) -> np.nd
             + sliding_window_view(mirrored, size))
 
 
+def silverman_bandwidth(x: np.ndarray) -> float:
+    """The Silverman rule 1.06 * sd * n^(-1/5) for the coordinates x;
+    refused when they are all equal, whose sd can round to 1e-17, or
+    their sd rounds to zero."""
+    n = len(x)
+    sd = float(np.std(x, ddof=1)) if np.ptp(x) > 0.0 else 0.0
+    if sd <= 0.0:
+        raise SensanError("degenerate sample: zero variance, cannot pick a bandwidth")
+    return 1.06 * sd * n ** (-0.2)
+
+
 def kde_fit(sample: Sample, grid: Grid, bandwidth: float | None = None) -> GridDensity:
     """Gaussian product-kernel density estimate on the grid, computed from
     linearly binned counts (Silverman 1982; Wand 1994).
@@ -781,12 +781,7 @@ def kde_fit(sample: Sample, grid: Grid, bandwidth: float | None = None) -> GridD
                               f"outside the grid's [{ax.lo:g}, {ax.hi:g}]")
     n = sample.n
     if bandwidth is None:
-        bands = []
-        for a in range(grid.ndim):
-            sd = float(np.std(sample.coord(a), ddof=1)) if n > 1 else 0.0
-            if sd <= 0.0:
-                raise SensanError("degenerate sample: zero variance, cannot pick a bandwidth")
-            bands.append(1.06 * sd * n ** (-0.2))
+        bands = [silverman_bandwidth(sample.coord(a)) for a in range(grid.ndim)]
     elif isinstance(bandwidth, numbers.Real) and 0.0 < bandwidth < math.inf:
         bands = [float(bandwidth)] * grid.ndim
     else:

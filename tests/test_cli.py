@@ -590,6 +590,20 @@ def test_mc_plugin_without_grid_spans_the_sample_range(tmp_path, capsys):
     assert rep["plugin_sensitivity"] == want
 
 
+@pytest.mark.parametrize("grid", [[], ["--grid", "101"]],
+                         ids=["no-grid", "grid-101"])
+@pytest.mark.parametrize("x", ["0.5", "0.1"])
+def test_mc_plugin_refuses_a_sample_with_no_spread(tmp_path, capsys, x, grid):
+    """Three equal points leave no bandwidth to pick: with or without a
+    grid the run exits 1 with kde_fit's message, not one about a grid
+    the user never set. The sd of three 0.1s rounds to 1.7e-17, not 0."""
+    cfg = _plugin_config(tmp_path, f"x\n{x}\n{x}\n{x}\n")
+    assert main(["mc", "--config", cfg, *grid]) == 1
+    err = capsys.readouterr().err
+    assert "degenerate sample: zero variance, cannot pick a bandwidth" in err
+    assert "grid" not in err and "Traceback" not in err, err
+
+
 def _ratio_plugin_config(tmp_path, ratio_kind, **extra):
     """A plug-in run on 400 points uniform on [2, 3] (seed 1) with a
     known or kde ratio against the density 0.5 + x."""

@@ -418,6 +418,67 @@ def test_joint_harness_refusals_match_the_oracle():
         assert str(err.value) == want
 
 
+def _consistency_by_replication(P, psi, nu, ratio, n_grid, reps, seed):
+    """The consistency harness one replication at a time, from the public
+    sample_from, estimated_influence and plugin_sensitivity: the
+    estimates at each size, or the SensanError they raise."""
+    try:
+        estimates = {}
+        for n in n_grid:
+            vals = np.empty(reps)
+            for rep in range(reps):
+                rng = np.random.default_rng(np.random.SeedSequence((seed, n, rep)))
+                s = sample_from(P, n, rng)
+                vals[rep] = plugin_sensitivity(PluginConfig(
+                    estimated_influence(psi, s, P.grid),
+                    estimated_influence(nu, s, P.grid), ratio, s))
+            estimates[n] = vals
+        return estimates
+    except SensanError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("ratio", ["information", "known", "kde"])
+@pytest.mark.parametrize("ndim", [1, 2])
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(which=st.integers(0, 1),
+       kinds=st.tuples(st.integers(0, 99), st.integers(0, 99)),
+       n=st.sampled_from([2049, 5000]),
+       fill=st.sampled_from(["below", "at", "above"]),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_consistency_harness_equals_the_per_replication_oracle(
+        ndim, which, kinds, ratio, n, fill, seed):
+    """Drawing in blocks and building each replication's Sample from its
+    block row gives every plug-in estimate bit for bit, under each ratio,
+    with reps below, at and just above one block at n, which does not
+    divide it, and so over more than one block at 2n + 1; a refusal is
+    the one the one-at-a-time loop raises. The constant moment is left
+    out: its plug-in estimate is 0 at every replication, so it cannot
+    tell one replication's stream from another."""
+    P = _JOINT_DENSITIES[ndim][which]
+    options = [F for F in _kinds(ndim) if F.label != "moment[0.1]"]
+    psi, nu = (options[k % len(options)] for k in kinds)
+    Q = GridDensity.from_callable(P.grid, lambda x, *rest: 0.5 + x)
+    estimator = {"information": RatioInformation(),
+                 "known": RatioKnown(likelihood_ratio(P, Q)),
+                 "kde": RatioKde(Q)}[ratio]
+    rows = _SAMPLE_BLOCK // (ndim * n)
+    assert 1 < rows and rows * ndim * n != _SAMPLE_BLOCK
+    reps = {"below": rows - 1, "at": rows, "above": rows + 1}[fill]
+    n_grid = (777, n, 2 * n + 1)
+    want = _consistency_by_replication(P, psi, nu, estimator, n_grid, reps,
+                                       seed)
+    if isinstance(want, str):
+        with pytest.raises(SensanError) as err:
+            mc_consistency(P, psi, nu, estimator, n_grid, reps, seed, 0.0)
+        assert str(err.value) == want
+        return
+    got = mc_consistency(P, psi, nu, estimator, n_grid, reps, seed, 0.0)
+    for m in n_grid:
+        assert got.estimates[m].tobytes() == want[m].tobytes()
+        assert got.rmse[m] == float(np.sqrt(np.mean(want[m] ** 2)))
+
+
 def test_stacked_evaluate_rows_equal_single_samples():
     """evaluate on points of shape (..., n, ndim) gives one estimate per
     sample, each the float evaluate gives that sample alone; the

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundles import mean_over_median
-from sensan import (Grid, GridDensity, TangentVector, composite,
-                    counterfactual_density, evaluate, functionals, influence,
-                    influence_analytic, influence_numerical, inner_p, moment,
-                    parse_functional, quantile_functional, variance)
+from sensan import (Grid, GridDensity, Sample, TangentVector, composite,
+                    counterfactual_density, estimated_influence, evaluate,
+                    functionals, influence, influence_analytic,
+                    influence_numerical, inner_p, moment, parse_functional,
+                    quantile_functional, variance)
 from sensan.errors import ConfigError, SensanError
 from sensan.families import beta, linear, quadratic, truncated_normal, uniform
 from sensan.functionals import (_FD_STEP, _evaluator, _node_gradient,
@@ -51,6 +52,27 @@ def test_functional_construction_errors():
         quantile_functional(1.0)
     with pytest.raises(SensanError, match="needs an evaluator"):
         composite(None)
+
+
+_U41 = uniform(Grid.line(0.0, 1.0, 41))
+_S1 = Sample(np.linspace(0.05, 0.95, 19), (0.0,), (1.0,))
+
+
+@pytest.mark.parametrize("call", [
+    lambda F: evaluate(F, _U41),
+    lambda F: influence_analytic(F, _U41),
+    lambda F: influence_numerical(F, _U41),
+    lambda F: evaluate(F, _S1),
+    lambda F: estimated_influence(F, _S1)(_S1.points),
+], ids=["evaluate-grid", "analytic", "numerical", "evaluate-sample",
+        "estimated"])
+@pytest.mark.parametrize("F", [variance(1), quantile_functional(0.5, 1)],
+                         ids=["variance", "quantile"])
+def test_an_axis_past_the_dimension_is_refused_by_name(F, call):
+    """Every grid and sample path that reads a variance's or a quantile's
+    axis refuses one the 1-d density or sample does not have."""
+    with pytest.raises(SensanError, match=f"^{F.kind} axis out of range$"):
+        call(F)
 
 
 def test_moment_influence_is_centered_rho():

@@ -11,7 +11,7 @@ from sensan import Grid, GridDensity, Sample, integrate, quantile, density_at
 from sensan.errors import SensanError
 import sensan.model_space as model_space
 from sensan import artifacts
-from sensan import (counterfactual_density, counterfactual_report,
+from sensan import (counterfactual_density, counterfactual_report, evaluate,
                     grad_op_apply, influence, information_metric, moment,
                     quantile_functional, sensitivity)
 from sensan.families import beta, linear, quadratic, truncated_normal, uniform
@@ -524,10 +524,14 @@ def test_quantile_beta_against_closed_form_cdf():
 
 
 def test_quantile_on_sample_is_order_statistic():
+    """A sample's quantile is the functional's estimate, the ceil(n tau)-th
+    order statistic; `quantile` itself takes grid densities only."""
     s = Sample(np.array([0.9, 0.1, 0.5, 0.3, 0.7]), (0.0,), (1.0,))
-    assert quantile(s, 0.5) == 0.5
-    assert quantile(s, 0.2) == 0.1
-    assert quantile(s, 0.21) == 0.3
+    assert evaluate(quantile_functional(0.5), s) == 0.5
+    assert evaluate(quantile_functional(0.2), s) == 0.1
+    assert evaluate(quantile_functional(0.21), s) == 0.3
+    with pytest.raises(SensanError, match="expects a GridDensity"):
+        quantile(s, 0.5)
 
 
 def test_quantile_level_bounds():
@@ -869,7 +873,7 @@ def quantile_sources(draw):
 @given(quantile_sources(), st.lists(st.floats(0.001, 0.999), min_size=2,
                                     max_size=12))
 def test_quantile_is_nondecreasing_in_tau(P, taus):
-    values = [quantile(P, tau) for tau in sorted(taus)]
+    values = [evaluate(quantile_functional(tau), P) for tau in sorted(taus)]
     assert all(b >= a for a, b in zip(values, values[1:])), values
 
 

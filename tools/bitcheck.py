@@ -35,7 +35,12 @@ The lines cover:
   tables of a 1-d mean/median (n = 200, 40 replications) and
   variance/median (n = 5000, 13 replications), and of the `x*y` moment
   against the axis-1 median on the 41² density 1 + x*y (n = 700, 9
-  replications); one `mc_consistency` table; and `likelihood_ratio` of
+  replications); `mc_consistency` tables of a 1-d mean/median under the
+  information ratio (n = 60, 120, 240; 6 replications) and under the kde
+  ratio (n = 2049, 3000, 5000; 16 replications), and of the `x*y` moment
+  against the axis-1 median on the 41² density 1 + x*y under a known ratio
+  (n = 700, 2049, 5000; 8 replications), where the last two cross a
+  sampler block at more than one size; and `likelihood_ratio` of
   Beta(2, 5) over itself and over Beta(2, 2), which vanish at both end
   nodes
 - GMM solutions (theta, Omega, Pg, G) and the fields of `gmm_influence`,
@@ -287,10 +292,20 @@ def sample_side(sensan) -> None:
         res = sensan.mc_joint_asymptotics(P, psi, nu, n, reps, seed)
         emit(f"mc_joint/{label}", res.estimates[n], res.empirical_cov[n],
              res.lambda_hat, res.delta_hat)
-    res = sensan.mc_consistency(P1, mean, median, sensan.RatioInformation(),
-                                (60, 120, 240), 6, 11, 0.0)
-    emit("mc_consistency/beta23/information", *(res.estimates[n] for n in
-                                                res.n_grid), res.rmse)
+    Q2 = sensan.GridDensity.from_callable(P2.grid, lambda x, y: 0.5 + x)
+    consistency = [
+        ("beta23/information", P1, mean, median, sensan.RatioInformation(),
+         (60, 120, 240), 6, 11),
+        ("beta23/kde/2049-5000x16", P1, mean, median, sensan.RatioKde(Q),
+         (2049, 3000, 5000), 16, 12),
+        ("1+xy/known/xy-q0.5/1/700-5000x8", P2,
+         sensan.moment(lambda x, y: x * y), sensan.quantile_functional(0.5, 1),
+         sensan.RatioKnown(sensan.likelihood_ratio(P2, Q2)),
+         (700, 2049, 5000), 8, 13)]
+    for label, P, psi, nu, ratio, n_grid, reps, seed in consistency:
+        res = sensan.mc_consistency(P, psi, nu, ratio, n_grid, reps, seed, 0.0)
+        emit(f"mc_consistency/{label}", *(res.estimates[n] for n in
+                                          res.n_grid), res.rmse)
 
     B25 = sensan.build_family({"family": "beta", "alpha": 2, "beta": 5}, line)
     B22 = sensan.build_family({"family": "beta", "alpha": 2, "beta": 2}, line)
