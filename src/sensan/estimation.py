@@ -14,9 +14,14 @@ with r identically one on the information path, where it collapses to
 Pn(psi~ nu~); the information and unit-known-ratio runs agree bit for
 bit because they execute the same code on the same arrays.
 
-Replication seeds derive from (master_seed, n, rep), so results are
+Replication rep draws from the stream of
+default_rng(SeedSequence((master_seed, n, rep))), so results are
 reproducible no matter how replications are scheduled; reductions use
-numpy pairwise summation over rep-ordered arrays.
+numpy pairwise summation over rep-ordered arrays. _rep_streams builds
+these streams for a harness call at once: SeedSequence's hashing runs as
+uint32 array operations over 1024 reps at a time, PCG64's seeding in
+Python ints, and each rep's state is set on one reused Generator. Both
+uniform harnesses and the multinomial harness draw from it.
 
 Samples come from inverting grid CDFs. Both harnesses draw through
 _sample_blocks: one CDF table per sample size (in two dimensions, the X
@@ -35,6 +40,7 @@ is drawn alone by sample_from or as a row of a block.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,8 +272,111 @@ class McResult:
         }
 
 
-def _rep_rng(master_seed: int, n: int, rep: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((master_seed, n, rep)))
+# --- replication streams ------------------------------------------------------------
+#
+# SeedSequence (NumPy NEP 19) hashes its entropy words into a pool of four
+# uint32 words and generates PCG64's seed from it; PCG64 then seeds itself
+# by srandom (O'Neill 2014). Building that for each rep costs about 13 us,
+# but the steps are the same for every rep of a call, so the hashing runs
+# on arrays of reps and the seeding in Python ints.
+
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875          # SeedSequence mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED          # SeedSequence output
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645     # PCG64's 128-bit LCG
+# reps whose streams are hashed at once; a power of two, so that no chunk
+# holds reps on both sides of a multiple of 2**32
+_STREAM_CHUNK = 1 << 10
+
+
+def _words(v: int) -> list[int]:
+    """SeedSequence's uint32 words of the non-negative int v, low first."""
+    words = [v & _MASK32]
+    while v > _MASK32:
+        v >>= 32
+        words.append(v & _MASK32)
+    return words
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int):
+    """SeedSequence's hashmix of a uint32 array, and the next hash
+    constant; the constants stay masked Python ints, so the arithmetic
+    is on arrays and wraps without a warning."""
+    value = value ^ const
+    const = (const * mult) & _MASK32
+    value = value * const
+    return value ^ (value >> 16), const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def _pcg64_states(master_seed: int, n: int, first: int,
+                  count: int) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64(SeedSequence((master_seed, n, rep))) for rep
+    = first, ..., first + count - 1, reps that share every uint32 word but
+    the lowest."""
+    entropy = [np.full(count, w, dtype=np.uint32)
+               for w in _words(master_seed) + _words(n)]
+    low = first & _MASK32
+    entropy.append(np.arange(low, low + count, dtype=np.uint32))
+    if first >> 32:
+        entropy += [np.full(count, w, dtype=np.uint32)
+                    for w in _words(first >> 32)]
+    # the pool: hash the first four words in, mix every word into every
+    # other, then mix each further word into all four
+    const = _INIT_A
+    pool = []
+    for i in range(4):
+        word = entropy[i] if i < len(entropy) else np.zeros(count, np.uint32)
+        word, const = _hashmix(word, const, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                h, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], h)
+    for word in entropy[4:]:
+        for dst in range(4):
+            h, const = _hashmix(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], h)
+    # generate_state(4, uint64): eight words off the pool, paired
+    # little-endian into the seed's and the sequence's 64-bit halves
+    const = _INIT_B
+    out = []
+    for k in range(8):
+        word, const = _hashmix(pool[k % 4], const, _MULT_B)
+        out.append(word.astype(np.uint64))
+    halves = [(out[k] | (out[k + 1] << 32)).tolist() for k in range(0, 8, 2)]
+    states = []
+    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*halves):
+        # srandom: state 0, one step, add the seed, one more step
+        inc = ((((seq_hi << 64) | seq_lo) << 1) | 1) & _MASK128
+        seed = (seed_hi << 64) | seed_lo
+        states.append((((inc + seed) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _rep_streams(master_seed: int, n: int, reps: int):
+    """Yield reps replication streams: the k-th is one reused Generator
+    set to default_rng(SeedSequence((master_seed, n, k))), valid until the
+    next is taken. A master_seed or n that is not a non-negative integer
+    is refused by name."""
+    for key, v in (("master_seed", master_seed), ("n", n)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
+            raise ConfigError(key, f"expected a non-negative integer, got {v!r}")
+    rng = np.random.Generator(np.random.PCG64())  # its state is set per rep
+    for first in range(0, reps, _STREAM_CHUNK):
+        for state, inc in _pcg64_states(int(master_seed), int(n), first,
+                                        min(_STREAM_CHUNK, reps - first)):
+            rng.bit_generator.state = {"bit_generator": "PCG64",
+                                       "state": {"state": state, "inc": inc},
+                                       "has_uint32": 0, "uinteger": 0}
+            yield rng
 
 
 def _sample_blocks(P: GridDensity, n: int, reps: int, master_seed: int):
@@ -277,14 +386,15 @@ def _sample_blocks(P: GridDensity, n: int, reps: int, master_seed: int):
     inverted through one CDF table and checked at once."""
     if n < 1:
         raise SensanError("sample must be a nonempty array of points")
+    streams = _rep_streams(master_seed, n, reps)
     points = _inverse_cdf(P)
     lo, hi = _bounds(P.grid)
     rows = max(1, _SAMPLE_BLOCK // (P.grid.ndim * n))
     u = np.empty((min(rows, reps), P.grid.ndim, n))
     for r0 in range(0, reps, rows):
         block = u[:min(rows, reps - r0)]
-        for r, row in enumerate(block):
-            _rep_rng(master_seed, n, r0 + r).random(out=row)
+        for row, rng in zip(block, streams):
+            rng.random(out=row)
         pts = points(block)
         check_points(pts, lo, hi)
         yield r0, pts
@@ -391,9 +501,9 @@ def mc_joint_multinomial(model: Multinomial, i: int, j: int, n: int,
                          reps: int, master_seed: int) -> McResult:
     """Joint asymptotics of two cell frequencies."""
     p = np.asarray(model.probs, dtype=float)
-    pairs = np.empty((reps, 2))
-    for rep in range(reps):
-        rng = _rep_rng(master_seed, n, rep)
-        counts = rng.multinomial(n, p)
-        pairs[rep] = counts[i] / n, counts[j] / n
+    counts = np.empty((reps, len(p)), dtype=np.int64)
+    for row, rng in zip(counts, _rep_streams(master_seed, n, reps)):
+        row[:] = rng.multinomial(n, p)
+    # C order, as np.cov's bits depend on it
+    pairs = np.stack([counts[:, i], counts[:, j]], axis=1) / n
     return _joint_result(pairs, n, master_seed, float(p[i]), float(p[j]))

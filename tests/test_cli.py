@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import sensan.functionals
 from sensan import (Grid, GridDensity, PluginConfig, RatioInformation,
-                    Sample, estimated_influence, information_metric,
+                    Sample, estimated_influence, evaluate, information_metric,
                     parse_functional, plugin_sensitivity, sample_from,
                     sensitivity, variance)
 from sensan.cli import main
@@ -302,6 +302,41 @@ def test_mc_joint_multinomial(tmp_path, capsys):
     assert abs(cov[0, 1] + 0.15) < 0.02
     header = (out_dir / "table.csv").read_text().splitlines()[0]
     assert header == "n,rep,psi_hat,nu_hat"
+
+
+@pytest.mark.parametrize("case", ["multinomial", "1d"])
+def test_mc_joint_takes_a_multiword_seed(tmp_path, capsys, case):
+    """A seed of 2**64 + 5, three uint32 words to SeedSequence, runs, and
+    the table holds the estimates of a loop that builds each replication's
+    generator from SeedSequence((seed, n, rep))."""
+    seed, n, reps = 2 ** 64 + 5, 300, 12
+    probs = [0.5, 0.3, 0.2]
+    if case == "multinomial":
+        cfg = {"distribution": {"family": "multinomial", "probs": probs},
+               "cells": [2, 0]}
+    else:
+        cfg = {**MEAN_MEDIAN, "grid": {"lo": 0.0, "hi": 1.0, "n": 201}}
+    path = _write(tmp_path, "mc.json", {**cfg, "mode": "joint", "n": n,
+                                        "reps": reps, "seed": seed})
+    out_dir = tmp_path / "out"
+    assert main(["mc", "--config", path, "--out", str(out_dir)]) == 0
+    rows = [line.split(",") for line in
+            (out_dir / "table.csv").read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [[str(n), str(r)] for r in range(reps)]
+    got = np.array([[float(v) for v in row[2:]] for row in rows])
+    P = uniform(Grid.line(0.0, 1.0, 201))
+    psi = parse_functional(MEAN_MEDIAN["psi"], 1)
+    nu = parse_functional(MEAN_MEDIAN["nu"], 1)
+    want = np.empty((reps, 2))
+    for rep in range(reps):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, n, rep)))
+        if case == "multinomial":
+            counts = rng.multinomial(n, probs)
+            want[rep] = counts[2] / n, counts[0] / n
+        else:
+            sample = sample_from(P, n, rng)
+            want[rep] = evaluate(psi, sample), evaluate(nu, sample)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_mc_consistency_mode(tmp_path, capsys):

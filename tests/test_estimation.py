@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sensan.estimation
@@ -18,7 +18,8 @@ from sensan import (Grid, GridDensity, Multinomial, PluginConfig,
                     sensitivity, variance)
 from sensan.artifacts import write_json
 from sensan.errors import ConfigError, SensanError
-from sensan.estimation import _SAMPLE_BLOCK, _joint_result
+from sensan.estimation import (_SAMPLE_BLOCK, _STREAM_CHUNK, _joint_result,
+                               _pcg64_states, _rep_streams)
 from sensan.families import beta, linear, uniform
 from sensan.model_space import (_cumtrapz, _simpson_reduce, likelihood_ratio,
                                  locate)
@@ -584,6 +585,107 @@ def test_multinomial_joint_mc_recovers_the_covariance():
     assert abs(cov[0, 1] + 0.15) < 0.03
     assert abs(cov[0, 0] - 0.25) < 0.03
     assert res.lambda_hat == pytest.approx(cov[0, 1] / cov[1, 1])
+
+
+def _multinomial_by_replication(probs, n, reps, seed):
+    """The multinomial harness's count table, one default_rng per
+    replication."""
+    return np.array([
+        np.random.default_rng(np.random.SeedSequence((seed, n, rep)))
+        .multinomial(n, probs) for rep in range(reps)])
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 31 - 1, 2 ** 64 + 5, 2 ** 100 + 7])
+@pytest.mark.parametrize("reps", [2, 7, 1025])
+def test_multinomial_harness_equals_the_per_replication_oracle(seed, reps):
+    """Each replication's cell frequencies, the covariance bytes, Lambda
+    and Delta equal those of a loop that builds every replication's
+    generator from its SeedSequence, for 2-, 3- and 5-cell models, a pair
+    of cells in either order and a cell against itself, with reps past a
+    1024-rep chunk and multiword seeds; a refusal has the loop's
+    message."""
+    n = 1000
+    models = [(0.4, 0.6), (0.5, 0.3, 0.2), (0.1, 0.15, 0.2, 0.25, 0.3)]
+    for probs in models:
+        counts = _multinomial_by_replication(probs, n, reps, seed)
+        for i, j in ((0, 1), (2, 0), (1, 1)):
+            if max(i, j) >= len(probs):
+                continue
+            pairs = np.empty((reps, 2))
+            for rep in range(reps):
+                pairs[rep] = counts[rep, i] / n, counts[rep, j] / n
+            try:
+                want = _joint_result(pairs, n, seed, probs[i], probs[j])
+            except SensanError as exc:
+                with pytest.raises(SensanError) as err:
+                    mc_joint_multinomial(Multinomial(probs), i, j, n, reps, seed)
+                assert str(err.value) == str(exc)
+                continue
+            got = mc_joint_multinomial(Multinomial(probs), i, j, n, reps, seed)
+            assert got.estimates[n].tobytes() == want.estimates[n].tobytes()
+            assert (got.empirical_cov[n].tobytes()
+                    == want.empirical_cov[n].tobytes())
+            assert ((got.lambda_hat, got.delta_hat)
+                    == (want.lambda_hat, want.delta_hat))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(0, 2 ** 130 - 1), n=st.integers(0, 2 ** 130 - 1),
+       tail=st.integers(1, 3))
+@example(m=0, n=0, tail=1)
+@example(m=2 ** 100 + 7, n=2 ** 40, tail=2)
+@example(m=2 ** 130 - 1, n=2 ** 130 - 1, tail=3)
+def test_rep_streams_are_numpys_seedsequence_streams(m, n, tail):
+    """The k-th replication stream is PCG64(SeedSequence((m, n, k))): the
+    same state, the same first random(8) and the same multinomial after
+    it, for seeds and sizes of one to five uint32 words (past four, the
+    extra-entropy loop runs) and reps across a hashing chunk."""
+    reps = _STREAM_CHUNK + tail
+    check = {0, 1, _STREAM_CHUNK - 1, _STREAM_CHUNK, reps - 1}
+    seen = 0
+    for rep, rng in enumerate(_rep_streams(m, n, reps)):
+        seen += 1
+        if rep not in check:
+            continue
+        bits = np.random.PCG64(np.random.SeedSequence((m, n, rep)))
+        assert rng.bit_generator.state == bits.state
+        want = np.random.Generator(bits)
+        assert rng.random(8).tobytes() == want.random(8).tobytes()
+        assert np.array_equal(rng.multinomial(700, [0.2, 0.5, 0.3]),
+                              want.multinomial(700, [0.2, 0.5, 0.3]))
+    assert seen == reps
+
+
+def test_stream_states_of_reps_of_two_words():
+    """Reps at and past 2**32 take a second uint32 word, as SeedSequence
+    splits them."""
+    for first in (2 ** 32 - 4, 2 ** 32, 2 ** 32 + 1024, 2 ** 70 + 3):
+        for k, (state, inc) in enumerate(_pcg64_states(9, 13, first, 4)):
+            want = np.random.PCG64(
+                np.random.SeedSequence((9, 13, first + k))).state["state"]
+            assert (state, inc) == (want["state"], want["inc"])
+
+
+def test_harnesses_refuse_a_bad_master_seed_by_name():
+    """Each Monte Carlo harness refuses a master seed that is not a
+    non-negative integer, naming it, and the multinomial harness a
+    negative n; a numpy integer seed is the int."""
+    m = Multinomial((0.5, 0.3, 0.2))
+    calls = [lambda s: mc_consistency(U, MEAN, MEDIAN, RatioInformation(),
+                                      (20, 40, 80), 3, s, 0.1),
+             lambda s: mc_joint_asymptotics(U, MEAN, MEDIAN, 60, 3, s),
+             lambda s: mc_joint_multinomial(m, 0, 1, 60, 3, s)]
+    for seed in (-1, 1.5, True, "3", None):
+        for call in calls:
+            with pytest.raises(SensanError, match="config key 'master_seed': "
+                               "expected a non-negative integer"):
+                call(seed)
+    with pytest.raises(SensanError, match="config key 'n': expected a "
+                       "non-negative integer"):
+        mc_joint_multinomial(m, 0, 1, -5, 3, 0)
+    a = mc_joint_multinomial(m, 0, 1, 60, 3, np.int64(7))
+    assert a.estimates[60].tobytes() == (
+        mc_joint_multinomial(m, 0, 1, 60, 3, 7).estimates[60].tobytes())
 
 
 def test_mc_results_compare_by_identity():

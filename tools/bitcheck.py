@@ -35,9 +35,13 @@ The lines cover:
   tables of a 1-d mean/median (n = 200, 40 replications) and
   variance/median (n = 5000, 13 replications), and of the `x*y` moment
   against the axis-1 median on the 41² density 1 + x*y (n = 700, 9
-  replications); `mc_consistency` tables of a 1-d mean/median under the
-  information ratio (n = 60, 120, 240; 6 replications) and under the kde
-  ratio (n = 2049, 3000, 5000; 16 replications), and of the `x*y` moment
+  replications); the 1-d mean/median table again at the multiword master
+  seeds 2^64 + 5 and 2^100 + 7; `mc_joint_multinomial` tables of cells
+  (0, 1) and (2, 0) of the probabilities (0.5, 0.3, 0.2) at n = 5000 with
+  5000 replications, at seeds 14 and 15 and at 2^64 + 5 and 2^100 + 7;
+  `mc_consistency` tables of a 1-d mean/median under the information ratio
+  (n = 60, 120, 240; 6 replications) and under the kde ratio (n = 2049,
+  3000, 5000; 16 replications), and of the `x*y` moment
   against the axis-1 median on the 41² density 1 + x*y under a known ratio
   (n = 700, 2049, 5000; 8 replications), where the last two cross a
   sampler block at more than one size; and `likelihood_ratio` of
@@ -288,10 +292,20 @@ def sample_side(sensan) -> None:
                5000, 13, 4),
               ("1+xy/xy-q0.5/1/700x9", P2, sensan.moment(lambda x, y: x * y),
                sensan.quantile_functional(0.5, 1), 700, 9, 5)]
+    for seed in (2 ** 64 + 5, 2 ** 100 + 7):
+        joints.append((f"beta23/200x40/seed{seed}", P1, mean, median, 200, 40,
+                       seed))
     for label, P, psi, nu, n, reps, seed in joints:
         res = sensan.mc_joint_asymptotics(P, psi, nu, n, reps, seed)
         emit(f"mc_joint/{label}", res.estimates[n], res.empirical_cov[n],
              res.lambda_hat, res.delta_hat)
+    cells = sensan.Multinomial((0.5, 0.3, 0.2))
+    for (i, j), seed in (((0, 1), 14), ((2, 0), 15), ((0, 1), 2 ** 64 + 5),
+                         ((2, 0), 2 ** 100 + 7)):
+        res = sensan.mc_joint_multinomial(cells, i, j, 5000, 5000, seed)
+        emit(f"mc_joint_multinomial/{i}{j}/5000x5000/seed{seed}",
+             res.estimates[5000], res.empirical_cov[5000], res.lambda_hat,
+             res.delta_hat)
     Q2 = sensan.GridDensity.from_callable(P2.grid, lambda x, y: 0.5 + x)
     consistency = [
         ("beta23/information", P1, mean, median, sensan.RatioInformation(),
