@@ -38,6 +38,8 @@ def _as_kind(value, kind):
         return list(value) if isinstance(value, (list, tuple)) else None
     if kind not in (int, float):
         return value if isinstance(value, kind) else None
+    if kind is int and isinstance(value, numbers.Integral):
+        return int(value)   # of any size: float() would overflow past 2^1023
     try:
         x = float(value) if isinstance(value, numbers.Real) else math.nan
     except OverflowError:

@@ -499,7 +499,12 @@ class Multinomial:
 
 def mc_joint_multinomial(model: Multinomial, i: int, j: int, n: int,
                          reps: int, master_seed: int) -> McResult:
-    """Joint asymptotics of two cell frequencies."""
+    """Joint asymptotics of two cell frequencies; n draws per replication,
+    at least one."""
+    # n = 0 would divide by zero; _rep_streams refuses every other n that
+    # is not a positive integer
+    if n == 0:
+        raise ConfigError("n", f"expected a positive integer, got {n!r}")
     p = np.asarray(model.probs, dtype=float)
     counts = np.empty((reps, len(p)), dtype=np.int64)
     for row, rng in zip(counts, _rep_streams(master_seed, n, reps)):

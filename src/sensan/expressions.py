@@ -222,18 +222,27 @@ def as_array_function(expr: Poly, variables: tuple[str, ...]):
              for e, c in zip(expr.terms, _floats(expr))]
 
     def wrapped(*args):
+        # x ** 1 is x, and 1.0 * p is p for a floating p, so neither is
+        # computed; the closing 0.0 + ... still turns -0.0 into 0.0, and
+        # no array is written in place
         powers = {}
         out = 0.0
         for c, factors in terms:
             val = c
-            for key in factors:
+            for j, key in enumerate(factors):
                 p = powers.get(key)
                 if p is None:
                     i, k = key
-                    p = powers[key] = args[i] ** k
-                val = val * p
+                    p = powers[key] = args[i] if k == 1 else args[i] ** k
+                val = p if j == 0 and c == 1.0 and _floating(p) else val * p
             out = out + val
         return np.broadcast_to(np.asarray(out, dtype=float),
                                np.broadcast_shapes(*(np.shape(a) for a in args)))
 
     return wrapped
+
+
+def _floating(p) -> bool:
+    """Whether 1.0 * p has the bits of p: a real floating scalar or array."""
+    return isinstance(p, float) or (isinstance(p, (np.ndarray, np.generic))
+                                    and p.dtype.kind == "f")

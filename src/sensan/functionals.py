@@ -21,7 +21,10 @@ for a Gaussian bump G_z of shrinking width sigma_j = sigma0 * 2^-j, down
 to two grid spacings, extrapolated in the bump width. The derivative is
 linear in the bump, so every width and every z comes from one node
 gradient of psi (central differences at every node) smoothed by a
-convolution along each axis. Each kind takes the node gradient its own
+convolution along each axis. The convolutions go by real FFT: along each
+axis one transform of the node gradient and the Simpson weights together,
+a product with each width's kernel transform and one inverse, of which
+the "valid" entries are kept. Each kind takes the node gradient its own
 way:
 
     moment, variance  central differences of the one or three integrals
@@ -406,19 +409,30 @@ def _stacked_gradient(psi, P: GridDensity, nodes: np.ndarray,
     return g.reshape(P.grid.shape)
 
 
-def _smooth(grid: Grid, a: np.ndarray, sigma: float) -> np.ndarray:
-    """sum_k a_k exp(-|x - x_k|^2 / 2 sigma^2) at every node x: the
-    Gaussian is a tensor product and Toeplitz on each uniform axis, so it
-    is a "valid" convolution along every axis line with the kernel at
-    offsets -(n-1) h .. (n-1) h."""
+def _smooth(grid: Grid, a: np.ndarray, sigmas) -> np.ndarray:
+    """sum_k a_k exp(-|x - x_k|^2 / 2 sigma^2) at every node x, for every
+    field of the stack `a` (fields along its leading axis) and every width
+    in `sigmas`: shape (len(sigmas),) + a.shape. The Gaussian is a tensor
+    product and Toeplitz on each uniform axis, so along every axis line it
+    is the "valid" part of a convolution with the kernel at offsets
+    -(n-1) h .. (n-1) h, entries n-1 .. 2n-2 of the full one. Each axis
+    takes one real FFT of the whole stack at L, the smallest power of two
+    of at least 2n - 1, multiplies it by each width's kernel transform and
+    inverts: the full convolution's entries from L on fold onto 0 .. n-2
+    alone, so the kept ones are the direct sums up to rounding."""
+    sigmas = np.asarray(sigmas, dtype=float)
+    lead = a.ndim - grid.ndim + 1   # a[None]'s first grid axis
+    a = a[None]
     for axis, ax in enumerate(grid.axes):
-        d = np.arange(1 - ax.n, ax.n) * (ax.spacing / sigma)
-        kernel = np.exp(-0.5 * d * d)
-        lines = np.moveaxis(a, axis, -1)
-        out = np.empty(lines.shape)
-        for idx in np.ndindex(lines.shape[:-1]):
-            out[idx] = np.convolve(lines[idx], kernel, "valid")
-        a = np.moveaxis(out, -1, axis)
+        n, at = ax.n, lead + axis
+        size = 1 << (2 * n - 2).bit_length()
+        d = np.arange(1 - n, n) * (ax.spacing / sigmas)[:, None]
+        kernels = np.fft.rfft(np.exp(-0.5 * d * d), size)
+        kernels = np.expand_dims(kernels, tuple(range(1, at))
+                                 + tuple(range(at + 1, a.ndim)))
+        full = np.fft.irfft(np.fft.rfft(a, size, axis=at) * kernels, size,
+                            axis=at)
+        a = full[(slice(None),) * at + (slice(n - 1, 2 * n - 1),)]
     return a
 
 
@@ -443,7 +457,10 @@ def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
         level_j = (B_j g) / n_j - Dpsi,    n_j = B_j w,
 
     with B_j the bump matrix (applied as a convolution along each axis,
-    never built) and w the Simpson weights. Dividing by the exact Simpson
+    never built) and w the Simpson weights. The convolutions run by real
+    FFT (_smooth): per axis one transform of the stack [g, w], one product
+    with every width's kernel transform and one inverse, O(n log n) per
+    axis line, the direct sums to rounding. Dividing by the exact Simpson
     mass of the same bump makes the split exact, and it also lets the
     ladder run down to two grid spacings: the 4:2 ripple of the Simpson
     weights, which g inherits, has period 2h, and a bump of width 2h
@@ -460,12 +477,12 @@ def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
     psi = _evaluator(F, grid)
     g = _node_gradient(F, P, t)
     dpsi = (psi(P.scale(1.0 + t)) - psi(P.scale(1.0 - t))) / (2.0 * t)
-    w = grid.weight_tensor()
-    levels = [_smooth(grid, g, s) / _smooth(grid, w, s) - dpsi
-              for s in default_schedule(grid).sigmas()]
+    gw = _smooth(grid, np.stack([g, grid.weight_tensor()]),
+                 default_schedule(grid).sigmas())
+    levels = gw[:, 0] / gw[:, 1] - dpsi
     changes = [float(np.max(np.abs(levels[j] - levels[j - 1])))
                for j in range(1, len(levels))]
-    scale = 1.0 + max(float(np.max(np.abs(l))) for l in levels)
+    scale = 1.0 + float(np.max(np.abs(levels)))
     if changes[1] > 1e-10 * scale and changes[1] > changes[0]:
         raise SensanError(
             "mollifier not converged: level changes "

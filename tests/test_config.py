@@ -1,7 +1,10 @@
+import json
 import math
 
+import numpy as np
 import pytest
 
+from sensan.cli import main
 from sensan.errors import ConfigError, SensanError, nested, read
 
 
@@ -35,6 +38,47 @@ def test_read_missing_and_null_give_the_default_or_fail():
 def test_read_rejects_other_json_types(kind, value):
     with pytest.raises(ConfigError, match="config key 'k': expected"):
         read({"k": value}, "k", kind)
+
+
+def test_an_integer_past_the_float_range_reads_as_that_integer():
+    """2^1100 has no float: an integer key takes it exactly, a number key
+    refuses it as not finite."""
+    big = 2 ** 1100
+    got = read({"k": big}, "k", int, lo=0)
+    assert got == big and type(got) is int
+    assert type(read({"k": np.int64(7)}, "k", int)) is int
+    with pytest.raises(ConfigError, match=f"config key 'k': expected a number, "
+                       f"got {big}$"):
+        read({"k": big}, "k", float)
+
+
+@pytest.mark.parametrize("where", ["seed", "probs"])
+def test_mc_joint_takes_a_seed_past_the_float_range(tmp_path, capsys, where):
+    """`sensan mc` in joint mode runs with "seed": 2^1100, each replication
+    drawn from SeedSequence((seed, n, rep)); the same integer as a
+    probability exits 2 naming the item."""
+    big, n, reps = 2 ** 1100, 300, 6
+    probs = [0.5, 0.3, 0.2] if where == "seed" else [0.5, 0.3, big]
+    cfg = {"distribution": {"family": "multinomial", "probs": probs},
+           "cells": [2, 0], "mode": "joint", "n": n, "reps": reps,
+           "seed": big if where == "seed" else 3}
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["mc", "--config", str(path), "--out", str(tmp_path / "out")])
+    if where == "probs":
+        assert code == 2
+        assert ("config key 'probs': item 2: expected a number"
+                in capsys.readouterr().err)
+        return
+    assert code == 0
+    rows = (tmp_path / "out" / "table.csv").read_text().splitlines()[1:]
+    got = np.array([[float(v) for v in row.split(",")[2:]] for row in rows])
+    want = np.empty((reps, 2))
+    for rep in range(reps):
+        rng = np.random.default_rng(np.random.SeedSequence((big, n, rep)))
+        counts = rng.multinomial(n, probs)
+        want[rep] = counts[2] / n, counts[0] / n
+    assert got.tobytes() == want.tobytes()
 
 
 def test_read_bounds_and_choices():

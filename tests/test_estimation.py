@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -686,6 +687,18 @@ def test_harnesses_refuse_a_bad_master_seed_by_name():
     a = mc_joint_multinomial(m, 0, 1, 60, 3, np.int64(7))
     assert a.estimates[60].tobytes() == (
         mc_joint_multinomial(m, 0, 1, 60, 3, 7).estimates[60].tobytes())
+
+
+@pytest.mark.parametrize("n", [0, False, 0.0])
+def test_multinomial_harness_refuses_zero_draws_by_name(n):
+    """n = 0 would divide the count table by zero: it is refused by name,
+    before any draw and with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as exc:
+            mc_joint_multinomial(Multinomial((0.5, 0.3, 0.2)), 0, 1, n, 3, 0)
+    assert str(exc.value) == (f"config key 'n': expected a positive integer, "
+                              f"got {n!r}")
 
 
 def test_mc_results_compare_by_identity():

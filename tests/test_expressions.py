@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensan.errors import SensanError
-from sensan.expressions import as_array_function, parse_whitelisted
+from sensan.expressions import (Poly, _floats, as_array_function,
+                                parse_whitelisted)
 
 
 def test_parse_simple_polynomials():
@@ -72,6 +75,72 @@ def test_as_array_function_constant_expression():
     out = f(np.zeros((2, 3)))
     assert out.shape == (2, 3)
     assert np.all(out == 3.0)
+
+
+def _term_by_term(expr, variables, args):
+    """The compiled function's value as every power and every coefficient
+    product computed, x ** 1 and 1.0 * p included, then 0.0 + the sum."""
+    pos = {v: tuple(variables).index(v) for v in expr.free_symbols}
+    powers = {}
+    out = 0.0
+    for e, c in zip(expr.terms, _floats(expr)):
+        val = c
+        for v, k in zip(expr.variables, e):
+            if k:
+                key = (pos[v], k)
+                if key not in powers:
+                    powers[key] = args[pos[v]] ** k
+                val = val * powers[key]
+        out = out + val
+    return np.broadcast_to(np.asarray(out, dtype=float),
+                           np.broadcast_shapes(*(np.shape(a) for a in args)))
+
+
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+            1e300, -3.5]
+_COEFS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2),
+                          Fraction(3), Fraction(1, 3), Fraction(-7, 5),
+                          Fraction(10) ** 20])
+_EXPONENTS = st.tuples(st.integers(0, 4), st.integers(0, 4))
+_ARGUMENT = st.one_of(
+    st.sampled_from(_SPECIAL),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.one_of(st.sampled_from(_SPECIAL), st.floats()), min_size=1,
+             max_size=6).map(np.array),
+    st.lists(st.sampled_from(_SPECIAL), min_size=6, max_size=6).map(
+        lambda a: np.array(a).reshape(2, 3)),
+    st.lists(st.floats(), min_size=3, max_size=3).map(
+        lambda a: np.array(a).reshape(1, 3)),
+    st.integers(-2 ** 40, 2 ** 40),
+    st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=1, max_size=4).map(
+        lambda a: np.array(a, dtype=np.int64)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(_EXPONENTS, _COEFS, max_size=5),
+       _ARGUMENT, _ARGUMENT)
+def test_compiled_function_gives_the_term_by_term_bits(terms, x, y):
+    """Skipping x ** 1 and a unit coefficient's product changes no bit: on
+    -0.0, NaN, infinities, subnormals and finite floats, scalar and 1-d and
+    2-d arguments alike, and on integers, whose products wrap where a
+    float's would not, repeated factors and constants included; a
+    broadcast that fails, or a Python float power that overflows, fails on
+    both. The arguments are read-only, so an in-place write raises."""
+    expr = Poly(("x", "y"), terms)
+    f = as_array_function(expr, ("x", "y"))
+    for a in (x, y):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    with np.errstate(all="ignore"):
+        try:
+            want = _term_by_term(expr, ("x", "y"), (x, y))
+        except (ValueError, OverflowError) as exc:
+            with pytest.raises(type(exc)):
+                f(x, y)
+            return
+        got = f(x, y)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 # inputs outside "rational coefficients" that a computer-algebra parser

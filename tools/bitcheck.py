@@ -9,7 +9,11 @@ The argument is the checkout to measure (default: the one holding this
 script). Its `src` is imported, and the composite evaluators come from its
 `perfbench/jobs.py` and the README schema configs from its
 `tests/test_cli.py`, so the script runs unchanged on an older checkout.
-The lines cover:
+With `--dump DIR` the script also writes every array and number it hashes
+to DIR as `<label>.npy` (`<label>.<k>.npy` for the k-th part of a line
+that hashes several), each `/` of a label a subdirectory, so that a
+changed line's largest relative change, max |a - b| / max |a|, can be read
+from the dumps of two checkouts. The lines cover:
 
 - numerical influences of the 1-d kinds and `mean_over_median` on
   Beta(2, 3) at 101, 201 and 801 nodes, with and without a cut term
@@ -60,6 +64,7 @@ changed error shows too; any other exception stops the script.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -69,6 +74,8 @@ import tempfile
 
 import numpy as np
 
+DUMP = None   # the --dump directory, if any
+
 
 def emit(label: str, *parts) -> None:
     h = hashlib.sha256()
@@ -77,6 +84,20 @@ def emit(label: str, *parts) -> None:
                  np.ascontiguousarray(p).tobytes() if isinstance(p, np.ndarray)
                  else repr(p).encode())
     print(label, h.hexdigest())
+    if DUMP is not None:
+        dump(label, parts)
+
+
+def dump(label: str, parts) -> None:
+    """Write the arrays and real numbers among `parts` under DUMP."""
+    kept = [(k, p) for k, p in enumerate(parts)
+            if isinstance(p, (np.ndarray, float, int, np.number))
+            and not isinstance(p, (bool, np.bool_))]
+    path = os.path.join(DUMP, *label.split("/"))
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    for k, p in kept:
+        np.save(path + ("" if len(kept) == 1 else f".{k}") + ".npy",
+                np.asarray(p))
 
 
 def field_parts(f) -> list:
@@ -406,8 +427,16 @@ def cli_runs(sensan, src: str, configs) -> None:
 
 
 def main(argv: list[str]) -> None:
-    root = os.path.abspath(argv[0] if argv else
-                           os.path.join(os.path.dirname(__file__), ".."))
+    global DUMP
+    parser = argparse.ArgumentParser()
+    parser.add_argument("checkout", nargs="?",
+                        default=os.path.join(os.path.dirname(__file__), ".."))
+    parser.add_argument("--dump", metavar="DIR",
+                        help="also write each hashed array as DIR/<label>.npy")
+    args = parser.parse_args(argv)
+    if args.dump is not None:
+        DUMP = os.path.abspath(args.dump)
+    root = os.path.abspath(args.checkout)
     src = os.path.join(root, "src")
     # leave no bytecode in the checkouts being compared
     sys.dont_write_bytecode = True
