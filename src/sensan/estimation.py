@@ -365,18 +365,27 @@ def _rep_streams(master_seed: int, n: int, reps: int):
     """Yield reps replication streams: the k-th is one reused Generator
     set to default_rng(SeedSequence((master_seed, n, k))), valid until the
     next is taken. A master_seed or n that is not a non-negative integer
-    is refused by name."""
+    is refused by name when the streams are asked for, before the first."""
     for key, v in (("master_seed", master_seed), ("n", n)):
         if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
             raise ConfigError(key, f"expected a non-negative integer, got {v!r}")
-    rng = np.random.Generator(np.random.PCG64())  # its state is set per rep
-    for first in range(0, reps, _STREAM_CHUNK):
-        for state, inc in _pcg64_states(int(master_seed), int(n), first,
-                                        min(_STREAM_CHUNK, reps - first)):
-            rng.bit_generator.state = {"bit_generator": "PCG64",
-                                       "state": {"state": state, "inc": inc},
-                                       "has_uint32": 0, "uinteger": 0}
-            yield rng
+
+    def streams():
+        rng = np.random.Generator(np.random.PCG64())  # state set per rep
+        for first in range(0, reps, _STREAM_CHUNK):
+            for state, inc in _pcg64_states(int(master_seed), int(n), first,
+                                            min(_STREAM_CHUNK, reps - first)):
+                rng.bit_generator.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+                yield rng
+    return streams()
+
+
+def _check_reps(reps: int, least: int) -> int:
+    """reps as an int of at least `least`, refused in the CLI's words."""
+    return read({"reps": reps}, "reps", int, lo=least)
 
 
 def _sample_blocks(P: GridDensity, n: int, reps: int, master_seed: int):
@@ -407,7 +416,9 @@ def mc_consistency(P: GridDensity, psi: Functional, nu: Functional,
 
     The population value is computed once by the caller (the engine
     oracle) and passed in, so the harness never re-derives it per run.
+    It needs at least one replication.
     """
+    reps = _check_reps(reps, 1)
     n_grid = tuple(int(n) for n in n_grid)
     if (len(n_grid) < 3 or n_grid[0] < 1
             or any(b <= a for a, b in zip(n_grid, n_grid[1:]))):
@@ -459,7 +470,8 @@ def mc_joint_asymptotics(P: GridDensity, psi: Functional, nu: Functional,
 
     Replications come in _sample_blocks blocks, and each estimator makes
     one call per block, so every estimate has the bits of its replication
-    drawn alone."""
+    drawn alone. It needs at least two replications for a covariance."""
+    reps = _check_reps(reps, 2)
     psi0 = evaluate(psi, P)
     nu0 = evaluate(nu, P)
     pairs = np.empty((reps, 2))
@@ -500,7 +512,8 @@ class Multinomial:
 def mc_joint_multinomial(model: Multinomial, i: int, j: int, n: int,
                          reps: int, master_seed: int) -> McResult:
     """Joint asymptotics of two cell frequencies; n draws per replication,
-    at least one."""
+    at least one, and at least two replications."""
+    reps = _check_reps(reps, 2)
     # n = 0 would divide by zero; _rep_streams refuses every other n that
     # is not a positive integer
     if n == 0:

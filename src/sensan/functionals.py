@@ -29,20 +29,21 @@ way:
 
     moment, variance  central differences of the one or three integrals
                       psi combines, shifted by t w_k I_k at node k: O(G)
-    quantile          perturbed fields, only at the nodes at or below one
-                      past the quantile's node along its axis; the CDF
-                      beyond the crossing node is never read, so every
-                      other node's gradient is exactly 0
+    quantile          P's one CDF table, shifted by t w_k T_a for node k
+                      at index a on the quantile's axis; each shifted
+                      table's crossing is found by a search and its cell
+                      inverted by invert_cdf's walk: O(G log G); nodes
+                      past the crossing node read P's table unchanged, so
+                      their gradient is exactly 0
     composite         perturbed fields at every node
 
-Perturbed fields are evaluated in row blocks, with the bits of one field
-at a time: a quantile takes a whole stack per array operation, while a
-composite's evaluator is opaque and gets one call per row, two per node.
-They are signed, so evaluation runs on raw PiecewiseFields rather than
-through GridDensity validation. Every field an evaluator gets is
-read-only, and it must not write into one: the rows are views of one work
-array, and a term-free row's `values` is that row itself, valid only
-during the call.
+A composite's perturbed fields are evaluated in row blocks, with the bits
+of one field at a time: its evaluator is opaque and gets one call per
+row, two per node. They are signed, so evaluation runs on raw
+PiecewiseFields rather than through GridDensity validation. Every field
+an evaluator gets is read-only, and it must not write into one: the rows
+are views of one work array, and a term-free row's `values` is that row
+itself, valid only during the call.
 They all share P's grid, whose coordinate mesh is built once: an
 evaluator may call `Q.grid.mesh()` on every call at no cost, and must
 not write into the read-only arrays it returns. The bump widths come
@@ -66,8 +67,8 @@ import numpy as np
 from .errors import SensanError, nested, read
 from .expressions import as_array_function, parse_whitelisted
 from .model_space import (CutTerm, Grid, GridDensity, PiecewiseField, Sample,
-                          density_at, invert_cdf, kde_fit, quantile,
-                          silverman_bandwidth)
+                          cdf_table, cross_cell, density_at, invert_cdf,
+                          kde_fit, quantile, silverman_bandwidth)
 from .tangent import TangentVector
 
 __all__ = [
@@ -359,12 +360,11 @@ def _node_gradient(F: Functional, P: GridDensity, t: float) -> np.ndarray:
     of integrals, with the same combine as the evaluator, in O(G). It
     differs from one perturbed field per node by the rounding of the
     difference alone, of order eps |psi| / t, which stays within
-    1e-8 max|g| on the grids tested. A quantile reads its marginal's CDF
-    only up to the crossing node, so a field perturbed further along the
-    quantile's axis returns P's quantile and its g is exactly 0: only the
-    nodes at or below one past the node of P's quantile are perturbed,
-    the one past for a flat crossing, which returns the cell's left node.
-    A composite perturbs every node."""
+    1e-8 max|g| on the grids tested. A quantile reads the same way from
+    P's one CDF table, shifted per node (_quantile_gradient), in
+    O(G log G), and differs from one perturbed field per node by the same
+    rounding; its g is exactly 0 at every node past the crossing node
+    along its axis. A composite perturbs every node (_stacked_gradient)."""
     grid = P.grid
     if F.kind in ("moment", "variance"):
         integrands, combine = _statistics(F, grid)
@@ -374,29 +374,96 @@ def _node_gradient(F: Functional, P: GridDensity, t: float) -> np.ndarray:
         up = combine(*(s + d for s, d in zip(stats, steps)))
         dn = combine(*(s - d for s, d in zip(stats, steps)))
         return (up - dn) / (2.0 * t)
-    psi = _evaluator(F, grid)
-    nodes = np.arange(P.smooth.size)
     if F.kind == "quantile":
-        last = np.searchsorted(grid.axes[F.axis].nodes, psi(P), "left") + 1
-        nodes = nodes[np.indices(grid.shape)[F.axis].reshape(-1) <= last]
-    return _stacked_gradient(psi, P, nodes, t)
+        return _quantile_gradient(F, P, t)
+    return _stacked_gradient(_evaluator(F, grid), P, t)
 
 
-def _stacked_gradient(psi, P: GridDensity, nodes: np.ndarray,
-                      t: float) -> np.ndarray:
-    """The node gradient at the flat node indices `nodes`, 0 elsewhere,
-    from perturbed fields. psi takes a stack of up to _NODE_BLOCK // G
-    fields along a leading axis, row r perturbed at node nodes[k0 + r],
-    and returns one value per row; each row keeps the bits of its field
-    alone. The perturbed copies are edited in place and each call gets a
-    fresh field, so no cached node values outlive their perturbation."""
+def _quantile_gradient(F: Functional, P: GridDensity, t: float) -> np.ndarray:
+    """A quantile's node gradient from P's one CDF table. Moving node k of
+    the smooth part by c moves the marginal at k's index a along the axis
+    by c w_k, w_k the Simpson weight of the other axes at k (1 in 1-d),
+    and so the table by c w_k T_a: 0 below node a, half the left cell at
+    a, both half cells above. Each shifted table's first node at tau is
+    found by a search, since a shift can jump a flat stretch, and its
+    cell is inverted by invert_cdf's walk, cuts inside it split out.
+    A node whose index a lies past P's crossing node leaves the table
+    unchanged up to that node, so its gradient is exactly 0 and it is
+    skipped; the level is beyond the support if the lightest shifted
+    total is."""
+    grid = P.grid
+    axis = _axis(F, grid.ndim)
+    x = grid.axes[axis].nodes
+    n, tau = x.size, F.tau
+    table, cdf, cuts = cdf_table(P.marginal(axis))
+    a = np.indices(grid.shape)[axis].reshape(-1)
+    w = np.ones(())
+    for b, ax in enumerate(grid.axes):
+        w = np.multiply.outer(w, np.ones(ax.n) if b == axis else ax.weights)
+    w = w.reshape(-1)
+    half = 0.5 * np.diff(x)
+    left, right = np.append(0.0, half), np.append(half, 0.0)
+    if table[-1] - t * np.max(w * (left + right)[a]) < tau:
+        raise SensanError("quantile level beyond the grid support")
+    nodes = np.flatnonzero(a <= np.argmax(table >= tau))
+    k = np.tile(a[nodes], 2)
+    c = t * np.concatenate([w[nodes], -w[nodes]])
+
+    def step(j):
+        """T_k at node j: the integral of the hat at node k up to x_j."""
+        return left[k] * (j >= k) + right[k] * (j > k)
+
+    def row_cdf(q):
+        # each row's CDF at q: P's plus c times the hat's integral up to q
+        j = min(int(np.searchsorted(x, q, "right")) - 1, n - 2)
+        d = q - x[j]
+        e0, e1 = (k == j) * 1.0, (k == j + 1) * 1.0
+        return cdf(q) + c * (step(j) + d * e0
+                             + 0.5 * d * d / (x[j + 1] - x[j]) * (e1 - e0))
+
+    i = np.where(table[k] + c * left[k] >= tau, k,
+                 _first_reaching(table, k + 1, tau - c * (left[k] + right[k])))
+    # node 0 as in invert_cdf; the last node for a row that the search
+    # misses only by the rounding of its shift
+    i = np.clip(i, 1, n - 1)
+    q = cross_cell(x, i, table[i - 1] + c * step(i - 1),
+                   table[i] + c * step(i), cuts, row_cdf, tau, strict=False)
+    g = np.zeros(a.size)
+    g[nodes] = (q[:nodes.size] - q[nodes.size:]) / (2.0 * t)
+    return g.reshape(grid.shape)
+
+
+def _first_reaching(F: np.ndarray, start: np.ndarray,
+                    v: np.ndarray) -> np.ndarray:
+    """Per query, the first index j >= start with F[j] >= v, len(F) if
+    there is none: a descent over the maxima of F's blocks of 2^l entries
+    (a sparse table), built in O(n log n), O(log n) per query."""
+    blocks = [F]                        # blocks[l][p] = max F[p:p + 2^l]
+    while 1 << len(blocks) <= F.size:
+        prev, width = blocks[-1], 1 << (len(blocks) - 1)
+        blocks.append(np.maximum(prev[:-width], prev[width:]))
+    j = start
+    for level in reversed(range(len(blocks))):
+        b = blocks[level]
+        below = (j < b.size) & (b[np.minimum(j, b.size - 1)] < v)
+        j = np.where(below, j + (1 << level), j)
+    return j
+
+
+def _stacked_gradient(psi, P: GridDensity, t: float) -> np.ndarray:
+    """A composite's node gradient, from perturbed fields. psi takes a
+    stack of up to _NODE_BLOCK // G fields along a leading axis, row r
+    perturbed at node k0 + r, and returns one value per row; each row
+    keeps the bits of its field alone. The perturbed copies are edited in
+    place and each call gets a fresh field, so no cached node values
+    outlive their perturbation."""
     base = np.array(P.smooth, dtype=float).reshape(-1)
     size = base.size
     rows = max(1, _NODE_BLOCK // size)
     work = np.tile(base, (rows, 1))
-    g = np.zeros(size)
-    for k0 in range(0, nodes.size, rows):
-        k = nodes[k0:k0 + rows]
+    g = np.empty(size)
+    for k0 in range(0, size, rows):
+        k = np.arange(k0, min(k0 + rows, size))
         r = np.arange(k.size)
         v = base[k]
         fields = work[:k.size].reshape((k.size,) + P.grid.shape)
@@ -446,13 +513,12 @@ def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
     derivative is linear in the bump, so it is computed from one node
     gradient g_k = d psi / d P(x_k) and the derivative Dpsi along P
     itself, both by central differences with step _FD_STEP. A moment or a
-    variance differentiates its integrals (_node_gradient), with no
-    perturbed field. A quantile evaluates 2 perturbed fields per node up
-    to one past its crossing node and a composite 2 per node, in row
-    blocks of up to _NODE_BLOCK node values, with the bits of one field
-    per row; a composite takes 2G + 2 evaluator calls, each on a
-    read-only field: a write into it raises numpy's ValueError instead of
-    shifting the rows that follow. Then
+    variance differentiates its integrals and a quantile its CDF table
+    (_node_gradient), with no perturbed field. A composite evaluates 2
+    perturbed fields per node, in row blocks of up to _NODE_BLOCK node
+    values, with the bits of one field per row: 2G + 2 evaluator calls,
+    each on a read-only field; a write into it raises numpy's ValueError
+    instead of shifting the rows that follow. Then
 
         level_j = (B_j g) / n_j - Dpsi,    n_j = B_j w,
 

@@ -412,7 +412,11 @@ class PiecewiseField:
     def extremes(self) -> tuple[float, float]:
         """Min and max over the nodes and over both sides of every cut:
         `at` reads the side below a cut at its location q and the side
-        above at the next float after q."""
+        above at the next float after q. Computed once per field."""
+        return self._extremes
+
+    @cached_property
+    def _extremes(self) -> tuple[float, float]:
         vals = [self.values]
         for axis, q in {c for t in self.terms for c in t.cuts}:
             line = [ax.nodes for ax in self.grid.axes]
@@ -631,15 +635,10 @@ def _cum_at(x: np.ndarray, s: np.ndarray, cum: np.ndarray, t: float):
     return cum[..., k] + 0.5 * d * (s[..., k] + st)
 
 
-def invert_cdf(m: PiecewiseField, tau: float, *, strict: bool = True):
-    """Invert the cumulative-trapezoid CDF of a 1-d field (a marginal),
-    splitting cells at its cuts.
-
-    Leading axes of `m.smooth` are rows, each a field sharing m's cut
-    terms; the result is one quantile per row, or a float for one field.
-    Strict mode rejects a flat crossing (zero density on an interval at
-    the level). Non-strict mode takes the first crossing, which tolerates
-    the tiny negative dips a signed mixture density can produce."""
+def cdf_table(m: PiecewiseField):
+    """The cumulative-trapezoid CDF of a 1-d field (a marginal), cells
+    split at its cuts: its node table F (one row per row of `m.smooth`),
+    the CDF at a point as a function, per row, and the cut locations."""
     x = m.grid.axes[0].nodes
     parts = [(math.inf, m.smooth)] + [(t.cuts[0][1], t.samples) for t in m.terms]
     parts = [(q, s, _cumtrapz(x, s)) for q, s in parts]
@@ -649,14 +648,19 @@ def invert_cdf(m: PiecewiseField, tau: float, *, strict: bool = True):
 
     F = sum(cum if q >= x[-1] else np.where(x <= q, cum, _cum_at(x, s, cum, q))
             for q, s, cum in parts)
-    rows = F.shape[:-1]
-    if (F[..., -1] < tau).any():
-        raise SensanError("quantile level beyond the grid support")
-    i = np.maximum((F >= tau).argmax(axis=-1), 1)
+    return F, cdf, [q for q, _, _ in parts[1:]]
+
+
+def cross_cell(x: np.ndarray, i, lo_f, hi_f, cuts, cdf, tau: float,
+               strict: bool):
+    """The first crossing of the level tau in each row's cell
+    [x[i - 1], x[i]], at whose ends the row's CDF is lo_f and hi_f. The
+    cell is walked piece by piece, split at the cuts inside it, where
+    cdf(q) gives every row's CDF. A piece whose CDF rises by no more than
+    1e-13 is flat: strict mode rejects a crossing there, non-strict mode
+    puts it at the piece's left end. A row whose CDF stays below tau
+    keeps x[i]."""
     x0, x1 = x[i - 1], x[i]
-    # node i of each row as an index into the flattened F; a number for one field
-    k = i + len(x) * np.arange(i.size).reshape(rows)
-    F = F.reshape(-1)
 
     def cross(hi_x, rows_in, hi_f):
         """Rows of `rows_in` whose CDF reaches tau on [lo_x, hi_x], and
@@ -669,19 +673,37 @@ def invert_cdf(m: PiecewiseField, tau: float, *, strict: bool = True):
         at = lo_x + (tau - lo_f) / np.where(flat, 1.0, dF) * (hi_x - lo_x)
         return hit, np.where(flat, lo_x, at)
 
-    # walk each row's cell [x0, x1] piece by piece, split at the cuts inside
-    lo_x, lo_f, out = x0, F[k - 1], x1
+    lo_x, out = x0, x1
     ahead = True                            # rows that have not crossed yet
-    for q in sorted(q for q, _, _ in parts[1:]):
+    for q in sorted(cuts):
         inside = ahead & (x0 < q) & (q < x1)
         if inside.any():
-            hi_f = cdf(q)
-            hit, at = cross(q, inside, hi_f)
+            q_f = cdf(q)
+            hit, at = cross(q, inside, q_f)
             out, ahead = np.where(hit, at, out), ahead & ~hit
-            lo_x, lo_f = np.where(inside, q, lo_x), np.where(inside, hi_f, lo_f)
-    hit, at = cross(x1, ahead, F[k])
-    out = np.where(hit, at, out)
-    return out if rows else float(out)
+            lo_x, lo_f = np.where(inside, q, lo_x), np.where(inside, q_f, lo_f)
+    hit, at = cross(x1, ahead, hi_f)
+    return np.where(hit, at, out)
+
+
+def invert_cdf(m: PiecewiseField, tau: float, *, strict: bool = True):
+    """Invert the cumulative-trapezoid CDF of a 1-d field (a marginal),
+    splitting cells at its cuts.
+
+    Leading axes of `m.smooth` are rows, each a field sharing m's cut
+    terms; the result is one quantile per row, or a float for one field.
+    Strict mode rejects a flat crossing (zero density on an interval at
+    the level). Non-strict mode takes the first crossing, which tolerates
+    the tiny negative dips a signed mixture density can produce."""
+    F, cdf, cuts = cdf_table(m)
+    if (F[..., -1] < tau).any():
+        raise SensanError("quantile level beyond the grid support")
+    i = np.maximum((F >= tau).argmax(axis=-1), 1)
+    lo_f, hi_f = (np.take_along_axis(F, np.asarray(j)[..., None], -1)[..., 0]
+                  for j in (i - 1, i))
+    out = cross_cell(m.grid.axes[0].nodes, i, lo_f, hi_f, cuts, cdf, tau,
+                     strict)
+    return out if F.ndim > 1 else float(out)
 
 
 def quantile(P: GridDensity, tau: float, axis: int = 0) -> float:

@@ -701,6 +701,41 @@ def test_multinomial_harness_refuses_zero_draws_by_name(n):
                               f"got {n!r}")
 
 
+@pytest.mark.parametrize("reps,integral", [(0, True), (1, True), (1.5, False),
+                                           (True, False)])
+def test_harnesses_refuse_too_few_replications_by_name(reps, integral):
+    """The joint harnesses need two replications for a covariance and the
+    consistency harness one for an RMSE: fewer, or reps that is not an
+    integer, is refused by name in the CLI's words, before any draw and
+    with no warning. One replication is enough for consistency."""
+    m = Multinomial((0.5, 0.3, 0.2))
+    calls = [(2, lambda: mc_joint_asymptotics(U, MEAN, MEDIAN, 60, reps, 0)),
+             (2, lambda: mc_joint_multinomial(m, 0, 1, 60, reps, 0)),
+             (1, lambda: mc_consistency(U, MEAN, MEDIAN, RatioInformation(),
+                                        (20, 40, 80), reps, 0, 0.1))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for least, call in calls:
+            if integral and reps >= least:
+                assert call().estimates[80].shape == (1,)
+                continue
+            with pytest.raises(ConfigError) as exc:
+                call()
+            assert str(exc.value) == (
+                f"config key 'reps': expected at least {least}, got {reps!r}"
+                if integral else
+                f"config key 'reps': expected an integer, got {reps!r}")
+
+
+def test_rep_streams_refuse_a_bad_master_seed_when_called():
+    """The seed and n are checked when the streams are asked for, not on
+    the first draw, so a bad seed is refused even with no replications."""
+    for key, args in (("master_seed", (-1, 60, 0)), ("n", (0, -2, 0))):
+        with pytest.raises(ConfigError, match=f"config key '{key}': expected "
+                           "a non-negative integer"):
+            _rep_streams(*args)
+
+
 def test_mc_results_compare_by_identity():
     """Two runs of one Monte Carlo are distinct results, a result equals
     itself, and hashing works."""

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bundles import mean_over_median
@@ -15,8 +15,8 @@ from sensan.errors import ConfigError, SensanError
 from sensan.families import beta, linear, quadratic, truncated_normal, uniform
 from sensan.functionals import (_FD_STEP, _evaluator, _node_gradient,
                                 default_schedule)
-from sensan.model_space import (CutTerm, PiecewiseField, _cumtrapz, grid_quad,
-                                invert_cdf)
+from sensan.model_space import (CutTerm, PiecewiseField, _cumtrapz, cdf_table,
+                                grid_quad, invert_cdf)
 
 G = Grid.line(0.0, 1.0, 801)
 U = uniform(G)
@@ -508,22 +508,28 @@ def _block_gradient(F, P, rows=None, t=_FD_STEP):
 
 
 def _check_against_the_loop(F, P, rows=None):
-    """A moment's or a variance's gradient, from the perturbed integrals,
-    matches the loop within 1e-8 max|g|, the rounding of the central
-    difference; a quantile's or a composite's rows keep the bits of their
-    fields alone, so theirs equals the loop's exactly. A quantile reads
-    its CDF up to the crossing node only, so the loop's g is exactly 0
-    at every node past it along the quantile's axis."""
+    """The block gradient against the loop's, and a quantile's zeros: it
+    reads its CDF up to the crossing node only, so g is exactly 0, on both
+    routes, at every node past it along the quantile's axis."""
     got, ref = _block_gradient(F, P, rows), _loop_gradient(F, P)
-    if F.kind in ("moment", "variance"):
-        assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref)), F.label
-    else:
-        np.testing.assert_array_equal(got, ref, err_msg=F.label)
+    _assert_matches_the_loop(F, got, ref)
     if F.kind == "quantile":
         x = P.grid.axes[F.axis].nodes
         crossing = np.searchsorted(x, evaluate(F, P), "left")
         past = np.indices(P.grid.shape)[F.axis] > crossing
-        assert np.all(ref[past] == 0.0), F.label
+        assert np.all(ref[past] == 0.0) and np.all(got[past] == 0.0), F.label
+
+
+def _assert_matches_the_loop(F, got, ref):
+    """A moment's or a variance's gradient, from the perturbed integrals,
+    and a quantile's, from P's shifted CDF table, match the loop within
+    1e-8 max|g|, the rounding of the central difference; a composite's
+    rows keep the bits of their fields alone, so its gradient equals the
+    loop's exactly."""
+    if F.kind == "composite":
+        np.testing.assert_array_equal(got, ref, err_msg=F.label)
+    else:
+        assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref)), F.label
 
 
 def _gaussian_2d(shape):
@@ -608,8 +614,8 @@ def test_block_node_gradient_with_a_cut_in_the_crossing_cell(dim, axis):
 def test_block_node_gradient_keeps_the_node_past_a_flat_crossing():
     """Where the CDF rises by no more than 1e-13 across the crossing cell,
     the quantile is the cell's left node, one node short of the crossing;
-    the row perturbed at the crossing node moves the quantile, so it is
-    stacked too and the gradient keeps the loop's bits."""
+    the row perturbed at the crossing node moves the quantile, so its
+    gradient is not 0 on either route, and every node past it is."""
     g = Grid.line(0.0, 1.0, 21)
     x = g.axes[0].nodes
     P = GridDensity(g, np.where(np.abs(x - 0.5) < 0.2, 1e-12, 1.0),
@@ -618,8 +624,48 @@ def test_block_node_gradient_keeps_the_node_past_a_flat_crossing():
     F = quantile_functional(float(_cumtrapz(x, P.values)[i]))
     assert invert_cdf(P, F.tau, strict=False) == x[i - 1]
     got, ref = _block_gradient(F, P), _loop_gradient(F, P)
-    np.testing.assert_array_equal(got, ref)
-    assert ref[i] != 0.0 and np.all(ref[i + 1:] == 0.0)
+    _assert_matches_the_loop(F, got, ref)
+    for grad in (got, ref):
+        assert grad[i] != 0.0 and np.all(grad[i + 1:] == 0.0)
+
+
+def _node_level(P, axis, i, ulps):
+    """The quantile at the level of node i in P's CDF table on `axis`,
+    moved by `ulps` ulps (-1, 0 or 1)."""
+    tau = cdf_table(P.marginal(axis))[0][i]
+    if ulps:
+        tau = np.nextafter(tau, ulps * np.inf)
+    return quantile_functional(float(tau), axis)
+
+
+@pytest.mark.parametrize("case", ["beta", "gauss", "gauss+cut"])
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+def test_quantile_gradient_at_a_node_level(case, ulps):
+    """At a level equal to a node's CDF value, or one ulp to either side,
+    the field perturbed by +t at that node crosses at or below the node
+    and the one perturbed by -t above it, in the next cell: the shifted
+    tables cross in different cells, and the gradient still matches the
+    loop. Beta(2, 3) at 201 nodes, and the 21x31 Gaussian on axis 1
+    without and with a cut at its median."""
+    if case == "beta":
+        P, axis = beta(Grid.line(0.0, 1.0, 201), 2.0, 3.0), 0
+    else:
+        P, axis = _gaussian_2d((21, 31)), 1
+        P = _with_a_jump(P, 0.5, axis) if case == "gauss+cut" else P
+    assert bool(P.terms) == (case == "gauss+cut")
+    i = int(np.argmax(cdf_table(P.marginal(axis))[0] >= 0.5))
+    F = _node_level(P, axis, i, ulps)
+    x = P.grid.axes[axis].nodes
+    psi = _evaluator(F, P.grid)
+    node = [n // 2 for n in P.grid.shape]
+    node[axis] = i
+    k = np.ravel_multi_index(tuple(node), P.grid.shape)
+    rows = np.tile(P.smooth.reshape(-1), (2, 1))
+    rows[:, k] += (_FD_STEP, -_FD_STEP)
+    up, dn = psi(PiecewiseField(P.grid, rows.reshape((2,) + P.grid.shape),
+                                P.terms))
+    assert up <= x[i] < dn <= x[i + 1]
+    _check_against_the_loop(F, P)
 
 
 @st.composite
@@ -649,8 +695,18 @@ def family_densities(draw):
        st.sampled_from([moment(lambda x: x ** 3 - x), variance(),
                         quantile_functional(0.25), quantile_functional(0.5),
                         quantile_functional(0.8), mean_over_median()]),
-       st.integers(1, 50))
-def test_block_node_gradient_gives_the_loop_bits_on_generated_densities(P, F, rows):
+       st.integers(1, 50), st.floats(0.0, 1.0, exclude_max=True),
+       st.sampled_from((None, -1, 0, 1)))
+def test_block_node_gradient_gives_the_loop_bits_on_generated_densities(
+        P, F, rows, at, ulps):
+    """With ulps drawn, a quantile's level becomes a node's CDF value,
+    moved by that many ulps, at a node `at` of the way along those with
+    levels in (0.05, 0.95)."""
+    if F.kind == "quantile" and ulps is not None:
+        table = cdf_table(P)[0]
+        inner = np.flatnonzero((table > 0.05) & (table < 0.95))
+        assume(inner.size)
+        F = _node_level(P, 0, int(inner[int(at * inner.size)]), ulps)
     _check_against_the_loop(F, P, rows)
 
 

@@ -1,5 +1,6 @@
 import csv
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from sensan import (counterfactual_density, counterfactual_report, evaluate,
                     grad_op_apply, influence, information_metric, moment,
                     quantile_functional, sensitivity)
 from sensan.families import beta, linear, quadratic, truncated_normal, uniform
-from sensan.model_space import CutTerm, grid_quad, kde_fit, likelihood_ratio
+from sensan.model_space import (CutTerm, PiecewiseField, grid_quad, kde_fit,
+                                likelihood_ratio)
 
 
 def test_grid_line_nodes():
@@ -1008,6 +1010,19 @@ def test_extremes_match_the_slice_probe(pair):
         ref_lo, ref_hi = _extremes_by_slices(f)
         assert lo == pytest.approx(ref_lo, rel=1e-13, abs=1e-13)
         assert hi == pytest.approx(ref_hi, rel=1e-13, abs=1e-13)
+
+
+def test_extremes_are_computed_once_per_field():
+    """The range probe reads the field at both sides of each cut on the
+    first call only; a field is immutable, so later calls give the same
+    pair without probing again."""
+    g = Grid.line(0.0, 1.0, 101)
+    f = PiecewiseField(g, np.sin(6.0 * g.mesh()[0]),
+                       (CutTerm(((0, 0.437),), np.full(g.shape, -2.0)),))
+    first = f.extremes()
+    with mock.patch.object(PiecewiseField, "at",
+                           side_effect=AssertionError("probed again")):
+        assert f.extremes() is first
 
 
 def test_median_steps_add_one_term_each():

@@ -23,6 +23,11 @@ from the dumps of two checkouts. The lines cover:
 - quantile numerical influences where a cut sits inside the crossing
   cell: Beta(2, 3) at 801 nodes on axis 0, and the correlated Gaussian at
   21×31 on axis 1
+- quantile numerical influences at edges of the node gradient: the
+  flat-crossing density (1e-12 on |x - 0.5| < 0.2, 1 elsewhere, 21
+  nodes) at the CDF value of node 11, Beta(2, 3) at 201 nodes at the CDF
+  value of the median's node, and the median of the correlated Gaussian
+  at 101² on each axis
 - `engine.sensitivity` S and R with `mean_over_median` as psi
 - five counterfactual steps of 0.02 in the median on the density 0.5 + x
   (each step's field parts and S of the mean), and an exponential tilt of
@@ -184,6 +189,29 @@ def influences(sensan, jobs) -> None:
         Q, tau = cut_in_the_crossing_cell(sensan, P, axis)
         influence(sensan, f"ni/{label}+cut-in-crossing-cell/q{tau:.6f}/{axis}",
                   sensan.quantile_functional(tau, axis), Q)
+
+    # quantile edge cases: a crossing cell where the CDF is flat, so the
+    # quantile is the cell's left node; a level equal to a node's CDF
+    # value, where the rows moved up and down cross in different cells;
+    # and a 101-node Gaussian on each axis
+    cumtrapz = sensan.model_space._cumtrapz
+    g21 = sensan.Grid.line(0.0, 1.0, 21)
+    x = g21.axes[0].nodes
+    flat = sensan.GridDensity(g21, np.where(np.abs(x - 0.5) < 0.2, 1e-12, 1.0),
+                              _normalize="force")
+    tau = float(cumtrapz(x, flat.values)[11])
+    influence(sensan, "ni/flat-crossing/21/node11",
+              sensan.quantile_functional(tau), flat)
+    beta201 = sensan.build_family(BETA23, sensan.Grid.line(0.0, 1.0, 201))
+    table = cumtrapz(beta201.grid.axes[0].nodes, beta201.values)
+    i = int(np.argmax(table >= 0.5))
+    influence(sensan, f"ni/beta23/201/node{i}-level",
+              sensan.quantile_functional(float(table[i])), beta201)
+    gauss101 = sensan.GridDensity.from_callable(unit_box(sensan, (101, 101)),
+                                                correlated)
+    for axis in (0, 1):
+        influence(sensan, f"ni/gauss/101x101/q0.5/{axis}",
+                  sensan.quantile_functional(0.5, axis), gauss101)
 
 
 def cut_in_the_crossing_cell(sensan, P, axis: int):
