@@ -99,7 +99,8 @@ def _build_metric(cfg: dict, P: GridDensity):
             return information_metric()
         Q = _density(spec, "density", P.grid)
         label = read(spec, "label", str, "L2(Q)")
-    return policy_metric(P, Q, label=label)
+        with nested("density"):     # a stored Q may bring another grid
+            return policy_metric(P, Q, label=label)
 
 
 def _functional(cfg: dict, key: str, ndim: int):
@@ -274,11 +275,13 @@ def _ratio_estimator(cfg: dict, grid: Grid, P: GridDensity | None = None):
         # built for both kinds, so a bad bandwidth is named under 'ratio'
         kde = RatioKde(Q, read(spec, "bandwidth", float, None))
     if P is not None:
-        metric = policy_metric(P, Q)
+        with nested("ratio"), nested("density"):
+            metric = policy_metric(P, Q)
         return (RatioKnown(metric.ratio) if kind == "known" else kde), metric
     if kind == "known":
         P = _density(cfg, "distribution", grid)
-        return RatioKnown(likelihood_ratio(P, Q)), None
+        with nested("ratio"), nested("density"):
+            return RatioKnown(likelihood_ratio(P, Q)), None
     return kde, None
 
 

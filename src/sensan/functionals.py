@@ -35,15 +35,15 @@ way:
                       inverted by invert_cdf's walk: O(G log G); nodes
                       past the crossing node read P's table unchanged, so
                       their gradient is exactly 0
-    composite         perturbed fields at every node
+    composite         one perturbed field per call, two calls per node
 
-A composite's perturbed fields are evaluated in row blocks, with the bits
-of one field at a time: its evaluator is opaque and gets one call per
-row, two per node. They are signed, so evaluation runs on raw
+A composite's evaluator is opaque, so each of its perturbed fields is a
+field of its own. They are signed, so evaluation runs on raw
 PiecewiseFields rather than through GridDensity validation. Every field
-an evaluator gets is read-only, and it must not write into one: the rows
-are views of one work array, and a term-free row's `values` is that row
-itself, valid only during the call.
+an evaluator gets is read-only, and it must not write into one: its
+smooth part is a view of one work array, edited in place between calls,
+and a term-free field's `values` is that view itself, valid only during
+the call.
 They all share P's grid, whose coordinate mesh is built once: an
 evaluator may call `Q.grid.mesh()` on every call at no cost, and must
 not write into the read-only arrays it returns. The bump widths come
@@ -60,6 +60,7 @@ Carlo harnesses on them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,6 @@ __all__ = [
     "parse_functional",
 ]
 
-_NODE_BLOCK = 1 << 14   # node values in one stack of perturbed fields (128 KB)
 _FD_STEP = 1e-4         # central-difference step of the node gradient
 
 
@@ -120,6 +120,10 @@ class Functional:
             object.__setattr__(self, "label", self.kind)
         if self.kind not in ("moment", "variance", "quantile", "composite"):
             raise SensanError(f"unknown functional kind '{self.kind}'")
+        if (isinstance(self.axis, bool)
+                or not isinstance(self.axis, numbers.Integral) or self.axis < 0):
+            raise SensanError(f"{self.kind} axis must be a non-negative "
+                              f"integer, got {self.axis!r}")
         if self.kind == "moment" and not callable(self.rho):
             raise SensanError("moment functional needs a callable rho")
         if self.kind == "quantile" and not 0.0 < self.tau < 1.0:
@@ -174,15 +178,10 @@ def _statistics(F: Functional, grid: Grid):
 
 
 def _evaluator(F: Functional, grid: Grid):
-    """psi as a map on fields over `grid`. The integrands (moment and
+    """psi as a map on one field over `grid`. The integrands (moment and
     variance) are built here, once, so each call pays only for the
-    quadrature. The map also takes a stack of fields, rows along a leading
-    axis of the smooth part, and gives one value per row; a composite's
-    evaluator sees each row as a field of its own. Those row fields are
-    read-only views of the stack, and a term-free row is its own `values`,
-    so reading the node values costs no copy; a composite's single fields
-    other than a GridDensity, whose arrays are read-only already, come as
-    read-only views too."""
+    quadrature. A composite's evaluator gets a field other than a
+    GridDensity, whose arrays are read-only already, as read-only views."""
     if F.kind in ("moment", "variance"):
         integrands, combine = _statistics(F, grid)
         return lambda f: combine(*(f.quad(I) for I in integrands))
@@ -191,24 +190,10 @@ def _evaluator(F: Functional, grid: Grid):
         return lambda f: invert_cdf(f.marginal(axis), F.tau, strict=False)
 
     def opaque(f: PiecewiseField):
-        if isinstance(f, GridDensity):
-            return float(F.evaluator(f))
-        smooth = _view(f.smooth)
-        terms = tuple(CutTerm(t.cuts, _view(t.samples)) for t in f.terms)
-        if smooth.ndim == grid.ndim:
-            return float(F.evaluator(PiecewiseField(grid, smooth, terms)))
-        # the rows are fields of their own, set up without the frozen
-        # dataclass __init__; a term-free row is its own `values`, the bits
-        # of the lazy copy, so reading them costs no copy and no lock
-        state = {"grid": grid, "terms": terms}
-        out = []
-        for row in smooth:
-            Q = object.__new__(PiecewiseField)
-            Q.__dict__.update(state, smooth=row)
-            if not terms:
-                Q.__dict__["values"] = row
-            out.append(float(F.evaluator(Q)))
-        return np.array(out)
+        if not isinstance(f, GridDensity):
+            f = PiecewiseField(grid, _view(f.smooth), tuple(
+                CutTerm(t.cuts, _view(t.samples)) for t in f.terms))
+        return float(F.evaluator(f))
     return opaque
 
 
@@ -364,7 +349,7 @@ def _node_gradient(F: Functional, P: GridDensity, t: float) -> np.ndarray:
     P's one CDF table, shifted per node (_quantile_gradient), in
     O(G log G), and differs from one perturbed field per node by the same
     rounding; its g is exactly 0 at every node past the crossing node
-    along its axis. A composite perturbs every node (_stacked_gradient)."""
+    along its axis. A composite perturbs every node (_composite_gradient)."""
     grid = P.grid
     if F.kind in ("moment", "variance"):
         integrands, combine = _statistics(F, grid)
@@ -376,7 +361,7 @@ def _node_gradient(F: Functional, P: GridDensity, t: float) -> np.ndarray:
         return (up - dn) / (2.0 * t)
     if F.kind == "quantile":
         return _quantile_gradient(F, P, t)
-    return _stacked_gradient(_evaluator(F, grid), P, t)
+    return _composite_gradient(F, P, t)
 
 
 def _quantile_gradient(F: Functional, P: GridDensity, t: float) -> np.ndarray:
@@ -450,28 +435,34 @@ def _first_reaching(F: np.ndarray, start: np.ndarray,
     return j
 
 
-def _stacked_gradient(psi, P: GridDensity, t: float) -> np.ndarray:
-    """A composite's node gradient, from perturbed fields. psi takes a
-    stack of up to _NODE_BLOCK // G fields along a leading axis, row r
-    perturbed at node k0 + r, and returns one value per row; each row
-    keeps the bits of its field alone. The perturbed copies are edited in
-    place and each call gets a fresh field, so no cached node values
-    outlive their perturbation."""
-    base = np.array(P.smooth, dtype=float).reshape(-1)
-    size = base.size
-    rows = max(1, _NODE_BLOCK // size)
-    work = np.tile(base, (rows, 1))
-    g = np.empty(size)
-    for k0 in range(0, size, rows):
-        k = np.arange(k0, min(k0 + rows, size))
-        r = np.arange(k.size)
-        v = base[k]
-        fields = work[:k.size].reshape((k.size,) + P.grid.shape)
-        work[r, k] = v + t
-        up = psi(PiecewiseField(P.grid, fields, P.terms))
-        work[r, k] = v - t
-        dn = psi(PiecewiseField(P.grid, fields, P.terms))
-        work[r, k] = v
+def _composite_gradient(F: Functional, P: GridDensity,
+                        t: float) -> np.ndarray:
+    """A composite's node gradient, one perturbed field per evaluator
+    call. A work copy of P's smooth part is edited in place, node by node,
+    and each call gets a fresh field, so no cached node values outlive
+    their perturbation: its smooth part is a read-only view of the work
+    copy, its terms are P's own, and a term-free field's `values` is that
+    same view, the bits of the lazy copy at no copy. The fields are set up
+    without the frozen dataclass __init__, whose cost weighs on 2G calls."""
+    work = np.array(P.smooth, dtype=float)
+    flat = work.reshape(-1)
+    state = {"grid": P.grid, "smooth": _view(work), "terms": P.terms}
+    if not P.terms:
+        state["values"] = state["smooth"]
+
+    def psi():
+        Q = object.__new__(PiecewiseField)
+        Q.__dict__.update(state)
+        return float(F.evaluator(Q))
+
+    g = np.empty(flat.size)
+    for k in range(flat.size):
+        v = flat[k]
+        flat[k] = v + t
+        up = psi()
+        flat[k] = v - t
+        dn = psi()
+        flat[k] = v
         g[k] = (up - dn) / (2.0 * t)
     return g.reshape(P.grid.shape)
 
@@ -515,10 +506,9 @@ def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
     itself, both by central differences with step _FD_STEP. A moment or a
     variance differentiates its integrals and a quantile its CDF table
     (_node_gradient), with no perturbed field. A composite evaluates 2
-    perturbed fields per node, in row blocks of up to _NODE_BLOCK node
-    values, with the bits of one field per row: 2G + 2 evaluator calls,
-    each on a read-only field; a write into it raises numpy's ValueError
-    instead of shifting the rows that follow. Then
+    perturbed fields per node, one per call: 2G + 2 evaluator calls, each
+    on a read-only field; a write into it raises numpy's ValueError
+    instead of shifting the fields that follow. Then
 
         level_j = (B_j g) / n_j - Dpsi,    n_j = B_j w,
 

@@ -340,9 +340,7 @@ class PiecewiseField:
 
     Construction neither validates nor copies, and the masked node values
     are built on first use only: numerical differentiation builds
-    thousands of these and reads most of them through `quad` alone. It
-    also stacks fields that share their terms as leading axes of
-    `smooth`; `quad` and `marginal` then give one result per row."""
+    thousands of these and reads most of them through `quad` alone."""
 
     grid: Grid
     smooth: np.ndarray
@@ -358,7 +356,8 @@ class PiecewiseField:
 
     def quad(self, factor: np.ndarray | float | None = None) -> float:
         """Integral of the field, times `factor` (a scalar or node array)
-        when one is given, cells split at every cut."""
+        when one is given, cells split at every cut. A factor with leading
+        axes beyond the grid's gives one integral per row."""
         parts = [(self.smooth, ())] + [(t.samples, t.cuts) for t in self.terms]
         if factor is not None:
             parts = [(s * factor, c) for s, c in parts]
@@ -625,20 +624,20 @@ def _cumtrapz(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _cum_at(x: np.ndarray, s: np.ndarray, cum: np.ndarray, t: float):
     """Trapezoid integral of node samples s over [x[0], t], consistent with
-    their node-level cumulative table `cum`, per row of s."""
+    their node-level cumulative table `cum`."""
     if t <= x[0]:
         return 0.0
     t = min(t, x[-1])
     k = min(int(np.searchsorted(x, t, side="right")) - 1, len(x) - 2)
     d = t - x[k]
-    st = s[..., k] + (s[..., k + 1] - s[..., k]) * (d / (x[k + 1] - x[k]))
-    return cum[..., k] + 0.5 * d * (s[..., k] + st)
+    st = s[k] + (s[k + 1] - s[k]) * (d / (x[k + 1] - x[k]))
+    return cum[k] + 0.5 * d * (s[k] + st)
 
 
 def cdf_table(m: PiecewiseField):
     """The cumulative-trapezoid CDF of a 1-d field (a marginal), cells
-    split at its cuts: its node table F (one row per row of `m.smooth`),
-    the CDF at a point as a function, per row, and the cut locations."""
+    split at its cuts: its node table F, the CDF at a point as a function,
+    and the cut locations."""
     x = m.grid.axes[0].nodes
     parts = [(math.inf, m.smooth)] + [(t.cuts[0][1], t.samples) for t in m.terms]
     parts = [(q, s, _cumtrapz(x, s)) for q, s in parts]
@@ -690,20 +689,15 @@ def invert_cdf(m: PiecewiseField, tau: float, *, strict: bool = True):
     """Invert the cumulative-trapezoid CDF of a 1-d field (a marginal),
     splitting cells at its cuts.
 
-    Leading axes of `m.smooth` are rows, each a field sharing m's cut
-    terms; the result is one quantile per row, or a float for one field.
     Strict mode rejects a flat crossing (zero density on an interval at
     the level). Non-strict mode takes the first crossing, which tolerates
     the tiny negative dips a signed mixture density can produce."""
     F, cdf, cuts = cdf_table(m)
-    if (F[..., -1] < tau).any():
+    if F[-1] < tau:
         raise SensanError("quantile level beyond the grid support")
-    i = np.maximum((F >= tau).argmax(axis=-1), 1)
-    lo_f, hi_f = (np.take_along_axis(F, np.asarray(j)[..., None], -1)[..., 0]
-                  for j in (i - 1, i))
-    out = cross_cell(m.grid.axes[0].nodes, i, lo_f, hi_f, cuts, cdf, tau,
-                     strict)
-    return out if F.ndim > 1 else float(out)
+    i = max(int(np.argmax(F >= tau)), 1)
+    return float(cross_cell(m.grid.axes[0].nodes, i, F[i - 1], F[i], cuts,
+                            cdf, tau, strict))
 
 
 def quantile(P: GridDensity, tau: float, axis: int = 0) -> float:

@@ -822,6 +822,54 @@ def test_config_probe_exits_two_naming_the_key(tmp_path, capsys, command,
     assert f"config key '{key}'" in err, err
 
 
+_ON_THREE_NODES = {"csv": "x,density\n0.0,1.0\n0.5,1.0\n1.0,1.0\n"}
+_MISMATCH = "mismatched grids for likelihood ratio"
+STORED_DENSITY_PROBES = [
+    ("sensitivity", {**SMALL, "metric": {"kind": "policy",
+                                         "density": _ON_THREE_NODES}},
+     ("metric", "density"), _MISMATCH),
+    ("counterfactual", {**SMALL, "metric": {"kind": "policy",
+                                            "density": _ON_THREE_NODES}},
+     ("metric", "density"), _MISMATCH),
+    ("mc", {**CONSISTENCY, "ratio": {"kind": "known",
+                                     "density": _ON_THREE_NODES}},
+     ("ratio", "density"), _MISMATCH),
+    ("mc", {**CONSISTENCY, "ratio": {"kind": "kde",
+                                     "density": _ON_THREE_NODES}},
+     ("ratio", "density"), _MISMATCH),
+    ("mc", {**PLUGIN, "sample_csv": "x\n0.1\n0.5\n0.9\n",
+            "distribution": {"family": "uniform"}, "grid": 201,
+            "ratio": {"kind": "known", "density": _ON_THREE_NODES}},
+     ("ratio", "density"), _MISMATCH),
+    ("sensitivity", {**SMALL, "distribution": {"csv": "x,dens\n0.0,1.0\n"}},
+     ("distribution",), "unrecognized density csv header ['x', 'dens']"),
+]
+
+
+@pytest.mark.parametrize("command,payload,keys,message", STORED_DENSITY_PROBES,
+                         ids=[f"{c}-{'-'.join(k)}-{i}" for i, (c, _, k, _) in
+                              enumerate(STORED_DENSITY_PROBES)])
+def test_a_stored_density_exits_two_naming_its_key_path(
+        tmp_path, capsys, command, payload, keys, message):
+    """A stored policy density on another grid than P's, and a stored
+    density with a header that is not a density table's, exit 2 naming
+    every key on the path to the density, then the cause."""
+    payload = copy.deepcopy(payload)
+    if "sample_csv" in payload:
+        (tmp_path / "sample.csv").write_text(payload["sample_csv"])
+        payload["sample_csv"] = str(tmp_path / "sample.csv")
+    spec = payload
+    for key in keys:
+        spec = spec[key]
+    (tmp_path / "stored.csv").write_text(spec["csv"])
+    spec["csv"] = str(tmp_path / "stored.csv")
+    argv = [command, "--config", _write(tmp_path, "probe.json", payload)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    path = ": ".join(f"config key '{k}'" for k in keys)
+    assert err == f"error: {path}: {message}\n", err
+
+
 # Configs built from the README's config schema, one per subcommand and
 # mode, on small grids so each run takes milliseconds. Every key, and
 # every list item, is a place to corrupt.

@@ -52,6 +52,25 @@ def test_functional_construction_errors():
         quantile_functional(1.0)
     with pytest.raises(SensanError, match="needs an evaluator"):
         composite(None)
+    with pytest.raises(SensanError, match="unknown functional kind 'entropy'"):
+        functionals.Functional("entropy")
+    assert functionals.Functional("moment", rho=np.cos).label == "moment"
+
+
+@pytest.mark.parametrize("build,axis", [
+    (lambda: quantile_functional(0.5, axis=-1), "-1"),
+    (lambda: variance(axis=-1), "-1"),
+    (lambda: variance(axis=0.0), "0.0"),
+    (lambda: variance(True), "True"),
+])
+def test_functional_axis_must_be_a_non_negative_integer(build, axis):
+    """An axis below 0, a float or a bool is refused when the functional
+    is built, naming the axis, before any grid or sample route reads it;
+    a numpy integer is taken."""
+    with pytest.raises(SensanError, match=f"axis must be a non-negative "
+                                          f"integer, got {axis}$"):
+        build()
+    assert quantile_functional(0.5, axis=np.int64(1)).axis == 1
 
 
 _U41 = uniform(Grid.line(0.0, 1.0, 41))
@@ -248,10 +267,10 @@ def _mean_case(dim: int, cut: bool):
 @pytest.mark.parametrize("cut", [False, True])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_composite_cannot_write_into_its_field(dim, cut, target):
-    """The rows of the node gradient are views of one work array: an
-    evaluator that writes into its field's smooth part or node values
-    fails with numpy's read-only error instead of shifting the influence,
-    and neither P nor a later influence changes."""
+    """The perturbed fields of the node gradient are views of one work
+    array: an evaluator that writes into its field's smooth part or node
+    values fails with numpy's read-only error instead of shifting the
+    influence, and neither P nor a later influence changes."""
     P, mean = _mean_case(dim, cut)
     before = influence_numerical(composite(mean, "mean"), P)
     smooth, values = P.smooth.copy(), P.values.copy()
@@ -272,9 +291,10 @@ def test_composite_cannot_write_into_its_field(dim, cut, target):
 @pytest.mark.parametrize("cut", [False, True])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_every_field_an_evaluator_sees_is_read_only(dim, cut):
-    """2G + 2 calls, the 2G rows and the two scaled copies of P alike, each
-    on a field whose arrays are all read-only; a term-free field's node
-    values are its smooth part, with the bits of the lazy copy."""
+    """2G + 2 calls, the 2G perturbed fields and the two scaled copies of
+    P alike, each on a field whose arrays are all read-only; a term-free
+    field's node values are its smooth part, with the bits of the lazy
+    copy."""
     P, mean = _mean_case(dim, cut)
     seen = []
 
@@ -479,7 +499,7 @@ def test_parse_functional_config_errors():
         parse_functional({"kind": "entropy"}, 1)
 
 
-# --- the node gradient in row blocks -------------------------------------------------
+# --- the node gradient against the per-node loop -----------------------------------
 
 def _loop_gradient(F, P, t=_FD_STEP):
     """Reference for the node gradient: the per-node loop, one perturbed
@@ -499,19 +519,12 @@ def _loop_gradient(F, P, t=_FD_STEP):
     return g.reshape(P.grid.shape)
 
 
-def _block_gradient(F, P, rows=None, t=_FD_STEP):
-    """The node gradient influence_numerical takes for F, in blocks of
-    `rows` rows or of the default size."""
-    block = rows * P.smooth.size if rows else functionals._NODE_BLOCK
-    with mock.patch.object(functionals, "_NODE_BLOCK", block):
-        return _node_gradient(F, P, t)
-
-
-def _check_against_the_loop(F, P, rows=None):
-    """The block gradient against the loop's, and a quantile's zeros: it
-    reads its CDF up to the crossing node only, so g is exactly 0, on both
-    routes, at every node past it along the quantile's axis."""
-    got, ref = _block_gradient(F, P, rows), _loop_gradient(F, P)
+def _check_against_the_loop(F, P):
+    """The node gradient influence_numerical takes against the loop's, and
+    a quantile's zeros: it reads its CDF up to the crossing node only, so
+    g is exactly 0, on both routes, at every node past it along the
+    quantile's axis."""
+    got, ref = _node_gradient(F, P, _FD_STEP), _loop_gradient(F, P)
     _assert_matches_the_loop(F, got, ref)
     if F.kind == "quantile":
         x = P.grid.axes[F.axis].nodes
@@ -524,8 +537,8 @@ def _assert_matches_the_loop(F, got, ref):
     """A moment's or a variance's gradient, from the perturbed integrals,
     and a quantile's, from P's shifted CDF table, match the loop within
     1e-8 max|g|, the rounding of the central difference; a composite's
-    rows keep the bits of their fields alone, so its gradient equals the
-    loop's exactly."""
+    fields hold the bits of the loop's, so its gradient equals the loop's
+    exactly."""
     if F.kind == "composite":
         np.testing.assert_array_equal(got, ref, err_msg=F.label)
     else:
@@ -557,9 +570,8 @@ _KINDS_2D = [moment(lambda x, y: x * y), variance(0), variance(1),
 @pytest.mark.parametrize("n", [201, 401, 801])
 @pytest.mark.parametrize("jump", [False, True])
 def test_block_node_gradient_gives_the_loop_bits_in_1d(n, jump):
-    """The block sizes (81, 40 and 20 rows) do not divide the node counts,
-    so every stack of perturbed fields ends on a short block. The
-    composite sees each row as a field of its own."""
+    """Odd node counts, with and without a cut term shared by every
+    perturbed field."""
     P = beta(Grid.line(0.0, 1.0, n), 2.0, 3.0)
     P = _with_a_jump(P) if jump else P
     assert bool(P.terms) == jump
@@ -570,8 +582,7 @@ def test_block_node_gradient_gives_the_loop_bits_in_1d(n, jump):
 @pytest.mark.parametrize("shape,jump", [((21, 31), False), ((21, 31), True),
                                         ((41, 41), False)])
 def test_block_node_gradient_gives_the_loop_bits_in_2d(shape, jump):
-    """Blocks of 25 and 9 rows, which divide neither 651 nor 1681 nodes;
-    on axis 1 a quantile perturbs rows that are not contiguous."""
+    """On axis 1 a quantile's nodes are not contiguous in the field."""
     P = _gaussian_2d(shape)
     P = _with_a_jump(P, 0.5, axis=1) if jump else P
     for F in _KINDS_2D:
@@ -600,7 +611,8 @@ def _cut_in_the_crossing_cell(P, axis):
 @pytest.mark.parametrize("dim,axis", [(1, 0), (2, 0), (2, 1)])
 def test_block_node_gradient_with_a_cut_in_the_crossing_cell(dim, axis):
     """invert_cdf splits the crossing cell at the cut, reading the field
-    inside that cell only; the rows past it still equal P's quantile."""
+    inside that cell only; the fields perturbed past it still give P's
+    quantile."""
     P = (beta(Grid.line(0.0, 1.0, 201), 2.0, 3.0) if dim == 1
          else _gaussian_2d((21, 31)))
     Q, F = _cut_in_the_crossing_cell(P, axis)
@@ -623,7 +635,7 @@ def test_block_node_gradient_keeps_the_node_past_a_flat_crossing():
     i = 11
     F = quantile_functional(float(_cumtrapz(x, P.values)[i]))
     assert invert_cdf(P, F.tau, strict=False) == x[i - 1]
-    got, ref = _block_gradient(F, P), _loop_gradient(F, P)
+    got, ref = _node_gradient(F, P, _FD_STEP), _loop_gradient(F, P)
     _assert_matches_the_loop(F, got, ref)
     for grad in (got, ref):
         assert grad[i] != 0.0 and np.all(grad[i + 1:] == 0.0)
@@ -659,11 +671,12 @@ def test_quantile_gradient_at_a_node_level(case, ulps):
     psi = _evaluator(F, P.grid)
     node = [n // 2 for n in P.grid.shape]
     node[axis] = i
-    k = np.ravel_multi_index(tuple(node), P.grid.shape)
-    rows = np.tile(P.smooth.reshape(-1), (2, 1))
-    rows[:, k] += (_FD_STEP, -_FD_STEP)
-    up, dn = psi(PiecewiseField(P.grid, rows.reshape((2,) + P.grid.shape),
-                                P.terms))
+
+    def moved(c):
+        smooth = np.array(P.smooth)
+        smooth[tuple(node)] += c
+        return psi(PiecewiseField(P.grid, smooth, P.terms))
+    up, dn = moved(_FD_STEP), moved(-_FD_STEP)
     assert up <= x[i] < dn <= x[i + 1]
     _check_against_the_loop(F, P)
 
@@ -695,10 +708,10 @@ def family_densities(draw):
        st.sampled_from([moment(lambda x: x ** 3 - x), variance(),
                         quantile_functional(0.25), quantile_functional(0.5),
                         quantile_functional(0.8), mean_over_median()]),
-       st.integers(1, 50), st.floats(0.0, 1.0, exclude_max=True),
+       st.floats(0.0, 1.0, exclude_max=True),
        st.sampled_from((None, -1, 0, 1)))
 def test_block_node_gradient_gives_the_loop_bits_on_generated_densities(
-        P, F, rows, at, ulps):
+        P, F, at, ulps):
     """With ulps drawn, a quantile's level becomes a node's CDF value,
     moved by that many ulps, at a node `at` of the way along those with
     levels in (0.05, 0.95)."""
@@ -707,7 +720,7 @@ def test_block_node_gradient_gives_the_loop_bits_on_generated_densities(
         inner = np.flatnonzero((table > 0.05) & (table < 0.95))
         assume(inner.size)
         F = _node_level(P, 0, int(inner[int(at * inner.size)]), ulps)
-    _check_against_the_loop(F, P, rows)
+    _check_against_the_loop(F, P)
 
 
 def _reciprocal(x):

@@ -120,6 +120,31 @@ def test_grid_quad_cut_restriction_2d():
     assert abs(got - 0.3) < 1e-13
 
 
+@pytest.mark.parametrize("grid", [Grid.line(0.0, 1.0, 21),
+                                  Grid.box((0.0, 1.0), (-1.0, 2.0), (21, 30))],
+                         ids=["1d", "2d"])
+def test_cut_terms_at_and_beyond_the_grid_edges(grid):
+    """A cut at the lower edge or below it bounds a box of no area, and
+    one at the upper edge or above it the whole grid, on every axis: the
+    integral of the term, and of its marginal on each axis, is zero or
+    the full rule's, and so is the marginal that integrates the cut axis
+    out."""
+    s = np.random.default_rng(grid.ndim).uniform(0.5, 1.5, grid.shape)
+    full = PiecewiseField(grid, s)
+    for axis, ax in enumerate(grid.axes):
+        for q in (ax.lo, ax.lo - 0.1, ax.hi, ax.hi + 0.1):
+            whole = q >= ax.hi
+            f = PiecewiseField(grid, np.zeros(grid.shape),
+                               (CutTerm(((axis, q),), s),))
+            assert f.quad() == (full.quad() if whole else 0.0), (axis, q)
+            for keep in range(grid.ndim):
+                m, want = f.marginal(keep), full.marginal(keep)
+                assert m.quad() == (want.quad() if whole else 0.0), (axis, q)
+                if keep != axis:
+                    np.testing.assert_array_equal(
+                        m.values, want.values if whole else 0.0)
+
+
 def _axis_by_axis(grid, samples, keep=None):
     """Reference for cut-free quadrature: one axis at a time, last first,
     that axis swapped last and the rest flattened into rows, one np.dot
@@ -160,7 +185,7 @@ def test_cut_free_grid_quad_gives_the_axis_by_axis_bits(shape):
         for L in _layouts(A):
             assert grid_quad(g, L) == float(_axis_by_axis(g, L))
     # inputs the direct path converts first: integers, a Python list, and
-    # a read-only row of a stack, as a composite's evaluator gets it
+    # a read-only view, as a composite's evaluator gets its field
     ints = rng.integers(-1000, 1000, shape)
     assert grid_quad(g, ints) == float(_axis_by_axis(g, ints.astype(float)))
     assert grid_quad(g, ints.tolist()) == float(_axis_by_axis(g, ints.astype(float)))
@@ -172,8 +197,8 @@ def test_cut_free_grid_quad_gives_the_axis_by_axis_bits(shape):
 @pytest.mark.parametrize("shape", [(21, 31), (40, 41), (41, 41), (5, 200)])
 def test_marginals_give_the_axis_by_axis_bits(shape):
     """Both marginals of a 2-d field, alone and as rows of a stack: each
-    row of a stack keeps the bits of its field alone, which the node
-    gradient's row blocks rely on; so does a stack's integral."""
+    row of a stack keeps the bits of its field alone, and so does each
+    integral of a stack, which GMM's per-entry integrals rely on."""
     g = Grid.box((0.0, 1.0), (-1.0, 2.0), shape)
     rng = np.random.default_rng(sum(shape))
     A = rng.standard_normal(shape)
@@ -428,6 +453,10 @@ def test_density_csv_rejects_malformed_rows(tmp_path):
         path.write_text("x,density\n" + body)
         with pytest.raises(SensanError, match=match):
             GridDensity.from_csv(str(path))
+    for text in ("x,dens\n0.0,1.0\n", ""):
+        path.write_text(text)
+        with pytest.raises(SensanError, match="unrecognized density csv header"):
+            GridDensity.from_csv(str(path))
 
 
 def test_sample_validation():
@@ -578,8 +607,8 @@ def _field_cdf(m):
 def _one_field_inversion(m, tau, *, strict):
     """Reference for invert_cdf on one field: the cumulative trapezoid of
     each part, the first node at the level, then that cell walked piece by
-    piece between the cuts inside it (the scalar inversion before
-    invert_cdf took rows)."""
+    piece between the cuts inside it, written out apart from invert_cdf's
+    shared cell walk."""
     x, F, cdf = _field_cdf(m)
     cuts = [t.cuts[0][1] for t in m.terms]
     if F[-1] < tau:
@@ -605,13 +634,23 @@ def _outcome(fn, m, tau, strict):
         return str(exc)
 
 
+def test_cdf_table_reads_zero_at_and_below_the_first_node():
+    """The CDF of a field, with and without a cut term, is 0 at its first
+    node and below it, and the table's last entry at its last node."""
+    g = Grid.line(0.0, 1.0, 21)
+    m = PiecewiseField(g, np.ones(g.shape))
+    for f in (m, PiecewiseField(g, m.smooth, (CutTerm(((0, 0.3),), m.smooth),))):
+        F, cdf, _ = model_space.cdf_table(f)
+        assert cdf(0.0) == cdf(-0.5) == F[0] == 0.0
+        assert cdf(1.0) == cdf(1.5) == F[-1]
+
+
 @pytest.mark.parametrize("n", [5, 21, 200, 201])
 def test_row_inversion_gives_each_fields_bits(n):
     """Signed fields with up to three cuts (one repeated) and a near-flat
     stretch, at levels that put a cut inside the crossing cell or the
-    crossing inside the stretch: a stack of fields inverts row by row to
-    the one-field reference, in both modes. A stack fails when a row
-    fails, a level beyond the support first."""
+    crossing inside the stretch: each field inverts to the one-field
+    reference, its value or its error, in both modes."""
     g = Grid.line(0.0, 1.0, n)
     rng = np.random.default_rng(n)
     stretch = slice(n // 3, max(n // 2, n // 3 + 2))
@@ -632,17 +671,9 @@ def test_row_inversion_gives_each_fields_bits(n):
         levels.append(F2[stretch][-1])
         for tau in levels:
             for strict in (True, False):
-                got = _outcome(model_space.invert_cdf,
-                               model_space.PiecewiseField(g, stack, terms), tau, strict)
-                want = [_outcome(_one_field_inversion, f, tau, strict) for f in fields]
-                errors = [w for w in want if isinstance(w, str)]
-                if errors:
-                    beyond = "quantile level beyond the grid support"
-                    assert got == (beyond if beyond in errors else errors[0])
-                else:
-                    assert got.tolist() == want
-                    assert _outcome(model_space.invert_cdf, fields[0], tau,
-                                    strict) == want[0]
+                for f in fields:
+                    assert (_outcome(model_space.invert_cdf, f, tau, strict)
+                            == _outcome(_one_field_inversion, f, tau, strict))
 
 
 def test_density_at_interpolates():
@@ -1040,3 +1071,36 @@ def test_median_steps_add_one_term_each():
         assert rep.S == pytest.approx(S, rel=1e-12, abs=0.0)
         P = counterfactual_report(mean, median, P, information_metric(),
                                   0.02).counterfactual
+
+
+def test_each_model_space_refusal_names_its_cause():
+    """The refusals that no other test reaches, each by its message."""
+    line = Grid.line(0.0, 1.0, 5)
+    U = uniform(line)
+    cases = [
+        (lambda: Grid.line(1.0, 1.0 + 1e-15, 7), "grid nodes not uniformly spaced"),
+        (lambda: GridDensity(line, np.ones(5), _normalize="soft"),
+         "unknown normalization mode 'soft'"),
+        (lambda: Sample(np.empty((0, 1)), (0.0,), (1.0,)),
+         "sample must be a nonempty array of points"),
+        (lambda: Sample(np.full((2, 2, 1), 0.5), (0.0,), (1.0,)),
+         "sample must be a nonempty array of points"),
+        (lambda: model_space.LikelihoodRatio(line, np.ones(4), False),
+         "ratio values do not match the grid shape"),
+        (lambda: model_space.LikelihoodRatio(line, np.full(5, 1e4), False),
+         "ratio values escape the clamp bounds"),
+        (lambda: density_at(U, (0.5, 0.5)), "point dimension does not match the grid"),
+        (lambda: density_at(U, 1.5), "point outside the grid domain"),
+        (lambda: likelihood_ratio(U, uniform(Grid.line(0.0, 1.0, 7))),
+         "mismatched grids for likelihood ratio"),
+        (lambda: kde_fit(Sample(np.full((3, 2), 0.5), (0.0, 0.0), (1.0, 1.0)), line),
+         "sample dimension does not match the grid"),
+    ]
+    for build, message in cases:
+        with pytest.raises(SensanError) as info:
+            build()
+        assert str(info.value) == message
+    with mock.patch.object(model_space, "_simpson_weights",
+                           lambda lo, hi, n: -np.ones(n)):
+        with pytest.raises(SensanError, match="^quadrature weights failed validation$"):
+            Grid.line(0.0, 1.0, 5)
