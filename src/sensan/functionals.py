@@ -22,9 +22,11 @@ to two grid spacings, extrapolated in the bump width. The derivative is
 linear in the bump, so every width and every z comes from one node
 gradient of psi (central differences at every node) smoothed by a
 convolution along each axis. The convolutions go by real FFT: along each
-axis one transform of the node gradient and the Simpson weights together,
-a product with each width's kernel transform and one inverse, of which
-the "valid" entries are kept. Each kind takes the node gradient its own
+axis one transform of the node gradient, a product with each width's
+kernel transform and one inverse, of which the "valid" entries are kept.
+The kernel transforms, and the bump masses they make of the Simpson
+weights, depend on the grid's geometry alone: they are built once per
+geometry and kept (_ladder). Each kind takes the node gradient its own
 way:
 
     moment, variance  central differences of the one or three integrals
@@ -61,7 +63,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,6 +126,9 @@ class Functional:
                 or not isinstance(self.axis, numbers.Integral) or self.axis < 0):
             raise SensanError(f"{self.kind} axis must be a non-negative "
                               f"integer, got {self.axis!r}")
+        if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
+            raise SensanError(f"{self.kind} tau must be a real number, "
+                              f"got {self.tau!r}")
         if self.kind == "moment" and not callable(self.rho):
             raise SensanError("moment functional needs a callable rho")
         if self.kind == "quantile" and not 0.0 < self.tau < 1.0:
@@ -141,8 +146,8 @@ def variance(axis: int = 0) -> Functional:
 
 
 def quantile_functional(tau: float, axis: int = 0) -> Functional:
-    return Functional("quantile", tau=tau, axis=axis,
-                      label=f"quantile[{tau:g}, axis {axis}]")
+    F = Functional("quantile", tau=tau, axis=axis)
+    return replace(F, label=f"quantile[{float(tau):g}, axis {axis}]")
 
 
 def composite(evaluator, label: str = "composite") -> Functional:
@@ -467,31 +472,69 @@ def _composite_gradient(F: Functional, P: GridDensity,
     return g.reshape(P.grid.shape)
 
 
-def _smooth(grid: Grid, a: np.ndarray, sigmas) -> np.ndarray:
-    """sum_k a_k exp(-|x - x_k|^2 / 2 sigma^2) at every node x, for every
-    field of the stack `a` (fields along its leading axis) and every width
-    in `sigmas`: shape (len(sigmas),) + a.shape. The Gaussian is a tensor
-    product and Toeplitz on each uniform axis, so along every axis line it
-    is the "valid" part of a convolution with the kernel at offsets
-    -(n-1) h .. (n-1) h, entries n-1 .. 2n-2 of the full one. Each axis
-    takes one real FFT of the whole stack at L, the smallest power of two
-    of at least 2n - 1, multiplies it by each width's kernel transform and
-    inverts: the full convolution's entries from L on fold onto 0 .. n-2
-    alone, so the kept ones are the direct sums up to rounding."""
+def _kernels(grid: Grid, sigmas) -> tuple[np.ndarray, ...]:
+    """Per axis, the real FFT of every width's Gaussian at offsets
+    -(n-1) h .. (n-1) h, at L, the smallest power of two of at least
+    2n - 1: shape (len(sigmas),) + (L/2 + 1 on that axis, 1 on the
+    others), so that it broadcasts against a field with a leading width
+    axis; read-only, as _ladder keeps them."""
     sigmas = np.asarray(sigmas, dtype=float)
-    lead = a.ndim - grid.ndim + 1   # a[None]'s first grid axis
-    a = a[None]
+    out = []
     for axis, ax in enumerate(grid.axes):
-        n, at = ax.n, lead + axis
-        size = 1 << (2 * n - 2).bit_length()
-        d = np.arange(1 - n, n) * (ax.spacing / sigmas)[:, None]
-        kernels = np.fft.rfft(np.exp(-0.5 * d * d), size)
-        kernels = np.expand_dims(kernels, tuple(range(1, at))
-                                 + tuple(range(at + 1, a.ndim)))
-        full = np.fft.irfft(np.fft.rfft(a, size, axis=at) * kernels, size,
+        size = 1 << (2 * ax.n - 2).bit_length()
+        d = np.arange(1 - ax.n, ax.n) * (ax.spacing / sigmas)[:, None]
+        k = np.fft.rfft(np.exp(-0.5 * d * d), size)
+        out.append(_view(k.reshape(k.shape[:1] + (1,) * axis + k.shape[1:]
+                                   + (1,) * (grid.ndim - 1 - axis))))
+    return tuple(out)
+
+
+def _smooth(a: np.ndarray, kernels) -> np.ndarray:
+    """sum_k a_k exp(-|x - x_k|^2 / 2 sigma^2) at every node x of the
+    field `a`, for every width whose kernel transforms `kernels` holds
+    (_kernels): one field per width, along a new leading axis. The
+    Gaussian is a tensor product and Toeplitz on each uniform axis, so
+    along every axis line it is the "valid" part of a convolution with the
+    kernel, entries n-1 .. 2n-2 of the full one. Each axis takes one real
+    FFT of the field at L, multiplies it by each width's kernel transform
+    and inverts: the full convolution's entries from L on fold onto
+    0 .. n-2 alone, so the kept ones are the direct sums up to rounding."""
+    a = a[None]
+    for at, kernel in enumerate(kernels, 1):
+        n, size = a.shape[at], 2 * kernel.shape[at] - 2
+        full = np.fft.irfft(np.fft.rfft(a, size, axis=at) * kernel, size,
                             axis=at)
         a = full[(slice(None),) * at + (slice(n - 1, 2 * n - 1),)]
     return a
+
+
+_LADDER_GEOMETRIES = 16     # grid geometries whose ladder _ladder keeps
+_ladders: dict = {}
+
+
+def _ladder(grid: Grid) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The grid-only half of the mollifier ladder: the kernel transforms
+    of default_schedule(grid)'s widths (_kernels) and the bump masses
+    n_j = B_j w, the Simpson weights smoothed at every width. Both are
+    functions of each axis's (lo, hi, n) alone, from which Grid derives
+    nodes and weights bit for bit, so they are built once per geometry
+    and kept, read-only, for the _LADDER_GEOMETRIES most recently used
+    geometries: grids hash by identity, and callers build a new grid of
+    the same geometry for every density. An entry holds the masses,
+    8 levels G bytes, and per axis the kernel transforms,
+    16 levels (L/2 + 1) bytes, with levels the schedule's width count:
+    1.3 MB at 201 x 201 (4 levels), 114 kB at 801 nodes (5 levels). So
+    the memo holds at most about 21 MB while no axis has more than 201
+    nodes; entries of finer grids grow like G log G."""
+    key = tuple((ax.lo, ax.hi, ax.n) for ax in grid.axes)
+    entry = _ladders.pop(key, None)
+    if entry is None:
+        if len(_ladders) >= _LADDER_GEOMETRIES:
+            del _ladders[next(iter(_ladders))]
+        kernels = _kernels(grid, default_schedule(grid).sigmas())
+        entry = kernels, _view(_smooth(grid.weight_tensor(), kernels))
+    _ladders[key] = entry
+    return entry
 
 
 def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
@@ -514,15 +557,17 @@ def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
 
     with B_j the bump matrix (applied as a convolution along each axis,
     never built) and w the Simpson weights. The convolutions run by real
-    FFT (_smooth): per axis one transform of the stack [g, w], one product
-    with every width's kernel transform and one inverse, O(n log n) per
-    axis line, the direct sums to rounding. Dividing by the exact Simpson
-    mass of the same bump makes the split exact, and it also lets the
-    ladder run down to two grid spacings: the 4:2 ripple of the Simpson
-    weights, which g inherits, has period 2h, and a bump of width 2h
-    damps it by exp(-2 pi^2), about 3e-9. The two finest levels are
-    Richardson-extrapolated (the smoothing error is quadratic in sigma)
-    and the result is centered.
+    FFT (_smooth): per axis one transform of g, one product with every
+    width's kernel transform and one inverse, O(n log n) per axis line,
+    the direct sums to rounding. The kernel transforms and the masses n_j
+    depend on the grid's geometry alone, so they come from a memo
+    (_ladder), built by the same transforms on the first grid of that
+    geometry. Dividing by the exact Simpson mass of the same bump makes
+    the split exact, and it also lets the ladder run down to two grid
+    spacings: the 4:2 ripple of the Simpson weights, which g inherits, has
+    period 2h, and a bump of width 2h damps it by exp(-2 pi^2), about
+    3e-9. The two finest levels are Richardson-extrapolated (the smoothing
+    error is quadratic in sigma) and the result is centered.
 
     Level-to-level sup changes are the convergence diagnostic, decided on
     the first three widths: if the second change exceeds the first, the
@@ -533,9 +578,8 @@ def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
     psi = _evaluator(F, grid)
     g = _node_gradient(F, P, t)
     dpsi = (psi(P.scale(1.0 + t)) - psi(P.scale(1.0 - t))) / (2.0 * t)
-    gw = _smooth(grid, np.stack([g, grid.weight_tensor()]),
-                 default_schedule(grid).sigmas())
-    levels = gw[:, 0] / gw[:, 1] - dpsi
+    kernels, masses = _ladder(grid)
+    levels = _smooth(g, kernels) / masses - dpsi
     changes = [float(np.max(np.abs(levels[j] - levels[j - 1])))
                for j in range(1, len(levels))]
     scale = 1.0 + float(np.max(np.abs(levels)))

@@ -73,6 +73,23 @@ def test_functional_axis_must_be_a_non_negative_integer(build, axis):
     assert quantile_functional(0.5, axis=np.int64(1)).axis == 1
 
 
+@pytest.mark.parametrize("build,tau", [
+    (lambda: quantile_functional("0.5"), "'0.5'"),
+    (lambda: quantile_functional(None), "None"),
+    (lambda: quantile_functional(True), "True"),
+    (lambda: functionals.Functional("quantile", tau="0.5"), "'0.5'"),
+])
+def test_functional_tau_must_be_a_real_number(build, tau):
+    """A string, None or a bool for tau is refused when the functional is
+    built, naming tau and the value, before the label or the level check
+    reads it; a numpy float is taken."""
+    with pytest.raises(SensanError, match=f"^quantile tau must be a real "
+                                          f"number, got {tau}$"):
+        build()
+    F = quantile_functional(np.float64(0.5))
+    assert F.tau == 0.5 and F.label == "quantile[0.5, axis 0]"
+
+
 _U41 = uniform(Grid.line(0.0, 1.0, 41))
 _S1 = Sample(np.linspace(0.05, 0.95, 19), (0.0,), (1.0,))
 
@@ -354,52 +371,146 @@ _SMOOTH_GRIDS = [(n,) for n in (3, 4, 5, 8, 9, 21, 101, 512, 513, 801)]
 _SMOOTH_GRIDS += [(3, 3), (4, 9), (21, 21), (21, 31), (31, 21), (41, 41)]
 
 
+@pytest.fixture
+def no_ladders():
+    """An empty ladder memo for the test, and none of its entries after."""
+    functionals._ladders.clear()
+    yield
+    functionals._ladders.clear()
+
+
 @pytest.mark.parametrize("shape", _SMOOTH_GRIDS)
-def test_fft_smoothing_gives_the_direct_sums(shape):
+def test_fft_smoothing_gives_the_direct_sums(shape, no_ladders):
     """The transform route smooths a node field and the Simpson weights at
     every width, from two of the coarsest spacings to ten times the longest
-    side, to within 1e-13 of the direct sums, sup-relative per field."""
+    side, to within 1e-13 of the direct sums, sup-relative per field; so
+    do the bump masses the ladder memo keeps for the grid, the Simpson
+    weights at the schedule's widths."""
     grid = (Grid.line(0.0, 1.0, shape[0]) if len(shape) == 1
             else Grid.box((0.0, 1.0), (-1.0, 2.0), shape))
     h = max(ax.spacing for ax in grid.axes)
     span = max(ax.hi - ax.lo for ax in grid.axes)
-    sigmas = [2.0 * h, 5.3 * h, span / 3.0, span, 10.0 * span]
-    sigmas += default_schedule(grid).sigmas()
+    schedule = default_schedule(grid).sigmas()
+    sigmas = [2.0 * h, 5.3 * h, span / 3.0, span, 10.0 * span] + schedule
     rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
-    stack = np.stack([rng.standard_normal(grid.shape), grid.weight_tensor()])
-    got = functionals._smooth(grid, stack, sigmas)
-    assert got.shape == (len(sigmas),) + stack.shape
-    for j, sigma in enumerate(sigmas):
-        for i, a in enumerate(stack):
-            assert _sup_relative(got[j, i], _direct_smooth(grid, a, sigma)) <= 1e-13
+    w = grid.weight_tensor()
+    kernels = functionals._kernels(grid, sigmas)
+    for a in (rng.standard_normal(grid.shape), w):
+        got = functionals._smooth(a, kernels)
+        assert got.shape == (len(sigmas),) + grid.shape
+        for j, sigma in enumerate(sigmas):
+            assert _sup_relative(got[j], _direct_smooth(grid, a, sigma)) <= 1e-13
+    _, masses = functionals._ladder(grid)
+    assert masses.shape == (len(schedule),) + grid.shape
+    for j, sigma in enumerate(schedule):
+        assert _sup_relative(masses[j], _direct_smooth(grid, w, sigma)) <= 1e-13
 
 
-def _direct_ladder(grid, a, sigmas):
-    return np.array([[_direct_smooth(grid, f, s) for f in a] for s in sigmas])
+def _correlated(x, y):
+    a, b = (x - 0.45) / 0.18, (y - 0.55) / 0.2
+    return np.exp(-0.5 * (a * a - 1.2 * a * b + b * b) / 0.64)
+
+
+def _direct_kernels(grid, sigmas):
+    # what _direct_ladder needs in place of the kernel transforms
+    return grid, sigmas
+
+
+def _direct_ladder(a, kernels):
+    grid, sigmas = kernels
+    return np.array([_direct_smooth(grid, a, s) for s in sigmas])
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_numerical_influence_is_the_direct_sum_ladder(dim):
+def test_numerical_influence_is_the_direct_sum_ladder(dim, no_ladders):
     """Every built-in kind and a composite, with the ladder smoothed by
-    direct sums instead: the influences agree to within 1e-13 of their
-    sup."""
+    direct sums instead, its bump masses included: the influences agree to
+    within 1e-13 of their sup. The memo is emptied while the direct sums
+    run, so they build its entry, and it gets back its transform-built
+    entries after, so no direct-sum masses reach later calls."""
     if dim == 1:
         P = beta(Grid.line(0.0, 1.0, 201), 2.0, 3.0)
         cases = [moment(lambda x: x * x), variance(),
                  quantile_functional(0.3), mean_over_median()]
     else:
-        def correlated(x, y):
-            a, b = (x - 0.45) / 0.18, (y - 0.55) / 0.2
-            return np.exp(-0.5 * (a * a - 1.2 * a * b + b * b) / 0.64)
         P = GridDensity.from_callable(
-            Grid.box((0.0, 1.0), (0.0, 1.0), (21, 31)), correlated)
+            Grid.box((0.0, 1.0), (0.0, 1.0), (21, 31)), _correlated)
         cases = [moment(lambda x, y: x * y), variance(0),
                  quantile_functional(0.5, 1), composite(_covariance)]
     for F in cases:
         got = influence_numerical(F, P).values
-        with mock.patch.object(functionals, "_smooth", _direct_ladder):
+        [built] = functionals._ladders.values()
+        with mock.patch.dict(functionals._ladders, clear=True), \
+                mock.patch.multiple(functionals, _kernels=_direct_kernels,
+                                    _smooth=_direct_ladder):
             ref = influence_numerical(F, P).values
+            [(direct, _)] = functionals._ladders.values()
+            assert direct[1] == default_schedule(P.grid).sigmas()
+        [after] = functionals._ladders.values()
+        assert after is built
         assert _sup_relative(got, ref) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grids_of_one_geometry_share_a_ladder_and_its_bits(dim, no_ladders):
+    """A grid built anew with the geometry of an earlier one reads the
+    earlier grid's ladder from the memo, and every built-in kind and a
+    composite give the bits of the grid that built it."""
+    if dim == 1:
+        def build():
+            return beta(Grid.line(0.0, 1.0, 201), 2.0, 3.0)
+        cases = [moment(lambda x: x * x), variance(),
+                 quantile_functional(0.3), mean_over_median()]
+    else:
+        def build():
+            return GridDensity.from_callable(
+                Grid.box((0.0, 1.0), (0.0, 1.0), (21, 31)), _correlated)
+        cases = [moment(lambda x, y: x * y), variance(0),
+                 quantile_functional(0.5, 1), composite(_covariance)]
+    P, Q = build(), build()
+    assert P.grid is not Q.grid
+    for F in cases:
+        first = influence_numerical(F, P)
+        assert len(functionals._ladders) == 1
+        again = influence_numerical(F, Q)
+        assert len(functionals._ladders) == 1
+        assert np.array_equal(first.values, again.values)
+
+
+def test_a_grid_with_other_bounds_gets_its_own_ladder(no_ladders):
+    """The memo keys each axis by its bounds as well as its node count: a
+    201-node [-1, 1] after a 201-node [0, 1] builds a second entry, whose
+    variance influence matches the analytic one inside the zones."""
+    for lo in (0.0, -1.0):
+        g = Grid.line(lo, 1.0, 201)
+        P = GridDensity.from_callable(g, lambda x: np.exp(-8.0 * (x - 0.3) ** 2))
+        num = influence_numerical(variance(), P).values
+        ana = influence_analytic(variance(), P).values
+        x, s0 = g.axes[0].nodes, default_schedule(g).sigma0
+        inside = (x >= lo + 2 * s0) & (x <= 1.0 - 2 * s0)
+        assert np.max(np.abs(num - ana)[inside]) < 1e-4 * np.max(np.abs(ana))
+    assert len(functionals._ladders) == 2
+
+
+def test_the_ladder_memo_is_read_only_and_bounded(no_ladders):
+    """Every array the memo keeps refuses a write, and building more
+    geometries than its bound keeps the most recently used ones."""
+    kernels, masses = functionals._ladder(Grid.box((0.0, 1.0), (0.0, 2.0),
+                                                   (5, 7)))
+    for a in (*kernels, masses):
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1.0
+    bound = functionals._LADDER_GEOMETRIES
+    lines = [Grid.line(0.0, 1.0 + k, 5) for k in range(bound + 2)]
+    for k, g in enumerate(lines):
+        functionals._ladder(g)
+        assert len(functionals._ladders) == min(k + 2, bound)
+    assert list(functionals._ladders) == [((0.0, 1.0 + k, 5),)
+                                          for k in range(2, bound + 2)]
+    functionals._ladder(lines[2])
+    functionals._ladder(Grid.line(0.0, 0.5, 5))
+    assert ((0.0, 3.0, 5),) in functionals._ladders
+    assert ((0.0, 4.0, 5),) not in functionals._ladders
 
 
 def _iso(x, y):

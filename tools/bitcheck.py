@@ -16,10 +16,13 @@ changed line's largest relative change, max |a - b| / max |a|, can be read
 from the dumps of two checkouts. The lines cover:
 
 - numerical influences of the 1-d kinds and `mean_over_median` on
-  Beta(2, 3) at 101, 201 and 801 nodes, with and without a cut term
+  Beta(2, 3) at 101, 201 and 801 nodes, with and without a cut term, and
+  after the 201-node ones the variance of a Gaussian on 201 nodes of
+  [-1, 1], the same node count on other bounds
 - numerical influences of the 2-d kinds and the covariance composite on
   a correlated Gaussian at 21², 31², 41² and 21×31 (and at 21×31 with a
-  cut), on the uniform and on an isotropic Gaussian at 21², 31², 41²
+  cut), then its covariance again on a 21×31 grid built anew, and on the
+  uniform and on an isotropic Gaussian at 21², 31², 41²
 - quantile numerical influences where a cut sits inside the crossing
   cell: Beta(2, 3) at 801 nodes on axis 0, and the correlated Gaussian at
   21×31 on axis 1
@@ -145,6 +148,14 @@ def influences(sensan, jobs) -> None:
         for cut, Q in (("", P), ("+cut", with_cut(sensan, P, 0.4))):
             for name, F in one_d:
                 influence(sensan, f"ni/beta23/{n}{cut}/{name}", F, Q)
+        if n == 201:
+            # the node count just used on other bounds, so a ladder kept
+            # by node count alone shows here
+            wide = sensan.GridDensity.from_callable(
+                sensan.Grid.line(-1.0, 1.0, 201),
+                lambda x: np.exp(-8.0 * (x - 0.3) ** 2))
+            influence(sensan, "ni/gauss/-1..1/201/variance",
+                      sensan.variance(), wide)
 
     cov = sensan.composite(jobs.covariance)
     two_d = [("xy", mom(lambda x, y: x * y)),
@@ -166,6 +177,10 @@ def influences(sensan, jobs) -> None:
             for name, F in two_d:
                 influence(sensan, f"ni/gauss/{shape[0]}x{shape[1]}{cut}/{name}",
                           F, Q)
+    # a grid built anew with the geometry of one above
+    fresh = sensan.GridDensity.from_callable(unit_box(sensan, (21, 31)),
+                                             correlated)
+    influence(sensan, "ni/gauss/21x31/fresh-grid/covariance", cov, fresh)
 
     plain = [("xy", mom(lambda x, y: x * y)), ("var1", sensan.variance(1)),
              ("median0", sensan.quantile_functional(0.5)), ("covariance", cov)]
