@@ -31,12 +31,11 @@ way:
 
     moment, variance  central differences of the one or three integrals
                       psi combines, shifted by t w_k I_k at node k: O(G)
-    quantile          P's one CDF table, shifted by t w_k T_a for node k
-                      at index a on the quantile's axis; each shifted
-                      table's crossing is found by a search and its cell
-                      inverted by invert_cdf's walk: O(G log G); nodes
-                      past the crossing node read P's table unchanged, so
-                      their gradient is exactly 0
+    quantile          in closed form, the derivative of the linear
+                      interpolation in the piece of P's CDF where
+                      invert_cdf crosses, which node k at index a on the
+                      quantile's axis moves by w_k T_a: O(G); exactly 0
+                      past the crossing node
     composite         one perturbed field per call, two calls per node
 
 A composite's evaluator is opaque, so each of its perturbed fields is a
@@ -62,7 +61,6 @@ Carlo harnesses on them.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,8 +68,8 @@ import numpy as np
 from .errors import SensanError, nested, read
 from .expressions import as_array_function, parse_whitelisted
 from .model_space import (CutTerm, Grid, GridDensity, PiecewiseField, Sample,
-                          cdf_table, cross_cell, density_at, invert_cdf,
-                          kde_fit, quantile, silverman_bandwidth)
+                          cdf_table, check_tau_axis, cross_cell, density_at,
+                          invert_cdf, kde_fit, quantile, silverman_bandwidth)
 from .tangent import TangentVector
 
 __all__ = [
@@ -122,17 +120,9 @@ class Functional:
             object.__setattr__(self, "label", self.kind)
         if self.kind not in ("moment", "variance", "quantile", "composite"):
             raise SensanError(f"unknown functional kind '{self.kind}'")
-        if (isinstance(self.axis, bool)
-                or not isinstance(self.axis, numbers.Integral) or self.axis < 0):
-            raise SensanError(f"{self.kind} axis must be a non-negative "
-                              f"integer, got {self.axis!r}")
-        if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
-            raise SensanError(f"{self.kind} tau must be a real number, "
-                              f"got {self.tau!r}")
+        check_tau_axis(self.kind, self.tau, self.axis)
         if self.kind == "moment" and not callable(self.rho):
             raise SensanError("moment functional needs a callable rho")
-        if self.kind == "quantile" and not 0.0 < self.tau < 1.0:
-            raise SensanError("quantile level must be strictly inside (0, 1)")
         if self.kind == "composite" and not callable(self.evaluator):
             raise SensanError("composite functional needs an evaluator")
 
@@ -341,8 +331,9 @@ def default_schedule(grid: Grid) -> MollifierSchedule:
 
 
 def _node_gradient(F: Functional, P: GridDensity, t: float) -> np.ndarray:
-    """(psi(P + t e_k) - psi(P - t e_k)) / 2t for every node k, e_k the
-    unit node vector added to the smooth part; P's cut terms are shared.
+    """d psi / d P(x_k) for every node k: (psi(P + t e_k) - psi(P - t e_k))
+    / 2t, e_k the unit node vector added to the smooth part, P's cut terms
+    shared, or for a quantile the derivative itself.
 
     A moment or a variance reads a field through one or three integrals,
     and P + t e_k has P's integrals plus t w_k I_k, w the weight tensor
@@ -350,11 +341,13 @@ def _node_gradient(F: Functional, P: GridDensity, t: float) -> np.ndarray:
     of integrals, with the same combine as the evaluator, in O(G). It
     differs from one perturbed field per node by the rounding of the
     difference alone, of order eps |psi| / t, which stays within
-    1e-8 max|g| on the grids tested. A quantile reads the same way from
-    P's one CDF table, shifted per node (_quantile_gradient), in
-    O(G log G), and differs from one perturbed field per node by the same
-    rounding; its g is exactly 0 at every node past the crossing node
-    along its axis. A composite perturbs every node (_composite_gradient)."""
+    1e-8 max|g| on the grids tested. A quantile's g is the derivative
+    itself, in closed form in its crossing piece (_quantile_gradient), in
+    O(G): the central difference of one perturbed field per node is
+    within its rounding and O(t^2) error of it, except at a level where
+    the fields moved by t up and down cross in different cells; it is
+    exactly 0 at every node past the crossing node along its axis. A
+    composite perturbs every node (_composite_gradient)."""
     grid = P.grid
     if F.kind in ("moment", "variance"):
         integrands, combine = _statistics(F, grid)
@@ -370,74 +363,55 @@ def _node_gradient(F: Functional, P: GridDensity, t: float) -> np.ndarray:
 
 
 def _quantile_gradient(F: Functional, P: GridDensity, t: float) -> np.ndarray:
-    """A quantile's node gradient from P's one CDF table. Moving node k of
-    the smooth part by c moves the marginal at k's index a along the axis
-    by c w_k, w_k the Simpson weight of the other axes at k (1 in 1-d),
-    and so the table by c w_k T_a: 0 below node a, half the left cell at
-    a, both half cells above. Each shifted table's first node at tau is
-    found by a search, since a shift can jump a flat stretch, and its
-    cell is inverted by invert_cdf's walk, cuts inside it split out.
-    A node whose index a lies past P's crossing node leaves the table
-    unchanged up to that node, so its gradient is exactly 0 and it is
-    skipped; the level is beyond the support if the lightest shifted
-    total is."""
+    """A quantile's node gradient in closed form. Moving node k of the
+    smooth part by c moves the marginal at k's index a along the axis by
+    c w_k, w_k the Simpson weight of the other axes at k (1 in 1-d), and
+    so its CDF at s by c w_k T_a(s), T_a(s) the integral of node a's hat
+    up to s. The quantile interpolates the CDF linearly in its crossing
+    piece p0 < p1, from A < tau to B >= tau (cross_cell), so
+
+        g_k = -w_k (p1 - p0) / (B - A)^2 [(B - tau) T_a(p0) + (tau - A) T_a(p1)],
+
+    exactly 0 past the crossing node. At a level equal to a node's CDF
+    value it is the slope in invert_cdf's cell, one side of the kink
+    there. A piece whose mean density fails _quantile_density is refused;
+    the level is beyond the support if the lightest total that a central
+    difference at step t reaches is."""
     grid = P.grid
     axis = _axis(F, grid.ndim)
     x = grid.axes[axis].nodes
-    n, tau = x.size, F.tau
+    tau = F.tau
+
+    def spread(v):
+        """v along the quantile's axis times the other axes' weights."""
+        out = np.ones(())
+        for b, ax in enumerate(grid.axes):
+            out = np.multiply.outer(out, v if b == axis else ax.weights)
+        return out
+
     table, cdf, cuts = cdf_table(P.marginal(axis))
-    a = np.indices(grid.shape)[axis].reshape(-1)
-    w = np.ones(())
-    for b, ax in enumerate(grid.axes):
-        w = np.multiply.outer(w, np.ones(ax.n) if b == axis else ax.weights)
-    w = w.reshape(-1)
     half = 0.5 * np.diff(x)
-    left, right = np.append(0.0, half), np.append(half, 0.0)
-    if table[-1] - t * np.max(w * (left + right)[a]) < tau:
+    mass = np.append(half, 0.0) + np.append(0.0, half)     # T_a at x[-1]
+    if table[-1] - t * np.max(spread(mass)) < tau:
         raise SensanError("quantile level beyond the grid support")
-    nodes = np.flatnonzero(a <= np.argmax(table >= tau))
-    k = np.tile(a[nodes], 2)
-    c = t * np.concatenate([w[nodes], -w[nodes]])
+    _, (p0, p1, A, B) = cross_cell(x, table, cdf, cuts, tau, strict=False)
+    _quantile_density((B - A) / (p1 - p0), "marginal")
+    i = int(np.searchsorted(x, p0, "right"))    # the cell [x[i - 1], x[i]]
+    h = x[i] - x[i - 1]
 
-    def step(j):
-        """T_k at node j: the integral of the hat at node k up to x_j."""
-        return left[k] * (j >= k) + right[k] * (j > k)
+    def hats(p):
+        """T_a(p) for every node a, p in the cell [x[i - 1], x[i]]."""
+        d = p - x[i - 1]
+        r = 0.5 * d * d / h                     # T_i(p)
+        T = np.zeros(x.size)
+        T[:i] = mass[:i]
+        T[i - 1] += d - 0.5 * h - r
+        T[i] = r
+        return T
 
-    def row_cdf(q):
-        # each row's CDF at q: P's plus c times the hat's integral up to q
-        j = min(int(np.searchsorted(x, q, "right")) - 1, n - 2)
-        d = q - x[j]
-        e0, e1 = (k == j) * 1.0, (k == j + 1) * 1.0
-        return cdf(q) + c * (step(j) + d * e0
-                             + 0.5 * d * d / (x[j + 1] - x[j]) * (e1 - e0))
-
-    i = np.where(table[k] + c * left[k] >= tau, k,
-                 _first_reaching(table, k + 1, tau - c * (left[k] + right[k])))
-    # node 0 as in invert_cdf; the last node for a row that the search
-    # misses only by the rounding of its shift
-    i = np.clip(i, 1, n - 1)
-    q = cross_cell(x, i, table[i - 1] + c * step(i - 1),
-                   table[i] + c * step(i), cuts, row_cdf, tau, strict=False)
-    g = np.zeros(a.size)
-    g[nodes] = (q[:nodes.size] - q[nodes.size:]) / (2.0 * t)
-    return g.reshape(grid.shape)
-
-
-def _first_reaching(F: np.ndarray, start: np.ndarray,
-                    v: np.ndarray) -> np.ndarray:
-    """Per query, the first index j >= start with F[j] >= v, len(F) if
-    there is none: a descent over the maxima of F's blocks of 2^l entries
-    (a sparse table), built in O(n log n), O(log n) per query."""
-    blocks = [F]                        # blocks[l][p] = max F[p:p + 2^l]
-    while 1 << len(blocks) <= F.size:
-        prev, width = blocks[-1], 1 << (len(blocks) - 1)
-        blocks.append(np.maximum(prev[:-width], prev[width:]))
-    j = start
-    for level in reversed(range(len(blocks))):
-        b = blocks[level]
-        below = (j < b.size) & (b[np.minimum(j, b.size - 1)] < v)
-        j = np.where(below, j + (1 << level), j)
-    return j
+    slope = (-(p1 - p0) / (B - A) ** 2
+             * ((B - tau) * hats(p0) + (tau - A) * hats(p1)))
+    return spread(slope)
 
 
 def _composite_gradient(F: Functional, P: GridDensity,
@@ -546,9 +520,11 @@ def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
     renormalized by its Simpson integral n_j(z). That
     derivative is linear in the bump, so it is computed from one node
     gradient g_k = d psi / d P(x_k) and the derivative Dpsi along P
-    itself, both by central differences with step _FD_STEP. A moment or a
-    variance differentiates its integrals and a quantile its CDF table
-    (_node_gradient), with no perturbed field. A composite evaluates 2
+    itself, by central differences with step _FD_STEP. A moment or a
+    variance differentiates its integrals, and a quantile's g is in closed
+    form in its crossing piece (_node_gradient), with no perturbed field;
+    a crossing piece whose mean density the analytic route would refuse
+    is refused with its message. A composite evaluates 2
     perturbed fields per node, one per call: 2G + 2 evaluator calls, each
     on a read-only field; a write into it raises numpy's ValueError
     instead of shifting the fields that follow. Then

@@ -650,62 +650,64 @@ def cdf_table(m: PiecewiseField):
     return F, cdf, [q for q, _, _ in parts[1:]]
 
 
-def cross_cell(x: np.ndarray, i, lo_f, hi_f, cuts, cdf, tau: float,
+def cross_cell(x: np.ndarray, F: np.ndarray, cdf, cuts, tau: float,
                strict: bool):
-    """The first crossing of the level tau in each row's cell
-    [x[i - 1], x[i]], at whose ends the row's CDF is lo_f and hi_f. The
-    cell is walked piece by piece, split at the cuts inside it, where
-    cdf(q) gives every row's CDF. A piece whose CDF rises by no more than
-    1e-13 is flat: strict mode rejects a crossing there, non-strict mode
-    puts it at the piece's left end. A row whose CDF stays below tau
-    keeps x[i]."""
-    x0, x1 = x[i - 1], x[i]
-
-    def cross(hi_x, rows_in, hi_f):
-        """Rows of `rows_in` whose CDF reaches tau on [lo_x, hi_x], and
-        the crossing point of every row."""
-        hit = rows_in & (hi_f >= tau)
-        dF = hi_f - lo_f
-        flat = dF <= 1e-13
-        if strict and (hit & flat).any():
+    """The first crossing q of the level tau by the CDF whose node table
+    is F (cdf_table), and the piece it lies in: (q, (p0, p1, A, B)), with
+    p0 < p1 the piece's ends and, for a level above 0, A < tau <= B the
+    CDF there. The crossing cell [x[i - 1], x[i]], x[i] the first node at
+    tau, is walked piece by piece, split at the cuts inside it, where
+    cdf(c) gives the CDF, and q interpolates the piece's ends linearly.
+    A piece whose CDF rises by no more than 1e-13 is flat: strict mode
+    rejects a crossing there, non-strict mode puts it at the piece's left
+    end. A CDF that stays below the level across the cell, which only a
+    level at or below 0 allows, keeps x[i], in a piece of no width."""
+    if F[-1] < tau:
+        raise SensanError("quantile level beyond the grid support")
+    i = max(int(np.argmax(F >= tau)), 1)
+    p0, A = x[i - 1], F[i - 1]
+    ends = [(c, cdf(c)) for c in sorted(cuts) if x[i - 1] < c < x[i]]
+    for p1, B in ends + [(x[i], F[i])]:
+        if B >= tau:
+            break
+        p0, A = p1, B
+    else:                   # a level at or below F[0] = 0, on a signed field
+        return float(x[i]), (p0, p1, A, B)
+    if B - A <= 1e-13:
+        if strict:
             raise SensanError("non-unique quantile: flat CDF at the level")
-        at = lo_x + (tau - lo_f) / np.where(flat, 1.0, dF) * (hi_x - lo_x)
-        return hit, np.where(flat, lo_x, at)
-
-    lo_x, out = x0, x1
-    ahead = True                            # rows that have not crossed yet
-    for q in sorted(cuts):
-        inside = ahead & (x0 < q) & (q < x1)
-        if inside.any():
-            q_f = cdf(q)
-            hit, at = cross(q, inside, q_f)
-            out, ahead = np.where(hit, at, out), ahead & ~hit
-            lo_x, lo_f = np.where(inside, q, lo_x), np.where(inside, q_f, lo_f)
-    hit, at = cross(x1, ahead, hi_f)
-    return np.where(hit, at, out)
+        return float(p0), (p0, p1, A, B)
+    return float(p0 + (tau - A) / (B - A) * (p1 - p0)), (p0, p1, A, B)
 
 
 def invert_cdf(m: PiecewiseField, tau: float, *, strict: bool = True):
     """Invert the cumulative-trapezoid CDF of a 1-d field (a marginal),
-    splitting cells at its cuts.
+    splitting cells at its cuts (cross_cell).
 
     Strict mode rejects a flat crossing (zero density on an interval at
     the level). Non-strict mode takes the first crossing, which tolerates
     the tiny negative dips a signed mixture density can produce."""
-    F, cdf, cuts = cdf_table(m)
-    if F[-1] < tau:
-        raise SensanError("quantile level beyond the grid support")
-    i = max(int(np.argmax(F >= tau)), 1)
-    return float(cross_cell(m.grid.axes[0].nodes, i, F[i - 1], F[i], cuts,
-                            cdf, tau, strict))
+    return cross_cell(m.grid.axes[0].nodes, *cdf_table(m), tau, strict)[0]
+
+
+def check_tau_axis(kind: str, tau, axis) -> None:
+    """Refuse, by name, an axis that is not a non-negative integer, a tau
+    that is not a real number and, for a quantile, a level outside
+    (0, 1): the checks of a Functional and of `quantile` alike."""
+    if isinstance(axis, bool) or not isinstance(axis, numbers.Integral) or axis < 0:
+        raise SensanError(f"{kind} axis must be a non-negative integer, "
+                          f"got {axis!r}")
+    if isinstance(tau, bool) or not isinstance(tau, numbers.Real):
+        raise SensanError(f"{kind} tau must be a real number, got {tau!r}")
+    if kind == "quantile" and not 0.0 < tau < 1.0:
+        raise SensanError("quantile level must be strictly inside (0, 1)")
 
 
 def quantile(P: GridDensity, tau: float, axis: int = 0) -> float:
     """Left-continuous quantile of a grid density: linear interpolation of
     the cumulative-trapezoid CDF, with cells split at known density jumps.
     A sample's empirical quantile is `functionals.evaluate` on the Sample."""
-    if not (0.0 < tau < 1.0):
-        raise SensanError("quantile level must be strictly inside (0, 1)")
+    check_tau_axis("quantile", tau, axis)
     if not isinstance(P, GridDensity):
         raise SensanError("quantile expects a GridDensity")
     if axis >= P.grid.ndim:

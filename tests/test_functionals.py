@@ -612,42 +612,87 @@ def test_parse_functional_config_errors():
 
 # --- the node gradient against the per-node loop -----------------------------------
 
-def _loop_gradient(F, P, t=_FD_STEP):
+def _loop_gradient(F, P, t=_FD_STEP, sides=(1, -1)):
     """Reference for the node gradient: the per-node loop, one perturbed
-    field per call, two calls per node."""
+    field per call, two calls per node. With sides (a, b) it takes
+    (psi(P + a t e_k) - psi(P + b t e_k)) / ((a - b) t): the central
+    difference by default, (1, 0) and (0, -1) one-sided."""
+    a, b = sides
     psi = _evaluator(F, P.grid)
     work = np.array(P.smooth, dtype=float)
     flat = work.reshape(-1)
     g = np.empty(flat.size)
     for k in range(flat.size):
         v = flat[k]
-        flat[k] = v + t
+        flat[k] = v + a * t
         up = psi(PiecewiseField(P.grid, work, P.terms))
-        flat[k] = v - t
+        flat[k] = v + b * t
         dn = psi(PiecewiseField(P.grid, work, P.terms))
         flat[k] = v
-        g[k] = (up - dn) / (2.0 * t)
+        g[k] = (up - dn) / ((a - b) * t)
     return g.reshape(P.grid.shape)
 
 
-def _check_against_the_loop(F, P):
-    """The node gradient influence_numerical takes against the loop's, and
-    a quantile's zeros: it reads its CDF up to the crossing node only, so
-    g is exactly 0, on both routes, at every node past it along the
-    quantile's axis."""
-    got, ref = _node_gradient(F, P, _FD_STEP), _loop_gradient(F, P)
+def _tie_side(F, P, t=_FD_STEP):
+    """The side whose one-sided differences keep q in invert_cdf's
+    crossing cell [x[i - 1], x[i]]. Moving node k by t moves the CDF at a
+    node by at most t w_k T_k, no more than t times the other axes'
+    largest weight times two cells. A level within that of the CDF at
+    x[i] is a tie at the top of the cell: the fields moved down may cross
+    in the next cell, so the side is +1, up. A level within it of the CDF
+    at x[i - 1] is a tie at the bottom, -1. Elsewhere 0: the fields moved
+    either way cross in the cell."""
+    x = P.grid.axes[F.axis].nodes
+    table = cdf_table(P.marginal(F.axis))[0]
+    i = max(int(np.argmax(table >= F.tau)), 1)
+    others = [np.max(ax.weights) for b, ax in enumerate(P.grid.axes)
+              if b != F.axis]
+    reach = t * np.prod(others) * (x[min(i + 1, x.size - 1)] - x[i - 1])
+    if table[i] - F.tau <= reach:
+        return 1
+    return -1 if F.tau - table[i - 1] <= reach else 0
+
+
+def _richardson_gradient(F, P, t=_FD_STEP):
+    """A quantile's node gradient by Richardson extrapolation of the loop.
+    Within a cell q is a ratio of CDF values linear in each node's move,
+    smooth in it, so the central difference D errs by O(t^2) and
+    (4 D(t/2) - D(t)) / 3 by O(t^4). At a tie (_tie_side) the fields of
+    one side cross in another cell, so the reference is the one-sided
+    difference D on the other side, which errs by O(t), three levels
+    deep: (8 D(s/4) - 6 D(s/2) + D(s)) / 3, O(s^3). It starts at s = 10 t:
+    the extrapolation scales the rounding of q, eps |q| / s, about
+    15-fold, which from s = t comes within 3% of the 1e-8 max|g| bound
+    on the 21x31 Gaussian, and from 10 t stays near 1e-9, as does the
+    O(s^3) error."""
+    side = _tie_side(F, P, t)
+    if not side:
+        return (4.0 * _loop_gradient(F, P, t / 2) - _loop_gradient(F, P, t)) / 3.0
+    sides = (1, 0) if side > 0 else (0, -1)
+    d = [_loop_gradient(F, P, 10.0 * t / 2 ** j, sides) for j in range(3)]
+    return (8.0 * d[2] - 6.0 * d[1] + d[0]) / 3.0
+
+
+def _check_against_the_loop(F, P, ref=None):
+    """The node gradient influence_numerical takes against the loop's (or
+    against `ref`), and a quantile's zeros: it reads its CDF up to the
+    crossing node, the first whose CDF table entry reaches the level,
+    only, so g is exactly 0, on both routes, at every node past it along
+    the quantile's axis. (q itself may round to the node below.)"""
+    got = _node_gradient(F, P, _FD_STEP)
+    ref = _loop_gradient(F, P) if ref is None else ref
     _assert_matches_the_loop(F, got, ref)
     if F.kind == "quantile":
-        x = P.grid.axes[F.axis].nodes
-        crossing = np.searchsorted(x, evaluate(F, P), "left")
+        table = cdf_table(P.marginal(F.axis))[0]
+        crossing = np.argmax(table >= F.tau)
         past = np.indices(P.grid.shape)[F.axis] > crossing
         assert np.all(ref[past] == 0.0) and np.all(got[past] == 0.0), F.label
 
 
 def _assert_matches_the_loop(F, got, ref):
     """A moment's or a variance's gradient, from the perturbed integrals,
-    and a quantile's, from P's shifted CDF table, match the loop within
-    1e-8 max|g|, the rounding of the central difference; a composite's
+    and a quantile's, in closed form, match the loop within 1e-8 max|g|,
+    the rounding and O(t^2) error of the central difference; a composite's
     fields hold the bits of the loop's, so its gradient equals the loop's
     exactly."""
     if F.kind == "composite":
@@ -734,22 +779,30 @@ def test_block_node_gradient_with_a_cut_in_the_crossing_cell(dim, axis):
     _check_against_the_loop(F, Q)
 
 
-def test_block_node_gradient_keeps_the_node_past_a_flat_crossing():
+def test_block_node_gradient_refuses_a_flat_crossing():
     """Where the CDF rises by no more than 1e-13 across the crossing cell,
-    the quantile is the cell's left node, one node short of the crossing;
-    the row perturbed at the crossing node moves the quantile, so its
-    gradient is not 0 on either route, and every node past it is."""
+    the quantile is the cell's left node, and the crossing piece's mean
+    density fails the analytic route's own check: the numerical route
+    refuses it with the analytic route's message, naming that density.
+    The loop's fields moved by t at the nodes up to the crossing node
+    jump the flat stretch, so its differences read -750 to -1750 there."""
     g = Grid.line(0.0, 1.0, 21)
     x = g.axes[0].nodes
     P = GridDensity(g, np.where(np.abs(x - 0.5) < 0.2, 1e-12, 1.0),
                     _normalize="force")
     i = 11
-    F = quantile_functional(float(_cumtrapz(x, P.values)[i]))
+    table = _cumtrapz(x, P.values)
+    F = quantile_functional(float(table[i]))
     assert invert_cdf(P, F.tau, strict=False) == x[i - 1]
-    got, ref = _node_gradient(F, P, _FD_STEP), _loop_gradient(F, P)
-    _assert_matches_the_loop(F, got, ref)
-    for grad in (got, ref):
-        assert grad[i] != 0.0 and np.all(grad[i + 1:] == 0.0)
+    density = (table[i] - table[i - 1]) / (x[i] - x[i - 1])
+    message = (f"quantile influence unstable: marginal density at the "
+               f"quantile is {density:.3g}")
+    for call in (lambda: _node_gradient(F, P, _FD_STEP),
+                 lambda: influence_numerical(F, P)):
+        with pytest.raises(SensanError) as err:
+            call()
+        assert str(err.value) == message
+    assert np.all(_loop_gradient(F, P)[:i + 1] < -500.0)
 
 
 def _node_level(P, axis, i, ulps):
@@ -766,10 +819,12 @@ def _node_level(P, axis, i, ulps):
 def test_quantile_gradient_at_a_node_level(case, ulps):
     """At a level equal to a node's CDF value, or one ulp to either side,
     the field perturbed by +t at that node crosses at or below the node
-    and the one perturbed by -t above it, in the next cell: the shifted
-    tables cross in different cells, and the gradient still matches the
-    loop. Beta(2, 3) at 201 nodes, and the 21x31 Gaussian on axis 1
-    without and with a cut at its median."""
+    and the one perturbed by -t above it, in the next cell, so the loop
+    averages two cells' slopes. The gradient is the slope in invert_cdf's
+    cell, the node's own (one ulp above, the next): it matches the
+    one-sided difference whose moves keep q there, up (down). Beta(2, 3)
+    at 201 nodes, and the 21x31 Gaussian on axis 1 without and with a cut
+    at its median."""
     if case == "beta":
         P, axis = beta(Grid.line(0.0, 1.0, 201), 2.0, 3.0), 0
     else:
@@ -789,7 +844,8 @@ def test_quantile_gradient_at_a_node_level(case, ulps):
         return psi(PiecewiseField(P.grid, smooth, P.terms))
     up, dn = moved(_FD_STEP), moved(-_FD_STEP)
     assert up <= x[i] < dn <= x[i + 1]
-    _check_against_the_loop(F, P)
+    assert _tie_side(F, P) == (1 if ulps <= 0 else -1)
+    _check_against_the_loop(F, P, _richardson_gradient(F, P))
 
 
 @st.composite
@@ -817,21 +873,26 @@ def family_densities(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(family_densities(),
        st.sampled_from([moment(lambda x: x ** 3 - x), variance(),
-                        quantile_functional(0.25), quantile_functional(0.5),
-                        quantile_functional(0.8), mean_over_median()]),
+                        quantile_functional(0.05), quantile_functional(0.25),
+                        quantile_functional(0.5), quantile_functional(0.8),
+                        quantile_functional(0.95), mean_over_median()]),
        st.floats(0.0, 1.0, exclude_max=True),
        st.sampled_from((None, -1, 0, 1)))
 def test_block_node_gradient_gives_the_loop_bits_on_generated_densities(
         P, F, at, ulps):
     """With ulps drawn, a quantile's level becomes a node's CDF value,
     moved by that many ulps, at a node `at` of the way along those with
-    levels in (0.05, 0.95)."""
+    levels in (0.05, 0.95). A quantile's gradient is held to the
+    Richardson-extrapolated loop (_richardson_gradient), one-sided at a
+    tie: at the tail levels 0.05 and 0.95 the plain loop's O(t^2) error
+    alone comes near the bound."""
     if F.kind == "quantile" and ulps is not None:
         table = cdf_table(P)[0]
         inner = np.flatnonzero((table > 0.05) & (table < 0.95))
         assume(inner.size)
         F = _node_level(P, 0, int(inner[int(at * inner.size)]), ulps)
-    _check_against_the_loop(F, P)
+    ref = _richardson_gradient(F, P) if F.kind == "quantile" else None
+    _check_against_the_loop(F, P, ref)
 
 
 def _reciprocal(x):

@@ -11,7 +11,7 @@ from scipy import stats
 from sensan import Grid, GridDensity, Sample, integrate, quantile, density_at
 from sensan.errors import SensanError
 import sensan.model_space as model_space
-from sensan import artifacts
+from sensan import artifacts, functionals
 from sensan import (counterfactual_density, counterfactual_report, evaluate,
                     grad_op_apply, influence, information_metric, moment,
                     quantile_functional, sensitivity)
@@ -571,6 +571,32 @@ def test_quantile_level_bounds():
     for tau in (0.0, 1.0, -0.2):
         with pytest.raises(SensanError, match="strictly inside"):
             quantile(U, tau)
+
+
+_LINE = uniform(Grid.line(0.0, 1.0, 21))
+_BOX = GridDensity.from_callable(Grid.box((0.0, 1.0), (0.0, 1.0), (21, 21)),
+                                 lambda x, y: 1.0 + x * y)
+
+
+@pytest.mark.parametrize("P,tau,axis,message", [
+    (_LINE, 0.5, -1, "quantile axis must be a non-negative integer, got -1"),
+    (_LINE, 0.5, 0.0, "quantile axis must be a non-negative integer, got 0.0"),
+    (_BOX, 0.5, True, "quantile axis must be a non-negative integer, got True"),
+    (_LINE, "0.5", 0, "quantile tau must be a real number, got '0.5'"),
+    (_LINE, None, 0, "quantile tau must be a real number, got None"),
+    (_LINE, 1.0, 0, "quantile level must be strictly inside (0, 1)"),
+])
+def test_quantile_refuses_a_bad_tau_or_axis_by_name(P, tau, axis, message):
+    """`quantile` and a quantile Functional run one check: an axis that
+    is negative, a float or a bool, a tau that is not a real number and a
+    level outside (0, 1) are each refused by the same whole message, on
+    the 2-d box too, where True would read axis 1."""
+    for call in (lambda: quantile(P, tau, axis),
+                 lambda: functionals.Functional("quantile", tau=tau, axis=axis)):
+        with pytest.raises(SensanError) as err:
+            call()
+        assert str(err.value) == message
+    assert quantile(_BOX, 0.5, np.int64(1)) == quantile(_BOX, 0.5, 1)
 
 
 def test_quantile_flat_cdf_is_rejected():

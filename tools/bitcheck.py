@@ -29,8 +29,10 @@ from the dumps of two checkouts. The lines cover:
 - quantile numerical influences at edges of the node gradient: the
   flat-crossing density (1e-12 on |x - 0.5| < 0.2, 1 elsewhere, 21
   nodes) at the CDF value of node 11, Beta(2, 3) at 201 nodes at the CDF
-  value of the median's node, and the median of the correlated Gaussian
-  at 101² on each axis
+  value of the median's node, the median of the correlated Gaussian
+  at 101² on each axis, the median of the uniform on 201 nodes, where
+  0.5 is a node's CDF value, and Beta(2, 5) at tau = 0.05 on 201 nodes,
+  a level in a low-density tail
 - `engine.sensitivity` S and R with `mean_over_median` as psi
 - five counterfactual steps of 0.02 in the median on the density 0.5 + x
   (each step's field parts and S of the mean), and an exponential tilt of
@@ -227,6 +229,15 @@ def influences(sensan, jobs) -> None:
     for axis in (0, 1):
         influence(sensan, f"ni/gauss/101x101/q0.5/{axis}",
                   sensan.quantile_functional(0.5, axis), gauss101)
+    # the median of the uniform, at a node's CDF value, and a level in the
+    # low-density tail of Beta(2, 5)
+    line201 = sensan.Grid.line(0.0, 1.0, 201)
+    influence(sensan, "ni/uniform/201/median",
+              sensan.quantile_functional(0.5),
+              sensan.build_family({"family": "uniform"}, line201))
+    influence(sensan, "ni/beta25/201/q0.05", sensan.quantile_functional(0.05),
+              sensan.build_family({"family": "beta", "alpha": 2.0,
+                                   "beta": 5.0}, line201))
 
 
 def cut_in_the_crossing_cell(sensan, P, axis: int):
