@@ -113,6 +113,10 @@ def sensitivity_from_influences(psi_t: TangentVector, nu_t: TangentVector,
     dpsi = inner_p(psi_t, Anu)
     gn2_nu = inner_p(nu_t, Anu)
     gn2_psi = inner_p(psi_t, Apsi)
+    for name, value in (("gradient norm of nu", gn2_nu),
+                        ("gradient norm of psi", gn2_psi), ("dpsi_dnu", dpsi)):
+        if not math.isfinite(value):
+            raise SensanError(f"{name} is not finite: {value}")
     if gn2_nu <= 0.0 or gn2_psi <= 0.0:
         raise SensanError("degenerate gradient: non-positive squared norm")
     # same quantity through the metric itself; disagreement means the

@@ -143,7 +143,10 @@ def plugin_sensitivity(config: PluginConfig) -> float:
     # empirically centered, so on the information path the correction is
     # O(eps^2) and the result equals Pn(psi nu) to the last bit.
     cross = np.mean(psi_v * nu_v * r)
-    return float(cross - np.mean(psi_v * r) * np.mean(nu_v * r) / np.mean(r))
+    value = float(cross - np.mean(psi_v * r) * np.mean(nu_v * r) / np.mean(r))
+    if not math.isfinite(value):
+        raise SensanError(f"plug-in sensitivity overflows: {value}")
+    return value
 
 
 # --- sampling from grid densities ---------------------------------------------------
@@ -450,16 +453,23 @@ def _joint_result(pairs: np.ndarray, n: int, master_seed: int, psi0: float,
     ratios it implies."""
     errors = math.sqrt(n) * (pairs - np.array([psi0, nu0]))
     cov = np.cov(errors.T, bias=True)
+    if not np.all(np.isfinite(cov)):
+        raise SensanError("the covariance of the scaled errors overflows: "
+                          f"{cov.tolist()}")
     for name, var in (("psi", cov[0, 0]), ("nu", cov[1, 1])):
         if not var > 0.0:
             raise SensanError(
                 f"the {name} estimates have zero variance across the "
                 "replications, so Lambda and Delta are undefined")
+    lambda_hat = float(cov[0, 1] / cov[1, 1])
+    delta_hat = float(cov[0, 1] ** 2 / (cov[0, 0] * cov[1, 1]))
+    for name, value in (("lambda_hat", lambda_hat), ("delta_hat", delta_hat)):
+        if not math.isfinite(value):
+            raise SensanError(f"{name} overflows: {value}")
     return McResult(kind="joint", n_grid=(n,), reps=len(pairs),
                     seed=master_seed, population=None, estimates={n: pairs},
                     rmse={}, empirical_cov={n: cov},
-                    lambda_hat=float(cov[0, 1] / cov[1, 1]),
-                    delta_hat=float(cov[0, 1] ** 2 / (cov[0, 0] * cov[1, 1])))
+                    lambda_hat=lambda_hat, delta_hat=delta_hat)
 
 
 def mc_joint_asymptotics(P: GridDensity, psi: Functional, nu: Functional,

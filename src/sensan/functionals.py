@@ -60,6 +60,7 @@ Carlo harnesses on them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -483,32 +484,27 @@ def _smooth(a: np.ndarray, kernels) -> np.ndarray:
 
 
 _LADDER_GEOMETRIES = 16     # grid geometries whose ladder _ladder keeps
-_ladders: dict = {}
 
 
-def _ladder(grid: Grid) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The grid-only half of the mollifier ladder: the kernel transforms
-    of default_schedule(grid)'s widths (_kernels) and the bump masses
-    n_j = B_j w, the Simpson weights smoothed at every width. Both are
-    functions of each axis's (lo, hi, n) alone, from which Grid derives
-    nodes and weights bit for bit, so they are built once per geometry
-    and kept, read-only, for the _LADDER_GEOMETRIES most recently used
-    geometries: grids hash by identity, and callers build a new grid of
-    the same geometry for every density. An entry holds the masses,
-    8 levels G bytes, and per axis the kernel transforms,
+@functools.lru_cache(maxsize=_LADDER_GEOMETRIES)
+def _ladder(geometry: tuple[tuple[float, float, int], ...]
+            ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The grid-only half of the mollifier ladder on the grid whose axes
+    are `geometry`'s (lo, hi, n): the kernel transforms of
+    default_schedule(grid)'s widths (_kernels) and the bump masses
+    n_j = B_j w, the Simpson weights smoothed at every width. Grid._axis
+    gives every grid of one geometry the same nodes and weights, so these
+    are built once per geometry and kept, read-only, for the
+    _LADDER_GEOMETRIES most recently used ones (grids hash by identity,
+    and callers build a new grid for every density). An entry holds the
+    masses, 8 levels G bytes, and per axis the kernel transforms,
     16 levels (L/2 + 1) bytes, with levels the schedule's width count:
-    1.3 MB at 201 x 201 (4 levels), 114 kB at 801 nodes (5 levels). So
-    the memo holds at most about 21 MB while no axis has more than 201
-    nodes; entries of finer grids grow like G log G."""
-    key = tuple((ax.lo, ax.hi, ax.n) for ax in grid.axes)
-    entry = _ladders.pop(key, None)
-    if entry is None:
-        if len(_ladders) >= _LADDER_GEOMETRIES:
-            del _ladders[next(iter(_ladders))]
-        kernels = _kernels(grid, default_schedule(grid).sigmas())
-        entry = kernels, _view(_smooth(grid.weight_tensor(), kernels))
-    _ladders[key] = entry
-    return entry
+    1.3 MB at 201 x 201 (4 levels), 114 kB at 801 nodes (5 levels). So the
+    memo holds at most about 21 MB while no axis has more than 201 nodes;
+    entries of finer grids grow like G log G."""
+    grid = Grid(tuple(Grid._axis(*axis) for axis in geometry))
+    kernels = _kernels(grid, default_schedule(grid).sigmas())
+    return kernels, _view(_smooth(grid.weight_tensor(), kernels))
 
 
 def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
@@ -537,8 +533,8 @@ def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
     width's kernel transform and one inverse, O(n log n) per axis line,
     the direct sums to rounding. The kernel transforms and the masses n_j
     depend on the grid's geometry alone, so they come from a memo
-    (_ladder), built by the same transforms on the first grid of that
-    geometry. Dividing by the exact Simpson mass of the same bump makes
+    (_ladder), built by the same transforms once per geometry.
+    Dividing by the exact Simpson mass of the same bump makes
     the split exact, and it also lets the ladder run down to two grid
     spacings: the 4:2 ripple of the Simpson weights, which g inherits, has
     period 2h, and a bump of width 2h damps it by exp(-2 pi^2), about
@@ -554,7 +550,8 @@ def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
     psi = _evaluator(F, grid)
     g = _node_gradient(F, P, t)
     dpsi = (psi(P.scale(1.0 + t)) - psi(P.scale(1.0 - t))) / (2.0 * t)
-    kernels, masses = _ladder(grid)
+    kernels, masses = _ladder(tuple((ax.lo, ax.hi, ax.n)
+                                    for ax in grid.axes))
     levels = _smooth(g, kernels) / masses - dpsi
     changes = [float(np.max(np.abs(levels[j] - levels[j - 1])))
                for j in range(1, len(levels))]

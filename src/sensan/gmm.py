@@ -17,7 +17,7 @@ solve, for both steps of the "optimal" weight. The solver takes Newton
 steps with the exact Hessian B (Gauss-Newton where B is not
 positive-definite) and no grid pass, then checks by quadrature. A solution
 keeps the node values of g and dg/dtheta at theta as (r, *grid) and
-(p, r, *grid) arrays, Pg, G and Omega by one quadrature each, and
+(p, r, *grid) arrays, Pg, G and Omega by one quadrature per entry, and
 P[Hess g_i]; the influence functions below only read it.
 
 On the correctly specified model every tangent-set formula derives from
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, SensanError, nested
 from .expressions import Poly, _floats, as_array_function, parse_whitelisted
-from .model_space import GridDensity
+from .model_space import GridDensity, PiecewiseField
 from .tangent import TangentVector
 
 __all__ = [
@@ -217,17 +217,23 @@ def _newton(at, spec: MomentSpec, W: np.ndarray, start):
     return theta, crit, float(np.linalg.norm(2.0 * G.T @ W @ Pg)) < _FOC_TOL
 
 
+def _integrals(f: PiecewiseField, stack: np.ndarray) -> np.ndarray:
+    """f.quad(a) for each field a of a (*lead, *grid) stack, as *lead."""
+    return np.array([f.quad(a) for a in stack.reshape(-1, *f.grid.shape)]
+                    ).reshape(stack.shape[:-f.grid.ndim])
+
+
 def _solution(P: GridDensity, spec: MomentSpec, W: np.ndarray, theta,
               at) -> GmmSolution:
     """The solution at theta: node arrays of g and dg/dtheta, Pg, G and
-    Omega by one grid quadrature each, and H from the theta-polynomials."""
+    Omega entry by entry, and H from the theta-polynomials."""
     g = _node_arrays(P, spec, theta)
     jac = np.array([_node_arrays(P, spec, theta, j)
                     for j in range(spec.theta_dim)])
     gg = g[:, None] * g[None, :]  # finite only where g is
     if not (np.all(np.isfinite(jac)) and np.all(np.isfinite(gg))):
         raise SensanError("non-finite integrand")
-    Pg, G, Omega = P.quad(g), P.quad(jac).T, P.quad(gg)
+    Pg, G, Omega = _integrals(P, g), _integrals(P, jac).T, _integrals(P, gg)
     return GmmSolution(theta=theta, W=W, Pg=Pg, G=G, Omega=Omega,
                        criterion=float(Pg @ W @ Pg), g=g, jac=jac,
                        H=at(theta)[2])
@@ -329,7 +335,7 @@ def gmm_project_tangent(P: GridDensity, spec: MomentSpec, sol: GmmSolution,
     specified model: subtract P[xi g'] O^-1 (I - G A) g, the component
     along the moments that is not explained by the moment Jacobian."""
     _require_specified(sol)
-    cov = xi.times(P).quad(sol.g)  # P[xi g']
+    cov = _integrals(xi.times(P), sol.g)  # P[xi g']
     perp = np.eye(spec.moment_dim) - sol.G @ _efficient_map(sol)
     coef = cov @ np.linalg.solve(sol.Omega, perp)
     return TangentVector(P, xi.smooth - np.tensordot(coef, sol.g, 1),

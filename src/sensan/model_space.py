@@ -198,26 +198,19 @@ def merge_cuts(*cut_sets: Cuts) -> Cuts:
     return tuple(sorted(bound.items()))
 
 
-def _simpson_reduce(grid: Grid, samples: np.ndarray, axis: int,
-                    pos: int | None = None) -> np.ndarray:
-    """Integrate samples along grid axis `axis`, found at position `pos`
-    counted from the end (by default the field's own position)."""
+def _simpson_reduce(grid: Grid, samples: np.ndarray, axis: int) -> np.ndarray:
+    """Integrate one field along grid axis `axis`, found at its own index:
+    every axis after it is already integrated out or is the kept one."""
     w = grid.axes[axis].weights
-    pos = axis - grid.ndim if pos is None else pos
-    if samples.ndim > 2:
-        # rows of 2-d fields: matmul makes one gemv per row, the call a
-        # C-ordered field gets below, so each row keeps its bits
-        samples = np.ascontiguousarray(samples)
-        return samples @ w if pos == -1 else w @ samples
     # the 2-d layout and np.dot call of np.tensordot (same result, bit for
     # bit) without its Python overhead, which dominates 1-d quadrature
-    F = np.swapaxes(samples, pos, -1)
+    F = np.swapaxes(samples, axis, -1)
     return np.dot(F.reshape(-1, w.size), w[:, None]).reshape(F.shape[:-1])
 
 
-def _below_reduce(grid: Grid, samples: np.ndarray, axis: int, pos: int,
+def _below_reduce(grid: Grid, samples: np.ndarray, axis: int,
                   q: float) -> np.ndarray:
-    """Integrate samples along `axis` (at `pos` from the end) over
+    """Integrate one field along `axis` (at its own index) over
     [lo, min(q, hi)], splitting the cell that contains q. Simpson on the
     even-length prefix, a trapezoid cell when the prefix length is odd,
     linear interpolation inside the partial cell. Exact consistency:
@@ -225,8 +218,8 @@ def _below_reduce(grid: Grid, samples: np.ndarray, axis: int, pos: int,
     ax = grid.axes[axis]
     x = ax.nodes
     if q >= ax.hi:
-        return _simpson_reduce(grid, samples, axis, pos)
-    F = np.moveaxis(samples, pos, -1)
+        return _simpson_reduce(grid, samples, axis)
+    F = np.moveaxis(samples, axis, -1)
     out = np.zeros(F.shape[:-1])
     if q < ax.lo:
         return out
@@ -247,43 +240,33 @@ def _below_reduce(grid: Grid, samples: np.ndarray, axis: int, pos: int,
 
 def _reduce(grid: Grid, samples: np.ndarray, cuts: Cuts,
             keep: int | None = None) -> np.ndarray:
-    """Integrate samples over every axis except `keep`, each restricted to
-    {x_axis <= location} where `cuts` bounds that axis. The grid axes are
-    the trailing axes of `samples`; leading axes are rows of fields."""
-    if not cuts and keep is None and samples.ndim > grid.ndim:
-        # rows: matmul makes per row the gemv and the closing ddot that
-        # np.dot makes for one field in grid_quad, so each row keeps its bits
-        for ax in reversed(grid.axes[1:]):
-            samples = samples @ ax.weights
-        return (samples[..., None, :] @ grid.axes[0].weights)[..., 0]
+    """Integrate one field over every axis except `keep`, each restricted
+    to {x_axis <= location} where `cuts` bounds that axis."""
     bound = dict(merge_cuts(cuts)) if cuts else {}
     out = samples
     for axis in reversed(range(grid.ndim)):
         if axis == keep:
             continue
-        pos = -2 if keep is not None and keep > axis else -1
         if axis in bound:
-            out = _below_reduce(grid, out, axis, pos, bound[axis])
+            out = _below_reduce(grid, out, axis, bound[axis])
         else:
-            out = _simpson_reduce(grid, out, axis, pos)
+            out = _simpson_reduce(grid, out, axis)
     return out
 
 
-def grid_quad(grid: Grid, samples: np.ndarray, cuts: Cuts = ()):
-    """Integrate node samples over the grid, restricted to the half-open
-    box {x_axis <= location} for every (axis, location) in `cuts`. Leading
-    axes beyond the grid's are rows: the result is then one integral per
-    row instead of a float."""
+def grid_quad(grid: Grid, samples: np.ndarray, cuts: Cuts = ()) -> float:
+    """Integrate one field's node samples over the grid, restricted to the
+    half-open box {x_axis <= location} for every (axis, location) in cuts."""
     samples = np.asarray(samples, dtype=float)
-    if not cuts and samples.ndim == grid.ndim:
-        # one field, one dot per axis, last axis first: the BLAS calls of
-        # _reduce's general path, so the bits agree, without its dispatch,
-        # which weighs on each of a composite's thousands of calls
+    if samples.ndim != grid.ndim:
+        raise SensanError("integrand values do not match the grid shape")
+    if not cuts:
+        # one dot per axis, last first: _reduce's BLAS calls, so its bits,
+        # without its dispatch, which weighs on a composite's many calls
         for ax in reversed(grid.axes):
             samples = np.dot(samples, ax.weights)
         return float(samples)
-    out = _reduce(grid, samples, cuts)
-    return float(out) if out.ndim == 0 else out
+    return float(_reduce(grid, samples, cuts))
 
 
 def locate(ax: GridAxis, coords) -> tuple[np.ndarray, np.ndarray]:
@@ -355,9 +338,8 @@ class PiecewiseField:
         return v
 
     def quad(self, factor: np.ndarray | float | None = None) -> float:
-        """Integral of the field, times `factor` (a scalar or node array)
-        when one is given, cells split at every cut. A factor with leading
-        axes beyond the grid's gives one integral per row."""
+        """Integral of the field, times `factor` (a scalar or one field's
+        node array) when one is given, cells split at every cut."""
         parts = [(self.smooth, ())] + [(t.samples, t.cuts) for t in self.terms]
         if factor is not None:
             parts = [(s * factor, c) for s, c in parts]

@@ -401,6 +401,67 @@ def test_mc_joint_zero_variance_estimator_exits_one(tmp_path, capsys,
     assert not (out_dir / "report.json").exists()
 
 
+_UNIFORM201 = {"grid": {"lo": 0.0, "hi": 1.0, "n": 201},
+               "distribution": {"family": "uniform"}}
+
+
+def _exits_one_with(tmp_path, capsys, argv, message):
+    """The run exits 1 with `message` on its last stderr line and writes
+    no report (numpy's overflow warnings are silenced: the refusal is
+    under test)."""
+    out_dir = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([*argv, "--out", str(out_dir)]) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"error: {message}"), last
+    assert not (out_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("psi, nu, message", [
+    ("1e300*x*x*x*x", "1e300*x",
+     "the covariance of the scaled errors overflows: [[inf, inf], [inf, inf]]"),
+    ("1e200*x", "x", "the covariance of the scaled errors overflows: [[inf, "),
+    ("1e80*x", "1e80*x", "delta_hat overflows: nan")])
+def test_mc_joint_refuses_an_overflowing_estimate(tmp_path, capsys, psi, nu,
+                                                  message):
+    """A covariance entry, Lambda_hat or Delta_hat that overflows is a
+    failed computation, not a NaN or infinite report."""
+    cfg = _write(tmp_path, "mc.json", {
+        **_UNIFORM201, "mode": "joint", "n": 50, "reps": 5,
+        "psi": {"kind": "moment", "rho": psi},
+        "nu": {"kind": "moment", "rho": nu}})
+    _exits_one_with(tmp_path, capsys, ["mc", "--config", cfg], message)
+
+
+def test_mc_plugin_refuses_an_overflowing_sensitivity(tmp_path, capsys):
+    s = sample_from(uniform(Grid.line(0.0, 1.0, 801)), 200,
+                    np.random.default_rng(3))
+    csv_path = tmp_path / "sample.csv"
+    s.to_csv(str(csv_path))
+    cfg = _write(tmp_path, "mc.json", {
+        "mode": "plugin", "sample_csv": str(csv_path),
+        "psi": {"kind": "moment", "rho": "1e200*x"},
+        "nu": {"kind": "moment", "rho": "1e200*x"}})
+    _exits_one_with(tmp_path, capsys, ["mc", "--config", cfg],
+                    "plug-in sensitivity overflows: nan")
+
+
+@pytest.mark.parametrize("case, message", [
+    ({**_UNIFORM201, "psi": {"kind": "moment", "rho": "1e300*x*x*x*x"},
+      "nu": {"kind": "moment", "rho": "1e300*x"}},
+     "gradient norm of nu is not finite: inf"),
+    ({"grid": {"lo": 0.0, "hi": 1e154, "n": 201},
+      "distribution": {"family": "uniform"}, "psi": {"kind": "variance"},
+      "nu": {"kind": "moment", "rho": "x"}},
+     "gradient norm of psi is not finite: inf")], ids=["moments", "variance"])
+def test_sensitivity_refuses_an_infinite_gradient_norm(tmp_path, capsys, case,
+                                                       message):
+    """An infinite squared norm is named as such, not as two code paths
+    that disagree."""
+    cfg = _write(tmp_path, "s.json", {**case, "metric": {"kind": "information"}})
+    _exits_one_with(tmp_path, capsys, ["sensitivity", "--config", cfg], message)
+
+
 def test_mc_plugin_mode_on_stored_sample(tmp_path, capsys):
     rng = np.random.default_rng(21)
     s = sample_from(uniform(Grid.line(0.0, 1.0, 801)), 5000, rng)

@@ -374,9 +374,14 @@ _SMOOTH_GRIDS += [(3, 3), (4, 9), (21, 21), (21, 31), (31, 21), (41, 41)]
 @pytest.fixture
 def no_ladders():
     """An empty ladder memo for the test, and none of its entries after."""
-    functionals._ladders.clear()
+    functionals._ladder.cache_clear()
     yield
-    functionals._ladders.clear()
+    functionals._ladder.cache_clear()
+
+
+def _geometry(grid):
+    """The memo key of a grid: each axis's (lo, hi, n)."""
+    return tuple((ax.lo, ax.hi, ax.n) for ax in grid.axes)
 
 
 @pytest.mark.parametrize("shape", _SMOOTH_GRIDS)
@@ -400,7 +405,7 @@ def test_fft_smoothing_gives_the_direct_sums(shape, no_ladders):
         assert got.shape == (len(sigmas),) + grid.shape
         for j, sigma in enumerate(sigmas):
             assert _sup_relative(got[j], _direct_smooth(grid, a, sigma)) <= 1e-13
-    _, masses = functionals._ladder(grid)
+    _, masses = functionals._ladder(_geometry(grid))
     assert masses.shape == (len(schedule),) + grid.shape
     for j, sigma in enumerate(schedule):
         assert _sup_relative(masses[j], _direct_smooth(grid, w, sigma)) <= 1e-13
@@ -425,9 +430,9 @@ def _direct_ladder(a, kernels):
 def test_numerical_influence_is_the_direct_sum_ladder(dim, no_ladders):
     """Every built-in kind and a composite, with the ladder smoothed by
     direct sums instead, its bump masses included: the influences agree to
-    within 1e-13 of their sup. The memo is emptied while the direct sums
-    run, so they build its entry, and it gets back its transform-built
-    entries after, so no direct-sum masses reach later calls."""
+    within 1e-13 of their sup. The memo is emptied before the direct sums
+    run, so they build its entry, and again after, so no direct-sum masses
+    reach later calls: the next call rebuilds the transform-built bits."""
     if dim == 1:
         P = beta(Grid.line(0.0, 1.0, 201), 2.0, 3.0)
         cases = [moment(lambda x: x * x), variance(),
@@ -437,17 +442,24 @@ def test_numerical_influence_is_the_direct_sum_ladder(dim, no_ladders):
             Grid.box((0.0, 1.0), (0.0, 1.0), (21, 31)), _correlated)
         cases = [moment(lambda x, y: x * y), variance(0),
                  quantile_functional(0.5, 1), composite(_covariance)]
+    key = _geometry(P.grid)
     for F in cases:
         got = influence_numerical(F, P).values
-        [built] = functionals._ladders.values()
-        with mock.patch.dict(functionals._ladders, clear=True), \
-                mock.patch.multiple(functionals, _kernels=_direct_kernels,
-                                    _smooth=_direct_ladder):
+        built = functionals._ladder(key)
+        functionals._ladder.cache_clear()
+        with mock.patch.multiple(functionals, _kernels=_direct_kernels,
+                                 _smooth=_direct_ladder):
             ref = influence_numerical(F, P).values
-            [(direct, _)] = functionals._ladders.values()
-            assert direct[1] == default_schedule(P.grid).sigmas()
-        [after] = functionals._ladders.values()
-        assert after is built
+            direct = functionals._ladder(key)
+            assert functionals._ladder.cache_info().currsize == 1
+            assert direct[0][1] == default_schedule(P.grid).sigmas()
+        functionals._ladder.cache_clear()
+        assert np.array_equal(influence_numerical(F, P).values, got)
+        after = functionals._ladder(key)
+        assert after is not direct
+        for a, b in zip((*after[0], after[1]), (*built[0], built[1]),
+                        strict=True):
+            np.testing.assert_array_equal(a, b, strict=True)
         assert _sup_relative(got, ref) <= 1e-13
 
 
@@ -471,9 +483,11 @@ def test_grids_of_one_geometry_share_a_ladder_and_its_bits(dim, no_ladders):
     assert P.grid is not Q.grid
     for F in cases:
         first = influence_numerical(F, P)
-        assert len(functionals._ladders) == 1
+        info = functionals._ladder.cache_info()
+        assert (info.currsize, info.misses) == (1, 1)
         again = influence_numerical(F, Q)
-        assert len(functionals._ladders) == 1
+        assert functionals._ladder.cache_info() == info._replace(
+            hits=info.hits + 1)
         assert np.array_equal(first.values, again.values)
 
 
@@ -489,28 +503,37 @@ def test_a_grid_with_other_bounds_gets_its_own_ladder(no_ladders):
         x, s0 = g.axes[0].nodes, default_schedule(g).sigma0
         inside = (x >= lo + 2 * s0) & (x <= 1.0 - 2 * s0)
         assert np.max(np.abs(num - ana)[inside]) < 1e-4 * np.max(np.abs(ana))
-    assert len(functionals._ladders) == 2
+    info = functionals._ladder.cache_info()
+    assert (info.currsize, info.misses) == (2, 2)
 
 
 def test_the_ladder_memo_is_read_only_and_bounded(no_ladders):
     """Every array the memo keeps refuses a write, and building more
-    geometries than its bound keeps the most recently used ones."""
-    kernels, masses = functionals._ladder(Grid.box((0.0, 1.0), (0.0, 2.0),
-                                                   (5, 7)))
+    geometries than its bound keeps the most recently used ones: reading
+    an entry makes it the most recent, and a new geometry evicts the
+    least recently used one."""
+    kernels, masses = functionals._ladder(((0.0, 1.0, 5), (0.0, 2.0, 7)))
     for a in (*kernels, masses):
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1.0
     bound = functionals._LADDER_GEOMETRIES
-    lines = [Grid.line(0.0, 1.0 + k, 5) for k in range(bound + 2)]
-    for k, g in enumerate(lines):
-        functionals._ladder(g)
-        assert len(functionals._ladders) == min(k + 2, bound)
-    assert list(functionals._ladders) == [((0.0, 1.0 + k, 5),)
-                                          for k in range(2, bound + 2)]
-    functionals._ladder(lines[2])
-    functionals._ladder(Grid.line(0.0, 0.5, 5))
-    assert ((0.0, 3.0, 5),) in functionals._ladders
-    assert ((0.0, 4.0, 5),) not in functionals._ladders
+    assert functionals._ladder.cache_info().maxsize == bound == 16
+
+    def misses(*geometries):
+        before = functionals._ladder.cache_info().misses
+        for key in geometries:
+            functionals._ladder(key)
+        return functionals._ladder.cache_info().misses - before
+
+    lines = [((0.0, 1.0 + k, 5),) for k in range(bound + 2)]
+    for k, key in enumerate(lines):
+        assert misses(key) == 1
+        assert functionals._ladder.cache_info().currsize == min(k + 2, bound)
+    # lines[2:] are kept, lines[2] the least recently used until read
+    assert misses(lines[2]) == 0
+    assert misses(((0.0, 0.5, 5),)) == 1
+    assert misses(lines[2]) == 0
+    assert misses(lines[3]) == 1
 
 
 def _iso(x, y):

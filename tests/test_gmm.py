@@ -16,7 +16,8 @@ from sensan.errors import SensanError
 from sensan.expressions import as_array_function
 from sensan.families import build_family, truncated_normal
 import sensan.gmm
-from sensan.gmm import _FOC_TOL, _node_arrays, _solution, _theta_polys
+from sensan.gmm import (_FOC_TOL, _efficient_map, _node_arrays, _solution,
+                        _theta_polys)
 from sensan.model_space import integrate
 
 P0 = two_moment_population()
@@ -376,9 +377,9 @@ def test_solution_keeps_the_node_arrays_and_curvature_bit_for_bit(case):
 @pytest.mark.parametrize("case", ["1-d", "2-d", "cut"])
 @pytest.mark.parametrize("weight", ["identity", "optimal"])
 def test_solution_moments_are_the_per_entry_integrals_bit_for_bit(case, weight):
-    """Pg, G and Omega from one quadrature of each stacked integrand equal
-    one `integrate` call per entry. The 2-d minimizer lies past th0 = 1,
-    so that case widens th0's bound to 2."""
+    """Pg, G and Omega, integrated entry by entry from the stacked node
+    arrays, equal one `integrate` call per entry. The 2-d minimizer lies
+    past th0 = 1, so that case widens th0's bound to 2."""
     P, spec = _polynomial_case(case)
     if case == "2-d":
         spec = moment_spec(spec.texts, 2, ((-1.0, 2.0), (-1.0, 2.0)),
@@ -401,6 +402,40 @@ def test_solution_moments_are_the_per_entry_integrals_bit_for_bit(case, weight):
         np.testing.assert_array_equal(got, want, strict=True)
     assert sol.g.shape == (r, *P.grid.shape)
     assert sol.jac.shape == (p, r, *P.grid.shape)
+
+
+def _cut_score_case(case):
+    """A specified model, its weight, and a cut score on it: the analytic
+    influence of a quantile."""
+    if case == "1-d":
+        return P0, SPEC, I2, influence(quantile_functional(0.3), P0)
+    P = GridDensity.from_callable(
+        Grid.box((-8.0, 8.0), (-8.0, 8.0), (101, 101)),
+        lambda x, y: np.exp(-0.5 * (x * x + y * y)))
+    spec = moment_spec(("x - th0", "y - th1", "x*x - 1", "y*y - 1"), 2,
+                       ((-3.0, 3.0), (-3.0, 3.0)), data_vars=("x", "y"))
+    return P, spec, "optimal", influence(quantile_functional(0.4, 1), P)
+
+
+@pytest.mark.parametrize("case", ["1-d", "2-d"])
+def test_projection_of_a_cut_score_takes_the_per_entry_integrals(case):
+    """P[xi g'] of a score with a cut term is one integral of xi P g_i
+    per moment, bit for bit, and the projection subtracts the moments it
+    weights, centered: the 1-d N(1, 1) two-moment model with identity
+    weight at tau 0.3, and the 101^2 standard Gaussian with four moments
+    and "optimal" weights at tau 0.4 on axis 1."""
+    P, spec, W, xi = _cut_score_case(case)
+    assert xi.terms
+    sol = gmm_solve(P, spec, W)
+    assert sol.correctly_specified
+    cov = np.array([xi.times(P).quad(a) for a in sol.g])
+    perp = np.eye(spec.moment_dim) - sol.G @ _efficient_map(sol)
+    coef = cov @ np.linalg.solve(sol.Omega, perp)
+    want = TangentVector(P, xi.smooth - np.tensordot(coef, sol.g, 1),
+                         terms=xi.terms)
+    got = gmm_project_tangent(P, spec, sol, xi)
+    np.testing.assert_array_equal(got.smooth, want.smooth, strict=True)
+    assert got.terms == xi.terms
 
 
 def test_solution_refuses_a_non_finite_integrand():

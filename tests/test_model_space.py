@@ -196,31 +196,35 @@ def test_cut_free_grid_quad_gives_the_axis_by_axis_bits(shape):
 
 @pytest.mark.parametrize("shape", [(21, 31), (40, 41), (41, 41), (5, 200)])
 def test_marginals_give_the_axis_by_axis_bits(shape):
-    """Both marginals of a 2-d field, alone and as rows of a stack: each
-    row of a stack keeps the bits of its field alone, and so does each
-    integral of a stack, which GMM's per-entry integrals rely on."""
+    """Both marginals of a 2-d field, in every layout, give the bits of
+    the axis-by-axis reduction that keeps that axis."""
     g = Grid.box((0.0, 1.0), (-1.0, 2.0), shape)
-    rng = np.random.default_rng(sum(shape))
-    A = rng.standard_normal(shape)
+    A = np.random.default_rng(sum(shape)).standard_normal(shape)
     for L in _layouts(A):
         for axis in (0, 1):
             np.testing.assert_array_equal(
                 model_space.PiecewiseField(g, L).marginal(axis).smooth,
                 _axis_by_axis(g, L, keep=axis))
-    stack = rng.standard_normal((9,) + shape)
-    for axis in (0, 1):
-        rows = model_space.PiecewiseField(g, stack).marginal(axis).smooth
-        assert rows.shape == (9, shape[axis])
-        for r in range(9):
-            np.testing.assert_array_equal(rows[r], _axis_by_axis(g, stack[r], keep=axis))
-    np.testing.assert_array_equal(grid_quad(g, stack), [grid_quad(g, f) for f in stack])
 
 
-@pytest.mark.parametrize("n", [5, 201, 800, 801])
-def test_row_integrals_give_the_bits_of_each_field(n):
-    g = Grid.line(0.0, 1.0, n)
-    stack = np.random.default_rng(n).standard_normal((13, n))
-    np.testing.assert_array_equal(grid_quad(g, stack), [grid_quad(g, f) for f in stack])
+@pytest.mark.parametrize("grid", [Grid.line(0.0, 1.0, 201),
+                                  Grid.box((0.0, 1.0), (-1.0, 2.0), (21, 31))],
+                         ids=["1d", "2d"])
+@pytest.mark.parametrize("cuts", [(), ((0, 0.37),)], ids=["whole", "cut"])
+def test_quadrature_refuses_a_stack_of_fields(grid, cuts):
+    """Quadrature takes one field: a stack of fields, as an integrand or
+    as a factor, is refused by the shape message, with and without cuts.
+    One field gives a float."""
+    f = np.random.default_rng(grid.ndim).uniform(0.5, 1.5, grid.shape)
+    stack = np.stack([f, 2.0 * f, -f])
+    field = PiecewiseField(grid, f, (CutTerm(cuts, f),) if cuts else ())
+    assert type(grid_quad(grid, f, cuts)) is float
+    assert type(field.quad(f)) is float
+    for call in (lambda: grid_quad(grid, stack, cuts),
+                 lambda: field.quad(stack)):
+        with pytest.raises(SensanError) as exc:
+            call()
+        assert str(exc.value) == "integrand values do not match the grid shape"
 
 
 def test_cut_term_mask():

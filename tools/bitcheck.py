@@ -65,6 +65,15 @@ from the dumps of two checkouts. The lines cover:
   `gmm_efficient_influence`, `gmm_project_tangent` and `gmm_out_direction`
   for a specified and a misspecified truncated normal and a 2-d
   three-moment spec, each with identity and "optimal" weights
+- `gmm_project_tangent` of a cut score, the analytic influence of a
+  quantile: on the specified N(1, 1) two-moment model at 801 nodes with
+  identity weight at tau 0.3, and on a 101² standard Gaussian on
+  [-8, 8]² with the moments x - th0, y - th1, x*x - 1, y*y - 1 and
+  "optimal" weights at tau 0.4 on axis 1 and on axis 0
+- estimates that overflow: `mc_joint_asymptotics` of the moments
+  1e300 x^4 and 1e300 x on the uniform at 201 nodes (n = 50, 5
+  replications), and `plugin_sensitivity` of 1e200 x against itself on
+  200 uniform draws (numpy's overflow warnings are silenced)
 - every file `python -m sensan.cli` writes, with its exit code, stdout
   and stderr, for the schema configs and `replicate-education --grid 201`
 
@@ -446,6 +455,53 @@ def gmms(sensan) -> None:
         for weight in ("identity", "optimal"):
             W = np.eye(sp.moment_dim) if weight == "identity" else weight
             gmm_case(sensan, f"gmm/{name}/{weight}", P, sp, W)
+    gauss = sensan.GridDensity.from_callable(
+        sensan.Grid.box((-8.0, 8.0), (-8.0, 8.0), (101, 101)),
+        lambda x, y: np.exp(-0.5 * (x * x + y * y)))
+    spec4 = sensan.moment_spec(("x - th0", "y - th1", "x*x - 1", "y*y - 1"), 2,
+                               ((-3.0, 3.0), (-3.0, 3.0)), data_vars=("x", "y"))
+    scores = [("normal-1-1/identity/q0.3", cases[0][1], spec, np.eye(2), 0.3, 0),
+              ("gauss-101/optimal/q0.4/1", gauss, spec4, "optimal", 0.4, 1),
+              ("gauss-101/optimal/q0.4/0", gauss, spec4, "optimal", 0.4, 0)]
+    for label, P, sp, W, tau, axis in scores:
+        xi = sensan.influence(sensan.quantile_functional(tau, axis), P)
+        try:
+            sol = sensan.gmm_solve(P, sp, W)
+            emit(f"gmm/cut-score/{label}",
+                 *field_parts(sensan.gmm_project_tangent(P, sp, sol, xi)))
+        except sensan.SensanError as exc:
+            emit(f"gmm/cut-score/{label}", "error", str(exc))
+
+
+def overflows(sensan) -> None:
+    """Estimates whose arithmetic overflows: hashed as computed, or by the
+    refusal's message."""
+    U = sensan.build_family({"family": "uniform"}, sensan.Grid.line(0.0, 1.0, 201))
+    line = sensan.Grid.line(0.0, 1.0, 801)
+    s = sensan.sample_from(sensan.build_family({"family": "uniform"}, line),
+                           200, np.random.default_rng(3))
+    big = sensan.moment(lambda x: 1e200 * x)
+
+    def joint():
+        res = sensan.mc_joint_asymptotics(
+            U, sensan.moment(lambda x: 1e300 * x * x * x * x),
+            sensan.moment(lambda x: 1e300 * x), 50, 5, 0)
+        return (res.estimates[50], res.empirical_cov[50], res.lambda_hat,
+                res.delta_hat)
+
+    def plugin():
+        influence = sensan.estimated_influence(big, s, line)
+        return (sensan.plugin_sensitivity(sensan.PluginConfig(
+            influence, influence, sensan.RatioInformation(), s)),)
+
+    for label, call in (("mc_joint/overflow/1e300x4-1e300x/50x5", joint),
+                        ("plugin/overflow/1e200x", plugin)):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                parts = call()
+            emit(label, *parts)
+        except sensan.SensanError as exc:
+            emit(label, "error", str(exc))
 
 
 def cli_runs(sensan, src: str, configs) -> None:
@@ -506,6 +562,7 @@ def main(argv: list[str]) -> None:
     kdes(sensan)
     sample_side(sensan)
     gmms(sensan)
+    overflows(sensan)
     cli_runs(sensan, src, SCHEMA_CONFIGS)
 
 
