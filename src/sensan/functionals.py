@@ -12,22 +12,15 @@ functions are available for the first three kinds:
 and the quantile one carries its jump explicitly so downstream quadrature
 can split cells at q.
 
-For functionals without a usable closed form there is a numerical route:
-the Gateaux derivative along mixtures toward a near-point mass,
+Every kind also has a numerical route, the only one for a composite and
+a second path for the others: the Gateaux derivative along mixtures
+toward a point mass,
 
-    d/dt psi((1 - t) P + t G_z)  at t = 0,
+    d/dt psi((1 - t) P + t delta_z)  at t = 0,
 
-for a Gaussian bump G_z of shrinking width sigma_j = sigma0 * 2^-j, down
-to two grid spacings, extrapolated in the bump width. The derivative is
-linear in the bump, so every width and every z comes from one node
-gradient of psi (central differences at every node) smoothed by a
-convolution along each axis. The convolutions go by real FFT: along each
-axis one transform of the node gradient, a product with each width's
-kernel transform and one inverse, of which the "valid" entries are kept.
-The kernel transforms, and the bump masses they make of the Simpson
-weights, depend on the grid's geometry alone: they are built once per
-geometry and kept (_ladder). Each kind takes the node gradient its own
-way:
+read off one node gradient g_k = d psi / d P(x_k) of psi and the
+derivative Dpsi along P itself. Each kind takes the node gradient its
+own way:
 
     moment, variance  central differences of the one or three integrals
                       psi combines, shifted by t w_k I_k at node k: O(G)
@@ -37,6 +30,26 @@ way:
                       quantile's axis moves by w_k T_a: O(G); exactly 0
                       past the crossing node
     composite         one perturbed field per call, two calls per node
+
+A built-in kind integrates each node with weights it knows, so a unit
+point mass at node k moves psi by g_k / w_k, and its influence is
+g / w - Dpsi at every node, edges included (_node_weights):
+
+    moment, variance  w the Simpson weight tensor
+    quantile          w the trapezoid weights along its axis, which its
+                      CDF accumulates, times Simpson along the others
+
+A composite may mix rules (mean over median integrates with Simpson
+weights and inverts a cumulative trapezoid), so no one w fits it. It
+takes the mollifier ladder instead: Gaussian bumps G_z of shrinking width
+sigma_j = sigma0 * 2^-j, down to two grid spacings, extrapolated in the
+bump width. The derivative is linear in the bump, so every width and
+every z comes from g smoothed by a convolution along each axis. The
+convolutions go by real FFT: along each axis one transform of the node
+gradient, a product with each width's kernel transform and one inverse,
+of which the "valid" entries are kept. The kernel transforms, and the
+bump masses they make of the Simpson weights, depend on the grid's
+geometry alone: they are built once per geometry and kept (_ladder).
 
 A composite's evaluator is opaque, so each of its perturbed fields is a
 field of its own. They are signed, so evaluation runs on raw
@@ -314,7 +327,10 @@ class MollifierSchedule:
 
 
 def default_schedule(grid: Grid) -> MollifierSchedule:
-    """sigma0 = max(5% of the shortest side, 16 grid spacings), halved
+    """The widths of the mollifier ladder, which composites take, and of
+    the zones their checks exclude near the edges and the kinks.
+
+    sigma0 = max(5% of the shortest side, 16 grid spacings), halved
     down to the smallest width of at least two grid spacings. On coarse
     grids, where 16 spacings exceed 40% of the shortest side, sigma0 is
     capped at 40% of that side but kept at 8 spacings or more: the bias
@@ -382,18 +398,9 @@ def _quantile_gradient(F: Functional, P: GridDensity, t: float) -> np.ndarray:
     axis = _axis(F, grid.ndim)
     x = grid.axes[axis].nodes
     tau = F.tau
-
-    def spread(v):
-        """v along the quantile's axis times the other axes' weights."""
-        out = np.ones(())
-        for b, ax in enumerate(grid.axes):
-            out = np.multiply.outer(out, v if b == axis else ax.weights)
-        return out
-
     table, cdf, cuts = cdf_table(P.marginal(axis))
-    half = 0.5 * np.diff(x)
-    mass = np.append(half, 0.0) + np.append(0.0, half)     # T_a at x[-1]
-    if table[-1] - t * np.max(spread(mass)) < tau:
+    mass = _trapezoid(x)                                    # T_a at x[-1]
+    if table[-1] - t * np.max(_spread(grid, axis, mass)) < tau:
         raise SensanError("quantile level beyond the grid support")
     _, (p0, p1, A, B) = cross_cell(x, table, cdf, cuts, tau, strict=False)
     _quantile_density((B - A) / (p1 - p0), "marginal")
@@ -412,7 +419,34 @@ def _quantile_gradient(F: Functional, P: GridDensity, t: float) -> np.ndarray:
 
     slope = (-(p1 - p0) / (B - A) ** 2
              * ((B - tau) * hats(p0) + (tau - A) * hats(p1)))
-    return spread(slope)
+    return _spread(grid, axis, slope)
+
+
+def _trapezoid(x: np.ndarray) -> np.ndarray:
+    """The trapezoid weights on the nodes x, the integral of each node's
+    hat: the rule a quantile's cumulative-trapezoid CDF applies."""
+    half = 0.5 * np.diff(x)
+    return np.append(half, 0.0) + np.append(0.0, half)
+
+
+def _spread(grid: Grid, axis: int, v: np.ndarray) -> np.ndarray:
+    """v along `axis` times the other axes' Simpson weights."""
+    out = np.ones(())
+    for b, ax in enumerate(grid.axes):
+        out = np.multiply.outer(out, v if b == axis else ax.weights)
+    return out
+
+
+def _node_weights(F: Functional, grid: Grid) -> np.ndarray:
+    """The weights a built-in kind integrates a node with, by which its
+    node gradient moves per unit point mass at that node: the Simpson
+    weight tensor for a moment or a variance; for a quantile the
+    trapezoid along its axis, as its CDF accumulates, times Simpson along
+    the others, as its marginal integrates them out."""
+    if F.kind == "quantile":
+        axis = _axis(F, grid.ndim)
+        return _spread(grid, axis, _trapezoid(grid.axes[axis].nodes))
+    return grid.weight_tensor()
 
 
 def _composite_gradient(F: Functional, P: GridDensity,
@@ -510,20 +544,27 @@ def _ladder(geometry: tuple[tuple[float, float, int], ...]
 def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
     """Influence function by differentiating mixtures toward point masses.
 
-    Level j estimates, at every node z, the Gateaux derivative
-    d/ds psi((1-s) P + s G_z^j) at s = 0 toward the Gaussian bump G_z^j
-    of width sigma_j (from default_schedule, so from the grid alone),
-    renormalized by its Simpson integral n_j(z). That
-    derivative is linear in the bump, so it is computed from one node
-    gradient g_k = d psi / d P(x_k) and the derivative Dpsi along P
-    itself, by central differences with step _FD_STEP. A moment or a
-    variance differentiates its integrals, and a quantile's g is in closed
-    form in its crossing piece (_node_gradient), with no perturbed field;
-    a crossing piece whose mean density the analytic route would refuse
-    is refused with its message. A composite evaluates 2
-    perturbed fields per node, one per call: 2G + 2 evaluator calls, each
-    on a read-only field; a write into it raises numpy's ValueError
-    instead of shifting the fields that follow. Then
+    Both routes start from one node gradient g_k = d psi / d P(x_k) and
+    the derivative Dpsi along P itself, by central differences with step
+    _FD_STEP. A moment or a variance differentiates its integrals, and a
+    quantile's g is in closed form in its crossing piece (_node_gradient),
+    with no perturbed field; a crossing piece whose mean density the
+    analytic route would refuse is refused with its message. A composite
+    evaluates 2 perturbed fields per node, one per call: 2G + 2 evaluator
+    calls, each on a read-only field; a write into it raises numpy's
+    ValueError instead of shifting the fields that follow.
+
+    A built-in kind gives a unit point mass at node k the weight w_k it
+    integrates node k with (_node_weights), so its Gateaux derivative
+    toward that point mass is g_k / w_k - Dpsi, at every node, edges
+    included, with no bump width and no zone to exclude.
+
+    A composite may mix quadrature rules, so it takes the mollifier
+    ladder (_mollified). Level j estimates, at every node z, the Gateaux
+    derivative d/ds psi((1-s) P + s G_z^j) at s = 0 toward the Gaussian
+    bump G_z^j of width sigma_j (from default_schedule, so from the grid
+    alone), renormalized by its Simpson integral n_j(z). That derivative
+    is linear in the bump, so
 
         level_j = (B_j g) / n_j - Dpsi,    n_j = B_j w,
 
@@ -539,7 +580,9 @@ def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
     spacings: the 4:2 ripple of the Simpson weights, which g inherits, has
     period 2h, and a bump of width 2h damps it by exp(-2 pi^2), about
     3e-9. The two finest levels are Richardson-extrapolated (the smoothing
-    error is quadratic in sigma) and the result is centered.
+    error is quadratic in sigma) and the result is centered. The bumps
+    lose mass at the domain's edges, so the ladder is biased there,
+    linearly in sigma.
 
     Level-to-level sup changes are the convergence diagnostic, decided on
     the first three widths: if the second change exceeds the first, the
@@ -550,6 +593,15 @@ def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
     psi = _evaluator(F, grid)
     g = _node_gradient(F, P, t)
     dpsi = (psi(P.scale(1.0 + t)) - psi(P.scale(1.0 - t))) / (2.0 * t)
+    if F.kind != "composite":
+        return TangentVector(P, g / _node_weights(F, grid) - dpsi)
+    return TangentVector(P, _mollified(g, dpsi, grid))
+
+
+def _mollified(g: np.ndarray, dpsi: float, grid: Grid) -> np.ndarray:
+    """The mollifier ladder on the node gradient g and the derivative dpsi
+    along P: the Richardson extrapolation of level_j = (B_j g) / n_j - dpsi
+    over the two finest widths, or the "mollifier not converged" refusal."""
     kernels, masses = _ladder(tuple((ax.lo, ax.hi, ax.n)
                                     for ax in grid.axes))
     levels = _smooth(g, kernels) / masses - dpsi
@@ -560,8 +612,7 @@ def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
         raise SensanError(
             "mollifier not converged: level changes "
             + ", ".join(f"{c:.3g}" for c in changes))
-    extrap = (4.0 * levels[-1] - levels[-2]) / 3.0
-    return TangentVector(P, extrap)
+    return (4.0 * levels[-1] - levels[-2]) / 3.0
 
 
 # --- config parsing -----------------------------------------------------------------

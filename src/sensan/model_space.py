@@ -124,8 +124,10 @@ class Grid:
     def ndim(self) -> int:
         return len(self.axes)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
+        """Built once per grid: every integrand's shape is checked
+        against it."""
         return tuple(ax.n for ax in self.axes)
 
     def mesh(self) -> tuple[np.ndarray, ...]:
@@ -258,7 +260,7 @@ def grid_quad(grid: Grid, samples: np.ndarray, cuts: Cuts = ()) -> float:
     """Integrate one field's node samples over the grid, restricted to the
     half-open box {x_axis <= location} for every (axis, location) in cuts."""
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != grid.ndim:
+    if samples.shape != grid.shape:
         raise SensanError("integrand values do not match the grid shape")
     if not cuts:
         # one dot per axis, last first: _reduce's BLAS calls, so its bits,
@@ -342,6 +344,8 @@ class PiecewiseField:
         node array) when one is given, cells split at every cut."""
         parts = [(self.smooth, ())] + [(t.samples, t.cuts) for t in self.terms]
         if factor is not None:
+            if np.shape(factor) not in ((), self.grid.shape):
+                raise SensanError("integrand values do not match the grid shape")
             parts = [(s * factor, c) for s, c in parts]
         return sum(grid_quad(self.grid, s, c) for s, c in parts)
 

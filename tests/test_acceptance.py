@@ -175,12 +175,12 @@ def test_criterion_06_counterfactual_remainder_slopes():
 
 
 def test_criterion_07_numerical_influence_matches_analytic():
-    # The mollified point mass near a domain edge loses tail mass, which
-    # biases the numerical route linearly in sigma right at the boundary
-    # (0.96 at the far edge of the +-6 sigma grid, where the analytic
-    # influence is huge). That is the same smoothing artifact as at the
-    # median kink, so each comparison stays 2 sigma0 away from both the
-    # edges and the kink; inside those zones the routes agree to 1.5e-4.
+    # The built-in kinds take the numerical route toward point masses and
+    # carry no edge bias. A composite's mollified point mass near a domain
+    # edge loses tail mass, which biases its route linearly in sigma right
+    # at the boundary, the same smoothing artifact as at the median kink;
+    # so each comparison stays 2 sigma0 away from both the edges and the
+    # kink, the zones of the ladder that composites still take.
     def body():
         med = quantile_functional(0.5)
         worst_smooth = worst_med = 0.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bundles import mean_over_median
+from bundles import influence_densities, mean_over_median
 from sensan import (Grid, GridDensity, Sample, TangentVector, composite,
                     counterfactual_density, estimated_influence, evaluate,
                     functionals, influence, influence_analytic,
@@ -16,7 +16,7 @@ from sensan.families import beta, linear, quadratic, truncated_normal, uniform
 from sensan.functionals import (_FD_STEP, _evaluator, _node_gradient,
                                 default_schedule)
 from sensan.model_space import (CutTerm, PiecewiseField, _cumtrapz, cdf_table,
-                                grid_quad, invert_cdf)
+                                grid_quad, invert_cdf, quantile)
 
 G = Grid.line(0.0, 1.0, 801)
 U = uniform(G)
@@ -428,20 +428,19 @@ def _direct_ladder(a, kernels):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_numerical_influence_is_the_direct_sum_ladder(dim, no_ladders):
-    """Every built-in kind and a composite, with the ladder smoothed by
-    direct sums instead, its bump masses included: the influences agree to
-    within 1e-13 of their sup. The memo is emptied before the direct sums
-    run, so they build its entry, and again after, so no direct-sum masses
-    reach later calls: the next call rebuilds the transform-built bits."""
+    """A composite, the only kind the ladder serves, with the ladder
+    smoothed by direct sums instead, its bump masses included: the
+    influences agree to within 1e-13 of their sup. The memo is emptied
+    before the direct sums run, so they build its entry, and again after,
+    so no direct-sum masses reach later calls: the next call rebuilds the
+    transform-built bits."""
     if dim == 1:
         P = beta(Grid.line(0.0, 1.0, 201), 2.0, 3.0)
-        cases = [moment(lambda x: x * x), variance(),
-                 quantile_functional(0.3), mean_over_median()]
+        cases = [mean_over_median()]
     else:
         P = GridDensity.from_callable(
             Grid.box((0.0, 1.0), (0.0, 1.0), (21, 31)), _correlated)
-        cases = [moment(lambda x, y: x * y), variance(0),
-                 quantile_functional(0.5, 1), composite(_covariance)]
+        cases = [composite(_covariance)]
     key = _geometry(P.grid)
     for F in cases:
         got = influence_numerical(F, P).values
@@ -466,19 +465,20 @@ def test_numerical_influence_is_the_direct_sum_ladder(dim, no_ladders):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_grids_of_one_geometry_share_a_ladder_and_its_bits(dim, no_ladders):
     """A grid built anew with the geometry of an earlier one reads the
-    earlier grid's ladder from the memo, and every built-in kind and a
-    composite give the bits of the grid that built it."""
+    earlier grid's ladder from the memo, and composites give the bits of
+    the grid that built it: a nonlinear one and a moment taken as a
+    composite."""
     if dim == 1:
         def build():
             return beta(Grid.line(0.0, 1.0, 201), 2.0, 3.0)
-        cases = [moment(lambda x: x * x), variance(),
-                 quantile_functional(0.3), mean_over_median()]
+        cases = [mean_over_median(),
+                 composite(lambda Q: Q.quad(Q.grid.mesh()[0] ** 2))]
     else:
         def build():
             return GridDensity.from_callable(
                 Grid.box((0.0, 1.0), (0.0, 1.0), (21, 31)), _correlated)
-        cases = [moment(lambda x, y: x * y), variance(0),
-                 quantile_functional(0.5, 1), composite(_covariance)]
+        cases = [composite(_covariance),
+                 composite(lambda Q: Q.quad(Q.grid.mesh()[0] * Q.grid.mesh()[1]))]
     P, Q = build(), build()
     assert P.grid is not Q.grid
     for F in cases:
@@ -494,11 +494,12 @@ def test_grids_of_one_geometry_share_a_ladder_and_its_bits(dim, no_ladders):
 def test_a_grid_with_other_bounds_gets_its_own_ladder(no_ladders):
     """The memo keys each axis by its bounds as well as its node count: a
     201-node [-1, 1] after a 201-node [0, 1] builds a second entry, whose
-    variance influence matches the analytic one inside the zones."""
+    influence of the variance, taken as a composite, matches the analytic
+    one inside the zones."""
     for lo in (0.0, -1.0):
         g = Grid.line(lo, 1.0, 201)
         P = GridDensity.from_callable(g, lambda x: np.exp(-8.0 * (x - 0.3) ** 2))
-        num = influence_numerical(variance(), P).values
+        num = influence_numerical(composite(_evaluator(variance(), g)), P).values
         ana = influence_analytic(variance(), P).values
         x, s0 = g.axes[0].nodes, default_schedule(g).sigma0
         inside = (x >= lo + 2 * s0) & (x <= 1.0 - 2 * s0)
@@ -551,18 +552,121 @@ def _iso(x, y):
 ])
 def test_coarse_grid_variance_is_refused_with_its_level_changes(shape, fn,
                                                                 message):
-    """On coarse unit grids the variance's ladder diverges, the uniform's
-    and an isotropic Gaussian's alike, and the refusal names the level
-    changes of the direct-sum ladder."""
-    if len(shape) == 1:
-        P, F = uniform(Grid.line(0.0, 1.0, shape[0])), variance()
-    else:
-        g = Grid.box((0.0, 1.0), (0.0, 1.0), shape)
-        P = GridDensity.from_callable(g, fn or (lambda x, y: 1.0 + 0.0 * x))
-        F = variance(1)
+    """On coarse unit grids the ladder of a composite that is the variance
+    diverges, on the uniform and on an isotropic Gaussian alike, and the
+    refusal names the level changes of the direct-sum ladder."""
+    P, F = _coarse_case(shape, fn)
     with pytest.raises(SensanError) as exc:
-        influence_numerical(F, P)
+        influence_numerical(composite(_evaluator(F, P.grid)), P)
     assert str(exc.value) == f"mollifier not converged: level changes {message}"
+
+
+def _coarse_case(shape, fn):
+    """The uniform on 21 nodes of [0, 1] and its variance, or a density on
+    a coarse unit box and its variance along axis 1."""
+    if len(shape) == 1:
+        return uniform(Grid.line(0.0, 1.0, shape[0])), variance()
+    g = Grid.box((0.0, 1.0), (0.0, 1.0), shape)
+    return (GridDensity.from_callable(g, fn or (lambda x, y: 1.0 + 0.0 * x)),
+            variance(1))
+
+
+@pytest.mark.parametrize("shape,fn", [
+    ((21,), None), ((21, 21), None), ((31, 31), None), ((41, 41), None),
+    ((21, 21), _iso), ((31, 31), _iso), ((41, 41), _iso)])
+def test_coarse_grid_variance_runs_toward_point_masses(shape, fn):
+    """The built-in variance on the grids where a composite's ladder
+    diverges takes no ladder: its influence matches the analytic one to
+    1e-8 at every node."""
+    P, F = _coarse_case(shape, fn)
+    num = influence_numerical(F, P).values
+    assert np.max(np.abs(num - influence_analytic(F, P).values)) <= 1e-8
+
+
+# --- the built-in kinds' route toward point masses -----------------------------------
+
+@pytest.mark.parametrize("name,P", influence_densities())
+def test_point_mass_influence_matches_analytic_on_criterion_07s_densities(
+        name, P):
+    """At 801 nodes, edges included: the mean and the variance within 1e-8
+    of their analytic influence at every node, and the median within 1e-4
+    at every node more than two cells from its quantile, where the
+    analytic step and the crossing piece's mean density set the value."""
+    x = P.grid.axes[0].nodes
+    for F in (moment(lambda x: x), variance()):
+        err = influence_numerical(F, P).values - influence_analytic(F, P).values
+        assert np.max(np.abs(err)) <= 1e-8, (name, F.label)
+    med = quantile_functional(0.5)
+    err = np.abs(influence_numerical(med, P).values
+                 - influence_analytic(med, P).values)
+    far = np.abs(x - quantile(P, 0.5)) > 2.0 * P.grid.axes[0].spacing
+    assert np.max(err[far]) <= 1e-4, name
+
+
+def test_point_mass_influence_of_2d_moments_matches_analytic():
+    """On the 41² correlated Gaussian, where the ladder's one-sigma0 zones
+    leave a fifth of each side: x*y and the variance along each axis match
+    the analytic influence at every node to within 1e-7 of its sup."""
+    P = GridDensity.from_callable(Grid.box((0.0, 1.0), (0.0, 1.0), (41, 41)),
+                                  _correlated)
+    for F in (moment(lambda x, y: x * y), variance(0), variance(1)):
+        ana = influence_analytic(F, P).values
+        err = np.abs(influence_numerical(F, P).values - ana)
+        assert np.max(err) <= 1e-7 * np.max(np.abs(ana)), F.label
+
+
+@pytest.mark.parametrize("n", [81, 101])
+@pytest.mark.parametrize("tau,axis", [(0.3, 0), (0.5, 0), (0.3, 1), (0.5, 1)])
+def test_point_mass_quantile_influence_in_2d_against_the_ladder(n, tau, axis):
+    """A 2-d quantile divided by its trapezoid-times-Simpson weights,
+    against the same node gradient taken through the ladder. Inside the
+    ladder's zones, one sigma0 from the edges and from q, both routes read
+    the analytic step up to their centering, and the sup errors agree to
+    2%. Over every node more than two cells from q, edges included, the
+    point-mass route errs by a tenth of the ladder's or less."""
+    P = GridDensity.from_callable(Grid.box((0.0, 1.0), (0.0, 1.0), (n, n)),
+                                  _correlated)
+    F = quantile_functional(tau, axis)
+    ana = influence_analytic(F, P).values
+    err = np.abs(influence_numerical(F, P).values - ana)
+    g = _node_gradient(F, P, _FD_STEP)
+    ladder = TangentVector(P, functionals._mollified(g, 0.0, P.grid)).values
+    ladder_err = np.abs(ladder - ana)
+    s0 = default_schedule(P.grid).sigma0
+    mesh = P.grid.mesh()
+    q = quantile(P, tau, axis)
+    zone = np.abs(mesh[axis] - q) > s0
+    for C in mesh:
+        zone &= (C >= s0) & (C <= 1.0 - s0)
+    assert np.count_nonzero(zone) >= 800
+    assert np.max(err[zone]) <= 1.02 * np.max(ladder_err[zone])
+    far = np.abs(mesh[axis] - q) > 2.0 * P.grid.axes[axis].spacing
+    assert np.max(err[far]) <= 0.1 * np.max(ladder_err[far])
+
+
+@st.composite
+def positive_densities(draw):
+    """exp of a cubic on a line of random size (odd and even node counts),
+    with mass moved below a random cut as a cut term or without one."""
+    g = Grid.line(0.0, 1.0, draw(st.integers(5, 161)))
+    coefs = [draw(st.floats(-2.0, 2.0)) for _ in range(4)]
+    P = GridDensity.from_callable(g, lambda x: np.exp(np.polyval(coefs, x)))
+    if draw(st.booleans()):
+        P = GridDensity(g, 0.9 * P.smooth, _normalize="force",
+                        _terms=(CutTerm(((0, draw(st.floats(0.05, 0.95))),),
+                                        0.2 * P.smooth),))
+    return P
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(positive_densities(),
+       st.sampled_from([moment(lambda x: x ** 3 - x), variance()]))
+def test_point_mass_influence_matches_analytic_on_generated_densities(P, F):
+    """A moment and the variance, at every node, edges included, within
+    1e-8 of the analytic influence's sup (at least 1)."""
+    ana = influence_analytic(F, P).values
+    err = np.abs(influence_numerical(F, P).values - ana)
+    assert np.max(err) <= 1e-8 * max(1.0, np.max(np.abs(ana)))
 
 
 def _mixture_route(F, P, schedule):

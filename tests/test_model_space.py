@@ -227,6 +227,29 @@ def test_quadrature_refuses_a_stack_of_fields(grid, cuts):
         assert str(exc.value) == "integrand values do not match the grid shape"
 
 
+@pytest.mark.parametrize("grid,wrong", [
+    (Grid.line(0.0, 1.0, 5), (6,)), (Grid.line(0.0, 1.0, 5), (4,)),
+    (Grid.line(0.0, 1.0, 5), (1,)), (Grid.line(0.0, 1.0, 5), (5, 1)),
+    (Grid.box((0.0, 1.0), (-1.0, 2.0), (4, 5)), (5, 4)),
+    (Grid.box((0.0, 1.0), (-1.0, 2.0), (4, 5)), (4, 1)),
+    (Grid.box((0.0, 1.0), (-1.0, 2.0), (4, 5)), (5,))],
+    ids=["6-on-5", "4-on-5", "1-on-5", "5x1-on-5", "5x4-on-4x5", "4x1-on-4x5",
+         "5-on-4x5"])
+@pytest.mark.parametrize("cuts", [(), ((0, 0.37),)], ids=["whole", "cut"])
+def test_quadrature_refuses_a_wrong_shaped_integrand(grid, wrong, cuts):
+    """An integrand or a factor of any shape but the grid's, broadcastable
+    or not, is refused by the shape message, with and without cuts; a
+    scalar factor is taken."""
+    f = np.ones(grid.shape)
+    field = PiecewiseField(grid, f, (CutTerm(cuts, f),) if cuts else ())
+    for call in (lambda: grid_quad(grid, np.ones(wrong), cuts),
+                 lambda: field.quad(np.ones(wrong))):
+        with pytest.raises(SensanError) as exc:
+            call()
+        assert str(exc.value) == "integrand values do not match the grid shape"
+    assert field.quad(2.0) == 2.0 * field.quad()
+
+
 def test_cut_term_mask():
     """A term's box mask is built once per grid and cuts, read-only."""
     g = Grid.line(0.0, 1.0, 5)

@@ -11,14 +11,27 @@ script). Its `src` is imported, and the composite evaluators come from its
 `tests/test_cli.py`, so the script runs unchanged on an older checkout.
 With `--dump DIR` the script also writes every array and number it hashes
 to DIR as `<label>.npy` (`<label>.<k>.npy` for the k-th part of a line
-that hashes several), each `/` of a label a subdirectory, so that a
-changed line's largest relative change, max |a - b| / max |a|, can be read
-from the dumps of two checkouts. The lines cover:
+that hashes several), each `/` of a label a subdirectory, and its lines
+with the files of each to DIR/index.tsv. Then
+
+    python3 tools/bitcheck.py --compare PARENT_DIR CHANGE_DIR
+
+lists every line whose hash differs between two such dumps with its
+largest relative change, max |a - b| / max |a| over its arrays, or says
+which side hashed no arrays (a refusal hashes its message). The
+numerical influences (`ni/*`) of the built-in kinds (moment, variance,
+quantile) take the route toward point masses; those of the composites
+(`mean_over_median`, `covariance`) take the mollifier ladder. The lines
+cover:
 
 - numerical influences of the 1-d kinds and `mean_over_median` on
   Beta(2, 3) at 101, 201 and 801 nodes, with and without a cut term, and
   after the 201-node ones the variance of a Gaussian on 201 nodes of
   [-1, 1], the same node count on other bounds
+- numerical influences of the mean, the variance and the median of the
+  truncated standard normal at 801 nodes on [-4, 4] and on criterion
+  07's [-6, 6], where the ladder's edge bias reached 0.11 and 0.24 for
+  the variance
 - numerical influences of the 2-d kinds and the covariance composite on
   a correlated Gaussian at 21², 31², 41² and 21×31 (and at 21×31 with a
   cut), then its covariance again on a 21×31 grid built anew, and on the
@@ -94,6 +107,7 @@ import tempfile
 import numpy as np
 
 DUMP = None   # the --dump directory, if any
+INDEX = "index.tsv"     # a dump's lines: label, hash and its files
 
 
 def emit(label: str, *parts) -> None:
@@ -104,19 +118,56 @@ def emit(label: str, *parts) -> None:
                  else repr(p).encode())
     print(label, h.hexdigest())
     if DUMP is not None:
-        dump(label, parts)
+        files = dump(label, parts)
+        with open(os.path.join(DUMP, INDEX), "a") as fh:
+            fh.write("\t".join([label, h.hexdigest(), *files]) + "\n")
 
 
-def dump(label: str, parts) -> None:
-    """Write the arrays and real numbers among `parts` under DUMP."""
+def dump(label: str, parts) -> list[str]:
+    """Write the arrays and real numbers among `parts` under DUMP; the
+    files written, relative to DUMP."""
     kept = [(k, p) for k, p in enumerate(parts)
             if isinstance(p, (np.ndarray, float, int, np.number))
             and not isinstance(p, (bool, np.bool_))]
     path = os.path.join(DUMP, *label.split("/"))
     os.makedirs(os.path.dirname(path), exist_ok=True)
+    files = []
     for k, p in kept:
-        np.save(path + ("" if len(kept) == 1 else f".{k}") + ".npy",
-                np.asarray(p))
+        name = path + ("" if len(kept) == 1 else f".{k}") + ".npy"
+        np.save(name, np.asarray(p))
+        files.append(os.path.relpath(name, DUMP))
+    return files
+
+
+def read_index(root: str) -> dict[str, tuple[str, list[str]]]:
+    """A dump's lines: label -> (hash, files), in the order written."""
+    with open(os.path.join(root, INDEX)) as fh:
+        rows = [line.rstrip("\n").split("\t") for line in fh]
+    return {label: (digest, files) for label, digest, *files in rows}
+
+
+def compare(before: str, after: str) -> None:
+    """Print every line whose hash differs between the dumps `before` and
+    `after`, with its largest relative change over its arrays."""
+    old, new = read_index(before), read_index(after)
+    for label in [*old, *(k for k in new if k not in old)]:
+        (a, fa), (b, fb) = (old.get(label, ("", [])), new.get(label, ("", [])))
+        if a == b:
+            continue
+        if not fa or not fb:
+            sides = ("no line" if not h else "arrays" if f else "no arrays"
+                     for h, f in ((a, fa), (b, fb)))
+            print(label, "{} -> {}".format(*sides))
+            continue
+        arrays = [[np.asarray(np.load(os.path.join(root, f)), dtype=float)
+                   for f in files] for root, files in ((before, fa), (after, fb))]
+        if [x.shape for x in arrays[0]] != [y.shape for y in arrays[1]]:
+            print(label, "arrays of other shapes")
+            continue
+        worst = max(float(np.max(np.abs(x - y), initial=0.0))
+                    / max(float(np.max(np.abs(x), initial=0.0)), 1e-300)
+                    for x, y in zip(*arrays))
+        print(label, f"max relative change {worst:.2e}")
 
 
 def field_parts(f) -> list:
@@ -247,6 +298,15 @@ def influences(sensan, jobs) -> None:
     influence(sensan, "ni/beta25/201/q0.05", sensan.quantile_functional(0.05),
               sensan.build_family({"family": "beta", "alpha": 2.0,
                                    "beta": 5.0}, line201))
+    # the truncated standard normal, whose edges the ladder biased
+    for half in (4.0, 6.0):
+        P = sensan.build_family(
+            {"family": "truncated_normal", "mean": 0.0, "sd": 1.0},
+            sensan.Grid.line(-half, half, 801))
+        for name, F in (("mean", mom(lambda x: x)),
+                        ("variance", sensan.variance()),
+                        ("median", sensan.quantile_functional(0.5))):
+            influence(sensan, f"ni/tnorm/-{half:g}..{half:g}/801/{name}", F, P)
 
 
 def cut_in_the_crossing_cell(sensan, P, axis: int):
@@ -543,9 +603,16 @@ def main(argv: list[str]) -> None:
                         default=os.path.join(os.path.dirname(__file__), ".."))
     parser.add_argument("--dump", metavar="DIR",
                         help="also write each hashed array as DIR/<label>.npy")
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="list the changed lines of two --dump directories")
     args = parser.parse_args(argv)
+    if args.compare is not None:
+        compare(*args.compare)
+        return
     if args.dump is not None:
         DUMP = os.path.abspath(args.dump)
+        os.makedirs(DUMP, exist_ok=True)
+        open(os.path.join(DUMP, INDEX), "w").close()
     root = os.path.abspath(args.checkout)
     src = os.path.join(root, "src")
     # leave no bytecode in the checkouts being compared
