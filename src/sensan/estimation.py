@@ -230,6 +230,7 @@ def _bounds(grid) -> tuple[tuple[float, ...], tuple[float, ...]]:
 def sample_from(P: GridDensity, n: int, rng: np.random.Generator) -> Sample:
     """Draw n points: inverse-CDF on the grid in one dimension, X then
     Y | X in two, from rng.random(n) for X and then rng.random(n) for Y."""
+    _check_size(n)
     u = np.stack([rng.random(n) for _ in P.grid.axes])
     return Sample(_inverse_cdf(P)(u), *_bounds(P.grid))
 
@@ -369,9 +370,8 @@ def _rep_streams(master_seed: int, n: int, reps: int):
     set to default_rng(SeedSequence((master_seed, n, k))), valid until the
     next is taken. A master_seed or n that is not a non-negative integer
     is refused by name when the streams are asked for, before the first."""
-    for key, v in (("master_seed", master_seed), ("n", n)):
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
-            raise ConfigError(key, f"expected a non-negative integer, got {v!r}")
+    _check_count("master_seed", master_seed)
+    _check_count("n", n)
 
     def streams():
         rng = np.random.Generator(np.random.PCG64())  # state set per rep
@@ -386,6 +386,19 @@ def _rep_streams(master_seed: int, n: int, reps: int):
     return streams()
 
 
+def _check_count(key: str, v) -> None:
+    """Refuse v by name unless it is a non-negative integer."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
+        raise ConfigError(key, f"expected a non-negative integer, got {v!r}")
+
+
+def _check_size(n) -> None:
+    """Refuse a sample size n by name, or n = 0 as a sample of no points."""
+    _check_count("n", n)
+    if n == 0:
+        raise SensanError("sample must be a nonempty array of points")
+
+
 def _check_reps(reps: int, least: int) -> int:
     """reps as an int of at least `least`, refused in the CLI's words."""
     return read({"reps": reps}, "reps", int, lo=least)
@@ -396,8 +409,7 @@ def _sample_blocks(P: GridDensity, n: int, reps: int, master_seed: int):
     replications r0, r0 + 1, ...: row r from the (master_seed, n, r0 + r)
     stream, X's uniforms and then Y's as sample_from draws them, the block
     inverted through one CDF table and checked at once."""
-    if n < 1:
-        raise SensanError("sample must be a nonempty array of points")
+    _check_size(n)
     streams = _rep_streams(master_seed, n, reps)
     points = _inverse_cdf(P)
     lo, hi = _bounds(P.grid)
@@ -505,7 +517,12 @@ class Multinomial:
         if np.any(p <= 0.0) or abs(float(np.sum(p)) - 1.0) > 1e-12:
             raise ConfigError("probs", "cell probabilities must be positive and sum to one")
 
+    def _cell(self, i) -> int:
+        """i as a cell index, refused by name (cells) outside 0..k-1."""
+        return read({"cells": i}, "cells", int, lo=0, hi=len(self.probs) - 1)
+
     def cell_influence(self, i: int) -> np.ndarray:
+        i = self._cell(i)
         e = np.full(len(self.probs), -float(self.probs[i]))
         e[i] += 1.0
         return e
@@ -524,6 +541,7 @@ def mc_joint_multinomial(model: Multinomial, i: int, j: int, n: int,
     """Joint asymptotics of two cell frequencies; n draws per replication,
     at least one, and at least two replications."""
     reps = _check_reps(reps, 2)
+    i, j = model._cell(i), model._cell(j)
     # n = 0 would divide by zero; _rep_streams refuses every other n that
     # is not a positive integer
     if n == 0:

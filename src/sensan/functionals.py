@@ -48,8 +48,9 @@ every z comes from g smoothed by a convolution along each axis. The
 convolutions go by real FFT: along each axis one transform of the node
 gradient, a product with each width's kernel transform and one inverse,
 of which the "valid" entries are kept. The kernel transforms, and the
-bump masses they make of the Simpson weights, depend on the grid's
-geometry alone: they are built once per geometry and kept (_ladder).
+bump masses they make of the Simpson weights, are built on every call
+(_mollified), a fraction of a millisecond against the composite's 2G + 2
+evaluator calls.
 
 A composite's evaluator is opaque, so each of its perturbed fields is a
 field of its own. They are signed, so evaluation runs on raw
@@ -73,7 +74,6 @@ Carlo harnesses on them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -83,7 +83,8 @@ from .errors import SensanError, nested, read
 from .expressions import as_array_function, parse_whitelisted
 from .model_space import (CutTerm, Grid, GridDensity, PiecewiseField, Sample,
                           cdf_table, check_tau_axis, cross_cell, density_at,
-                          invert_cdf, kde_fit, quantile, silverman_bandwidth)
+                          invert_cdf, kde_fit, quantile, silverman_bandwidth,
+                          values_at)
 from .tangent import TangentVector
 
 __all__ = [
@@ -172,8 +173,7 @@ def _statistics(F: Functional, grid: Grid):
     their integrals to psi: the integral of rho, or those of 1, x_a and
     x_a^2. Both the evaluator and the node gradient combine through it."""
     if F.kind == "moment":
-        vals = np.broadcast_to(np.asarray(F.rho(*grid.mesh()), dtype=float),
-                               grid.shape)
+        vals = values_at(F.rho, grid.mesh(), grid.shape)
         if not np.all(np.isfinite(vals)):
             raise SensanError("non-finite integrand")
         return (vals,), lambda s: s
@@ -218,9 +218,7 @@ def _at_points(F: Functional, pts: np.ndarray) -> np.ndarray:
     shape (..., n, ndim): one value per point, each sample about its own
     mean."""
     if F.kind == "moment":
-        coords = (pts[..., a] for a in range(pts.shape[-1]))
-        return np.broadcast_to(np.asarray(F.rho(*coords), dtype=float),
-                               pts.shape[:-1])
+        return values_at(F.rho, np.moveaxis(pts, -1, 0), pts.shape[:-1])
     x = pts[..., _axis(F, pts.shape[-1])]
     return (x - np.mean(x, axis=-1, keepdims=True)) ** 2
 
@@ -254,8 +252,7 @@ def influence_analytic(F: Functional, P: GridDensity) -> TangentVector:
     grid = P.grid
     mesh = grid.mesh()
     if F.kind == "moment":
-        vals = np.broadcast_to(np.asarray(F.rho(*mesh), dtype=float), grid.shape)
-        return TangentVector(P, vals)
+        return TangentVector(P, values_at(F.rho, mesh, grid.shape))
     if F.kind == "variance":
         x = mesh[_axis(F, grid.ndim)]
         return TangentVector(P, (x - P.quad(x)) ** 2)
@@ -486,15 +483,15 @@ def _kernels(grid: Grid, sigmas) -> tuple[np.ndarray, ...]:
     -(n-1) h .. (n-1) h, at L, the smallest power of two of at least
     2n - 1: shape (len(sigmas),) + (L/2 + 1 on that axis, 1 on the
     others), so that it broadcasts against a field with a leading width
-    axis; read-only, as _ladder keeps them."""
+    axis."""
     sigmas = np.asarray(sigmas, dtype=float)
     out = []
     for axis, ax in enumerate(grid.axes):
         size = 1 << (2 * ax.n - 2).bit_length()
         d = np.arange(1 - ax.n, ax.n) * (ax.spacing / sigmas)[:, None]
         k = np.fft.rfft(np.exp(-0.5 * d * d), size)
-        out.append(_view(k.reshape(k.shape[:1] + (1,) * axis + k.shape[1:]
-                                   + (1,) * (grid.ndim - 1 - axis))))
+        out.append(k.reshape(k.shape[:1] + (1,) * axis + k.shape[1:]
+                             + (1,) * (grid.ndim - 1 - axis)))
     return tuple(out)
 
 
@@ -515,30 +512,6 @@ def _smooth(a: np.ndarray, kernels) -> np.ndarray:
                             axis=at)
         a = full[(slice(None),) * at + (slice(n - 1, 2 * n - 1),)]
     return a
-
-
-_LADDER_GEOMETRIES = 16     # grid geometries whose ladder _ladder keeps
-
-
-@functools.lru_cache(maxsize=_LADDER_GEOMETRIES)
-def _ladder(geometry: tuple[tuple[float, float, int], ...]
-            ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The grid-only half of the mollifier ladder on the grid whose axes
-    are `geometry`'s (lo, hi, n): the kernel transforms of
-    default_schedule(grid)'s widths (_kernels) and the bump masses
-    n_j = B_j w, the Simpson weights smoothed at every width. Grid._axis
-    gives every grid of one geometry the same nodes and weights, so these
-    are built once per geometry and kept, read-only, for the
-    _LADDER_GEOMETRIES most recently used ones (grids hash by identity,
-    and callers build a new grid for every density). An entry holds the
-    masses, 8 levels G bytes, and per axis the kernel transforms,
-    16 levels (L/2 + 1) bytes, with levels the schedule's width count:
-    1.3 MB at 201 x 201 (4 levels), 114 kB at 801 nodes (5 levels). So the
-    memo holds at most about 21 MB while no axis has more than 201 nodes;
-    entries of finer grids grow like G log G."""
-    grid = Grid(tuple(Grid._axis(*axis) for axis in geometry))
-    kernels = _kernels(grid, default_schedule(grid).sigmas())
-    return kernels, _view(_smooth(grid.weight_tensor(), kernels))
 
 
 def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
@@ -572,17 +545,15 @@ def influence_numerical(F: Functional, P: GridDensity) -> TangentVector:
     never built) and w the Simpson weights. The convolutions run by real
     FFT (_smooth): per axis one transform of g, one product with every
     width's kernel transform and one inverse, O(n log n) per axis line,
-    the direct sums to rounding. The kernel transforms and the masses n_j
-    depend on the grid's geometry alone, so they come from a memo
-    (_ladder), built by the same transforms once per geometry.
-    Dividing by the exact Simpson mass of the same bump makes
-    the split exact, and it also lets the ladder run down to two grid
-    spacings: the 4:2 ripple of the Simpson weights, which g inherits, has
-    period 2h, and a bump of width 2h damps it by exp(-2 pi^2), about
-    3e-9. The two finest levels are Richardson-extrapolated (the smoothing
-    error is quadratic in sigma) and the result is centered. The bumps
-    lose mass at the domain's edges, so the ladder is biased there,
-    linearly in sigma.
+    the direct sums to rounding; the masses n_j come from the same
+    transforms of w, on every call. Dividing by the exact Simpson mass of
+    the same bump makes the split exact, and it also lets the ladder run
+    down to two grid spacings: the 4:2 ripple of the Simpson weights,
+    which g inherits, has period 2h, and a bump of width 2h damps it by
+    exp(-2 pi^2), about 3e-9. The two finest levels are
+    Richardson-extrapolated (the smoothing error is quadratic in sigma)
+    and the result is centered. The bumps lose mass at the domain's
+    edges, so the ladder is biased there, linearly in sigma.
 
     Level-to-level sup changes are the convergence diagnostic, decided on
     the first three widths: if the second change exceeds the first, the
@@ -602,8 +573,8 @@ def _mollified(g: np.ndarray, dpsi: float, grid: Grid) -> np.ndarray:
     """The mollifier ladder on the node gradient g and the derivative dpsi
     along P: the Richardson extrapolation of level_j = (B_j g) / n_j - dpsi
     over the two finest widths, or the "mollifier not converged" refusal."""
-    kernels, masses = _ladder(tuple((ax.lo, ax.hi, ax.n)
-                                    for ax in grid.axes))
+    kernels = _kernels(grid, default_schedule(grid).sigmas())
+    masses = _smooth(grid.weight_tensor(), kernels)
     levels = _smooth(g, kernels) / masses - dpsi
     changes = [float(np.max(np.abs(levels[j] - levels[j - 1])))
                for j in range(1, len(levels))]

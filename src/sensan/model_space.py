@@ -271,6 +271,17 @@ def grid_quad(grid: Grid, samples: np.ndarray, cuts: Cuts = ()) -> float:
     return float(_reduce(grid, samples, cuts))
 
 
+def values_at(fn, coords, shape: tuple[int, ...]) -> np.ndarray:
+    """fn at the coordinate arrays `coords` (a grid's mesh, or the columns
+    of sample points), as floats of `shape`; a constant broadcasts, and a
+    result that does not broadcast to `shape` is refused."""
+    vals = np.asarray(fn(*coords), dtype=float)
+    try:
+        return np.broadcast_to(vals, shape)
+    except ValueError:
+        raise SensanError("integrand values do not match the grid shape") from None
+
+
 def locate(ax: GridAxis, coords) -> tuple[np.ndarray, np.ndarray]:
     """Cell index i and in-cell weight w of coordinates along one axis,
     clamped into [lo, hi], so that c = nodes[i] + w * spacing."""
@@ -458,8 +469,7 @@ class GridDensity(PiecewiseField):
 
     @classmethod
     def from_callable(cls, grid: Grid, fn) -> "GridDensity":
-        raw = np.asarray(fn(*grid.mesh()), dtype=float)
-        raw = np.broadcast_to(raw, grid.shape)
+        raw = values_at(fn, grid.mesh(), grid.shape)
         total = grid_quad(grid, raw)
         if not np.isfinite(total) or total <= 0.0:
             raise SensanError("density shape does not integrate to a positive value")
@@ -591,8 +601,7 @@ def integrate(f, P: GridDensity) -> float:
     """Quadrature integral of f against P. `f` is either a callable on the
     grid coordinates or an array of node values."""
     if callable(f):
-        vals = np.asarray(f(*P.grid.mesh()), dtype=float)
-        vals = np.broadcast_to(vals, P.grid.shape)
+        vals = values_at(f, P.grid.mesh(), P.grid.shape)
     else:
         vals = np.asarray(f, dtype=float)
         if vals.shape != P.grid.shape:

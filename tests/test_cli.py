@@ -883,6 +883,38 @@ def test_config_probe_exits_two_naming_the_key(tmp_path, capsys, command,
     assert f"config key '{key}'" in err, err
 
 
+HUGE = 10 ** 15     # an array of this many elements exceeds the address space
+UNALLOCATABLE = [
+    ("sensitivity", {**MEAN_MEDIAN, "grid": {"n": HUGE}}, []),
+    ("sensitivity", MEAN_MEDIAN, ["--grid", str(HUGE)]),
+    ("gmm", {**GMM, "grid": {"n": HUGE}}, []),
+    ("replicate-education", {"grid": HUGE}, []),
+    ("mc", {**JOINT, "n": HUGE}, []),
+    ("mc", {**JOINT, "reps": HUGE}, []),
+    ("mc", {**MULTI, "reps": HUGE}, []),
+    ("mc", {**CONSISTENCY, "reps": HUGE}, []),
+]
+
+
+@pytest.mark.parametrize("command,payload,extra", UNALLOCATABLE,
+                         ids=[f"{c}-{i}" for i, (c, _, _) in
+                              enumerate(UNALLOCATABLE)])
+def test_a_run_that_cannot_allocate_exits_one(tmp_path, capsys, command,
+                                              payload, extra):
+    """A legal config whose arrays cannot be allocated is a failed
+    computation: one error line, exit 1, no traceback and no report. Each
+    request exceeds the address space, so it fails before any page is
+    touched."""
+    out = tmp_path / "out"
+    argv = [command, "--config", _write(tmp_path, "huge.json", payload),
+            "--out", str(out), *extra]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: Unable to allocate"), err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
 _ON_THREE_NODES = {"csv": "x,density\n0.0,1.0\n0.5,1.0\n1.0,1.0\n"}
 _MISMATCH = "mismatched grids for likelihood ratio"
 STORED_DENSITY_PROBES = [

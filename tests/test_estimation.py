@@ -20,7 +20,7 @@ from sensan import (Grid, GridDensity, Multinomial, PluginConfig,
 from sensan.artifacts import write_json
 from sensan.errors import ConfigError, SensanError
 from sensan.estimation import (_SAMPLE_BLOCK, _STREAM_CHUNK, _joint_result,
-                               _pcg64_states, _rep_streams)
+                               _pcg64_states, _rep_streams, _sample_blocks)
 from sensan.families import beta, linear, uniform
 from sensan.model_space import (_cumtrapz, _simpson_reduce, likelihood_ratio,
                                  locate)
@@ -291,6 +291,21 @@ class _DrawsInBuckets(_DrawsWithZeros):
         inside = np.sort(self.rng.random(len(u[2::4])))[::-1]
         u[2::4] = (bucket + inside) / 65536.0
         return u
+
+
+@pytest.mark.parametrize("n,error,message", [
+    (0, SensanError, "sample must be a nonempty array of points"),
+    (-3, ConfigError, "config key 'n': expected a non-negative integer, got -3"),
+    (5.5, ConfigError, "config key 'n': expected a non-negative integer, got 5.5"),
+])
+def test_sample_from_refuses_a_bad_size_by_name(n, error, message):
+    """sample_from refuses a size as the Monte Carlo blocks do, in the same
+    words, before drawing."""
+    for draw in (lambda: sample_from(U, n, np.random.default_rng(0)),
+                 lambda: next(_sample_blocks(U, n, 3, 0))):
+        with pytest.raises(error) as exc:
+            draw()
+        assert str(exc.value) == message
 
 
 def test_sample_from_1d_is_bit_identical_to_np_interp():
@@ -577,6 +592,22 @@ def test_multinomial_validation():
         Multinomial((0.5, 0.5, 0.0))
     with pytest.raises(SensanError, match="positive and sum"):
         Multinomial((0.5, 0.4, 0.2))
+
+
+@pytest.mark.parametrize("cell", [-1, 3, 5, 1.5, True])
+def test_a_cell_index_outside_the_model_is_refused_by_name(cell):
+    """The harness and the closed forms refuse a cell index outside
+    0..k-1, naming cells: a negative one no longer wraps to a cell from
+    the end, and a large one is no bare IndexError."""
+    m = Multinomial((0.2, 0.3, 0.5))
+    calls = [lambda: mc_joint_multinomial(m, cell, 0, 100, 50, 1),
+             lambda: mc_joint_multinomial(m, 0, cell, 100, 50, 1),
+             lambda: m.cell_sensitivity(cell, 0),
+             lambda: m.cell_sensitivity(0, cell),
+             lambda: m.cell_influence(cell)]
+    for call in calls:
+        with pytest.raises(ConfigError, match="^config key 'cells': "):
+            call()
 
 
 def test_multinomial_joint_mc_recovers_the_covariance():

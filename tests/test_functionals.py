@@ -371,26 +371,12 @@ _SMOOTH_GRIDS = [(n,) for n in (3, 4, 5, 8, 9, 21, 101, 512, 513, 801)]
 _SMOOTH_GRIDS += [(3, 3), (4, 9), (21, 21), (21, 31), (31, 21), (41, 41)]
 
 
-@pytest.fixture
-def no_ladders():
-    """An empty ladder memo for the test, and none of its entries after."""
-    functionals._ladder.cache_clear()
-    yield
-    functionals._ladder.cache_clear()
-
-
-def _geometry(grid):
-    """The memo key of a grid: each axis's (lo, hi, n)."""
-    return tuple((ax.lo, ax.hi, ax.n) for ax in grid.axes)
-
-
 @pytest.mark.parametrize("shape", _SMOOTH_GRIDS)
-def test_fft_smoothing_gives_the_direct_sums(shape, no_ladders):
+def test_fft_smoothing_gives_the_direct_sums(shape):
     """The transform route smooths a node field and the Simpson weights at
     every width, from two of the coarsest spacings to ten times the longest
-    side, to within 1e-13 of the direct sums, sup-relative per field; so
-    do the bump masses the ladder memo keeps for the grid, the Simpson
-    weights at the schedule's widths."""
+    side, the schedule's widths included, to within 1e-13 of the direct
+    sums, sup-relative per field."""
     grid = (Grid.line(0.0, 1.0, shape[0]) if len(shape) == 1
             else Grid.box((0.0, 1.0), (-1.0, 2.0), shape))
     h = max(ax.spacing for ax in grid.axes)
@@ -405,10 +391,6 @@ def test_fft_smoothing_gives_the_direct_sums(shape, no_ladders):
         assert got.shape == (len(sigmas),) + grid.shape
         for j, sigma in enumerate(sigmas):
             assert _sup_relative(got[j], _direct_smooth(grid, a, sigma)) <= 1e-13
-    _, masses = functionals._ladder(_geometry(grid))
-    assert masses.shape == (len(schedule),) + grid.shape
-    for j, sigma in enumerate(schedule):
-        assert _sup_relative(masses[j], _direct_smooth(grid, w, sigma)) <= 1e-13
 
 
 def _correlated(x, y):
@@ -427,13 +409,10 @@ def _direct_ladder(a, kernels):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_numerical_influence_is_the_direct_sum_ladder(dim, no_ladders):
+def test_numerical_influence_is_the_direct_sum_ladder(dim):
     """A composite, the only kind the ladder serves, with the ladder
     smoothed by direct sums instead, its bump masses included: the
-    influences agree to within 1e-13 of their sup. The memo is emptied
-    before the direct sums run, so they build its entry, and again after,
-    so no direct-sum masses reach later calls: the next call rebuilds the
-    transform-built bits."""
+    influences agree to within 1e-13 of their sup."""
     if dim == 1:
         P = beta(Grid.line(0.0, 1.0, 201), 2.0, 3.0)
         cases = [mean_over_median()]
@@ -441,33 +420,19 @@ def test_numerical_influence_is_the_direct_sum_ladder(dim, no_ladders):
         P = GridDensity.from_callable(
             Grid.box((0.0, 1.0), (0.0, 1.0), (21, 31)), _correlated)
         cases = [composite(_covariance)]
-    key = _geometry(P.grid)
     for F in cases:
         got = influence_numerical(F, P).values
-        built = functionals._ladder(key)
-        functionals._ladder.cache_clear()
         with mock.patch.multiple(functionals, _kernels=_direct_kernels,
                                  _smooth=_direct_ladder):
             ref = influence_numerical(F, P).values
-            direct = functionals._ladder(key)
-            assert functionals._ladder.cache_info().currsize == 1
-            assert direct[0][1] == default_schedule(P.grid).sigmas()
-        functionals._ladder.cache_clear()
-        assert np.array_equal(influence_numerical(F, P).values, got)
-        after = functionals._ladder(key)
-        assert after is not direct
-        for a, b in zip((*after[0], after[1]), (*built[0], built[1]),
-                        strict=True):
-            np.testing.assert_array_equal(a, b, strict=True)
         assert _sup_relative(got, ref) <= 1e-13
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_grids_of_one_geometry_share_a_ladder_and_its_bits(dim, no_ladders):
-    """A grid built anew with the geometry of an earlier one reads the
-    earlier grid's ladder from the memo, and composites give the bits of
-    the grid that built it: a nonlinear one and a moment taken as a
-    composite."""
+def test_a_grid_built_anew_gives_the_same_composite_bits(dim):
+    """A grid built anew with the bounds and node counts of an earlier one
+    gives composites the bits of the earlier grid: a nonlinear one and a
+    moment taken as a composite."""
     if dim == 1:
         def build():
             return beta(Grid.line(0.0, 1.0, 201), 2.0, 3.0)
@@ -483,19 +448,14 @@ def test_grids_of_one_geometry_share_a_ladder_and_its_bits(dim, no_ladders):
     assert P.grid is not Q.grid
     for F in cases:
         first = influence_numerical(F, P)
-        info = functionals._ladder.cache_info()
-        assert (info.currsize, info.misses) == (1, 1)
         again = influence_numerical(F, Q)
-        assert functionals._ladder.cache_info() == info._replace(
-            hits=info.hits + 1)
         assert np.array_equal(first.values, again.values)
 
 
-def test_a_grid_with_other_bounds_gets_its_own_ladder(no_ladders):
-    """The memo keys each axis by its bounds as well as its node count: a
-    201-node [-1, 1] after a 201-node [0, 1] builds a second entry, whose
-    influence of the variance, taken as a composite, matches the analytic
-    one inside the zones."""
+def test_a_variance_as_composite_matches_on_other_bounds():
+    """On a 201-node [-1, 1] as on a 201-node [0, 1], the influence of the
+    variance, taken as a composite, matches the analytic one inside the
+    zones."""
     for lo in (0.0, -1.0):
         g = Grid.line(lo, 1.0, 201)
         P = GridDensity.from_callable(g, lambda x: np.exp(-8.0 * (x - 0.3) ** 2))
@@ -504,37 +464,6 @@ def test_a_grid_with_other_bounds_gets_its_own_ladder(no_ladders):
         x, s0 = g.axes[0].nodes, default_schedule(g).sigma0
         inside = (x >= lo + 2 * s0) & (x <= 1.0 - 2 * s0)
         assert np.max(np.abs(num - ana)[inside]) < 1e-4 * np.max(np.abs(ana))
-    info = functionals._ladder.cache_info()
-    assert (info.currsize, info.misses) == (2, 2)
-
-
-def test_the_ladder_memo_is_read_only_and_bounded(no_ladders):
-    """Every array the memo keeps refuses a write, and building more
-    geometries than its bound keeps the most recently used ones: reading
-    an entry makes it the most recent, and a new geometry evicts the
-    least recently used one."""
-    kernels, masses = functionals._ladder(((0.0, 1.0, 5), (0.0, 2.0, 7)))
-    for a in (*kernels, masses):
-        with pytest.raises(ValueError, match="read-only"):
-            a.flat[0] = 1.0
-    bound = functionals._LADDER_GEOMETRIES
-    assert functionals._ladder.cache_info().maxsize == bound == 16
-
-    def misses(*geometries):
-        before = functionals._ladder.cache_info().misses
-        for key in geometries:
-            functionals._ladder(key)
-        return functionals._ladder.cache_info().misses - before
-
-    lines = [((0.0, 1.0 + k, 5),) for k in range(bound + 2)]
-    for k, key in enumerate(lines):
-        assert misses(key) == 1
-        assert functionals._ladder.cache_info().currsize == min(k + 2, bound)
-    # lines[2:] are kept, lines[2] the least recently used until read
-    assert misses(lines[2]) == 0
-    assert misses(((0.0, 0.5, 5),)) == 1
-    assert misses(lines[2]) == 0
-    assert misses(lines[3]) == 1
 
 
 def _iso(x, y):

@@ -12,8 +12,9 @@ from sensan import Grid, GridDensity, Sample, integrate, quantile, density_at
 from sensan.errors import SensanError
 import sensan.model_space as model_space
 from sensan import artifacts, functionals
-from sensan import (counterfactual_density, counterfactual_report, evaluate,
-                    grad_op_apply, influence, information_metric, moment,
+from sensan import (counterfactual_density, counterfactual_report,
+                    estimated_influence, evaluate, grad_op_apply, influence,
+                    influence_analytic, information_metric, moment,
                     quantile_functional, sensitivity)
 from sensan.families import beta, linear, quadratic, truncated_normal, uniform
 from sensan.model_space import (CutTerm, PiecewiseField, grid_quad, kde_fit,
@@ -915,6 +916,31 @@ def test_integrate_rejects_bad_integrands():
             integrate(lambda x: 1.0 / x, U)
     with pytest.raises(SensanError, match="do not match the grid shape"):
         integrate(np.ones(5), U)
+
+
+@pytest.mark.parametrize("grid", [Grid.line(0.0, 1.0, 201),
+                                  Grid.box((0.0, 1.0), (0.0, 2.0), (5, 7))],
+                         ids=["1d", "2d"])
+def test_a_callable_that_does_not_fit_the_grid_is_refused(grid):
+    """Every path that evaluates a callable on a grid's mesh, and a
+    moment's rho at sample points, refuses a result that does not
+    broadcast to their shape in one message; a constant broadcasts."""
+    def bad(*coords):
+        return np.ones(3)
+    U, F = uniform(grid), moment(bad)
+    s = Sample(np.full((4, grid.ndim), 0.5), (0.0,) * grid.ndim,
+               tuple(ax.hi for ax in grid.axes))
+    calls = [lambda: GridDensity.from_callable(grid, bad),
+             lambda: integrate(bad, U),
+             lambda: evaluate(F, U),
+             lambda: influence_analytic(F, U),
+             lambda: evaluate(F, s),
+             lambda: estimated_influence(F, s)(s.points)]
+    for call in calls:
+        with pytest.raises(SensanError, match="^integrand values do not "
+                           "match the grid shape$"):
+            call()
+    assert integrate(lambda *coords: 2.0, U) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_integrate_moments_of_uniform():

@@ -27,14 +27,16 @@ cover:
 - numerical influences of the 1-d kinds and `mean_over_median` on
   Beta(2, 3) at 101, 201 and 801 nodes, with and without a cut term, and
   after the 201-node ones the variance of a Gaussian on 201 nodes of
-  [-1, 1], the same node count on other bounds
+  [-1, 1], the same node count on other bounds: a built-in kind, it
+  guards the point-mass route's weights there, which no ladder reaches
 - numerical influences of the mean, the variance and the median of the
   truncated standard normal at 801 nodes on [-4, 4] and on criterion
   07's [-6, 6], where the ladder's edge bias reached 0.11 and 0.24 for
   the variance
 - numerical influences of the 2-d kinds and the covariance composite on
   a correlated Gaussian at 21², 31², 41² and 21×31 (and at 21×31 with a
-  cut), then its covariance again on a 21×31 grid built anew, and on the
+  cut), then its covariance again on a 21×31 grid built anew, which
+  guards the ladder `_mollified` builds on every call, and on the
   uniform and on an isotropic Gaussian at 21², 31², 41²
 - quantile numerical influences where a cut sits inside the crossing
   cell: Beta(2, 3) at 801 nodes on axis 0, and the correlated Gaussian at
@@ -211,8 +213,8 @@ def influences(sensan, jobs) -> None:
             for name, F in one_d:
                 influence(sensan, f"ni/beta23/{n}{cut}/{name}", F, Q)
         if n == 201:
-            # the node count just used on other bounds, so a ladder kept
-            # by node count alone shows here
+            # the node count just used on other bounds, so weights taken
+            # from the node count alone show here
             wide = sensan.GridDensity.from_callable(
                 sensan.Grid.line(-1.0, 1.0, 201),
                 lambda x: np.exp(-8.0 * (x - 0.3) ** 2))
