@@ -30,9 +30,9 @@ from .surfaces import (Chart, CoordFunctional, build_chart, coord_functional,
                        hyperbolic_normal_chart, information_matrix,
                        numerical_information_matrix, sphere_chart,
                        surface_sensitivity)
-from .tangent import (PolicyMetric, TangentVector, grad_op_apply,
-                      grad_op_inverse, information_metric, inner, inner_p,
-                      policy_metric)
+from .tangent import (InformationMetric, PolicyMetric, TangentVector,
+                      grad_op_apply, grad_op_inverse, information_metric,
+                      inner, inner_p, policy_metric)
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,8 @@ __all__ = [
     "LikelihoodRatio",
     "grid_quad", "integrate", "density_at", "quantile", "likelihood_ratio",
     "kde_fit", "build_family",
-    "TangentVector", "PolicyMetric", "information_metric", "policy_metric",
+    "TangentVector", "InformationMetric", "PolicyMetric",
+    "information_metric", "policy_metric",
     "inner", "inner_p", "grad_op_apply", "grad_op_inverse",
     "Functional", "moment", "variance", "quantile_functional", "composite",
     "evaluate", "influence", "influence_analytic", "influence_numerical",

@@ -34,7 +34,7 @@ from .estimation import (Multinomial, PluginConfig, RatioInformation,
 from .families import build_family
 from .functionals import parse_functional
 from .gmm import gmm_efficient_influence, gmm_influence, gmm_solve, moment_spec
-from .model_space import Grid, GridDensity, Sample, likelihood_ratio
+from .model_space import Grid, GridDensity, Sample
 from .surfaces import build_chart, coord_functional, surface_sensitivity
 from .tangent import information_metric, inner_p, policy_metric
 
@@ -129,13 +129,17 @@ def _out_dir(args, cfg: dict, required: bool = False) -> str | None:
     out = args.out if args.out is not None else read(cfg, "out", str, None)
     if out == "":
         raise ConfigError("out", "expected a directory path, got ''")
-    if out is None:
-        if required:
-            raise ConfigError("out", "required: pass --out or set 'out'")
-        return None
-    with nested("out"):
-        for sub in ("curves", "plots"):
-            os.makedirs(os.path.join(out, sub), exist_ok=True)
+    if out is None and required:
+        raise ConfigError("out", "required: pass --out or set 'out'")
+    return out
+
+
+def _made(out: str | None) -> str | None:
+    """out with its curves and plots made, once a run has succeeded."""
+    if out is not None:
+        with nested("out"):
+            for sub in ("curves", "plots"):
+                os.makedirs(os.path.join(out, sub), exist_ok=True)
     return out
 
 
@@ -147,7 +151,7 @@ def _cmd_sensitivity(args, cfg: dict) -> int:
     rep = sensitivity(psi, nu, P, metric)
     print(f"S = {rep.S:.8f}  (dpsi_dnu = {rep.dpsi_dnu:.8f}, "
           f"R = {rep.R:.6f}, Lambda = {rep.Lambda:.6f})")
-    out = _out_dir(args, cfg)
+    out = _made(_out_dir(args, cfg))
     if out:
         write_json(os.path.join(out, "report.json"), rep.to_json_dict())
         psi_t, nu_t = rep.psi_influence, rep.nu_influence
@@ -176,7 +180,7 @@ def _cmd_counterfactual(args, cfg: dict) -> int:
     print(f"h = {rep.h:.8f}  nu: {rep.nu_before:.6f} -> {rep.nu_after:.6f}  "
           f"psi: {rep.psi_before:.6f} -> {rep.psi_after:.6f} "
           f"(predicted {rep.predicted_psi_after:.6f})")
-    out = _out_dir(args, cfg)
+    out = _made(_out_dir(args, cfg))
     if out:
         write_json(os.path.join(out, "report.json"), rep.to_json_dict())
         rep.counterfactual.to_csv(
@@ -216,7 +220,7 @@ def _cmd_gmm(args, cfg: dict) -> int:
           f"criterion = {sol.criterion:.6g}  "
           f"specified = {sol.correctly_specified}")
     print(f"influence variances: weighted = {var_w}  efficient = {var_eff}")
-    out = _out_dir(args, cfg)
+    out = _made(_out_dir(args, cfg))
     if out:
         write_json(os.path.join(out, "report.json"), {
             "theta": sol.theta.tolist(),
@@ -262,9 +266,8 @@ def _cmd_surface(args, cfg: dict) -> int:
 
 def _ratio_estimator(cfg: dict, grid: Grid, P: GridDensity | None = None):
     """The ratio estimator cfg asks for and its metric at the base density
-    P. Without P, as in a plug-in run, no policy metric is built (it is
-    None): a known ratio builds its base from 'distribution', and a kde
-    ratio needs none."""
+    P. Without P, as in a plug-in run, a known ratio builds its base from
+    'distribution', and a kde ratio needs none and comes with no metric."""
     spec = read(cfg, "ratio", dict, {})
     with nested("ratio"):
         kind = read(spec, "kind", str, "information",
@@ -274,15 +277,13 @@ def _ratio_estimator(cfg: dict, grid: Grid, P: GridDensity | None = None):
         Q = _density(spec, "density", grid)
         # built for both kinds, so a bad bandwidth is named under 'ratio'
         kde = RatioKde(Q, read(spec, "bandwidth", float, None))
-    if P is not None:
-        with nested("ratio"), nested("density"):
-            metric = policy_metric(P, Q)
-        return (RatioKnown(metric.ratio) if kind == "known" else kde), metric
-    if kind == "known":
+    if P is None:
+        if kind == "kde":
+            return kde, None
         P = _density(cfg, "distribution", grid)
-        with nested("ratio"), nested("density"):
-            return RatioKnown(likelihood_ratio(P, Q)), None
-    return kde, None
+    with nested("ratio"), nested("density"):
+        metric = policy_metric(P, Q)
+    return (RatioKnown(metric.ratio) if kind == "known" else kde), metric
 
 
 def _cmd_mc(args, cfg: dict) -> int:
@@ -334,9 +335,7 @@ def _cmd_mc(args, cfg: dict) -> int:
         # without a grid the quantile KDE spans the sample's own range; a
         # known or kde ratio is read on its policy density's grid
         kde_grid = None if cfg.get("grid") is None and args.grid is None else grid
-        ratio_grid = (ratio.ratio.grid if isinstance(ratio, RatioKnown) else
-                      ratio.Q.grid if isinstance(ratio, RatioKde) else None)
-        for g in (kde_grid, ratio_grid):
+        for g in (kde_grid, ratio.grid):
             if g is not None and not (g.ndim == sample.ndim and all(
                     ax.lo <= lo and hi <= ax.hi
                     for ax, lo, hi in zip(g.axes, sample.lo, sample.hi))):
@@ -347,13 +346,13 @@ def _cmd_mc(args, cfg: dict) -> int:
             nu_influence=estimated_influence(nu, sample, kde_grid),
             ratio_estimator=ratio, sample=sample))
         print(f"plugin sensitivity = {val:.8f}")
-        if out:
+        if _made(out):
             write_json(os.path.join(out, "report.json"), {
                 "plugin_sensitivity": val, "n": sample.n,
                 "ratio": read(cfg, "ratio", dict, {"kind": "information"})})
         return 0
 
-    if out:
+    if _made(out):
         res.to_csv(os.path.join(out, "table.csv"))
         write_json(os.path.join(out, "report.json"), res.to_json_dict())
     return 0

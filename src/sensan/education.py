@@ -133,10 +133,6 @@ def replicate_education(out_dir: str, *, grid_n: int = 801,
     metrics += [(lab, policy_metric(P, Q, label=lab))
                 for lab, Q in zip(_POLICY_LABELS, Qs)]
 
-    curves_dir = os.path.join(out_dir, "curves")
-    for sub in ("curves", "plots"):
-        os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
-
     rows = []
     reports = []
     for label, metric in metrics:
@@ -150,6 +146,10 @@ def replicate_education(out_dir: str, *, grid_n: int = 801,
             predicted_psi_after=cf.predicted_psi_after,
             psi_gap=abs(cf.psi_after - cf.predicted_psi_after)))
         reports.append((label, cf))
+    curves_dir = os.path.join(out_dir, "curves")
+    with nested("out"):     # made only once every metric has succeeded
+        for sub in ("curves", "plots"):
+            os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
     # influences and values do not depend on the metric
     base = reports[0][1].sensitivity
     psi_before, nu_before = base.psi_value, base.nu_value

@@ -29,9 +29,9 @@ import numpy as np
 
 from .errors import SensanError
 from .functionals import Functional, evaluate, influence
-from .model_space import RATIO_CLAMP, CutTerm, GridDensity, PiecewiseField
-from .tangent import (PolicyMetric, TangentVector, _same_base, grad_op_apply,
-                      inner, inner_p)
+from .model_space import CutTerm, GridDensity, PiecewiseField
+from .tangent import (Metric, TangentVector, _same_base, grad_op_apply, inner,
+                      inner_p)
 
 __all__ = [
     "SensitivityReport",
@@ -62,7 +62,8 @@ def _compared_fields(report) -> dict:
 class SensitivityReport:
     """Sensitivity of psi to the control nu at a fixed distribution.
 
-    grad_norm_psi and grad_norm_nu are metric norms (not squares).
+    metric_kind is the metric's label; grad_norm_psi and grad_norm_nu are
+    metric norms (not squares).
     Lambda and Delta are the information-metric sensitivity and
     sufficiency, reported under every metric. Reports built by
     `sensitivity_from_influences` also carry the two influence functions
@@ -103,7 +104,7 @@ class SensitivityReport:
 
 
 def sensitivity_from_influences(psi_t: TangentVector, nu_t: TangentVector,
-                                metric: PolicyMetric, *,
+                                metric: Metric, *,
                                 psi_label: str = "psi", nu_label: str = "nu",
                                 psi_value: float = math.nan,
                                 nu_value: float = math.nan) -> SensitivityReport:
@@ -124,18 +125,9 @@ def sensitivity_from_influences(psi_t: TangentVector, nu_t: TangentVector,
     for name, primal, u in (("nu", gn2_nu, Anu), ("psi", gn2_psi, Apsi)):
         dual = inner(u, u, metric)
         if not _close(primal, dual, 1e-8):
-            cause = ""
-            if metric.ratio is not None and metric.ratio.clamped:
-                m, M = RATIO_CLAMP
-                cause = (f"; the likelihood ratio dP/dQ was clamped into "
-                         f"[{m:g}, {M:g}]")
-            if metric.kind == "policy" and psi_t.base.terms:
-                cause += ("; P has jumps, and the likelihood ratio dP/dQ, "
-                          "a quotient of node values, turns each into a "
-                          "ramp across one cell")
             raise SensanError(
                 f"gradient norm of {name} disagrees between code paths: "
-                f"{primal:.12g} vs {dual:.12g}{cause}")
+                f"{primal:.12g} vs {dual:.12g}{metric.causes(psi_t.base)}")
     ip_pn = inner_p(psi_t, nu_t)
     ip_nn = inner_p(nu_t, nu_t)
     ip_pp = inner_p(psi_t, psi_t)
@@ -159,7 +151,7 @@ def sensitivity_from_influences(psi_t: TangentVector, nu_t: TangentVector,
 
 
 def sensitivity(psi: Functional, nu: Functional, P: GridDensity,
-                metric: PolicyMetric) -> SensitivityReport:
+                metric: Metric) -> SensitivityReport:
     """Sensitivity of psi(P) to the control nu(P) under the metric."""
     psi_t = influence(psi, P)
     nu_t = influence(nu, P)
@@ -269,7 +261,7 @@ class CounterfactualReport:
 
 
 def counterfactual_report(psi: Functional, nu: Functional, P: GridDensity,
-                          metric: PolicyMetric, target_increment: float, *,
+                          metric: Metric, target_increment: float, *,
                           refine: bool = False, path: str = "multiplicative"
                           ) -> CounterfactualReport:
     """Move nu(P) by the requested amount along its gradient and report
@@ -366,7 +358,7 @@ def _fit_slope(hs: list[float], errs: list[float], floor: float) -> float:
 
 
 def verify_first_order(psi: Functional, nu: Functional, P: GridDensity,
-                       metric: PolicyMetric, h_list) -> FirstOrderCheck:
+                       metric: Metric, h_list) -> FirstOrderCheck:
     """Check that the counterfactual remainders shrink quadratically.
 
     h_list must hold at least three decreasing positive step sizes, each

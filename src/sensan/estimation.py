@@ -48,9 +48,9 @@ import numpy as np
 from .artifacts import write_table
 from .errors import ConfigError, SensanError, read
 from .functionals import Functional, estimated_influence, evaluate
-from .model_space import (GridDensity, LikelihoodRatio, Sample, _cumtrapz,
-                          _clamped_ratio, _simpson_reduce, check_points,
-                          interpolate, kde_fit, locate)
+from .model_space import (Grid, GridDensity, LikelihoodRatio, Sample,
+                          _cumtrapz, _clamped_ratio, _simpson_reduce,
+                          check_points, interpolate, kde_fit, locate)
 
 __all__ = [
     "RatioInformation",
@@ -77,12 +77,24 @@ _SAMPLE_BLOCK = 1 << 15  # uniforms a harness draws and inverts at once (256 KB)
 class RatioInformation:
     """Information metric: the ratio is identically one."""
 
+    grid = None    # read on no grid
+
+    def at(self, sample: Sample) -> np.ndarray:
+        return np.ones(sample.n)
+
 
 @dataclass(frozen=True)
 class RatioKnown:
     """Known likelihood ratio dP/dQ, interpolated from its grid values."""
 
     ratio: LikelihoodRatio
+
+    @property
+    def grid(self) -> Grid:
+        return self.ratio.grid
+
+    def at(self, sample: Sample) -> np.ndarray:
+        return interpolate(self.grid, self.ratio.ratio_values, sample.points)
 
 
 @dataclass(frozen=True)
@@ -98,20 +110,15 @@ class RatioKde:
         if b is not None and b <= 0.0:
             raise ConfigError("bandwidth", f"expected a positive number, got {b!r}")
 
+    @property
+    def grid(self) -> Grid:
+        return self.Q.grid
 
-def _ratio_at_points(estimator, sample: Sample) -> np.ndarray:
-    if isinstance(estimator, RatioInformation):
-        return np.ones(sample.n)
-    if isinstance(estimator, RatioKnown):
-        lr = estimator.ratio
-        return interpolate(lr.grid, lr.ratio_values, sample.points)
-    if isinstance(estimator, RatioKde):
-        grid = estimator.Q.grid
-        phat = kde_fit(sample, grid, estimator.bandwidth)
-        num = interpolate(grid, phat.values, sample.points)
-        den = interpolate(grid, estimator.Q.values, sample.points)
+    def at(self, sample: Sample) -> np.ndarray:
+        phat = kde_fit(sample, self.grid, self.bandwidth)
+        num = interpolate(self.grid, phat.values, sample.points)
+        den = interpolate(self.grid, self.Q.values, sample.points)
         return _clamped_ratio(num, den)[1]
-    raise SensanError(f"unknown ratio estimator {type(estimator).__name__}")
 
 
 # --- the plug-in estimator ----------------------------------------------------------
@@ -137,7 +144,7 @@ def plugin_sensitivity(config: PluginConfig) -> float:
             raise SensanError(
                 f"non-finite {name} influence value at sample point "
                 f"{pts[i].tolist()} (index {i})")
-    r = _ratio_at_points(config.ratio_estimator, config.sample)
+    r = config.ratio_estimator.at(config.sample)
     # Pn{psi (nu - Pn(nu r)/Pn r) r}, expanded so the centering correction
     # enters as a product of means. Estimated influences are already
     # empirically centered, so on the information path the correction is

@@ -6,7 +6,8 @@ jump at the quantile, so a TangentVector, like a GridDensity, is a
 PiecewiseField (a smooth part plus explicit cut terms) and every inner
 product here splits the quadrature at the jump locations.
 
-Two metrics are supported on the tangent space. The information metric is
+Two metrics are supported on the tangent space, each a class with the
+methods `apply`, `inverse`, `inner` and `causes`. The information metric is
 the plain L2(P) inner product and its gradient operator is the literal
 identity. A policy metric is the L2(Q) inner product for a policy measure
 Q equivalent to P with bounded ratio; its gradient operator is the
@@ -27,12 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SensanError
-from .model_space import (CutTerm, GridDensity, LikelihoodRatio,
-                          PiecewiseField, likelihood_ratio)
+from .model_space import (RATIO_CLAMP, CutTerm, GridDensity,
+                          LikelihoodRatio, PiecewiseField, likelihood_ratio)
 
 __all__ = [
     "TangentVector",
+    "InformationMetric",
     "PolicyMetric",
+    "Metric",
     "information_metric",
     "policy_metric",
     "inner",
@@ -96,40 +99,84 @@ def _check_same_base(u: TangentVector, v: TangentVector) -> None:
 
 
 @dataclass(frozen=True)
-class PolicyMetric:
-    """Metric on the tangent space: either the information metric or the
-    L2(Q) metric of a policy measure, carrying Q and the ratio dP/dQ."""
+class InformationMetric:
+    """The information metric, L2(P): its gradient operator is the
+    literal identity, and a dual-path failure has no cause to name."""
 
-    kind: str                      # "information" | "policy"
-    Q: GridDensity | None = None
-    ratio: LikelihoodRatio | None = None
-    label: str = "information"
+    kind = label = "information"
+
+    def apply(self, v: TangentVector) -> TangentVector:
+        return v
+
+    inverse = apply     # the identity is its own inverse
+
+    def inner(self, u: TangentVector, v: TangentVector) -> float:
+        return inner_p(u, v)
+
+    def causes(self, base: GridDensity) -> str:
+        return ""
+
+
+@dataclass(frozen=True)
+class PolicyMetric:
+    """The L2(Q) metric of a policy measure Q, carrying the ratio dP/dQ."""
+
+    Q: GridDensity
+    ratio: LikelihoodRatio
+    label: str = "L2(Q)"
+    kind = "policy"
 
     def __post_init__(self):
-        if self.kind not in ("information", "policy"):
-            raise SensanError(f"unknown metric kind '{self.kind}'")
-        if self.kind == "policy" and (self.Q is None or self.ratio is None):
+        if self.Q is None or self.ratio is None:
             raise SensanError("policy metric needs a policy measure and a "
                               "likelihood ratio")
 
+    def apply(self, v: TangentVector) -> TangentVector:
+        r = self.ratio.ratio_values
+        # v r is an intermediate, not a direction: plain field arithmetic
+        pvr = PiecewiseField.scale(v, r).times(v.base).quad()
+        pr = v.base.quad(r)
+        out = v.shift(-pvr / pr).scale(r)
+        return out.shift(-out.mean_under_base())
 
-def information_metric() -> PolicyMetric:
-    return PolicyMetric(kind="information")
+    def inverse(self, u: TangentVector) -> TangentVector:
+        qu = u.times(self.Q).quad()
+        out = u.scale(1.0 / self.ratio.ratio_values).shift(-qu)
+        return out.shift(-out.mean_under_base())
+
+    def inner(self, u: TangentVector, v: TangentVector) -> float:
+        _check_same_base(u, v)
+        return u.times(v).times(self.Q).quad()
+
+    def causes(self, base: GridDensity) -> str:
+        """A dual-path failure's causes: a clamped ratio, and jumps of base."""
+        cause = ""
+        if self.ratio.clamped:
+            m, M = RATIO_CLAMP
+            cause = (f"; the likelihood ratio dP/dQ was clamped into "
+                     f"[{m:g}, {M:g}]")
+        if base.terms:
+            cause += ("; P has jumps, and the likelihood ratio dP/dQ, "
+                      "a quotient of node values, turns each into a "
+                      "ramp across one cell")
+        return cause
+
+
+Metric = InformationMetric | PolicyMetric
+
+
+def information_metric() -> InformationMetric:
+    return InformationMetric()
 
 
 def policy_metric(P: GridDensity, Q: GridDensity,
                   label: str | None = None) -> PolicyMetric:
-    ratio = likelihood_ratio(P, Q)
-    return PolicyMetric(kind="policy", Q=Q, ratio=ratio,
-                        label=label or "L2(Q)")
+    return PolicyMetric(Q, likelihood_ratio(P, Q), label or "L2(Q)")
 
 
-def inner(u: TangentVector, v: TangentVector, metric: PolicyMetric) -> float:
+def inner(u: TangentVector, v: TangentVector, metric: Metric) -> float:
     """Metric inner product: L2(P) under information, L2(Q) under policy."""
-    if metric.kind == "information":
-        return inner_p(u, v)
-    _check_same_base(u, v)
-    return u.times(v).times(metric.Q).quad()
+    return metric.inner(u, v)
 
 
 def inner_p(u: TangentVector, v: TangentVector) -> float:
@@ -138,27 +185,12 @@ def inner_p(u: TangentVector, v: TangentVector) -> float:
     return u.times(v).times(u.base).quad()
 
 
-def grad_op_apply(v: TangentVector, metric: PolicyMetric) -> TangentVector:
+def grad_op_apply(v: TangentVector, metric: Metric) -> TangentVector:
     """Adjoint gradient operator for the metric. Applied to an influence
-    function it gives the metric gradient of the functional.
-
-    Information: the literal identity. Policy: multiply by r = dP/dQ after
-    subtracting the constant P(v r) / P(r), then re-center under P.
-    """
-    if metric.kind == "information":
-        return v
-    r = metric.ratio.ratio_values
-    # v r is an intermediate, not a direction: plain field arithmetic
-    pvr = PiecewiseField.scale(v, r).times(v.base).quad()
-    pr = v.base.quad(r)
-    out = v.shift(-pvr / pr).scale(r)
-    return out.shift(-out.mean_under_base())
+    function it gives the metric gradient of the functional."""
+    return metric.apply(v)
 
 
-def grad_op_inverse(u: TangentVector, metric: PolicyMetric) -> TangentVector:
-    """Inverse of `grad_op_apply`: u / r - Q(u), re-centered under P."""
-    if metric.kind == "information":
-        return u
-    qu = u.times(metric.Q).quad()
-    out = u.scale(1.0 / metric.ratio.ratio_values).shift(-qu)
-    return out.shift(-out.mean_under_base())
+def grad_op_inverse(u: TangentVector, metric: Metric) -> TangentVector:
+    """Inverse of `grad_op_apply`."""
+    return metric.inverse(u)

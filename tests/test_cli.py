@@ -1201,3 +1201,30 @@ def test_surface_refuses_an_empty_out_path(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "config key 'out'" in err and "''" in err
     assert os.listdir(tmp_path) == []
+
+
+def test_a_failing_run_leaves_no_artifact_directories(tmp_path, capsys):
+    """curves/ and plots/ are made only once a run has succeeded: an mc
+    joint run with a constant psi exits 1 and a replicate-education run
+    with a non-positive policy exits 2, and neither leaves its out. An
+    out below a file still exits 2 naming 'out'."""
+    constant = _write(tmp_path, "mc.json", {
+        **_MC, "mode": "joint", "psi": {"kind": "moment", "rho": "1"}})
+    negative = _write(tmp_path, "edu.json", {"grid": 21, "policies": [
+        {"family": "linear", "intercept": -0.5, "slope": 1.0},
+        {"family": "uniform"}, {"family": "uniform"}]})
+    out_dir = tmp_path / "out"
+    for argv, code, cause in (
+            (["mc", "--config", constant], 1, "zero variance"),
+            (["replicate-education", "--config", negative], 2,
+             "config key 'policies'")):
+        assert main(argv + ["--out", str(out_dir)]) == code
+        assert cause in capsys.readouterr().err
+        assert not out_dir.exists()
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    joint = _write(tmp_path, "joint.json", {**_MC, "mode": "joint"})
+    for argv in (["mc", "--config", joint],
+                 ["replicate-education", "--grid", "21"]):
+        assert main(argv + ["--out", str(blocker / "out")]) == 2
+        assert "config key 'out'" in capsys.readouterr().err

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensan import (Grid, GridDensity, PolicyMetric, TangentVector,
-                    grad_op_apply, grad_op_inverse, information_metric, inner,
-                    inner_p, likelihood_ratio, policy_metric,
-                    sensitivity_from_influences)
+from sensan import (Grid, GridDensity, InformationMetric, PolicyMetric,
+                    TangentVector, grad_op_apply, grad_op_inverse,
+                    information_metric, inner, inner_p, likelihood_ratio,
+                    policy_metric, sensitivity_from_influences)
 from sensan.errors import SensanError
 from sensan.families import linear, quadratic, uniform
 from sensan.model_space import CutTerm
@@ -93,16 +93,22 @@ def test_mismatched_bases_are_rejected():
 
 
 def test_malformed_policy_metrics_are_rejected():
+    """A policy metric without its measure or its ratio is refused; each
+    metric class states its own kind and label."""
     Q = linear(G, 0.5, 1.0)
     r = likelihood_ratio(U, Q)
-    for bad, match in ((dict(kind="geodesic"), "unknown metric kind"),
-                       (dict(kind="policy"), "policy measure"),
-                       (dict(kind="policy", Q=Q), "likelihood ratio"),
-                       (dict(kind="policy", ratio=r), "policy measure")):
-        with pytest.raises(SensanError, match=match):
-            PolicyMetric(**bad)
-    assert PolicyMetric(kind="policy", Q=Q, ratio=r).label == "information"
+    for args in ((None, r), (Q, None)):
+        with pytest.raises(SensanError, match="policy metric needs a policy "
+                           "measure and a likelihood ratio"):
+            PolicyMetric(*args)
+    assert PolicyMetric(Q, r).label == "L2(Q)"
+    assert PolicyMetric(Q, r).kind == "policy"
+    assert policy_metric(U, Q, label="Q1").label == "Q1"
     assert policy_metric(U, Q).kind == "policy"
+    info = information_metric()
+    assert isinstance(info, InformationMetric)
+    assert info.kind == info.label == "information"
+    assert info.causes(U) == ""
 
 
 def test_tangent_values_must_be_finite():
@@ -152,8 +158,12 @@ def stepped_vectors(draw):
 
 @st.composite
 def policy_metrics(draw):
-    """L2(Q) for Q proportional to a positive line or a convex parabola."""
-    if draw(st.booleans()):
+    """The information metric, or L2(Q) for Q proportional to a positive
+    line or a convex parabola."""
+    shape = draw(st.sampled_from(("information", "line", "parabola")))
+    if shape == "information":
+        return information_metric()
+    if shape == "line":
         left, right = draw(positive), draw(positive)
         Q = linear(G_PROP, left, right - left)
     else:

@@ -49,6 +49,14 @@ cover:
   0.5 is a node's CDF value, and Beta(2, 5) at tau = 0.05 on 201 nodes,
   a level in a low-density tail
 - `engine.sensitivity` S and R with `mean_over_median` as psi
+- the metrics (`metric/*`): `grad_op_apply`, `grad_op_inverse` and `inner`
+  under the information metric and under L2(0.5 + x), on stepped tangent
+  vectors at the uniform on 201 nodes; the `metric_kind` of a report under
+  the information metric and under a policy metric with the default and
+  with a custom label; and the two dual-path refusals of the mean against
+  the median at 801 nodes, the clamped ratio of the policy density
+  0.0001 + 5x on the uniform and the jump of the median's first 0.02 step
+  on 0.5 + x under L2(uniform)
 - five counterfactual steps of 0.02 in the median on the density 0.5 + x
   (each step's field parts and S of the mean), and an exponential tilt of
   the uniform along nine one-cut terms
@@ -347,6 +355,46 @@ def sensitivities(sensan, jobs) -> None:
             emit(f"sensitivity/{name}", "error", str(exc))
 
 
+def metrics(sensan) -> None:
+    line = sensan.Grid.line(0.0, 1.0, 201)
+    x = line.axes[0].nodes
+    U = sensan.build_family({"family": "uniform"}, line)
+    Q = sensan.build_family(
+        {"family": "linear", "intercept": 0.5, "slope": 1.0}, line)
+    v = sensan.TangentVector(U, x * x - x, terms=(
+        sensan.CutTerm(((0, 0.3),), 1.0 + x),))
+    u = sensan.TangentVector(U, np.sin(3.0 * x), terms=(
+        sensan.CutTerm(((0, 0.55),), np.full(line.shape, -0.5)),))
+    mean, median = sensan.moment(lambda x: x), sensan.quantile_functional(0.5)
+    for name, metric in (("information", sensan.information_metric()),
+                         ("policy", sensan.policy_metric(U, Q)),
+                         ("policy-Q1", sensan.policy_metric(U, Q, label="Q1"))):
+        emit(f"metric/{name}/apply",
+             *field_parts(sensan.grad_op_apply(v, metric)))
+        emit(f"metric/{name}/inverse",
+             *field_parts(sensan.grad_op_inverse(v, metric)))
+        emit(f"metric/{name}/inner", sensan.inner(v, u, metric))
+        emit(f"metric/{name}/metric_kind",
+             sensan.sensitivity(mean, median, U, metric).metric_kind)
+
+    grid = sensan.Grid.line(0.0, 1.0, 801)
+    U = sensan.build_family({"family": "uniform"}, grid)
+    clamped = sensan.build_family(
+        {"family": "linear", "intercept": 0.0001, "slope": 5.0}, grid)
+    P = sensan.build_family(
+        {"family": "linear", "intercept": 0.5, "slope": 1.0}, grid)
+    P1 = sensan.counterfactual_report(mean, median, P,
+                                      sensan.information_metric(),
+                                      0.02).counterfactual
+    for name, base, metric in (("clamp", U, sensan.policy_metric(U, clamped)),
+                               ("jump", P1, sensan.policy_metric(P1, U))):
+        try:
+            rep = sensan.sensitivity(mean, median, base, metric)
+            emit(f"metric/refusal/{name}", rep.S, rep.R)
+        except sensan.SensanError as exc:
+            emit(f"metric/refusal/{name}", "error", str(exc))
+
+
 def counterfactuals(sensan) -> None:
     grid = sensan.Grid.line(0.0, 1.0, 801)
     P = sensan.build_family(
@@ -626,6 +674,7 @@ def main(argv: list[str]) -> None:
     from test_cli import SCHEMA_CONFIGS
     influences(sensan, jobs)
     sensitivities(sensan, jobs)
+    metrics(sensan)
     counterfactuals(sensan)
     samples(sensan)
     kdes(sensan)
